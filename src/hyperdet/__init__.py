@@ -35,7 +35,6 @@ from .poly import (
     as_point,
     exact_divide,
     format_poly,
-    invert_matrix,
     normalize_direction,
     parse_poly,
     substitute_line,
@@ -69,7 +68,7 @@ from .sos import (
     monomial_basis_Mk,
     round_gram,
 )
-from .linalg import ldl_decompose
+from .linalg import invert_matrix, ldl_decompose
 from .detrep import (
     CertifyOptions,
     DetRepCertificate,

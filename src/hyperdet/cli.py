@@ -172,11 +172,6 @@ def _run_certify(args: argparse.Namespace) -> int:
         include_float_pencil=not args.no_float_pencil,
     )
     cert = certify(h, e, options)
-    ok, diagnostics = verify_certificate(cert)
-    if not ok:
-        raise RuntimeError(
-            "certificate failed self-verification; this is a bug: " + "; ".join(diagnostics)
-        )
     payload = cert.to_json_dict()
     lines = [
         f"certificate: N={cert.size}",

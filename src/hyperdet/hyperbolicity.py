@@ -95,26 +95,34 @@ def _sign_variations(signs: Sequence[int]) -> int:
     return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a * b < 0)
 
 
+def _distinct_real_roots(chain: Sequence[UniPoly]) -> int:
+    at_plus = [1 if p.leading > 0 else -1 for p in chain]
+    at_minus = [s * (-1) ** (p.degree % 2) for s, p in zip(at_plus, chain)]
+    return _sign_variations(at_minus) - _sign_variations(at_plus)
+
+
 def count_real_roots(f: UniPoly) -> int:
     """Number of distinct real roots, exact."""
     if f.is_zero:
         raise ZeroPolynomial("cannot count roots of the zero polynomial")
     if f.degree == 0:
         return 0
-    chain = sturm_chain(f)
-    at_plus = [1 if p.leading > 0 else -1 for p in chain]
-    at_minus = [s * (-1) ** (p.degree % 2) for s, p in zip(at_plus, chain)]
-    return _sign_variations(at_minus) - _sign_variations(at_plus)
+    return _distinct_real_roots(sturm_chain(f))
 
 
 def is_real_rooted(f: UniPoly) -> bool:
-    """True iff every complex root is real (multiplicities allowed)."""
+    """True iff every complex root is real (multiplicities allowed).
+
+    The last element of the Sturm chain is gcd(f, f'), so f has
+    deg f - deg gcd distinct complex roots; all are real iff the chain
+    counts that many real ones.
+    """
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial has no well-defined roots")
     if f.degree == 0:
         return True
-    squarefree = f.exact_div(f.gcd(f.derivative()))
-    return count_real_roots(squarefree) == squarefree.degree
+    chain = sturm_chain(f)
+    return _distinct_real_roots(chain) == f.degree - chain[-1].degree
 
 
 def sample_directions(dim: int, num_samples: int, seed: int) -> Iterator[tuple[Fraction, ...]]:

@@ -26,10 +26,6 @@ def identity(n: int) -> RatMatrix:
     return [[Fraction(i == j) for j in range(n)] for i in range(n)]
 
 
-def zeros(rows: int, cols: int) -> RatMatrix:
-    return [[_ZERO] * cols for _ in range(rows)]
-
-
 def transpose(m: RatMatrix) -> RatMatrix:
     return [list(col) for col in zip(*m)]
 
@@ -37,10 +33,6 @@ def transpose(m: RatMatrix) -> RatMatrix:
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     bt = transpose(b)
     return [[sum((x * y for x, y in zip(row, col)), _ZERO) for col in bt] for row in a]
-
-
-def mat_vec(a: RatMatrix, v: Sequence[Fraction]) -> list[Fraction]:
-    return [sum((x * y for x, y in zip(row, v)), _ZERO) for row in a]
 
 
 def is_symmetric(m: RatMatrix) -> bool:
@@ -112,25 +104,6 @@ def is_positive_definite(matrix: Sequence[Sequence[RationalLike]]) -> bool:
     return True
 
 
-def solve_dense(a: RatMatrix, b: list[Fraction]) -> list[Fraction]:
-    """Solve a square nonsingular system exactly."""
-    n = len(a)
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrix("system matrix is singular")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 class SparseSolveResult:
     """Outcome of a sparse rational solve: solution or inconsistency proof."""
 
@@ -196,3 +169,18 @@ def solve_sparse_system(
         # which are all zero, so the pivot value is immediate.
         values[col] = val
     return SparseSolveResult(True, values)
+
+
+def invert_matrix(matrix: Sequence[Sequence[RationalLike]]) -> RatMatrix:
+    """Exact inverse, solving A X = I for the n*n entries of X at once.
+
+    A singular A makes that system inconsistent, which raises SingularMatrix.
+    """
+    a = rat_matrix(matrix)
+    n = len(a)
+    rows = [{k * n + j: a[i][k] for k in range(n) if a[i][k]} for i in range(n) for j in range(n)]
+    rhs = [Fraction(i == j) for i in range(n) for j in range(n)]
+    result = solve_sparse_system(rows, rhs, n * n)
+    if not result.consistent:
+        raise SingularMatrix("matrix is not invertible")
+    return [result.values[k * n:(k + 1) * n] for k in range(n)]

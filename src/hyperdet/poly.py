@@ -21,7 +21,6 @@ from .errors import (
     DirectionVanishes,
     NotDivisible,
     PolyParseError,
-    SingularMatrix,
 )
 
 Monomial = tuple[int, ...]
@@ -366,24 +365,6 @@ class UniPoly:
                 rem.pop()
         return UniPoly(quot), UniPoly(rem)
 
-    def exact_div(self, divisor: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(divisor)
-        if not r.is_zero:
-            raise NotDivisible("univariate division left a remainder")
-        return q
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero:
-            return self
-        return self * (1 / self.leading)
-
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic greatest common divisor."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -410,10 +391,6 @@ class UniPoly:
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-
-def mul(a: Poly, b: Poly) -> Poly:
-    return a * b
 
 
 def exact_divide(f: Poly, g: Poly) -> Poly:
@@ -499,26 +476,6 @@ def apply_linear(p: Poly, matrix: Sequence[Sequence[RationalLike]]) -> Poly:
     return total
 
 
-def invert_matrix(matrix: Sequence[Sequence[RationalLike]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination."""
-    n = len(matrix)
-    aug = [[as_fraction(matrix[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrix("matrix is not invertible")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def normalize_direction(h: Poly, e: Sequence[RationalLike]) -> tuple[Poly, list[list[Fraction]]]:
     """Rotate coordinates so the direction e becomes (1,0,...,0).
 
@@ -537,35 +494,21 @@ def normalize_direction(h: Poly, e: Sequence[RationalLike]) -> tuple[Poly, list[
     pivot = next(i for i in range(n) if ev[i] != 0)
     # Columns of T^{-1}: the direction itself, then unit vectors skipping the
     # pivot slot so the matrix stays invertible.
-    inv_t = [[_ZERO] * n for _ in range(n)]
-    for i in range(n):
-        inv_t[i][0] = ev[i]
-    col = 1
-    for j in range(n):
-        if j == pivot:
-            continue
-        inv_t[j][col] = _ONE
-        col += 1
+    others = [j for j in range(n) if j != pivot]
+    inv_t = [[ev[i]] + [Fraction(i == j) for j in others] for i in range(n)]
+    # Its inverse in closed form: row 0 is unit_p / e_p, row c is
+    # unit_j - (e_j / e_p) * unit_p for the c-th non-pivot index j.
+    t_mat = [[_ONE / ev[pivot] if i == pivot else _ZERO for i in range(n)]]
+    for j in others:
+        t_mat.append([Fraction(i == j) - (ev[j] / ev[pivot] if i == pivot else _ZERO)
+                      for i in range(n)])
     transformed = apply_linear(h, inv_t)
-    t_mat = invert_matrix(inv_t)
     return transformed, t_mat
-
-
-def evaluate(p: Poly, point: Sequence[RationalLike]) -> Fraction:
-    return p.evaluate(point)
-
-
-def partial_derivative(p: Poly, index: int) -> Poly:
-    return p.derivative(index)
 
 
 # ---------------------------------------------------------------------------
 # text grammar
 # ---------------------------------------------------------------------------
-
-
-def format_fraction(value: Fraction) -> str:
-    return str(value)
 
 
 def format_poly(p: Poly) -> str:

@@ -175,19 +175,22 @@ def bezout_matrix_univariate(f: UniPoly, g: UniPoly) -> RatMatrix:
     gc = list(g.coeffs) + [_ZERO] * (d + 1 - len(g.coeffs))
     # Numerator coefficients n[i][j] of s^i t^j.
     num = [[fc[i] * gc[j] - fc[j] * gc[i] for j in range(d + 1)] for i in range(d + 1)]
-    return _divide_by_s_minus_t_scalar(num, d)
+    return _divide_by_s_minus_t(num, d)
 
 
-def _divide_by_s_minus_t_scalar(num: list[list[Fraction]], d: int) -> RatMatrix:
-    """Synthetic division of an antisymmetric table by (s - t)."""
-    quot = [[_ZERO] * (d + 1) for _ in range(d)]
+def _divide_by_s_minus_t(num: list[list], d: int) -> list[list]:
+    """Synthetic division of an antisymmetric (d+1) x (d+1) table by (s - t).
+
+    Entries are Fractions or x0-free Polys; the d x d quotient is returned.
+    """
+    quot = [None] * d
     carry = num[d]
     for i in range(d - 1, -1, -1):
         quot[i] = list(carry)
-        carry = [num[i][j] + (quot[i][j - 1] if j else _ZERO) for j in range(d + 1)]
-    assert all(c == 0 for c in carry), "numerator was not divisible by s - t"
-    assert all(quot[i][d] == 0 for i in range(d)), "quotient degree overflow in t"
-    return [[quot[i][j] for j in range(d)] for i in range(d)]
+        carry = [num[i][0]] + [num[i][j] + quot[i][j - 1] for j in range(1, d + 1)]
+    assert not any(carry), "numerator was not divisible by s - t"
+    assert not any(row[d] for row in quot), "quotient degree overflow in t"
+    return [row[:d] for row in quot]
 
 
 @dataclass(frozen=True)
@@ -237,14 +240,7 @@ def bezoutian_of(ctx: QuotientContext, p: Poly) -> BezoutianForm:
     hc = list(ctx.h_coeffs)
     # Numerator table N[i][j] = h_i p_j - h_j p_i over the coefficient ring.
     num = [[hc[i] * pc[j] - hc[j] * pc[i] for j in range(d + 1)] for i in range(d + 1)]
-    quot = [[zero] * (d + 1) for _ in range(d)]
-    carry = num[d]
-    for i in range(d - 1, -1, -1):
-        quot[i] = list(carry)
-        carry = [num[i][j] + (quot[i][j - 1] if j else zero) for j in range(d + 1)]
-    assert all(c.is_zero for c in carry), "difference quotient was not exact"
-    assert all(quot[i][d].is_zero for i in range(d)), "unexpected t-degree overflow"
-    entries = tuple(tuple(quot[i][j] for j in range(d)) for i in range(d))
+    entries = tuple(tuple(row) for row in _divide_by_s_minus_t(num, d))
     return BezoutianForm(entries, d - 1 + p_red.homogeneous_degree())
 
 

@@ -8,8 +8,8 @@ where omega0 is the Bézoutian of dh/dx0, the weights d_i are positive
 rationals and the u_i are quotient elements of one degree k = d-1+ell whose
 coefficient matrix has full rank (so they span the degree-k graded piece).
 Each candidate level solves a Gram-matrix SDP, rounds the float solution to
-rationals, projects exactly back onto the affine constraints and replays the
-identity in exact arithmetic before anything is returned.
+rationals, projects exactly back onto the affine constraints and factors the
+result exactly; the identity then holds by construction.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegreeTooSmall, Exhausted, NotPD, RoundingFailed
-from .linalg import RatMatrix, ldl_decompose, solve_sparse_system
+from .linalg import RatMatrix, ldl_decompose
 from .poly import Monomial, Poly, grlex_key
-from .quotient import BezoutianForm, QuotientContext, QuotientElement, bezoutian_of, is_bezoutian
+from .quotient import BezoutianForm, QuotientContext, QuotientElement, bezoutian_of
 from .sdp import OPTIMAL, SdpProblem, SdpSolution, solve_maxeig
 
 DEFAULT_ELL_MAX = 4
@@ -51,9 +51,12 @@ class GramIndex:
 class SosDecomposition:
     """Exact certificate that multiplier * omega0 splits into weighted squares.
 
-    Invariant (enforced on construction by the search): the identity
+    Invariant (holds by construction in the search): the identity
     multiplier * omega0 = sum_i weights[i] * vectors[i] (x) vectors[i] holds
-    entrywise in exact arithmetic and the vectors span the degree-k piece.
+    entrywise in exact arithmetic, because the Gram matrix meets every affine
+    constraint exactly and weights/vectors are its exact LDL^T factors; the
+    vectors span the degree-k piece.  It is not replayed here: the
+    certificate replay in verify_certificate is the soundness gate.
     """
 
     ell: int
@@ -192,8 +195,11 @@ def round_gram(
     """Round the float Gram matrix to rationals satisfying every constraint.
 
     Continued-fraction rounding per entry, then exact orthogonal projection
-    onto the affine constraint subspace (rational normal equations), then an
-    exact PD check.  The solver's eigenvalue margin sol.t absorbs the
+    onto the affine constraint subspace, then an exact PD check.  The
+    projection assumes constraint supports are disjoint (true for every
+    gram_problem), so it is one division per constraint; an exact re-check
+    of every constraint afterwards raises RoundingFailed for a problem whose
+    supports overlap.  The solver's eigenvalue margin sol.t absorbs the
     projection error; without a positive margin rounding cannot succeed.
     """
     if sol.status != OPTIMAL:
@@ -211,33 +217,19 @@ def round_gram(
             approx[j][i] = approx[i][j]
 
     rows = _exact_rows(problem)
-    p = len(rows)
-    defects = []
-    for row, rhs in rows:
-        defects.append(rhs - sum((w * approx[a][b] for (a, b), w in row.items()), _ZERO))
+    defects = [rhs - sum((w * approx[a][b] for (a, b), w in row.items()), _ZERO)
+               for row, rhs in rows]
     if any(defects):
-        # Normal equations N lam = defect with N_kl = <A_k, A_l>; sparse by
-        # constraint support overlap (diagonal for Gram problems).
-        support: dict[tuple[int, int], list[int]] = {}
-        for idx, (row, _) in enumerate(rows):
-            for pos in row:
-                support.setdefault(pos, []).append(idx)
-        normal_rows: list[dict[int, Fraction]] = [dict() for _ in range(p)]
-        for pos, owners in support.items():
-            for ka in owners:
-                wa = rows[ka][0][pos]
-                for kb in owners:
-                    wb = rows[kb][0][pos]
-                    normal_rows[ka][kb] = normal_rows[ka].get(kb, _ZERO) + wa * wb
-        result = solve_sparse_system(normal_rows, defects, p)
-        if not result.consistent:
-            raise RoundingFailed("affine constraints are inconsistent")
-        lam = result.values
-        for idx, (row, _) in enumerate(rows):
-            if lam[idx] == 0:
-                continue
-            for (a, b), w in row.items():
-                approx[a][b] += lam[idx] * w
+        # Orthogonal projection: the normal equations have N_kl = <A_k, A_l>,
+        # which is diagonal when no two constraints share a Gram position, as
+        # in every gram_problem; then lam_k = defect_k / |A_k|^2.
+        for (row, _), defect in zip(rows, defects):
+            norm = sum((w * w for w in row.values()), _ZERO)
+            if defect and norm:
+                lam = defect / norm
+                for (a, b), w in row.items():
+                    approx[a][b] += lam * w
+        # Overlapping supports make the diagonal step wrong; refuse them here.
         for row, rhs in rows:
             if sum((w * approx[a][b] for (a, b), w in row.items()), _ZERO) != rhs:
                 raise RoundingFailed("projection failed to satisfy a constraint exactly")
@@ -263,24 +255,6 @@ def _vectors_from_ldl(
     return vectors
 
 
-def verify_sos_identity(
-    ctx: QuotientContext,
-    omega0: BezoutianForm,
-    dec: SosDecomposition,
-) -> bool:
-    """Replay multiplier * omega0 = sum_i d_i u_i (x) u_i exactly."""
-    target = omega0.scaled(dec.multiplier)
-    d = ctx.d
-    for a in range(d):
-        for b in range(a, d):
-            acc = Poly.zero(ctx.nvars)
-            for w, u in zip(dec.weights, dec.vectors):
-                acc = acc + u.coeffs[a] * u.coeffs[b] * w
-            if acc != target.entry(a, b):
-                return False
-    return True
-
-
 def find_sos_decomposition(
     ctx: QuotientContext,
     ell_max: int = DEFAULT_ELL_MAX,
@@ -290,10 +264,11 @@ def find_sos_decomposition(
     """Escalate the multiplier exponent until an exact decomposition exists.
 
     For each ell = 0..ell_max: assemble the Gram SDP for the Bézoutian of
-    dh/dx0, solve, round to rationals, factor LDL^T and re-verify the
-    identity exactly.  Per-level failures escalate; Exhausted is raised only
-    when every level fails.  A returned decomposition always replays exactly
-    and its vectors always span (unit-triangular coefficient matrix).
+    dh/dx0, solve, round to rationals that satisfy every constraint exactly,
+    and factor LDL^T.  Per-level failures escalate; Exhausted is raised only
+    when every level fails.  A returned decomposition satisfies the identity
+    exactly by construction (see SosDecomposition) and its vectors always
+    span (unit-triangular coefficient matrix).
     """
     omega0 = bezoutian_of(ctx, ctx.h.derivative(0))
     failures: list[str] = []
@@ -319,21 +294,13 @@ def find_sos_decomposition(
         except NotPD as exc:  # pragma: no cover - round_gram already checked PD
             failures.append(f"ell={ell}: {exc}")
             continue
-        vectors = _vectors_from_ldl(ctx, basis, rows)
-        dec = SosDecomposition(
+        return SosDecomposition(
             ell=ell,
             k=ctx.d - 1 + ell,
             multiplier=power_sum_multiplier(ctx, ell),
             weights=weights,
-            vectors=vectors,
+            vectors=_vectors_from_ldl(ctx, basis, rows),
             gram=gram,
         )
-        if not verify_sos_identity(ctx, omega0, dec):
-            failures.append(f"ell={ell}: exact replay failed")
-            continue
-        if not is_bezoutian(ctx, omega0.scaled(dec.multiplier).entries):
-            failures.append(f"ell={ell}: scaled form lost the commutation identity")
-            continue
-        return dec
     detail = "; ".join(failures) if failures else "every level was infeasible"
     raise Exhausted(ell_max, f"no exact decomposition up to ell={ell_max} ({detail})")

@@ -1,7 +1,12 @@
 """Command-line interface: exit codes, JSON output, round-trips."""
 
+import hashlib
 import json
 
+import pytest
+
+import hyperdet.detrep
+import hyperdet.hyperbolicity
 from hyperdet.cli import main
 
 
@@ -113,6 +118,49 @@ def test_deterministic_output(capsys, tmp_path):
     run(capsys, "certify", "--poly", "x0^3 - x0*x1^2 - x0*x2^2", "--e", "1,0,0",
         "--seed", "0", "--output", str(b_path))
     assert a_path.read_bytes() == b_path.read_bytes()
+
+
+def test_certify_computes_the_determinant_twice_and_samples_nothing(capsys, monkeypatch):
+    # certify computes the pencil determinant once and its self-verification
+    # replays it once; the cofactor is not sampled for real-rootedness.
+    calls = {"det": 0, "real_rooted": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hyperdet.detrep, "pencil_determinant",
+                        counted("det", hyperdet.detrep.pencil_determinant))
+    monkeypatch.setattr(hyperdet.hyperbolicity, "is_real_rooted",
+                        counted("real_rooted", hyperdet.hyperbolicity.is_real_rooted))
+    code, out, err = run(capsys, "certify", "--poly", "x0^2 - x1^2 - x2^2", "--e", "1,0,0")
+    assert code == 0, err
+    assert calls == {"det": 2, "real_rooted": 0}
+
+
+# sha256 of the certify JSON on stdout, pinned so that certificates stay
+# byte-identical across changes to the pipeline, not only from run to run.
+GOLDEN_CERTIFICATES = [
+    ("x0^2 - x1^2 - x2^2", "1,0,0",
+     "1e4f0670e65e2ec70fc75cc27f8dcd6966bb46d0fa64e5b98a5a471f428908c7"),
+    ("x0^2 - x1^2 - x2^2", "2,1,0",
+     "e552eb61456ed3e0c146db7dfaf49dac2df08bbe16809f56c842da6fc23474a3"),
+    ("x0^3 - x0*x1^2 - x0*x2^2", "1,0,0",
+     "2f73c45e4368be45516e223dbe83b9487bea9e9e2fc352a7ba01649d6dae0b61"),
+    # random_pencil_determinant(random.Random(3001), 3, 3): an N=6 pencil.
+    ("x0^3 + 1/2*x0^2*x1 - 3/4*x0*x1^2 + 17/4*x0*x1*x2 - 9*x0*x2^2 + 1/8*x1^3"
+     " - 5/4*x1^2*x2 + 21/4*x1*x2^2 - 8*x2^3", "1,0,0",
+     "44a926c6dbfeab9b92b9e855123764ba6d92a5c27a264426e664c85302af5e48"),
+]
+
+
+@pytest.mark.parametrize("poly,direction,digest", GOLDEN_CERTIFICATES)
+def test_certificate_bytes_are_pinned(capsys, poly, direction, digest):
+    code, out, err = run(capsys, "certify", "--poly", poly, "--e", direction)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_text_format(capsys):

@@ -164,5 +164,4 @@ def test_pd_witness_implies_real_rooted_restrictions():
             if is_positive_definite(evaluate_form(omega, v)):
                 restriction = substitute_line(ctx.h, e, (0,) + tuple(v))
                 assert is_real_rooted(restriction)
-                squarefree = restriction.exact_div(restriction.gcd(restriction.derivative()))
-                assert squarefree.degree == restriction.degree  # simple roots
+                assert count_real_roots(restriction) == restriction.degree  # simple roots

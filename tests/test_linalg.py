@@ -13,7 +13,6 @@ from hyperdet.linalg import (
     ldl_decompose,
     leading_principal_minors,
     mat_mul,
-    solve_dense,
     solve_sparse_system,
 )
 
@@ -71,7 +70,14 @@ def test_invert_matrix_random_roundtrip():
         done += 1
 
 
-def test_solve_dense_matches_substitution():
+def test_invert_matrix_rejects_singular():
+    with pytest.raises(SingularMatrix):
+        invert_matrix([[1, 2], [2, 4]])
+    with pytest.raises(SingularMatrix):
+        invert_matrix([[0, 0, 0], [1, 2, 3], [4, 5, 6]])
+
+
+def test_sparse_solver_matches_substitution_on_square_systems():
     rng = random.Random(3)
     done = 0
     while done < 10:
@@ -81,7 +87,10 @@ def test_solve_dense_matches_substitution():
             continue
         x_true = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
         b = [sum(mat[i][j] * x_true[j] for j in range(n)) for i in range(n)]
-        assert solve_dense([row[:] for row in mat], b) == x_true
+        rows = [{j: c for j, c in enumerate(row) if c} for row in mat]
+        result = solve_sparse_system(rows, b, n)
+        assert result.consistent
+        assert result.values == x_true
         done += 1
 
 

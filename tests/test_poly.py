@@ -269,12 +269,6 @@ def test_unipoly_divmod_roundtrip():
         assert r.degree < g.degree
 
 
-def test_unipoly_gcd_is_monic_common_divisor():
-    f = UniPoly([-1, 0, 1])  # (t-1)(t+1)
-    g = UniPoly([1, 1]) * UniPoly([2, 1])  # (t+1)(t+2)
-    assert f.gcd(g) == UniPoly([1, 1])
-
-
 def test_zero_polynomial_is_homogeneous():
     zero = Poly.zero(3)
     assert zero.is_homogeneous

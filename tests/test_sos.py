@@ -25,7 +25,8 @@ from hyperdet import (
     solve_maxeig,
 )
 from hyperdet.sdp import SdpSolution, OPTIMAL
-from hyperdet.sos import power_sum_multiplier, verify_sos_identity
+from hyperdet.linalg import solve_sparse_system
+from hyperdet.sos import power_sum_multiplier
 
 from conftest import rational_rank, random_pencil_determinant
 
@@ -148,6 +149,23 @@ def test_round_gram_fixed_point_on_exact_input():
     assert gram == [[Fraction(2 * (i == j)) for j in range(3)] for i in range(3)]
 
 
+def test_round_gram_refuses_overlapping_supports():
+    # G00 + G11 = 2 and G00 = 1 share the position (0, 0).  The one-division
+    # projection is only orthogonal for disjoint supports; here it misses the
+    # trace constraint, and the exact re-check must refuse, not return it.
+    exact = [
+        ({(0, 0): Fraction(1), (1, 1): Fraction(1)}, Fraction(2)),
+        ({(0, 0): Fraction(1)}, Fraction(1)),
+        ({(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}, Fraction(0)),
+    ]
+    cons = [(np.array([[float(row.get((i, j), 0)) for j in range(2)] for i in range(2)]), float(rhs))
+            for row, rhs in exact]
+    problem = SdpProblem(2, cons, exact_constraints=exact)
+    sol = SdpSolution(G=np.diag([1.25, 0.875]), t=0.5, residual=0.25, status=OPTIMAL)
+    with pytest.raises(RoundingFailed):
+        round_gram(problem, sol)
+
+
 def test_round_gram_requires_margin():
     problem = _diag_problem()
     sol = SdpSolution(G=np.diag([2.0, 2.0, 2.0]), t=0.0, residual=0.0, status=OPTIMAL)
@@ -234,7 +252,13 @@ def test_exactness_gate_and_rank():
         ctx = QuotientContext(h)
         omega = bezoutian_of(ctx, ctx.h.derivative(0))
         dec = find_sos_decomposition(ctx)
-        assert verify_sos_identity(ctx, omega, dec)
+        # Exact replay of multiplier * omega0 = sum_i d_i u_i (x) u_i.
+        for a in range(ctx.d):
+            for b in range(ctx.d):
+                acc = Poly.zero(ctx.nvars)
+                for w, u in zip(dec.weights, dec.vectors):
+                    acc = acc + u.coeffs[a] * u.coeffs[b] * w
+                assert acc == dec.multiplier * omega.entry(a, b)
         basis = monomial_basis_Mk(ctx, dec.k)
         index = {(g.basis_power, g.r_monomial): col for col, g in enumerate(basis)}
         rows = []
@@ -251,8 +275,6 @@ def test_exactness_gate_and_rank():
 def test_generation_of_next_graded_piece():
     # Every degree-(k+1) monomial x^gamma x0bar^i is x_s times an element of
     # the degree-k piece, which the vectors span; verify the expansion exactly.
-    from hyperdet.linalg import solve_dense
-
     rng = random.Random(21)
     for _ in range(3):
         nvars = rng.randint(2, 3)
@@ -273,7 +295,13 @@ def test_generation_of_next_graded_piece():
             lowered = tuple(e - (1 if i == s else 0) for i, e in enumerate(mono))
             target = [Fraction(0)] * len(basis)
             target[index[(g_up.basis_power, lowered)]] = Fraction(1)
-            combo = solve_dense([row[:] for row in coords], target)
+            result = solve_sparse_system(
+                [{col: c for col, c in enumerate(row) if c} for row in coords],
+                target,
+                len(dec.vectors),
+            )
+            assert result.consistent
+            combo = result.values
             rebuilt = [Poly.zero(nvars) for _ in range(ctx.d)]
             xs = Poly.variable(nvars, s)
             for coeff, u in zip(combo, dec.vectors):

@@ -19,6 +19,7 @@ from .errors import (
     DirectionVanishes,
     Exhausted,
     HyperdetError,
+    InputError,
     NoSymmetricLift,
     NotDivisible,
     NotPD,
@@ -94,6 +95,7 @@ __all__ = [
     "GramIndex",
     "HyperbolicityVerdict",
     "HyperdetError",
+    "InputError",
     "NoSymmetricLift",
     "NotDivisible",
     "NotPD",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -31,6 +32,7 @@ from .errors import (
     DirectionVanishes,
     Exhausted,
     HyperdetError,
+    InputError,
     PolyParseError,
 )
 from .hyperbolicity import (
@@ -45,6 +47,23 @@ from .quotient import QuotientContext, bezoutian_of, delta_bezoutian
 EXIT_OK = 0
 EXIT_REFUSED = 1
 EXIT_INPUT = 2
+
+
+def _checked(kind, ok, requirement: str):
+    """argparse type: parse with kind, then reject values that fail ok."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda v: v > 0, "a positive integer")
+_NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_POSITIVE_FLOAT = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="sampled hyperbolicity and PD-witness checks")
     add_common(p_check)
-    p_check.add_argument("--samples", type=int, default=64)
+    p_check.add_argument("--samples", type=_POSITIVE_INT, default=64)
     p_check.add_argument("--seed", type=int, default=0)
 
     p_bez = sub.add_parser("bezoutian", help="serialize the basic Bézoutian forms")
@@ -75,10 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="produce a verified certificate")
     add_common(p_cert)
-    p_cert.add_argument("--lmax", type=int, default=4)
-    p_cert.add_argument("--sdp-tol", type=float, default=1e-8)
-    p_cert.add_argument("--denominator-bound", type=int, default=2**32)
-    p_cert.add_argument("--samples", type=int, default=64)
+    p_cert.add_argument("--lmax", type=_NON_NEGATIVE_INT, default=4)
+    p_cert.add_argument("--sdp-tol", type=_POSITIVE_FLOAT, default=1e-8)
+    p_cert.add_argument("--denominator-bound", type=_POSITIVE_INT, default=2**32)
+    p_cert.add_argument("--samples", type=_POSITIVE_INT, default=64)
     p_cert.add_argument("--seed", type=int, default=0)
     p_cert.add_argument("--no-float-pencil", action="store_true",
                         help="omit the floating-point symmetric pencil view")
@@ -97,7 +116,10 @@ def _read_poly(args: argparse.Namespace) -> tuple[Poly, tuple]:
             text = fh.read()
     else:
         text = args.poly
-    direction = as_point(part.strip() for part in args.e.split(","))
+    try:
+        direction = as_point(part.strip() for part in args.e.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"--e must be comma-separated rationals, got {args.e!r}") from exc
     poly = parse_poly(text, nvars=len(direction))
     return poly, direction
 
@@ -186,10 +208,7 @@ def _run_certify(args: argparse.Namespace) -> int:
 
 def _run_verify(args: argparse.Namespace) -> int:
     with open(args.cert, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.get("schema") != SCHEMA:
-        raise HyperdetError(f"unsupported certificate schema {data.get('schema')!r}")
-    cert = DetRepCertificate.from_json_dict(data)
+        cert = DetRepCertificate.from_json_dict(json.load(fh))
     ok, diagnostics = verify_certificate(cert)
     payload = {"schema": SCHEMA, "command": "verify", "valid": ok, "diagnostics": diagnostics}
     lines = [f"valid: {str(ok).lower()}"] + [f"  {d}" for d in diagnostics]
@@ -208,10 +227,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "certify":
             return _run_certify(args)
         return _run_verify(args)
-    except PolyParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (DirectionVanishes, DimensionMismatch) as exc:
+    except (PolyParseError, DirectionVanishes, DimensionMismatch, InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CertifyError as exc:

@@ -22,6 +22,7 @@ from .errors import (
     CertifyError,
     DirectionVanishes,
     HyperdetError,
+    InputError,
     NoSymmetricLift,
     NotDivisible,
     SingularMatrix,
@@ -112,16 +113,47 @@ class DetRepCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DetRepCertificate":
-        nvars = len(data["e"])
+        """Load a certificate, raising InputError for a malformed one.
+
+        Another schema, a missing field, a field of the wrong JSON type or
+        an entry that is not an exact rational is malformed; whether
+        well-formed data certifies anything is left to verify_certificate.
+        """
+        if not isinstance(data, dict):
+            raise InputError(f"certificate must be a JSON object, not {type(data).__name__}")
+        if data.get("schema") != SCHEMA:
+            raise InputError(f"unsupported certificate schema {data.get('schema')!r}")
+
+        def field(name, kind, parse):
+            if name not in data:
+                raise InputError(f"certificate has no {name!r} field")
+            value = data[name]
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise InputError(f"certificate field {name!r} must be a JSON {kind.__name__}")
+            try:
+                return parse(value)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise InputError(f"certificate field {name!r}: {exc}") from exc
+
+        e = field("e", list, as_point)
+
+        def poly(text):
+            return parse_poly(text, len(e))
+
+        def matrix(rows):
+            if not all(isinstance(row, list) for row in rows):
+                raise TypeError("matrix rows must be JSON lists")
+            return rat_matrix(rows)
+
         return cls(
-            h=parse_poly(data["h"], nvars),
-            e=as_point(data["e"]),
-            transform=rat_matrix(data["T"]),
-            size=int(data["N"]),
-            weights=[as_fraction(w) for w in data["D"]],
-            pencil=[rat_matrix(g) for g in data["G"]],
-            cofactor=parse_poly(data["cofactor"], nvars),
-            multiplier=parse_poly(data["q_multiplier"], nvars),
+            h=field("h", str, poly),
+            e=e,
+            transform=field("T", list, matrix),
+            size=field("N", int, int),
+            weights=field("D", list, lambda ws: [as_fraction(w) for w in ws]),
+            pencil=field("G", list, lambda gs: [matrix(g) for g in gs]),
+            cofactor=field("cofactor", str, poly),
+            multiplier=field("q_multiplier", str, poly),
             float_pencil=data.get("float_pencil"),
         )
 
@@ -275,7 +307,8 @@ def _bareiss_poly_determinant(mat: list[list[Poly]]) -> Poly:
 def _charpoly_by_scalar_samples(pencil: Sequence[RatMatrix], w: Sequence[Fraction]) -> list[Fraction]:
     """Coefficients of det(x0*I - A(w)) from N+1 scalar determinants.
 
-    Evaluates at x0 = 0..N and Lagrange-interpolates; index p of the result
+    Evaluates at x0 = 0..N and solves the Vandermonde system on those nodes
+    exactly (distinct nodes, so it is nonsingular); index p of the result
     multiplies x0^p.
     """
     n = len(pencil)
@@ -287,27 +320,9 @@ def _charpoly_by_scalar_samples(pencil: Sequence[RatMatrix], w: Sequence[Fractio
         shifted = [[(Fraction(lam) if i == j else _ZERO) - a[i][j] for j in range(size)]
                    for i in range(size)]
         samples.append(bareiss_determinant(shifted))
-    coeffs = [_ZERO] * (size + 1)
-    for idx in range(size + 1):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for other in range(size + 1):
-            if other == idx:
-                continue
-            basis = _poly1_mul(basis, [Fraction(-other), Fraction(1)])
-            denom *= Fraction(idx - other)
-        scale = samples[idx] / denom
-        for pos, c in enumerate(basis):
-            coeffs[pos] += scale * c
-    return coeffs
-
-
-def _poly1_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+    vandermonde = [{p: Fraction(lam**p) for p in range(size + 1) if lam**p}
+                   for lam in range(size + 1)]
+    return solve_sparse_system(vandermonde, samples, size + 1).values
 
 
 def _interpolation_poly_determinant(pencil: Sequence[RatMatrix]) -> Poly:

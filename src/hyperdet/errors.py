@@ -16,6 +16,10 @@ class PolyParseError(HyperdetError):
         self.column = column
 
 
+class InputError(HyperdetError):
+    """A command-line value or an input file that cannot be read."""
+
+
 class DimensionMismatch(HyperdetError):
     """Operands use a different number of variables or coordinates."""
 
@@ -45,7 +49,7 @@ class DegreeTooSmall(HyperdetError):
 
 
 class RoundingFailed(HyperdetError):
-    """Rational rounding of a Gram matrix did not yield a PD matrix."""
+    """A float Gram solution could not be rounded onto its constraints exactly."""
 
 
 class NotPD(HyperdetError):

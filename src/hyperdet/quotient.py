@@ -80,17 +80,6 @@ class QuotientElement:
             if not c.uses_only_r_variables():
                 raise ValueError("quotient coefficients must not involve x0")
 
-    @property
-    def rank(self) -> int:
-        return len(self.coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
-
-    def is_homogeneous_of_degree(self, k: int) -> bool:
-        return all(c.is_homogeneous_of_degree(k - i) for i, c in enumerate(self.coeffs))
-
     def homogeneous_degree(self) -> int:
         """Degree of a homogeneous element (coefficient degree + basis power)."""
         for i, c in enumerate(self.coeffs):
@@ -118,12 +107,6 @@ class QuotientElement:
             for j in range(d):
                 out[j] = out[j] - ctx.h_coeffs[j] * top
         return QuotientElement(tuple(out))
-
-    def __add__(self, other: "QuotientElement") -> "QuotientElement":
-        return QuotientElement(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scaled(self, factor: RationalLike) -> "QuotientElement":
-        return QuotientElement(tuple(c * factor for c in self.coeffs))
 
 
 def reduce_mod_h(ctx: QuotientContext, p: Poly) -> QuotientElement:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -31,7 +30,8 @@ OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
 MAX_ITERATIONS = "MaxIterations"
 
-# Exact constraint row: Frobenius-pairing weights by matrix position.
+# Exact constraint row: Frobenius-pairing weights by matrix position, and
+# the right-hand side.
 ExactConstraint = tuple[dict[tuple[int, int], Fraction], Fraction]
 
 
@@ -39,31 +39,27 @@ ExactConstraint = tuple[dict[tuple[int, int], Fraction], Fraction]
 class SdpProblem:
     """Affine-constrained symmetric matrix feasibility data.
 
-    Each constraint is a symmetric coefficient matrix A_k with scalar b_k,
-    encoding <A_k, G> = b_k under the Frobenius pairing.  When the problem
-    was assembled from exact rational data, `exact_constraints` carries the
-    same rows losslessly for the rounding stage; the float matrices are what
-    the solver consumes.
+    Each constraint is an exact sparse row ({(a, b): weight}, b_k) encoding
+    <A_k, G> = b_k under the Frobenius pairing, where A_k holds the weights
+    at their positions and zeros elsewhere.  These rows are the only
+    statement of the constraints: the solver reads float copies of them, and
+    the rounding stage projects onto them exactly.
     """
 
     m: int
-    constraints: list[tuple[np.ndarray, float]]
-    exact_constraints: Optional[list[ExactConstraint]] = None
+    constraints: list[ExactConstraint]
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("matrix size must be at least 1")
         if not self.constraints:
             raise ValueError("constraint list must be nonempty")
-        checked = []
-        for a, b in self.constraints:
-            arr = np.asarray(a, dtype=float)
-            if arr.shape != (self.m, self.m):
-                raise ValueError(f"constraint matrix has shape {arr.shape}, expected {(self.m, self.m)}")
-            if not np.allclose(arr, arr.T, atol=0.0):
-                raise ValueError("constraint matrices must be exactly symmetric")
-            checked.append((arr, float(b)))
-        self.constraints = checked
+        for row, _ in self.constraints:
+            for (a, b), weight in row.items():
+                if not (0 <= a < self.m and 0 <= b < self.m):
+                    raise ValueError(f"constraint position {(a, b)} is outside {self.m}x{self.m}")
+                if row.get((b, a)) != weight:
+                    raise ValueError("constraint rows must be exactly symmetric")
 
 
 @dataclass
@@ -107,6 +103,8 @@ def solve_maxeig(problem: SdpProblem, tol: float = DEFAULT_TOL,
                  max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
     """Maximize the minimum eigenvalue of G subject to <A_k, G> = b_k.
 
+    The exact rows of problem.constraints are read once, into a dense float
+    stack of the A_k (float() of each weight) and a float right-hand side.
     Returns the best iterate found.  Status Optimal guarantees the maximum
     constraint violation is at most tol and lambda_min(G) >= t - tol.
     Infeasibility is reported heuristically on dual objective divergence;
@@ -116,9 +114,12 @@ def solve_maxeig(problem: SdpProblem, tol: float = DEFAULT_TOL,
         raise ValueError("tol must be positive")
     m = problem.m
     p = len(problem.constraints)
-    a_stack = np.stack([a for a, _ in problem.constraints])
+    a_stack = np.zeros((p, m, m))
+    for k, (row, _) in enumerate(problem.constraints):
+        for (a, b), weight in row.items():
+            a_stack[k, a, b] = float(weight)
     a_flat = a_stack.reshape(p, m * m)
-    b_raw = np.array([bk for _, bk in problem.constraints])
+    b_raw = np.array([float(bk) for _, bk in problem.constraints])
     # Power-of-two scaling of the right-hand side keeps the iteration well
     # conditioned for large-coefficient problems and is exactly undone on
     # the returned solution (convergence is always measured unscaled).

@@ -7,9 +7,11 @@ Searches for an exponent ell and an exact rational identity
 where omega0 is the Bézoutian of dh/dx0, the weights d_i are positive
 rationals and the u_i are quotient elements of one degree k = d-1+ell whose
 coefficient matrix has full rank (so they span the degree-k graded piece).
-Each candidate level solves a Gram-matrix SDP, rounds the float solution to
-rationals, projects exactly back onto the affine constraints and factors the
-result exactly; the identity then holds by construction.
+Each candidate level states the Gram problem once as exact sparse rows,
+solves the SDP on float copies of them, rounds the float solution to
+rationals, projects exactly back onto the same rows and factors the result
+once; that factorization is the positive-definiteness test, and the identity
+then holds by construction.
 """
 
 from __future__ import annotations
@@ -17,13 +19,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-import numpy as np
 
 from .errors import DegreeTooSmall, Exhausted, NotPD, RoundingFailed
 from .linalg import RatMatrix, ldl_decompose
 from .poly import Monomial, Poly, grlex_key
 from .quotient import BezoutianForm, QuotientContext, QuotientElement, bezoutian_of
-from .sdp import OPTIMAL, SdpProblem, SdpSolution, solve_maxeig
+from .sdp import OPTIMAL, ExactConstraint, SdpProblem, SdpSolution, solve_maxeig
 
 DEFAULT_ELL_MAX = 4
 DEFAULT_DENOMINATOR_BOUND = 2**32
@@ -42,10 +43,6 @@ class GramIndex:
     basis_power: int
     r_monomial: Monomial
 
-    @property
-    def degree(self) -> int:
-        return self.basis_power + sum(self.r_monomial)
-
 
 @dataclass
 class SosDecomposition:
@@ -54,7 +51,8 @@ class SosDecomposition:
     Invariant (holds by construction in the search): the identity
     multiplier * omega0 = sum_i weights[i] * vectors[i] (x) vectors[i] holds
     entrywise in exact arithmetic, because the Gram matrix meets every affine
-    constraint exactly and weights/vectors are its exact LDL^T factors; the
+    constraint exactly and weights/vectors are its exact LDL^T factors, whose
+    positive pivots are the only positive-definiteness test it passed; the
     vectors span the degree-k piece.  It is not replayed here: the
     certificate replay in verify_certificate is the soundness gate.
     """
@@ -65,16 +63,6 @@ class SosDecomposition:
     weights: list[Fraction]
     vectors: list[QuotientElement]
     gram: RatMatrix
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ell": self.ell,
-            "k": self.k,
-            "q": str(self.multiplier),
-            "weights": [str(w) for w in self.weights],
-            "vectors": [[str(c) for c in v.coeffs] for v in self.vectors],
-            "gram": [[str(x) for x in row] for row in self.gram],
-        }
 
 
 def r_monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
@@ -124,21 +112,19 @@ def gram_problem(
     The Gram variable is indexed by monomial_basis_Mk(ctx, d-1+ell); there is
     one affine constraint per (form entry (i,j), monomial mu of its degree):
     the gram entries over all splits gamma + delta = mu must sum to the
-    coefficient of x^mu in (multiplier * omega0)_{ij}.  Exact rational rows
-    ride along for the rounding stage.
+    coefficient of x^mu in (multiplier * omega0)_{ij}.  Each constraint is
+    one exact sparse row; the solver and the rounding stage both read these
+    rows, and no two rows share a Gram position.
     """
     d = ctx.d
     k = d - 1 + ell
     basis = monomial_basis_Mk(ctx, k)
     index_of = {(g.basis_power, g.r_monomial): a for a, g in enumerate(basis)}
-    m = len(basis)
     target = omega0.scaled(power_sum_multiplier(ctx, ell))
 
     monos_by_degree = {deg: r_monomials_of_degree(ctx.nvars, deg) for deg in range(2 * k + 1)}
-    splits: dict[int, list[Monomial]] = monos_by_degree
 
-    constraints: list[tuple[np.ndarray, float]] = []
-    exact: list = []
+    constraints: list[ExactConstraint] = []
     half = Fraction(1, 2)
     for i in range(d):
         for j in range(i, d):
@@ -146,7 +132,7 @@ def gram_problem(
             deg = 2 * k - i - j
             if deg < 0:
                 continue
-            for mu in splits[deg]:
+            for mu in monos_by_degree[deg]:
                 row: dict[tuple[int, int], Fraction] = {}
                 for gamma in monos_by_degree[k - i]:
                     delta = tuple(a - b for a, b in zip(mu, gamma))
@@ -161,30 +147,8 @@ def gram_problem(
                     else:
                         row[(a, b)] = row.get((a, b), _ZERO) + half
                         row[(b, a)] = row.get((b, a), _ZERO) + half
-                rhs = entry.coeff(mu)
-                mat = np.zeros((m, m))
-                for (a, b), wgt in row.items():
-                    mat[a, b] = float(wgt)
-                constraints.append((mat, float(rhs)))
-                exact.append((row, rhs))
-    problem = SdpProblem(m, constraints, exact_constraints=exact)
-    return problem, basis
-
-
-def _exact_rows(problem: SdpProblem) -> list:
-    """Rational constraint rows; floats are dyadic so lossless to recover."""
-    if problem.exact_constraints is not None:
-        return problem.exact_constraints
-    rows = []
-    for mat, rhs in problem.constraints:
-        row = {
-            (i, j): Fraction(mat[i, j])
-            for i in range(problem.m)
-            for j in range(problem.m)
-            if mat[i, j] != 0.0
-        }
-        rows.append((row, Fraction(rhs)))
-    return rows
+                constraints.append((row, entry.coeff(mu)))
+    return SdpProblem(len(basis), constraints), basis
 
 
 def round_gram(
@@ -195,12 +159,15 @@ def round_gram(
     """Round the float Gram matrix to rationals satisfying every constraint.
 
     Continued-fraction rounding per entry, then exact orthogonal projection
-    onto the affine constraint subspace, then an exact PD check.  The
+    onto the affine constraint subspace of problem.constraints.  The
     projection assumes constraint supports are disjoint (true for every
     gram_problem), so it is one division per constraint; an exact re-check
     of every constraint afterwards raises RoundingFailed for a problem whose
-    supports overlap.  The solver's eigenvalue margin sol.t absorbs the
-    projection error; without a positive margin rounding cannot succeed.
+    supports overlap.  The result is symmetric and meets every constraint
+    exactly but need not be positive definite: the caller's one LDL^T
+    factorization decides that.  The solver's eigenvalue margin sol.t is
+    what lets the projection stay PD; without a positive margin rounding is
+    refused.
     """
     if sol.status != OPTIMAL:
         raise RoundingFailed(f"solver status {sol.status}, need Optimal")
@@ -216,7 +183,7 @@ def round_gram(
         for j in range(i + 1, m):
             approx[j][i] = approx[i][j]
 
-    rows = _exact_rows(problem)
+    rows = problem.constraints
     defects = [rhs - sum((w * approx[a][b] for (a, b), w in row.items()), _ZERO)
                for row, rhs in rows]
     if any(defects):
@@ -233,11 +200,6 @@ def round_gram(
         for row, rhs in rows:
             if sum((w * approx[a][b] for (a, b), w in row.items()), _ZERO) != rhs:
                 raise RoundingFailed("projection failed to satisfy a constraint exactly")
-
-    try:
-        ldl_decompose(approx)
-    except NotPD as exc:
-        raise RoundingFailed(f"projected rational matrix is not PD: {exc}") from exc
     return approx
 
 
@@ -264,11 +226,14 @@ def find_sos_decomposition(
     """Escalate the multiplier exponent until an exact decomposition exists.
 
     For each ell = 0..ell_max: assemble the Gram SDP for the Bézoutian of
-    dh/dx0, solve, round to rationals that satisfy every constraint exactly,
-    and factor LDL^T.  Per-level failures escalate; Exhausted is raised only
-    when every level fails.  A returned decomposition satisfies the identity
-    exactly by construction (see SosDecomposition) and its vectors always
-    span (unit-triangular coefficient matrix).
+    dh/dx0 and solve it; then for each denominator bound, coarse first, round
+    to rationals that satisfy every constraint exactly and factor LDL^T
+    once.  That factorization is the PD test: a non-positive pivot (NotPD)
+    is recorded as the bound's failure and the next bound is tried.
+    Per-level failures escalate; Exhausted is raised only when every level
+    fails.  A returned decomposition satisfies the identity exactly by
+    construction (see SosDecomposition) and its vectors always span
+    (unit-triangular coefficient matrix).
     """
     omega0 = bezoutian_of(ctx, ctx.h.derivative(0))
     failures: list[str] = []
@@ -280,27 +245,22 @@ def find_sos_decomposition(
     for ell in range(ell_max + 1):
         problem, basis = gram_problem(ctx, omega0, ell)
         sol = solve_maxeig(problem, tol=sdp_tol)
-        gram: RatMatrix | None = None
         for bound in bounds:
             try:
                 gram = round_gram(problem, sol, bound)
-                break
+                weights, rows = ldl_decompose(gram)
             except RoundingFailed as exc:
                 failures.append(f"ell={ell}: {exc}")
-        if gram is None:
-            continue
-        try:
-            weights, rows = ldl_decompose(gram)
-        except NotPD as exc:  # pragma: no cover - round_gram already checked PD
-            failures.append(f"ell={ell}: {exc}")
-            continue
-        return SosDecomposition(
-            ell=ell,
-            k=ctx.d - 1 + ell,
-            multiplier=power_sum_multiplier(ctx, ell),
-            weights=weights,
-            vectors=_vectors_from_ldl(ctx, basis, rows),
-            gram=gram,
-        )
+            except NotPD as exc:
+                failures.append(f"ell={ell}: projected rational matrix is not PD: {exc}")
+            else:
+                return SosDecomposition(
+                    ell=ell,
+                    k=ctx.d - 1 + ell,
+                    multiplier=power_sum_multiplier(ctx, ell),
+                    weights=weights,
+                    vectors=_vectors_from_ldl(ctx, basis, rows),
+                    gram=gram,
+                )
     detail = "; ".join(failures) if failures else "every level was infeasible"
     raise Exhausted(ell_max, f"no exact decomposition up to ell={ell_max} ({detail})")

@@ -41,6 +41,7 @@ from hyperdet.sos import power_sum_multiplier
 
 from conftest import (
     all_monomials,
+    exact_row,
     random_pencil_determinant,
     rational_rank,
 )
@@ -223,11 +224,11 @@ def test_criterion_6_sdp_feasible_instances():
         m = int(rng.integers(2, 51))
         r_mat = rng.standard_normal((m, m))
         gstar = r_mat.T @ r_mat + np.eye(m)
-        cons = [(np.eye(m), float(np.trace(gstar)))]
+        cons = [exact_row(np.eye(m), np.trace(gstar))]
         for _ in range(int(rng.integers(1, max(2, m // 2)))):
             a = rng.standard_normal((m, m))
             a = 0.5 * (a + a.T)
-            cons.append((a, float(np.sum(a * gstar))))
+            cons.append(exact_row(a, np.sum(a * gstar)))
         sol = solve_maxeig(SdpProblem(m, cons), tol=1e-8)
         assert sol.status == "Optimal", f"trial {trial}: {sol.status} ({sol.detail})"
         assert sol.residual <= 1e-8, f"trial {trial}: residual {sol.residual:.2e}"

@@ -110,6 +110,66 @@ def test_missing_certificate_file_exits_two(capsys, tmp_path):
     assert code == 2
 
 
+LORENTZ_CHECK = ("check", "--poly", "x0^2 - x1^2 - x2^2", "--e", "1,0,0")
+LORENTZ_CERTIFY = ("certify", "--poly", "x0^2 - x1^2 - x2^2", "--e", "1,0,0")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--poly", "x0^2 - x1^2", "--e", "1,a"),
+    ("certify", "--poly", "x0^2 - x1^2", "--e", "1/0,1"),
+])
+def test_malformed_direction_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("input error: --e ") and err.count("\n") == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    LORENTZ_CERTIFY + ("--denominator-bound", "0"),
+    LORENTZ_CERTIFY + ("--sdp-tol", "0"),
+    LORENTZ_CERTIFY + ("--sdp-tol", "nan"),
+    LORENTZ_CERTIFY + ("--lmax", "-1"),
+    LORENTZ_CERTIFY + ("--samples", "0"),
+    LORENTZ_CHECK + ("--samples", "-3"),
+])
+def test_out_of_range_numeric_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    assert f"argument {argv[-2]}: must be" in capsys.readouterr().err
+
+
+def _lorentz_certificate(capsys, tmp_path) -> dict:
+    path = tmp_path / "cert.json"
+    code, *_ = run(capsys, *LORENTZ_CERTIFY, "--output", str(path))
+    assert code == 0
+    return json.loads(path.read_text())
+
+
+def _without(data, key):
+    return {k: v for k, v in data.items() if k != key}
+
+
+@pytest.mark.parametrize("mangle,message", [
+    (lambda data: _without(data, "G"), "no 'G' field"),
+    (lambda data: {**data, "D": [1.5, "2", "2"]}, "field 'D'"),
+    (lambda data: {**data, "N": "x"}, "field 'N'"),
+    (lambda data: {**data, "N": 3.5}, "field 'N'"),
+    (lambda data: {**data, "e": "100"}, "field 'e'"),
+    (lambda data: {**data, "T": ["100", "010", "001"]}, "field 'T'"),
+    (lambda data: [data], "JSON object"),
+    (lambda data: {**data, "schema": "hyperdet/0"}, "schema"),
+])
+def test_malformed_certificate_is_an_input_error(capsys, tmp_path, mangle, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(mangle(_lorentz_certificate(capsys, tmp_path))))
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert code == 2
+    assert err.startswith("input error: ") and message in err and err.count("\n") == 1
+    assert out == ""
+
+
 def test_deterministic_output(capsys, tmp_path):
     a_path = tmp_path / "a.json"
     b_path = tmp_path / "b.json"

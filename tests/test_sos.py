@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import hyperdet.sos
 from hyperdet import (
     DegreeTooSmall,
     Exhausted,
@@ -118,20 +119,12 @@ def test_gram_problem_index_growth():
 def _diag_problem():
     m = 3
     cons = []
-    exact = []
     for i in range(m):
-        a = np.zeros((m, m))
-        a[i, i] = 1.0
-        cons.append((a, 2.0))
-        exact.append(({(i, i): Fraction(1)}, Fraction(2)))
+        cons.append(({(i, i): Fraction(1)}, Fraction(2)))
     for i in range(m):
         for j in range(i + 1, m):
-            a = np.zeros((m, m))
-            a[i, j] = 0.5
-            a[j, i] = 0.5
-            cons.append((a, 0.0))
-            exact.append(({(i, j): Fraction(1, 2), (j, i): Fraction(1, 2)}, Fraction(0)))
-    return SdpProblem(m, cons, exact_constraints=exact)
+            cons.append(({(i, j): Fraction(1, 2), (j, i): Fraction(1, 2)}, Fraction(0)))
+    return SdpProblem(m, cons)
 
 
 def test_round_gram_projects_float_noise():
@@ -153,17 +146,26 @@ def test_round_gram_refuses_overlapping_supports():
     # G00 + G11 = 2 and G00 = 1 share the position (0, 0).  The one-division
     # projection is only orthogonal for disjoint supports; here it misses the
     # trace constraint, and the exact re-check must refuse, not return it.
-    exact = [
+    cons = [
         ({(0, 0): Fraction(1), (1, 1): Fraction(1)}, Fraction(2)),
         ({(0, 0): Fraction(1)}, Fraction(1)),
         ({(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}, Fraction(0)),
     ]
-    cons = [(np.array([[float(row.get((i, j), 0)) for j in range(2)] for i in range(2)]), float(rhs))
-            for row, rhs in exact]
-    problem = SdpProblem(2, cons, exact_constraints=exact)
+    problem = SdpProblem(2, cons)
     sol = SdpSolution(G=np.diag([1.25, 0.875]), t=0.5, residual=0.25, status=OPTIMAL)
     with pytest.raises(RoundingFailed):
         round_gram(problem, sol)
+
+
+def test_round_gram_returns_projection_without_pd_test():
+    # Positive definiteness is decided by the one LDL^T in
+    # find_sos_decomposition, not by round_gram.
+    problem = SdpProblem(1, [({(0, 0): Fraction(1)}, Fraction(-1))])
+    sol = SdpSolution(G=np.array([[1.0]]), t=0.5, residual=2.0, status=OPTIMAL)
+    gram = round_gram(problem, sol)
+    assert gram == [[Fraction(-1)]]
+    with pytest.raises(NotPD):
+        ldl_decompose(gram)
 
 
 def test_round_gram_requires_margin():
@@ -227,6 +229,19 @@ def test_lorentz_decomposition_pinned():
         (Poly.zero(3), Poly.one(3)),
     ]
     assert [(v.coeffs[0], v.coeffs[1]) for v in dec.vectors] == expected
+    assert dec.gram == [[Fraction(2 * (i == j)) for j in range(3)] for i in range(3)]
+
+
+def test_rounded_gram_is_factored_once(monkeypatch):
+    calls = []
+
+    def counted(gram):
+        calls.append(gram)
+        return ldl_decompose(gram)
+
+    monkeypatch.setattr(hyperdet.sos, "ldl_decompose", counted)
+    dec = find_sos_decomposition(QuotientContext(LORENTZ))
+    assert calls == [dec.gram]
 
 
 def test_linear_decomposition():
@@ -318,15 +333,3 @@ def test_power_sum_multiplier():
     assert power_sum_multiplier(ctx, 0) == Poly.one(3)
     assert power_sum_multiplier(ctx, 1) == P("x1^2 + x2^2", 3)
     assert power_sum_multiplier(ctx, 2) == P("x1^4 + 2*x1^2*x2^2 + x2^4", 3)
-
-
-def test_decomposition_serialization():
-    ctx = QuotientContext(LORENTZ)
-    dec = find_sos_decomposition(ctx)
-    payload = dec.to_json_dict()
-    assert list(payload.keys()) == ["ell", "k", "q", "weights", "vectors", "gram"]
-    assert payload["ell"] == 0 and payload["k"] == 1
-    assert payload["q"] == "1"
-    assert payload["weights"] == ["2", "2", "2"]
-    assert payload["vectors"] == [["x1", "0"], ["x2", "0"], ["0", "1"]]
-    assert payload["gram"] == [["2", "0", "0"], ["0", "2", "0"], ["0", "0", "2"]]

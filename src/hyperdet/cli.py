@@ -7,8 +7,9 @@ Commands:
   verify     replay a certificate file
 
 Exit codes: 0 success, 1 mathematical refusal (not hyperbolic, suspected
-singularity, multiplier search exhausted, failed verification), 2 input
-error.
+singularity, multiplier search exhausted, failed verification: any
+HyperdetError that is not an InputError), 2 input error (InputError, an
+unreadable file or malformed JSON).
 """
 
 from __future__ import annotations
@@ -26,15 +27,7 @@ from .detrep import (
     certify,
     verify_certificate,
 )
-from .errors import (
-    CertifyError,
-    DimensionMismatch,
-    DirectionVanishes,
-    Exhausted,
-    HyperdetError,
-    InputError,
-    PolyParseError,
-)
+from .errors import HyperdetError, InputError
 from .hyperbolicity import (
     NOT_HYPERBOLIC,
     SINGULAR_SUSPECTED,
@@ -138,6 +131,7 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
 
 def _run_check(args: argparse.Namespace) -> int:
     h, e = _read_poly(args)
+    h_norm, _ = normalize_direction(h, e)
     verdict = check_hyperbolic_sampled(h, e, args.samples, args.seed)
     payload: dict = {"schema": SCHEMA, "command": "check",
                      "hyperbolicity": verdict.to_json_dict()}
@@ -149,7 +143,6 @@ def _run_check(args: argparse.Namespace) -> int:
         payload["pd_witness"] = None
         exit_code = EXIT_REFUSED
     else:
-        h_norm, _ = normalize_direction(h, e)
         report = pd_witness_check(QuotientContext(h_norm), args.samples, args.seed)
         payload["pd_witness"] = report.to_json_dict()
         lines.append(f"pd_witness: {'ok' if report.ok else SINGULAR_SUSPECTED}")
@@ -227,23 +220,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "certify":
             return _run_certify(args)
         return _run_verify(args)
-    except (PolyParseError, DirectionVanishes, DimensionMismatch, InputError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CertifyError as exc:
-        if exc.stage == "input" or exc.stage == "normalize":
-            print(f"input error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except Exhausted as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except (OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except HyperdetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
 
 

@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 from .errors import (
     CertifyError,
-    DirectionVanishes,
     HyperdetError,
     InputError,
     NoSymmetricLift,
@@ -69,6 +68,16 @@ class CertifyOptions:
     num_samples: int = DEFAULT_NUM_SAMPLES
     seed: int = 0
     include_float_pencil: bool = True
+
+    def __post_init__(self):
+        if self.lmax < 0:
+            raise InputError(f"lmax must be non-negative, got {self.lmax}")
+        if not 0 < self.sdp_tol < math.inf:
+            raise InputError(f"sdp_tol must be positive and finite, got {self.sdp_tol}")
+        if self.denominator_bound < 1:
+            raise InputError(f"denominator_bound must be positive, got {self.denominator_bound}")
+        if self.num_samples < 1:
+            raise InputError(f"num_samples must be positive, got {self.num_samples}")
 
 
 @dataclass
@@ -389,8 +398,8 @@ def pencil_determinant(pencil: Sequence[RatMatrix]) -> Poly:
     the evaluation-interpolation route (N+1 scalar determinants per sample
     direction) is cheaper.
     """
-    if not pencil:
-        raise ValueError("pencil must contain at least one matrix")
+    if not pencil or not pencil[0]:
+        raise ValueError("pencil must contain at least one non-empty matrix")
     size = len(pencil[0])
     for g in pencil:
         if len(g) != size or any(len(row) != size for row in g):
@@ -433,28 +442,19 @@ def _pencil_value(pencil: Sequence[RatMatrix], point: Sequence[Fraction]) -> Rat
 def certify(h: Poly, e: Sequence[RationalLike], options: CertifyOptions | None = None) -> DetRepCertificate:
     """Full pipeline from a hyperbolic polynomial to an exact certificate.
 
-    Stages: normalize the direction, build the quotient context, check the
-    PD witness (refusing on failure, which may indicate a real singularity),
-    find the sum-of-squares decomposition, solve the symmetric lift, compute
-    the pencil determinant and cofactor, then replay the certificate with
-    verify_certificate, the one check that can reject a finished result.
-    The cofactor needs no check of its own: a pencil with D > 0, every D*G_i
-    symmetric and value I at the direction has a hyperbolic determinant, and
-    every factor of a hyperbolic polynomial is hyperbolic (Gårding 1959).
-    Failures carry the stage name.
+    Normalize the direction (normalize_direction is the input gate and
+    raises InputError), check the PD witness (CertifyError "pd_witness",
+    which may indicate a real singularity), find the sum-of-squares
+    decomposition, solve the symmetric lift, then replay the certificate
+    exactly once: the replay's quotient det(pencil)/h_monic is the cofactor,
+    and a failed replay is CertifyError "self_verify".  The cofactor needs
+    no check of its own: a pencil with D > 0, every D*G_i symmetric and value
+    I at the direction has a hyperbolic determinant, and every factor of a
+    hyperbolic polynomial is hyperbolic (Gårding 1959).
     """
     opts = options or CertifyOptions()
     ev = as_point(e)
-    if not h.is_homogeneous:
-        raise CertifyError("input", "polynomial must be homogeneous")
-    if h.is_zero or h.degree == 0:
-        raise CertifyError("input", "polynomial must have positive degree")
-    if len(ev) != h.nvars:
-        raise CertifyError("input", "direction length must match the variable count")
-    try:
-        h_norm, transform = normalize_direction(h, ev)
-    except DirectionVanishes as exc:
-        raise CertifyError("normalize", str(exc)) from exc
+    h_norm, transform = normalize_direction(h, ev)
     ctx = QuotientContext(h_norm)
 
     report = pd_witness_check(ctx, opts.num_samples, opts.seed)
@@ -468,12 +468,6 @@ def certify(h: Poly, e: Sequence[RationalLike], options: CertifyOptions | None =
 
     dec = find_sos_decomposition(ctx, opts.lmax, opts.sdp_tol, opts.denominator_bound)
     weights, pencil = solve_symmetric_lift(ctx, dec)
-    detp = pencil_determinant(pencil)
-    try:
-        cofactor = extract_cofactor(detp, ctx.h)
-    except NotDivisible as exc:
-        raise CertifyError("cofactor", f"pencil determinant is not a multiple of h: {exc}") from exc
-
     cert = DetRepCertificate(
         h=h,
         e=ev,
@@ -481,12 +475,12 @@ def certify(h: Poly, e: Sequence[RationalLike], options: CertifyOptions | None =
         size=len(dec.vectors),
         weights=weights,
         pencil=pencil,
-        cofactor=cofactor,
+        cofactor=None,
         multiplier=dec.multiplier,
         float_pencil=_float_pencil(weights, pencil) if opts.include_float_pencil else None,
     )
-    ok, diagnostics = verify_certificate(cert)
-    if not ok:  # pragma: no cover - would be a soundness bug
+    diagnostics, cert.cofactor = _replay(cert)
+    if diagnostics:  # pragma: no cover - would be a soundness bug
         raise CertifyError("self_verify", "; ".join(diagnostics))
     return cert
 
@@ -495,13 +489,24 @@ def verify_certificate(cert: DetRepCertificate) -> tuple[bool, list[str]]:
     """Replay the certified identities in exact arithmetic.
 
     Checks: (a) the weight matrix is positive diagonal, (b) D*G_i is
-    symmetric for every i, (c) the pencil determinant equals
-    cofactor * h_monic with h_monic recomputed from h and T, and (d) the
+    symmetric for every i, (c) the pencil determinant divided by h_monic,
+    with h_monic recomputed from h and T, is exactly cofactor, and (d) the
     pencil evaluated at the transformed direction is the identity.  Failures
     are reported as diagnostics, never raised.  The SDP and the sampling
     stages are deliberately not replayed.
     """
+    diagnostics, _ = _replay(cert)
+    return (not diagnostics, diagnostics)
+
+
+def _replay(cert: DetRepCertificate) -> tuple[list[str], Optional[Poly]]:
+    """Checks (a)-(d) of verify_certificate and the quotient det/h_monic.
+
+    Check (c) compares the quotient with cert.cofactor, unless that is None,
+    as it is while certify builds the certificate.
+    """
     diagnostics: list[str] = []
+    quotient = None
     size = cert.size
     n = len(cert.e) - 1
 
@@ -532,10 +537,12 @@ def verify_certificate(cert: DetRepCertificate) -> tuple[bool, list[str]]:
             if lead == 0:
                 diagnostics.append("(c) transformed polynomial vanishes at (1,0,...,0)")
             else:
-                h_monic = h_norm * (1 / lead)
-                if pencil_determinant(cert.pencil) != cert.cofactor * h_monic:
+                quotient = extract_cofactor(pencil_determinant(cert.pencil), h_norm * (1 / lead))
+                if cert.cofactor is not None and quotient != cert.cofactor:
                     diagnostics.append("(c) pencil determinant differs from cofactor * h_monic")
-        except (HyperdetError, SingularMatrix, ValueError) as exc:
+        except NotDivisible:
+            diagnostics.append("(c) pencil determinant is not a multiple of h_monic")
+        except (HyperdetError, ValueError) as exc:
             diagnostics.append(f"(c) determinant check could not be replayed: {exc}")
 
         try:
@@ -549,4 +556,4 @@ def verify_certificate(cert: DetRepCertificate) -> tuple[bool, list[str]]:
         except (HyperdetError, IndexError, ValueError) as exc:
             diagnostics.append(f"(d) direction check could not be replayed: {exc}")
 
-    return (not diagnostics, diagnostics)
+    return diagnostics, quotient

@@ -7,7 +7,11 @@ class HyperdetError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class PolyParseError(HyperdetError):
+class InputError(HyperdetError):
+    """Input no command can work on (the exit-2 family); other errors refuse."""
+
+
+class PolyParseError(InputError):
     """Raised when polynomial text does not match the input grammar."""
 
     def __init__(self, message: str, line: int, column: int):
@@ -16,11 +20,7 @@ class PolyParseError(HyperdetError):
         self.column = column
 
 
-class InputError(HyperdetError):
-    """A command-line value or an input file that cannot be read."""
-
-
-class DimensionMismatch(HyperdetError):
+class DimensionMismatch(InputError):
     """Operands use a different number of variables or coordinates."""
 
 
@@ -28,7 +28,7 @@ class NotDivisible(HyperdetError):
     """Exact polynomial division left a nonzero remainder."""
 
 
-class DirectionVanishes(HyperdetError):
+class DirectionVanishes(InputError):
     """The polynomial vanishes at the proposed hyperbolicity direction."""
 
 
@@ -70,7 +70,7 @@ class NoSymmetricLift(HyperdetError):
 
 
 class CertifyError(HyperdetError):
-    """Pipeline failure, tagged with the stage that refused."""
+    """A certify refusal; stage is "pd_witness" or "self_verify" (a soundness bug)."""
 
     def __init__(self, stage: str, message: str, witness=None):
         super().__init__(f"[{stage}] {message}")

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 from .errors import (
     DimensionMismatch,
     DirectionVanishes,
+    InputError,
     NotDivisible,
     PolyParseError,
 )
@@ -480,14 +481,20 @@ def normalize_direction(h: Poly, e: Sequence[RationalLike]) -> tuple[Poly, list[
     """Rotate coordinates so the direction e becomes (1,0,...,0).
 
     Returns (h', T) with T*e = (1,0,...,0) and h' = h after the substitution
-    x = T^{-1} y, so that h'(1,0,...,0) = h(e).  Raises DirectionVanishes
-    when h(e) = 0.
+    x = T^{-1} y, so that h'(1,0,...,0) = h(e).  This is the one input gate
+    of check, bezoutian and certify: it raises an InputError unless e is a
+    nonzero point of the right length, h has at least two variables and is
+    homogeneous of positive degree, and h(e) != 0 (DirectionVanishes).
     """
     ev = as_point(e)
     if len(ev) != h.nvars:
         raise DimensionMismatch("direction length must match the variable count")
     if all(c == 0 for c in ev):
         raise DimensionMismatch("direction must be nonzero")
+    if h.nvars < 2:
+        raise InputError("polynomial needs at least two variables, x0 and x1")
+    if not h.is_homogeneous or h.degree == 0:
+        raise InputError("polynomial must be homogeneous of positive degree")
     if h.evaluate(ev) == 0:
         raise DirectionVanishes("polynomial vanishes at the direction")
     n = h.nvars

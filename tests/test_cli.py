@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, JSON output, round-trips."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperdet.detrep
 import hyperdet.hyperbolicity
@@ -170,6 +174,67 @@ def test_malformed_certificate_is_an_input_error(capsys, tmp_path, mangle, messa
     assert out == ""
 
 
+def test_empty_pencil_certificate_is_refused(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({**_lorentz_certificate(capsys, tmp_path),
+                                "N": 0, "D": [], "G": [[], []]}))
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert code == 1, err
+    payload = json.loads(out)
+    assert payload["valid"] is False
+    assert any(d.startswith("(c)") for d in payload["diagnostics"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--poly", "x0^2", "--e", "1"),
+    ("certify", "--poly", "x0^2", "--e", "1"),
+    ("bezoutian", "--poly", "x0^2", "--e", "1"),
+    ("check", "--poly", "3", "--e", "1,0"),
+    ("bezoutian", "--poly", "3", "--e", "1,0"),
+    ("check", "--poly", "x0^2 - x1", "--e", "1,0"),
+    ("bezoutian", "--poly", "x0^2 - x1", "--e", "1,0"),
+])
+def test_polynomial_outside_the_domain_is_an_input_error(capsys, argv):
+    # Univariate, constant and inhomogeneous polynomials are refused by the
+    # one input gate with exit 2, by every command.
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert out == ""
+
+
+@st.composite
+def poly_texts(draw):
+    """(text, direction, degree): degree <= 3 in 1-3 variables, any shape."""
+    nvars = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 3))
+    homogeneous = draw(st.booleans())
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        deg = degree if homogeneous else draw(st.integers(0, degree))
+        factors = [f"x{draw(st.integers(0, nvars - 1))}" for _ in range(deg)]
+        coeff = draw(st.integers(-3, 3))
+        body = "*".join([str(abs(coeff))] + factors)
+        terms.append(("-" if coeff < 0 else "+", body))
+    text = " ".join(f"{sign} {body}" for sign, body in terms).lstrip("+ ")
+    direction = ",".join(str(draw(st.integers(-2, 2))) for _ in range(nvars))
+    return text, direction, degree
+
+
+@settings(max_examples=50, deadline=None)
+@given(poly_texts())
+def test_input_commands_end_in_a_documented_exit_code(drawn):
+    text, direction, degree = drawn
+    commands = [("check", "--samples", "4"), ("bezoutian",)]
+    if degree <= 2:
+        commands.append(("certify", "--lmax", "0", "--samples", "4"))
+    for command in commands:
+        argv = [command[0], f"--poly={text}", f"--e={direction}", *command[1:]]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+
+
 def test_deterministic_output(capsys, tmp_path):
     a_path = tmp_path / "a.json"
     b_path = tmp_path / "b.json"
@@ -180,9 +245,9 @@ def test_deterministic_output(capsys, tmp_path):
     assert a_path.read_bytes() == b_path.read_bytes()
 
 
-def test_certify_computes_the_determinant_twice_and_samples_nothing(capsys, monkeypatch):
-    # certify computes the pencil determinant once and its self-verification
-    # replays it once; the cofactor is not sampled for real-rootedness.
+def test_certify_computes_the_determinant_once_and_samples_nothing(capsys, monkeypatch):
+    # certify's one exact replay computes the pencil determinant, and the
+    # cofactor is its quotient by h_monic, not sampled for real-rootedness.
     calls = {"det": 0, "real_rooted": 0}
 
     def counted(name, fn):
@@ -197,7 +262,7 @@ def test_certify_computes_the_determinant_twice_and_samples_nothing(capsys, monk
                         counted("real_rooted", hyperdet.hyperbolicity.is_real_rooted))
     code, out, err = run(capsys, "certify", "--poly", "x0^2 - x1^2 - x2^2", "--e", "1,0,0")
     assert code == 0, err
-    assert calls == {"det": 2, "real_rooted": 0}
+    assert calls == {"det": 1, "real_rooted": 0}
 
 
 # sha256 of the certify JSON on stdout, pinned so that certificates stay

@@ -9,6 +9,8 @@ from hyperdet import (
     CertifyError,
     CertifyOptions,
     DetRepCertificate,
+    DirectionVanishes,
+    InputError,
     NoSymmetricLift,
     NotDivisible,
     Poly,
@@ -205,9 +207,32 @@ def test_certify_rejects_definite_quadric():
 
 
 def test_certify_rejects_vanishing_direction():
-    with pytest.raises(CertifyError) as err:
+    with pytest.raises(DirectionVanishes):
         certify(P("x0^2", 2), (0, 1))
-    assert err.value.stage == "normalize"
+
+
+@pytest.mark.parametrize("h,e", [
+    (P("x0^2 - x1", 2), (1, 0)),
+    (P("3", 2), (1, 0)),
+    (P("x0^2", 1), (1,)),
+])
+def test_certify_rejects_polynomials_outside_the_domain(h, e):
+    # Inhomogeneous, constant and univariate inputs fail the input gate.
+    with pytest.raises(InputError):
+        certify(h, e)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lmax", -1),
+    ("sdp_tol", 0.0),
+    ("sdp_tol", float("nan")),
+    ("sdp_tol", float("inf")),
+    ("denominator_bound", 0),
+    ("num_samples", -3),
+])
+def test_certify_options_reject_out_of_range_values(field, value):
+    with pytest.raises(InputError, match=field):
+        CertifyOptions(**{field: value})
 
 
 def test_certify_with_coordinate_change():
@@ -277,6 +302,20 @@ def test_verify_detects_pencil_tamper():
     assert any(d.startswith("(c)") for d in diagnostics)
 
 
+@pytest.mark.parametrize("tamper", [
+    lambda data: data.update(cofactor="x0 + x1"),
+    lambda data: data["G"][1][0].__setitem__(0, "1/3"),
+])
+def test_verify_replays_the_cofactor_quotient(tamper):
+    # A wrong cofactor, and a diagonal G entry (D*G stays symmetric) whose
+    # determinant h_monic does not divide, fail check (c) and only (c).
+    data = certify(LORENTZ, (1, 0, 0)).to_json_dict()
+    tamper(data)
+    ok, diagnostics = verify_certificate(DetRepCertificate.from_json_dict(data))
+    assert not ok and diagnostics
+    assert all(d.startswith("(c)") for d in diagnostics)
+
+
 def test_verify_detects_negated_weight():
     cert = certify(LORENTZ, (1, 0, 0))
     data = cert.to_json_dict()
@@ -311,6 +350,10 @@ def test_verify_is_graceful_on_degenerate_certificates():
     wrong_shape["G"] = wrong_shape["G"][:1]
     ok, diagnostics = verify_certificate(DetRepCertificate.from_json_dict(wrong_shape))
     assert not ok and diagnostics
+
+    empty = {**cert.to_json_dict(), "N": 0, "D": [], "G": [[], []]}
+    ok, diagnostics = verify_certificate(DetRepCertificate.from_json_dict(empty))
+    assert not ok and any(d.startswith("(c)") for d in diagnostics)
 
     inhomogeneous = cert.to_json_dict()
     inhomogeneous["h"] = "x0^2 - x1"

@@ -6,12 +6,12 @@ multiplication-by-x0 action on the generators, constrained to be symmetric
 under the weight matrix D.  The pencil x0*I - sum_i x_i G_i then has
 determinant cofactor * h_monic with the pencil at the normalized direction
 equal to the identity, which is the definiteness certificate.  Everything in
-the certificate replays in exact rational arithmetic.
+the certificate replays in exact arithmetic; the pencil determinant is one
+division-free Berkowitz characteristic polynomial over integer polynomials.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -24,16 +24,9 @@ from .errors import (
     InputError,
     NoSymmetricLift,
     NotDivisible,
-    SingularMatrix,
 )
 from .hyperbolicity import DEFAULT_NUM_SAMPLES, pd_witness_check
-from .linalg import (
-    RatMatrix,
-    bareiss_determinant,
-    invert_matrix,
-    rat_matrix,
-    solve_sparse_system,
-)
+from .linalg import RatMatrix, invert_matrix, rat_matrix, solve_sparse_system
 from .poly import (
     Poly,
     RationalLike,
@@ -51,11 +44,9 @@ from .sos import (
     SosDecomposition,
     find_sos_decomposition,
     monomial_basis_Mk,
-    r_monomials_of_degree,
 )
 
 SCHEMA = "hyperdet/1"
-BAREISS_SIZE_LIMIT = 8
 
 _ZERO = Fraction(0)
 
@@ -268,135 +259,13 @@ def solve_symmetric_lift(
     return list(weights), pencil
 
 
-def _poly_matrix_from_pencil(pencil: Sequence[RatMatrix]) -> list[list[Poly]]:
-    n = len(pencil)
-    size = len(pencil[0])
-    nvars = n + 1
-    mat: list[list[Poly]] = []
-    for a in range(size):
-        row = []
-        for b in range(size):
-            terms: dict[tuple[int, ...], Fraction] = {}
-            if a == b:
-                terms[(1,) + (0,) * n] = Fraction(1)
-            for s in range(n):
-                val = pencil[s][a][b]
-                if val:
-                    mono = tuple(1 if idx == s + 1 else 0 for idx in range(nvars))
-                    terms[mono] = terms.get(mono, _ZERO) - val
-            row.append(Poly(nvars, terms))
-        mat.append(row)
-    return mat
-
-
-def _bareiss_poly_determinant(mat: list[list[Poly]]) -> Poly:
-    """Fraction-free elimination; every division is exact by construction."""
-    size = len(mat)
-    nvars = mat[0][0].nvars
-    work = [row[:] for row in mat]
-    sign = 1
-    prev = Poly.one(nvars)
-    for k in range(size - 1):
-        if work[k][k].is_zero:
-            swap = next((r for r in range(k + 1, size) if not work[r][k].is_zero), None)
-            if swap is None:
-                return Poly.zero(nvars)
-            work[k], work[swap] = work[swap], work[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = work[k][k] * work[i][j] - work[i][k] * work[k][j]
-                work[i][j] = exact_divide(num, prev)
-            work[i][k] = Poly.zero(nvars)
-        prev = work[k][k]
-    det = work[size - 1][size - 1]
-    return det if sign == 1 else -det
-
-
-def _charpoly_by_scalar_samples(pencil: Sequence[RatMatrix], w: Sequence[Fraction]) -> list[Fraction]:
-    """Coefficients of det(x0*I - A(w)) from N+1 scalar determinants.
-
-    Evaluates at x0 = 0..N and solves the Vandermonde system on those nodes
-    exactly (distinct nodes, so it is nonsingular); index p of the result
-    multiplies x0^p.
-    """
-    n = len(pencil)
-    size = len(pencil[0])
-    a = [[sum((w[s] * pencil[s][i][j] for s in range(n)), _ZERO) for j in range(size)]
-         for i in range(size)]
-    samples = []
-    for lam in range(size + 1):
-        shifted = [[(Fraction(lam) if i == j else _ZERO) - a[i][j] for j in range(size)]
-                   for i in range(size)]
-        samples.append(bareiss_determinant(shifted))
-    vandermonde = [{p: Fraction(lam**p) for p in range(size + 1) if lam**p}
-                   for lam in range(size + 1)]
-    return solve_sparse_system(vandermonde, samples, size + 1).values
-
-
-def _interpolation_poly_determinant(pencil: Sequence[RatMatrix]) -> Poly:
-    """Evaluate-and-interpolate determinant for larger pencils.
-
-    The determinant is the characteristic polynomial of A(x) = sum x_s G_s
-    in x0, so the x0^{N-j} coefficient is homogeneous of degree j in the
-    remaining variables.  Each sample direction w yields the full
-    characteristic polynomial from N+1 scalar determinants along the x0
-    line; the degree-j coefficient polynomials are then solved exactly from
-    a simplex grid of directions.
-    """
-    n = len(pencil)
-    size = len(pencil[0])
-    nvars = n + 1
-    cache: dict[tuple[Fraction, ...], list[Fraction]] = {}
-    total: dict[tuple[int, ...], Fraction] = {(size,) + (0,) * n: Fraction(1)}
-
-    for j in range(1, size + 1):
-        monos = r_monomials_of_degree(nvars, j)
-        if n == 1:
-            points = [(Fraction(1),)]
-        else:
-            # Dehomogenized principal lattice {(a_1..a_{n-1}, 1): sum a_i <= j},
-            # unisolvent for total degree j.
-            points = [
-                tuple(Fraction(c) for c in combo) + (Fraction(1),)
-                for combo in itertools.product(range(j + 1), repeat=n - 1)
-                if sum(combo) <= j
-            ]
-        if len(points) != len(monos):
-            raise HyperdetError("interpolation grid does not match the monomial count")
-        rows = []
-        values = []
-        for w in points:
-            if w not in cache:
-                cache[w] = _charpoly_by_scalar_samples(pencil, w)
-            row = {}
-            for col, mono in enumerate(monos):
-                acc = Fraction(1)
-                for idx in range(n):
-                    exp = mono[idx + 1]
-                    if exp:
-                        acc *= w[idx] ** exp
-                if acc:
-                    row[col] = acc
-            rows.append(row)
-            values.append(cache[w][size - j])
-        # Unisolvent grid: the system is square and nonsingular, so the
-        # solution is unique.
-        result = solve_sparse_system(rows, values, len(monos))
-        if not result.consistent:
-            raise SingularMatrix("interpolation system is singular")
-        for mono, c in zip(monos, result.values):
-            if c:
-                total[(size - j,) + mono[1:]] = c
-    return Poly(nvars, total)
-
-
 def pencil_determinant(pencil: Sequence[RatMatrix]) -> Poly:
     """det(x0*I - sum_s x_s G_s) as an exact homogeneous polynomial.
 
-    Bareiss elimination on the polynomial matrix up to size 8; beyond that
-    the evaluation-interpolation route (N+1 scalar determinants per sample
-    direction) is cheaper.
+    The determinant is the characteristic polynomial of A(x) = sum_s x_s G_s
+    in x0.  It is computed in one division-free Berkowitz pass over the ring
+    of integer polynomials in x1..xn, on L*A where L is the lcm of the
+    pencil's denominators; the x0^(N-i) coefficient is then divided by L^i.
     """
     if not pencil or not pencil[0]:
         raise ValueError("pencil must contain at least one non-empty matrix")
@@ -404,9 +273,63 @@ def pencil_determinant(pencil: Sequence[RatMatrix]) -> Poly:
     for g in pencil:
         if len(g) != size or any(len(row) != size for row in g):
             raise ValueError("pencil matrices must be square and equally sized")
-    if size <= BAREISS_SIZE_LIMIT:
-        return _bareiss_poly_determinant(_poly_matrix_from_pencil(pencil))
-    return _interpolation_poly_determinant(pencil)
+    n = len(pencil)
+    scale = math.lcm(*(x.denominator for g in pencil for row in g for x in row))
+    # A monomial x1^e1..xn^en is packed as the int sum e_s * base^(s-1), so
+    # multiplying monomials adds keys; no exponent reaches base = N+1.
+    base = size + 1
+    mat = [
+        [
+            {base**s: int(g[a][b] * scale) for s, g in enumerate(pencil) if g[a][b]}
+            for b in range(size)
+        ]
+        for a in range(size)
+    ]
+    coeffs = _berkowitz_charpoly(mat)
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for i, coeff in enumerate(coeffs):
+        den = scale**i
+        for key, c in coeff.items():
+            exps = []
+            for _ in range(n):
+                key, e = divmod(key, base)
+                exps.append(e)
+            terms[(size - i,) + tuple(exps)] = Fraction(c, den)
+    return Poly(n + 1, terms)
+
+
+def _dot(fs: Sequence[dict[int, int]], gs: Sequence[dict[int, int]]) -> dict[int, int]:
+    """sum_i fs[i] * gs[i] for integer polynomials keyed by packed monomials."""
+    acc: dict[int, int] = {}
+    for f, g in zip(fs, gs):
+        for kf, cf in f.items():
+            for kg, cg in g.items():
+                acc[kf + kg] = acc.get(kf + kg, 0) + cf * cg
+    return {key: c for key, c in acc.items() if c}
+
+
+def _berkowitz_charpoly(mat: list[list[dict[int, int]]]) -> list[dict[int, int]]:
+    """Coefficients c_0..c_N of det(lam*I - M) = sum_i c_i lam^(N-i).
+
+    Berkowitz (IPL 1984): with M = [[a, R], [C, M']], the characteristic
+    polynomial of M is the lower-triangular Toeplitz matrix with first
+    column (1, -a, -R C, -R M' C, ..., -R M'^(m-1) C) applied to that of the
+    m x m block M'.  Only ring operations, so integer entries stay integers.
+    """
+    def neg(f):
+        return {key: -c for key, c in f.items()}
+
+    coeffs = [{0: 1}, neg(mat[-1][-1])]
+    for k in range(len(mat) - 2, -1, -1):
+        block = [row[k + 1:] for row in mat[k + 1:]]
+        toeplitz = [{0: 1}, neg(mat[k][k])]
+        vec = [row[k] for row in mat[k + 1:]]
+        for j in range(len(block)):
+            if j:
+                vec = [_dot(row, vec) for row in block]
+            toeplitz.append(neg(_dot(mat[k][k + 1:], vec)))
+        coeffs = [_dot(toeplitz[i::-1], coeffs) for i in range(len(toeplitz))]
+    return coeffs
 
 
 def extract_cofactor(detp: Poly, h_monic: Poly) -> Poly:

@@ -74,7 +74,8 @@ def ldl_decompose(matrix: Sequence[Sequence[RationalLike]]) -> tuple[list[Fracti
 
     Row i of L is the i-th generating vector: entry 1 at position i and
     support only to the right.  Raises NotPD at the first pivot <= 0, which
-    by Sylvester's criterion certifies the matrix is not positive definite.
+    by Sylvester's criterion certifies the matrix is not positive definite;
+    the message gives the pivot's sign, index and bit lengths.
     """
     g = rat_matrix(matrix)
     n = len(g)
@@ -88,7 +89,12 @@ def ldl_decompose(matrix: Sequence[Sequence[RationalLike]]) -> tuple[list[Fracti
     for j in range(n):
         pivot = g[j][j] - sum((lower[j][k] * lower[j][k] * d[k] for k in range(j)), _ZERO)
         if pivot <= 0:
-            raise NotPD(f"pivot {pivot} at index {j} is not positive")
+            # Bit lengths, not the pivot: it can be too long to format.
+            raise NotPD(
+                f"pivot at index {j} is {'zero' if pivot == 0 else 'negative'} "
+                f"({pivot.numerator.bit_length()}-bit numerator, "
+                f"{pivot.denominator.bit_length()}-bit denominator)"
+            )
         d.append(pivot)
         for i in range(j + 1, n):
             val = g[i][j] - sum((lower[i][k] * lower[j][k] * d[k] for k in range(j)), _ZERO)

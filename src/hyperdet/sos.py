@@ -8,8 +8,8 @@ where omega0 is the Bézoutian of dh/dx0, the weights d_i are positive
 rationals and the u_i are quotient elements of one degree k = d-1+ell whose
 coefficient matrix has full rank (so they span the degree-k graded piece).
 Each candidate level states the Gram problem once as exact sparse rows,
-solves the SDP on float copies of them, rounds the float solution to
-rationals, projects exactly back onto the same rows and factors the result
+solves the SDP on float copies of them, rounds the float solution onto one
+rational grid, projects exactly back onto the same rows and factors the result
 once; that factorization is the positive-definiteness test, and the identity
 then holds by construction.
 """
@@ -158,16 +158,20 @@ def round_gram(
 ) -> RatMatrix:
     """Round the float Gram matrix to rationals satisfying every constraint.
 
-    Continued-fraction rounding per entry, then exact orthogonal projection
-    onto the affine constraint subspace of problem.constraints.  The
-    projection assumes constraint supports are disjoint (true for every
-    gram_problem), so it is one division per constraint; an exact re-check
-    of every constraint afterwards raises RoundingFailed for a problem whose
-    supports overlap.  The result is symmetric and meets every constraint
-    exactly but need not be positive definite: the caller's one LDL^T
-    factorization decides that.  The solver's eigenvalue margin sol.t is
-    what lets the projection stay PD; without a positive margin rounding is
-    refused.
+    Every entry is rounded to the nearest point of one grid, k / bound with
+    bound = denominator_bound (Peyrl & Parrilo, TCS 2008), then projected
+    exactly and orthogonally onto the affine constraint subspace of
+    problem.constraints; entries whose constraints hold on the grid keep a
+    denominator dividing bound.  One common denominator keeps the LDL
+    pivots, the lift and the pencil determinant downstream far narrower than
+    one denominator per entry.  The projection assumes constraint supports
+    are disjoint (true for every gram_problem), so it is one division per
+    constraint; an exact re-check of every constraint afterwards raises
+    RoundingFailed for a problem whose supports overlap.  The result is
+    symmetric and meets every constraint exactly but need not be positive
+    definite: the caller's one LDL^T factorization decides that.  The
+    solver's eigenvalue margin sol.t is what lets the projection stay PD;
+    without a positive margin rounding is refused.
     """
     if sol.status != OPTIMAL:
         raise RoundingFailed(f"solver status {sol.status}, need Optimal")
@@ -176,7 +180,8 @@ def round_gram(
     m = problem.m
     g_sym = 0.5 * (sol.G + sol.G.T)
     approx = [
-        [Fraction(float(g_sym[i, j])).limit_denominator(denominator_bound) for j in range(m)]
+        [Fraction(round(Fraction(float(g_sym[i, j])) * denominator_bound), denominator_bound)
+         for j in range(m)]
         for i in range(m)
     ]
     for i in range(m):
@@ -237,8 +242,8 @@ def find_sos_decomposition(
     """
     omega0 = bezoutian_of(ctx, ctx.h.derivative(0))
     failures: list[str] = []
-    # Coarse denominators are tried first: the positive-definiteness margin
-    # usually absorbs the larger rounding error, and small denominators keep
+    # Coarse grids are tried first: the positive-definiteness margin usually
+    # absorbs the larger rounding error, and a small common denominator keeps
     # the weights, the lift and the pencil determinant cheap downstream.
     bounds = sorted({min(2**8, denominator_bound), min(2**16, denominator_bound),
                      denominator_bound, denominator_bound**2})

@@ -4,6 +4,8 @@ import contextlib
 import hashlib
 import io
 import json
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import hyperdet.detrep
 import hyperdet.hyperbolicity
+from hyperdet import parse_poly
 from hyperdet.cli import main
 
 
@@ -205,8 +208,8 @@ def test_polynomial_outside_the_domain_is_an_input_error(capsys, argv):
 
 @st.composite
 def poly_texts(draw):
-    """(text, direction, degree): degree <= 3 in 1-3 variables, any shape."""
-    nvars = draw(st.integers(1, 3))
+    """(text, direction, degree): degree <= 3 in 1-4 variables, any shape."""
+    nvars = draw(st.integers(1, 4))
     degree = draw(st.integers(0, 3))
     homogeneous = draw(st.booleans())
     terms = []
@@ -273,11 +276,11 @@ GOLDEN_CERTIFICATES = [
     ("x0^2 - x1^2 - x2^2", "2,1,0",
      "e552eb61456ed3e0c146db7dfaf49dac2df08bbe16809f56c842da6fc23474a3"),
     ("x0^3 - x0*x1^2 - x0*x2^2", "1,0,0",
-     "2f73c45e4368be45516e223dbe83b9487bea9e9e2fc352a7ba01649d6dae0b61"),
+     "cf04bc901da13bd5cf7ec5b9bf18b67709b7982db9f940dcf332d1e16a20ffc0"),
     # random_pencil_determinant(random.Random(3001), 3, 3): an N=6 pencil.
     ("x0^3 + 1/2*x0^2*x1 - 3/4*x0*x1^2 + 17/4*x0*x1*x2 - 9*x0*x2^2 + 1/8*x1^3"
      " - 5/4*x1^2*x2 + 21/4*x1*x2^2 - 8*x2^3", "1,0,0",
-     "44a926c6dbfeab9b92b9e855123764ba6d92a5c27a264426e664c85302af5e48"),
+     "d24d8d65af4c1c92e180e45a4a909170ff6e5e5d7ca0a8e8c38733b8f95b2b13"),
 ]
 
 
@@ -286,6 +289,35 @@ def test_certificate_bytes_are_pinned(capsys, poly, direction, digest):
     code, out, err = run(capsys, "certify", "--poly", poly, "--e", direction)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_golden_pencil_entries_stay_short(capsys):
+    # One rounding grid keeps the LDL weights and the lift small: the N=6
+    # certificate's widest numerator or denominator in D, G and the cofactor.
+    poly, direction, _ = GOLDEN_CERTIFICATES[3]
+    code, out, err = run(capsys, "certify", "--poly", poly, "--e", direction)
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["N"] == 6
+    values = [Fraction(w) for w in data["D"]]
+    values += [Fraction(x) for g in data["G"] for row in g for x in row]
+    values += [c for _, c in parse_poly(data["cofactor"], 3).terms()]
+    assert max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in values) <= 128
+
+
+def test_rank_deficient_quadric_is_refused(capsys):
+    # Rank-deficient 4-variable quadric: no level has a positive margin or a
+    # PD rounding, and the refusal names pivots by bit length, not value.
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "certify", "--e", "1,0,0,0", "--poly",
+        "x0^2 + x0*x1 + 1/2*x0*x2 - 3*x0*x3 - 3*x1^2 - 9/2*x1*x2 - 4*x2^2"
+        " - 1/2*x2*x3 + 2*x3^2",
+    )
+    assert time.perf_counter() - start < 10
+    assert code == 1
+    assert err.startswith("refused: ") and err.count("\n") == 1
+    assert len(err.encode()) < 4096
 
 
 def test_text_format(capsys):

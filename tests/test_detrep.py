@@ -25,7 +25,7 @@ from hyperdet import (
     solve_symmetric_lift,
     verify_certificate,
 )
-from hyperdet.detrep import _interpolation_poly_determinant
+from hyperdet.linalg import bareiss_determinant
 
 from conftest import (
     leibniz_determinant,
@@ -118,9 +118,9 @@ def test_pencil_determinant_zero_matrices():
 
 def test_pencil_determinant_matches_leibniz():
     rng = random.Random(77)
-    for _ in range(8):
-        size = rng.randint(1, 5)
-        n = rng.randint(1, 3)
+    for _ in range(12):
+        size = rng.randint(1, 6)
+        n = rng.randint(1, 4)
         pencil = [random_symmetric_rational(rng, size) for _ in range(n)]
         result = pencil_determinant(pencil)
         mat = []
@@ -139,10 +139,25 @@ def test_pencil_determinant_matches_leibniz():
         assert result == leibniz_determinant(mat)
 
 
-def test_interpolation_determinant_matches_bareiss():
-    # Block-diagonal size-10 pencil: determinant is the product of the two
-    # size-5 Bareiss determinants, an independent oracle for the
-    # interpolation path.
+def test_pencil_determinant_matches_scalar_bareiss_at_points():
+    # At a rational point the polynomial determinant must equal the scalar
+    # Bareiss determinant of the evaluated pencil x0*I - sum x_s G_s.
+    rng = random.Random(12)
+    for size in range(1, 13):
+        n = rng.randint(1, 3)
+        pencil = [random_symmetric_rational(rng, size, num=9, den=7) for _ in range(n)]
+        det = pencil_determinant(pencil)
+        for _ in range(2):
+            point = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n + 1)]
+            value = [[(point[0] if a == b else F(0))
+                      - sum((point[s + 1] * pencil[s][a][b] for s in range(n)), F(0))
+                      for b in range(size)] for a in range(size)]
+            assert det.evaluate(point) == bareiss_determinant(value)
+
+
+def test_block_diagonal_determinant_is_the_product_of_blocks():
+    # Block-diagonal size-10 pencil: its determinant is the product of the
+    # determinants of the two size-5 blocks, an independent oracle.
     rng = random.Random(5)
     blocks_a = [random_symmetric_rational(rng, 5) for _ in range(2)]
     blocks_b = [random_symmetric_rational(rng, 5) for _ in range(2)]
@@ -156,10 +171,8 @@ def test_interpolation_determinant_matches_bareiss():
         return g
 
     pencil10 = [embed(a, b) for a, b in zip(blocks_a, blocks_b)]
-    combined = pencil_determinant(pencil10)  # size 10 -> interpolation route
-    direct = _interpolation_poly_determinant(pencil10)
-    assert combined == direct
-    assert combined == pencil_determinant(blocks_a) * pencil_determinant(blocks_b)
+    product = pencil_determinant(blocks_a) * pencil_determinant(blocks_b)
+    assert pencil_determinant(pencil10) == product
 
 
 # -- extract_cofactor --------------------------------------------------------------

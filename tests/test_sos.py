@@ -142,6 +142,19 @@ def test_round_gram_fixed_point_on_exact_input():
     assert gram == [[Fraction(2 * (i == j)) for j in range(3)] for i in range(3)]
 
 
+@pytest.mark.parametrize("bound", [2**8, 2**16, 10**6])
+def test_round_gram_rounds_onto_one_grid(bound):
+    # 0.7 and 1.3 land on grid points that sum to 2, so the trace constraint
+    # has zero defect and the projection leaves every entry on the grid.
+    problem = SdpProblem(2, [({(0, 0): Fraction(1), (1, 1): Fraction(1)}, Fraction(2))])
+    g = np.array([[0.7, 0.3], [0.3, 1.3]])
+    sol = SdpSolution(G=g, t=0.5, residual=0.0, status=OPTIMAL)
+    gram = round_gram(problem, sol, bound)
+    assert gram[0][0] + gram[1][1] == 2
+    assert all(bound % x.denominator == 0 for row in gram for x in row)
+    assert gram[0][1] == gram[1][0] == Fraction(round(Fraction(0.3) * bound), bound)
+
+
 def test_round_gram_refuses_overlapping_supports():
     # G00 + G11 = 2 and G00 = 1 share the position (0, 0).  The one-division
     # projection is only orthogonal for disjoint supports; here it misses the

@@ -92,8 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--denominator-bound", type=_POSITIVE_INT, default=2**32)
     p_cert.add_argument("--samples", type=_POSITIVE_INT, default=64)
     p_cert.add_argument("--seed", type=int, default=0)
-    p_cert.add_argument("--no-float-pencil", action="store_true",
-                        help="omit the floating-point symmetric pencil view")
 
     p_ver = sub.add_parser("verify", help="replay a certificate file")
     p_ver.add_argument("--cert", required=True, help="path to a certificate JSON file")
@@ -184,7 +182,6 @@ def _run_certify(args: argparse.Namespace) -> int:
         denominator_bound=args.denominator_bound,
         num_samples=args.samples,
         seed=args.seed,
-        include_float_pencil=not args.no_float_pencil,
     )
     cert = certify(h, e, options)
     payload = cert.to_json_dict()

@@ -53,12 +53,17 @@ _ZERO = Fraction(0)
 
 @dataclass
 class CertifyOptions:
+    """Search settings of certify; none of them changes what the replay checks.
+
+    lmax caps the multiplier exponent, sdp_tol and denominator_bound steer
+    the SDP and its rounding grid, num_samples and seed the PD-witness check.
+    """
+
     lmax: int = DEFAULT_ELL_MAX
     sdp_tol: float = 1e-8
     denominator_bound: int = DEFAULT_DENOMINATOR_BOUND
     num_samples: int = DEFAULT_NUM_SAMPLES
     seed: int = 0
-    include_float_pencil: bool = True
 
     def __post_init__(self):
         if self.lmax < 0:
@@ -77,9 +82,10 @@ class DetRepCertificate:
 
     All identities are stated in the normalized coordinates y = T*x, where
     h_monic is h after the coordinate change and monic rescaling.  D is the
-    positive diagonal weight matrix; D*G_i is symmetric for every i, so the
-    float view A_i = D^{1/2} G_i D^{-1/2} is a genuine symmetric pencil with
-    value I at the normalized direction.
+    positive diagonal weight matrix; D*G_i is symmetric for every i, so
+    D^{1/2} G_i D^{-1/2} is a genuine symmetric pencil with value I at the
+    normalized direction.  Every field is exact: the certificate carries no
+    floating-point data.
     """
 
     h: Poly
@@ -90,10 +96,9 @@ class DetRepCertificate:
     pencil: list[RatMatrix]
     cofactor: Poly
     multiplier: Poly
-    float_pencil: Optional[list[list[list[float]]]] = None
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "schema": SCHEMA,
             "h": str(self.h),
             "e": [str(c) for c in self.e],
@@ -104,9 +109,6 @@ class DetRepCertificate:
             "cofactor": str(self.cofactor),
             "q_multiplier": str(self.multiplier),
         }
-        if self.float_pencil is not None:
-            out["float_pencil"] = self.float_pencil
-        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -118,6 +120,8 @@ class DetRepCertificate:
         Another schema, a missing field, a field of the wrong JSON type or
         an entry that is not an exact rational is malformed; whether
         well-formed data certifies anything is left to verify_certificate.
+        Unknown keys, such as the float_pencil view older versions wrote,
+        are ignored.
         """
         if not isinstance(data, dict):
             raise InputError(f"certificate must be a JSON object, not {type(data).__name__}")
@@ -154,7 +158,6 @@ class DetRepCertificate:
             pencil=field("G", list, lambda gs: [matrix(g) for g in gs]),
             cofactor=field("cofactor", str, poly),
             multiplier=field("q_multiplier", str, poly),
-            float_pencil=data.get("float_pencil"),
         )
 
     @classmethod
@@ -339,17 +342,6 @@ def extract_cofactor(detp: Poly, h_monic: Poly) -> Poly:
     return exact_divide(detp, h_monic)
 
 
-def _float_pencil(weights: list[Fraction], pencil: list[RatMatrix]) -> list[list[list[float]]]:
-    roots = [math.sqrt(float(w)) for w in weights]
-    out = []
-    for g in pencil:
-        out.append([
-            [roots[a] * float(g[a][b]) / roots[b] for b in range(len(g))]
-            for a in range(len(g))
-        ])
-    return out
-
-
 def _pencil_value(pencil: Sequence[RatMatrix], point: Sequence[Fraction]) -> RatMatrix:
     size = len(pencil[0])
     out = [[point[0] if a == b else _ZERO for b in range(size)] for a in range(size)]
@@ -400,7 +392,6 @@ def certify(h: Poly, e: Sequence[RationalLike], options: CertifyOptions | None =
         pencil=pencil,
         cofactor=None,
         multiplier=dec.multiplier,
-        float_pencil=_float_pencil(weights, pencil) if opts.include_float_pencil else None,
     )
     diagnostics, cert.cofactor = _replay(cert)
     if diagnostics:  # pragma: no cover - would be a soundness bug

@@ -20,11 +20,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DegreeTooSmall, Exhausted, NotPD, RoundingFailed
 from .linalg import RatMatrix, ldl_decompose
 from .poly import Monomial, Poly, grlex_key
 from .quotient import BezoutianForm, QuotientContext, QuotientElement, bezoutian_of
-from .sdp import OPTIMAL, ExactConstraint, SdpProblem, SdpSolution, solve_maxeig
+from .sdp import ExactConstraint, SdpProblem, solve_maxeig
 
 DEFAULT_ELL_MAX = 4
 DEFAULT_DENOMINATOR_BOUND = 2**32
@@ -153,7 +155,7 @@ def gram_problem(
 
 def round_gram(
     problem: SdpProblem,
-    sol: SdpSolution,
+    g: np.ndarray,
     denominator_bound: int = DEFAULT_DENOMINATOR_BOUND,
 ) -> RatMatrix:
     """Round the float Gram matrix to rationals satisfying every constraint.
@@ -169,16 +171,11 @@ def round_gram(
     constraint; an exact re-check of every constraint afterwards raises
     RoundingFailed for a problem whose supports overlap.  The result is
     symmetric and meets every constraint exactly but need not be positive
-    definite: the caller's one LDL^T factorization decides that.  The
-    solver's eigenvalue margin sol.t is what lets the projection stay PD;
-    without a positive margin rounding is refused.
+    definite: the caller's one LDL^T factorization decides that, whatever
+    the solver status of the iterate g was.
     """
-    if sol.status != OPTIMAL:
-        raise RoundingFailed(f"solver status {sol.status}, need Optimal")
-    if sol.t <= 0:
-        raise RoundingFailed("no positive-definiteness margin to absorb rounding")
     m = problem.m
-    g_sym = 0.5 * (sol.G + sol.G.T)
+    g_sym = 0.5 * (g + g.T)
     approx = [
         [Fraction(round(Fraction(float(g_sym[i, j])) * denominator_bound), denominator_bound)
          for j in range(m)]
@@ -231,14 +228,17 @@ def find_sos_decomposition(
     """Escalate the multiplier exponent until an exact decomposition exists.
 
     For each ell = 0..ell_max: assemble the Gram SDP for the Bézoutian of
-    dh/dx0 and solve it; then for each denominator bound, coarse first, round
-    to rationals that satisfy every constraint exactly and factor LDL^T
-    once.  That factorization is the PD test: a non-positive pivot (NotPD)
-    is recorded as the bound's failure and the next bound is tried.
-    Per-level failures escalate; Exhausted is raised only when every level
-    fails.  A returned decomposition satisfies the identity exactly by
-    construction (see SosDecomposition) and its vectors always span
-    (unit-triangular coefficient matrix).
+    dh/dx0 and solve it.  A level whose iterate has no positive eigenvalue
+    margin t is skipped with one recorded failure: rounding could only make
+    a PD matrix by luck, so this is a cost filter, not a soundness check.
+    Otherwise, for each denominator bound, coarse first, round the iterate
+    (whatever its solver status) to rationals that satisfy every constraint
+    exactly and factor LDL^T once.  That factorization is the PD test: a
+    non-positive pivot (NotPD) is recorded as the bound's failure and the
+    next bound is tried.  Per-level failures escalate; Exhausted is raised
+    only when every level fails.  A returned decomposition satisfies the
+    identity exactly by construction (see SosDecomposition) and its vectors
+    always span (unit-triangular coefficient matrix).
     """
     omega0 = bezoutian_of(ctx, ctx.h.derivative(0))
     failures: list[str] = []
@@ -250,9 +250,12 @@ def find_sos_decomposition(
     for ell in range(ell_max + 1):
         problem, basis = gram_problem(ctx, omega0, ell)
         sol = solve_maxeig(problem, tol=sdp_tol)
+        if not sol.t > 0:
+            failures.append(f"ell={ell}: no positive-definiteness margin to absorb rounding")
+            continue
         for bound in bounds:
             try:
-                gram = round_gram(problem, sol, bound)
+                gram = round_gram(problem, sol.G, bound)
                 weights, rows = ldl_decompose(gram)
             except RoundingFailed as exc:
                 failures.append(f"ell={ell}: {exc}")
@@ -267,5 +270,5 @@ def find_sos_decomposition(
                     vectors=_vectors_from_ldl(ctx, basis, rows),
                     gram=gram,
                 )
-    detail = "; ".join(failures) if failures else "every level was infeasible"
-    raise Exhausted(ell_max, f"no exact decomposition up to ell={ell_max} ({detail})")
+    # Every level records at least one failure, so the list is never empty.
+    raise Exhausted(ell_max, f"no exact decomposition up to ell={ell_max} ({'; '.join(failures)})")

@@ -77,6 +77,24 @@ def random_pencil_determinant(rng: random.Random, nvars: int, degree: int) -> Po
     return pencil_determinant(negated)
 
 
+def renegar_derivative(rng: random.Random, nvars: int, count: int) -> Poly:
+    """h = d^(n-1)/dx0^(n-1) of prod_i (x0 + a_i . x), n = nvars - 1.
+
+    Each a_i has entries drawn from -5..5.  Built from Poly products alone,
+    without determinant code; hyperbolic with respect to (1,0,...,0) and,
+    for hyperplanes in general position, real-smooth (Renegar, FoCM 2006).
+    """
+    product = Poly.one(nvars)
+    for _ in range(count):
+        form = Poly.variable(nvars, 0)
+        for s in range(1, nvars):
+            form = form + Poly.variable(nvars, s) * rng.randint(-5, 5)
+        product = product * form
+    for _ in range(nvars - 2):
+        product = product.derivative(0)
+    return product
+
+
 def leibniz_determinant(mat: list[list[Poly]]) -> Poly:
     """Permanent-style expansion over all permutations; exact oracle."""
     size = len(mat)

@@ -272,15 +272,15 @@ def test_certify_computes_the_determinant_once_and_samples_nothing(capsys, monke
 # byte-identical across changes to the pipeline, not only from run to run.
 GOLDEN_CERTIFICATES = [
     ("x0^2 - x1^2 - x2^2", "1,0,0",
-     "1e4f0670e65e2ec70fc75cc27f8dcd6966bb46d0fa64e5b98a5a471f428908c7"),
+     "02653452adcc7a00a88aaee18de5f4dedcec7e8e14277817a68c82c30736eaf6"),
     ("x0^2 - x1^2 - x2^2", "2,1,0",
-     "e552eb61456ed3e0c146db7dfaf49dac2df08bbe16809f56c842da6fc23474a3"),
+     "93758e73db878240f5f17aadf8d89d74fa4a2771ede3118c7211ce8b2c7fb081"),
     ("x0^3 - x0*x1^2 - x0*x2^2", "1,0,0",
-     "cf04bc901da13bd5cf7ec5b9bf18b67709b7982db9f940dcf332d1e16a20ffc0"),
+     "0db68338e966ee5f498d018d56fae1cfceca48a52ac6fa5a539bfcf81cfce843"),
     # random_pencil_determinant(random.Random(3001), 3, 3): an N=6 pencil.
     ("x0^3 + 1/2*x0^2*x1 - 3/4*x0*x1^2 + 17/4*x0*x1*x2 - 9*x0*x2^2 + 1/8*x1^3"
      " - 5/4*x1^2*x2 + 21/4*x1*x2^2 - 8*x2^3", "1,0,0",
-     "d24d8d65af4c1c92e180e45a4a909170ff6e5e5d7ca0a8e8c38733b8f95b2b13"),
+     "117278e70e0502c0978d969a2ee9a06ccf765f5f8065bb47bcd8c8893b37dd3d"),
 ]
 
 
@@ -289,6 +289,20 @@ def test_certificate_bytes_are_pinned(capsys, poly, direction, digest):
     code, out, err = run(capsys, "certify", "--poly", poly, "--e", direction)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert "float_pencil" not in json.loads(out)
+
+
+def test_legacy_float_pencil_key_is_ignored(capsys, tmp_path):
+    # Older certificates carried a float view of the pencil; they still load
+    # under the same schema, and the exact replay ignores the floats.
+    data = _lorentz_certificate(capsys, tmp_path)
+    data["float_pencil"] = [[[0.0] * 3] * 3] * 2
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert code == 0, err
+    assert json.loads(out) == {"schema": "hyperdet/1", "command": "verify",
+                               "valid": True, "diagnostics": []}
 
 
 def test_golden_pencil_entries_stay_short(capsys):
@@ -307,7 +321,9 @@ def test_golden_pencil_entries_stay_short(capsys):
 
 def test_rank_deficient_quadric_is_refused(capsys):
     # Rank-deficient 4-variable quadric: no level has a positive margin or a
-    # PD rounding, and the refusal names pivots by bit length, not value.
+    # PD rounding, and the refusal names pivots by bit length, not value.  A
+    # missing margin does not depend on the rounding bound, so it is
+    # recorded once per level, not once per bound.
     start = time.perf_counter()
     code, out, err = run(
         capsys, "certify", "--e", "1,0,0,0", "--poly",
@@ -318,6 +334,8 @@ def test_rank_deficient_quadric_is_refused(capsys):
     assert code == 1
     assert err.startswith("refused: ") and err.count("\n") == 1
     assert len(err.encode()) < 4096
+    for ell in range(5):
+        assert err.count(f"ell={ell}: no positive-definiteness margin") <= 1
 
 
 def test_text_format(capsys):

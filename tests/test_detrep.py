@@ -1,6 +1,7 @@
 """Symmetric lift, pencil determinants, certification and verification."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from conftest import (
     leibniz_determinant,
     random_pencil_determinant,
     random_symmetric_rational,
+    renegar_derivative,
 )
 
 
@@ -284,19 +286,17 @@ def test_certify_random_three_variable_pencils():
         done += 1
 
 
-def test_float_pencil_is_symmetric():
-    cert = certify(P("x0^3 - x0*x1^2 - x0*x2^2"), (1, 0, 0))
-    assert cert.float_pencil is not None
-    for g in cert.float_pencil:
-        size = len(g)
-        for a in range(size):
-            for b in range(size):
-                assert abs(g[a][b] - g[b][a]) <= 1e-12
-
-
-def test_certify_can_omit_float_pencil():
-    cert = certify(LORENTZ, (1, 0, 0), CertifyOptions(include_float_pencil=False))
-    assert cert.float_pencil is None
+def test_renegar_quartic_certifies_at_level_zero():
+    # Known answer: the 3-variable Renegar quartic of seed 1, whose ell=0
+    # SDP stops at MaxIterations with a positive margin; its rounding is PD.
+    h = renegar_derivative(random.Random(1), 3, 5)
+    assert h.degree == 4
+    start = time.perf_counter()
+    cert = certify(h, (1, 0, 0))
+    assert time.perf_counter() - start < 10
+    assert cert.multiplier == Poly.one(3)
+    assert cert.size == 10
+    assert verify_certificate(cert) == (True, [])
 
 
 # -- verify_certificate ---------------------------------------------------------------

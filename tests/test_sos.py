@@ -1,5 +1,7 @@
 """Gram-matrix search, exact rounding, LDL^T and the decomposition gate."""
 
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -25,7 +27,7 @@ from hyperdet import (
     round_gram,
     solve_maxeig,
 )
-from hyperdet.sdp import SdpSolution, OPTIMAL
+from hyperdet.sdp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL, SdpSolution
 from hyperdet.linalg import solve_sparse_system
 from hyperdet.sos import power_sum_multiplier
 
@@ -89,7 +91,7 @@ def test_gram_problem_lorentz_forces_diagonal():
     assert len(problem.constraints) == 6
     sol = solve_maxeig(problem)
     assert sol.status == OPTIMAL
-    gram = round_gram(problem, sol)
+    gram = round_gram(problem, sol.G)
     expected = [[Fraction(2 * (i == j)) for j in range(3)] for i in range(3)]
     assert gram == expected
 
@@ -100,7 +102,7 @@ def test_gram_problem_linear_case():
     problem, basis = gram_problem(ctx, omega, 0)
     assert problem.m == 1
     sol = solve_maxeig(problem)
-    gram = round_gram(problem, sol)
+    gram = round_gram(problem, sol.G)
     assert gram == [[Fraction(1)]]
 
 
@@ -130,15 +132,13 @@ def _diag_problem():
 def test_round_gram_projects_float_noise():
     problem = _diag_problem()
     g = np.diag([2 + 1e-9, 2 - 1e-9, 2.0])
-    sol = SdpSolution(G=g, t=2.0, residual=1e-9, status=OPTIMAL)
-    gram = round_gram(problem, sol)
+    gram = round_gram(problem, g)
     assert gram == [[Fraction(2 * (i == j)) for j in range(3)] for i in range(3)]
 
 
 def test_round_gram_fixed_point_on_exact_input():
     problem = _diag_problem()
-    sol = SdpSolution(G=np.diag([2.0, 2.0, 2.0]), t=2.0, residual=0.0, status=OPTIMAL)
-    gram = round_gram(problem, sol)
+    gram = round_gram(problem, np.diag([2.0, 2.0, 2.0]))
     assert gram == [[Fraction(2 * (i == j)) for j in range(3)] for i in range(3)]
 
 
@@ -148,8 +148,7 @@ def test_round_gram_rounds_onto_one_grid(bound):
     # has zero defect and the projection leaves every entry on the grid.
     problem = SdpProblem(2, [({(0, 0): Fraction(1), (1, 1): Fraction(1)}, Fraction(2))])
     g = np.array([[0.7, 0.3], [0.3, 1.3]])
-    sol = SdpSolution(G=g, t=0.5, residual=0.0, status=OPTIMAL)
-    gram = round_gram(problem, sol, bound)
+    gram = round_gram(problem, g, bound)
     assert gram[0][0] + gram[1][1] == 2
     assert all(bound % x.denominator == 0 for row in gram for x in row)
     assert gram[0][1] == gram[1][0] == Fraction(round(Fraction(0.3) * bound), bound)
@@ -165,34 +164,18 @@ def test_round_gram_refuses_overlapping_supports():
         ({(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}, Fraction(0)),
     ]
     problem = SdpProblem(2, cons)
-    sol = SdpSolution(G=np.diag([1.25, 0.875]), t=0.5, residual=0.25, status=OPTIMAL)
     with pytest.raises(RoundingFailed):
-        round_gram(problem, sol)
+        round_gram(problem, np.diag([1.25, 0.875]))
 
 
 def test_round_gram_returns_projection_without_pd_test():
     # Positive definiteness is decided by the one LDL^T in
     # find_sos_decomposition, not by round_gram.
     problem = SdpProblem(1, [({(0, 0): Fraction(1)}, Fraction(-1))])
-    sol = SdpSolution(G=np.array([[1.0]]), t=0.5, residual=2.0, status=OPTIMAL)
-    gram = round_gram(problem, sol)
+    gram = round_gram(problem, np.array([[1.0]]))
     assert gram == [[Fraction(-1)]]
     with pytest.raises(NotPD):
         ldl_decompose(gram)
-
-
-def test_round_gram_requires_margin():
-    problem = _diag_problem()
-    sol = SdpSolution(G=np.diag([2.0, 2.0, 2.0]), t=0.0, residual=0.0, status=OPTIMAL)
-    with pytest.raises(RoundingFailed):
-        round_gram(problem, sol)
-
-
-def test_round_gram_requires_optimal_status():
-    problem = _diag_problem()
-    sol = SdpSolution(G=np.diag([2.0, 2.0, 2.0]), t=2.0, residual=0.0, status="MaxIterations")
-    with pytest.raises(RoundingFailed):
-        round_gram(problem, sol)
 
 
 # -- ldl ----------------------------------------------------------------------
@@ -243,6 +226,52 @@ def test_lorentz_decomposition_pinned():
     ]
     assert [(v.coeffs[0], v.coeffs[1]) for v in dec.vectors] == expected
     assert dec.gram == [[Fraction(2 * (i == j)) for j in range(3)] for i in range(3)]
+
+
+@pytest.mark.parametrize("status", [MAX_ITERATIONS, INFEASIBLE])
+def test_positive_margin_iterate_is_accepted_whatever_its_status(monkeypatch, status):
+    # The solver status does not gate rounding: a positive-margin iterate is
+    # rounded, and the one exact LDL^T accepts its PD projection at ell=0.
+    def solve(problem, tol):
+        return dataclasses.replace(solve_maxeig(problem, tol=tol), status=status)
+
+    monkeypatch.setattr(hyperdet.sos, "solve_maxeig", solve)
+    dec = find_sos_decomposition(QuotientContext(LORENTZ))
+    assert dec.ell == 0
+    assert dec.gram == [[Fraction(2 * (i == j)) for j in range(3)] for i in range(3)]
+
+
+def test_positive_margin_iterate_with_non_pd_projection_is_refused(monkeypatch):
+    # The rows of x0^2 + x1^2 at ell=0 force a Gram matrix that is not PD;
+    # a positive margin claimed by the solver does not get it past the LDL.
+    def solve(problem, tol):
+        return SdpSolution(G=np.eye(problem.m), t=1.0, residual=0.0, status=MAX_ITERATIONS)
+
+    monkeypatch.setattr(hyperdet.sos, "solve_maxeig", solve)
+    with pytest.raises(Exhausted) as info:
+        find_sos_decomposition(QuotientContext(P("x0^2 + x1^2")), ell_max=0)
+    assert str(info.value).count("ell=0: projected rational matrix is not PD") == 4
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+def test_level_without_margin_is_recorded_once_and_not_rounded(monkeypatch, t):
+    rounded = []
+
+    def solve(problem, tol):
+        return SdpSolution(G=np.eye(problem.m), t=t, residual=0.0, status=OPTIMAL)
+
+    def counted(*args):
+        rounded.append(args)
+        return round_gram(*args)
+
+    monkeypatch.setattr(hyperdet.sos, "solve_maxeig", solve)
+    monkeypatch.setattr(hyperdet.sos, "round_gram", counted)
+    with pytest.raises(Exhausted) as info:
+        find_sos_decomposition(QuotientContext(LORENTZ), ell_max=1)
+    failures = "; ".join(f"ell={ell}: no positive-definiteness margin to absorb rounding"
+                         for ell in (0, 1))
+    assert str(info.value) == f"no exact decomposition up to ell=1 ({failures})"
+    assert rounded == []
 
 
 def test_rounded_gram_is_factored_once(monkeypatch):

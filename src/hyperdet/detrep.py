@@ -117,8 +117,9 @@ class DetRepCertificate:
     def from_json_dict(cls, data: dict) -> "DetRepCertificate":
         """Load a certificate, raising InputError for a malformed one.
 
-        Another schema, a missing field, a field of the wrong JSON type or
-        an entry that is not an exact rational is malformed; whether
+        Another schema, a missing field, a field of the wrong JSON type, an
+        entry that is not an exact rational or a T that is not square of
+        the direction's length is malformed; whether
         well-formed data certifies anything is left to verify_certificate.
         Unknown keys, such as the float_pencil view older versions wrote,
         are ignored.
@@ -149,10 +150,17 @@ class DetRepCertificate:
                 raise TypeError("matrix rows must be JSON lists")
             return rat_matrix(rows)
 
+        def transform(rows):
+            t = matrix(rows)
+            if len(t) != len(e) or any(len(row) != len(e) for row in t):
+                raise ValueError(f"must be a {len(e)}x{len(e)} matrix, "
+                                 "one row and column per variable")
+            return t
+
         return cls(
             h=field("h", str, poly),
             e=e,
-            transform=field("T", list, matrix),
+            transform=field("T", list, transform),
             size=field("N", int, int),
             weights=field("D", list, lambda ws: [as_fraction(w) for w in ws]),
             pencil=field("G", list, lambda gs: [matrix(g) for g in gs]),
@@ -342,6 +350,41 @@ def extract_cofactor(detp: Poly, h_monic: Poly) -> Poly:
     return exact_divide(detp, h_monic)
 
 
+def _gram_basis_pencil(pencil: Sequence[RatMatrix], rows: RatMatrix) -> list[RatMatrix]:
+    """R^-1 G_s R for every G_s: the pencil restated in the monomial basis.
+
+    R is the unit upper-triangular LDL factor whose row i is the i-th
+    generating vector in the monomial basis (SosDecomposition.rows).  A
+    similarity leaves det(x0*I - sum x_s G_s) unchanged, and in the monomial
+    basis an entry's denominator no longer carries factors from the vectors
+    of its row and its column, so the lcm that pencil_determinant scales by
+    is far shorter.  One product G_s R, then back substitution through R;
+    no inverse is formed.
+    """
+    size = len(rows)
+    sparse_rows = [{b: v for b, v in enumerate(row) if v} for row in rows]
+    out = []
+    for g in pencil:
+        # Rows of G_s R as sparse dicts; a zero entry of G_s costs nothing.
+        x: list[dict[int, Fraction]] = []
+        for line in g:
+            acc: dict[int, Fraction] = {}
+            for c, v in enumerate(line):
+                if v:
+                    for b, r in sparse_rows[c].items():
+                        acc[b] = acc.get(b, _ZERO) + v * r
+            x.append(acc)
+        # Solve R X = G_s R from the last row up; R's diagonal is 1.
+        for i in range(size - 2, -1, -1):
+            acc = x[i]
+            for j, c in sparse_rows[i].items():
+                if j > i:
+                    for b, v in x[j].items():
+                        acc[b] = acc.get(b, _ZERO) - c * v
+        out.append([[acc.get(b, _ZERO) for b in range(size)] for acc in x])
+    return out
+
+
 def _pencil_value(pencil: Sequence[RatMatrix], point: Sequence[Fraction]) -> RatMatrix:
     size = len(pencil[0])
     out = [[point[0] if a == b else _ZERO for b in range(size)] for a in range(size)]
@@ -362,7 +405,11 @@ def certify(h: Poly, e: Sequence[RationalLike], options: CertifyOptions | None =
     which may indicate a real singularity), find the sum-of-squares
     decomposition, solve the symmetric lift, then replay the certificate
     exactly once: the replay's quotient det(pencil)/h_monic is the cofactor,
-    and a failed replay is CertifyError "self_verify".  The cofactor needs
+    and a failed replay is CertifyError "self_verify".  That determinant is
+    taken on the similar pencil R^-1 G_s R (_gram_basis_pencil, R from the
+    decomposition's LDL), whose denominators are far shorter than those of
+    the certificate's G_s; verify_certificate recomputes it on G.  The
+    certificate itself is unchanged by this.  The cofactor needs
     no check of its own: a pencil with D > 0, every D*G_i symmetric and value
     I at the direction has a hyperbolic determinant, and every factor of a
     hyperbolic polynomial is hyperbolic (Gårding 1959).
@@ -393,7 +440,7 @@ def certify(h: Poly, e: Sequence[RationalLike], options: CertifyOptions | None =
         cofactor=None,
         multiplier=dec.multiplier,
     )
-    diagnostics, cert.cofactor = _replay(cert)
+    diagnostics, cert.cofactor = _replay(cert, _gram_basis_pencil(pencil, dec.rows))
     if diagnostics:  # pragma: no cover - would be a soundness bug
         raise CertifyError("self_verify", "; ".join(diagnostics))
     return cert
@@ -409,15 +456,20 @@ def verify_certificate(cert: DetRepCertificate) -> tuple[bool, list[str]]:
     are reported as diagnostics, never raised.  The SDP and the sampling
     stages are deliberately not replayed.
     """
-    diagnostics, _ = _replay(cert)
+    diagnostics, _ = _replay(cert, cert.pencil)
     return (not diagnostics, diagnostics)
 
 
-def _replay(cert: DetRepCertificate) -> tuple[list[str], Optional[Poly]]:
+def _replay(
+    cert: DetRepCertificate, det_pencil: Sequence[RatMatrix]
+) -> tuple[list[str], Optional[Poly]]:
     """Checks (a)-(d) of verify_certificate and the quotient det/h_monic.
 
-    Check (c) compares the quotient with cert.cofactor, unless that is None,
-    as it is while certify builds the certificate.
+    Check (c) takes the determinant of det_pencil, which is cert.pencil in
+    verify_certificate and a pencil similar to it in certify; checks (a),
+    (b) and (d) read cert.pencil.  Check (c) compares the quotient with
+    cert.cofactor, unless that is None, as it is while certify builds the
+    certificate.
     """
     diagnostics: list[str] = []
     quotient = None
@@ -451,7 +503,7 @@ def _replay(cert: DetRepCertificate) -> tuple[list[str], Optional[Poly]]:
             if lead == 0:
                 diagnostics.append("(c) transformed polynomial vanishes at (1,0,...,0)")
             else:
-                quotient = extract_cofactor(pencil_determinant(cert.pencil), h_norm * (1 / lead))
+                quotient = extract_cofactor(pencil_determinant(det_pencil), h_norm * (1 / lead))
                 if cert.cofactor is not None and quotient != cert.cofactor:
                     diagnostics.append("(c) pencil determinant differs from cofactor * h_monic")
         except NotDivisible:

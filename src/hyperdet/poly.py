@@ -419,6 +419,23 @@ def exact_divide(f: Poly, g: Poly) -> Poly:
     return Poly(f.nvars, quotient)
 
 
+def _power_table(bases: list, one):
+    """power(i, k) = bases[i]^k, each power one product from the one below.
+
+    The powers of each base are cached in a list grown by a loop, so an
+    exponent costs no recursion depth.
+    """
+    tables = [[one] for _ in bases]
+
+    def power(i: int, k: int):
+        table = tables[i]
+        while len(table) <= k:
+            table.append(table[-1] * bases[i])
+        return table[k]
+
+    return power
+
+
 def substitute_line(h: Poly, e: Sequence[RationalLike], v: Sequence[RationalLike]) -> UniPoly:
     """Expand h(t*e + v) exactly as a univariate polynomial in t."""
     ev = as_point(e)
@@ -426,18 +443,7 @@ def substitute_line(h: Poly, e: Sequence[RationalLike], v: Sequence[RationalLike
     if len(ev) != h.nvars or len(vv) != h.nvars:
         raise DimensionMismatch("direction/offset length must match the variable count")
     # (e_i t + v_i)^k expanded once per needed power, cached per variable.
-    lines = [UniPoly([vv[i], ev[i]]) for i in range(h.nvars)]
-    cache: dict[tuple[int, int], UniPoly] = {}
-
-    def line_power(i: int, k: int) -> UniPoly:
-        key = (i, k)
-        if key not in cache:
-            if k == 0:
-                cache[key] = UniPoly([1])
-            else:
-                cache[key] = line_power(i, k - 1) * lines[i]
-        return cache[key]
-
+    line_power = _power_table([UniPoly([vv[i], ev[i]]) for i in range(h.nvars)], UniPoly([1]))
     total = UniPoly()
     for mono, c in h._terms.items():
         term = UniPoly([c])
@@ -456,16 +462,7 @@ def apply_linear(p: Poly, matrix: Sequence[Sequence[RationalLike]]) -> Poly:
         raise DimensionMismatch("substitution matrix must be square of size nvars")
     images = [Poly(n, {tuple(0 if j != k else 1 for k in range(n)): rows[i][j]
                        for j in range(n) if rows[i][j] != 0}) for i in range(n)]
-    cache: dict[tuple[int, int], Poly] = {}
-
-    def image_power(i: int, k: int) -> Poly:
-        key = (i, k)
-        if key not in cache:
-            if k == 0:
-                cache[key] = Poly.one(n)
-            else:
-                cache[key] = image_power(i, k - 1) * images[i]
-        return cache[key]
+    image_power = _power_table(images, Poly.one(n))
 
     total = Poly.zero(n)
     for mono, c in p._terms.items():

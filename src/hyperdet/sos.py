@@ -57,6 +57,11 @@ class SosDecomposition:
     positive pivots are the only positive-definiteness test it passed; the
     vectors span the degree-k piece.  It is not replayed here: the
     certificate replay in verify_certificate is the soundness gate.
+
+    rows is the unit upper-triangular factor R of gram = R^T diag(weights) R
+    that the search's one LDL^T returned: row i is vectors[i] in the
+    monomial basis of the degree-k piece.  certify conjugates the lifted
+    pencil by it back to that basis.
     """
 
     ell: int
@@ -65,6 +70,7 @@ class SosDecomposition:
     weights: list[Fraction]
     vectors: list[QuotientElement]
     gram: RatMatrix
+    rows: RatMatrix
 
 
 def r_monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
@@ -269,6 +275,7 @@ def find_sos_decomposition(
                     weights=weights,
                     vectors=_vectors_from_ldl(ctx, basis, rows),
                     gram=gram,
+                    rows=rows,
                 )
     # Every level records at least one failure, so the list is never empty.
     raise Exhausted(ell_max, f"no exact decomposition up to ell={ell_max} ({'; '.join(failures)})")

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import hyperdet.detrep
 import hyperdet.hyperbolicity
-from hyperdet import parse_poly
+from hyperdet import DetRepCertificate, parse_poly
 from hyperdet.cli import main
 
 
@@ -165,6 +166,7 @@ def _without(data, key):
     (lambda data: {**data, "N": 3.5}, "field 'N'"),
     (lambda data: {**data, "e": "100"}, "field 'e'"),
     (lambda data: {**data, "T": ["100", "010", "001"]}, "field 'T'"),
+    (lambda data: {**data, "T": [["1", "0"], ["0", "1"], ["0", "0"]]}, "field 'T': must be a 3x3"),
     (lambda data: [data], "JSON object"),
     (lambda data: {**data, "schema": "hyperdet/0"}, "schema"),
 ])
@@ -317,6 +319,27 @@ def test_golden_pencil_entries_stay_short(capsys):
     values += [Fraction(x) for g in data["G"] for row in g for x in row]
     values += [c for _, c in parse_poly(data["cofactor"], 3).terms()]
     assert max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in values) <= 128
+
+
+def test_certify_takes_its_determinant_on_the_gram_basis_pencil(capsys, monkeypatch):
+    # certify's one determinant runs on the similar pencil R^-1 G_s R, not
+    # on the certificate's G_s: the same determinant over a far shorter
+    # common denominator (243 bits for the G_s of the N=6 certificate).
+    seen = []
+    determinant = hyperdet.detrep.pencil_determinant
+
+    def recorded(pencil):
+        seen.append(pencil)
+        return determinant(pencil)
+
+    monkeypatch.setattr(hyperdet.detrep, "pencil_determinant", recorded)
+    poly, direction, _ = GOLDEN_CERTIFICATES[3]
+    code, out, err = run(capsys, "certify", "--poly", poly, "--e", direction)
+    assert code == 0, err
+    [pencil] = seen
+    lcm = math.lcm(*(x.denominator for g in pencil for row in g for x in row))
+    assert lcm.bit_length() <= 64
+    assert determinant(pencil) == determinant(DetRepCertificate.from_json(out).pencil)
 
 
 def test_rank_deficient_quadric_is_refused(capsys):

@@ -18,9 +18,11 @@ from hyperdet import (
     QuotientContext,
     QuotientElement,
     SosDecomposition,
+    apply_linear,
     certify,
     extract_cofactor,
     find_sos_decomposition,
+    invert_matrix,
     parse_poly,
     pencil_determinant,
     solve_symmetric_lift,
@@ -80,6 +82,7 @@ def test_lift_rejects_non_spanning_vectors():
             QuotientElement((Poly.zero(3), Poly.one(3))),
         ],
         gram=[[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]],
+        rows=[[F(1), F(0), F(0)], [F(2), F(0), F(0)], [F(0), F(0), F(1)]],
     )
     with pytest.raises(NoSymmetricLift):
         solve_symmetric_lift(ctx, fake)
@@ -297,6 +300,28 @@ def test_renegar_quartic_certifies_at_level_zero():
     assert cert.multiplier == Poly.one(3)
     assert cert.size == 10
     assert verify_certificate(cert) == (True, [])
+
+
+def test_degree_five_pencil_determinant_certifies_in_seconds():
+    # North-star gate: an HV quintic in 3 variables certifies at ell=0 with
+    # N=15.  A full verify replay takes tens of seconds at this size, so the
+    # identity det(pencil) = cofactor * h_monic is checked at three integer
+    # points with the scalar Bareiss determinant instead.
+    h = random_pencil_determinant(random.Random(5001), 3, 5)
+    start = time.perf_counter()
+    cert = certify(h, (1, 0, 0))
+    assert time.perf_counter() - start < 10
+    assert cert.multiplier == Poly.one(3)
+    assert cert.size == 15
+    h_norm = apply_linear(h, invert_matrix(cert.transform))
+    h_monic = h_norm * (1 / h_norm.coeff((5, 0, 0)))
+    for point in [(2, 1, -1), (3, -2, 5), (-1, 4, 7)]:
+        value = [
+            [point[0] * (a == b) - sum(point[s + 1] * g[a][b] for s, g in enumerate(cert.pencil))
+             for b in range(cert.size)]
+            for a in range(cert.size)
+        ]
+        assert bareiss_determinant(value) == cert.cofactor.evaluate(point) * h_monic.evaluate(point)
 
 
 # -- verify_certificate ---------------------------------------------------------------

@@ -275,8 +275,15 @@ def pencil_determinant(pencil: Sequence[RatMatrix]) -> Poly:
 
     The determinant is the characteristic polynomial of A(x) = sum_s x_s G_s
     in x0.  It is computed in one division-free Berkowitz pass over the ring
-    of integer polynomials in x1..xn, on L*A where L is the lcm of the
-    pencil's denominators; the x0^(N-i) coefficient is then divided by L^i.
+    of integer polynomials in x1..xn, on L*A' where A' = diag(rho) A
+    diag(rho)^-1 and L is the lcm of A''s denominators; the x0^(N-i)
+    coefficient is then divided by L^i.  rho_a is the lcm of the
+    denominators in row a of every G_s, so rho_a * G_s[a][b] is an integer
+    and the entry (a, b) of A' has a denominator dividing rho_b alone.  A
+    similarity leaves the determinant unchanged.  When each entry's
+    denominator carries factors of both its row and its column, as in a
+    lifted certificate pencil, L drops the row factors and has about half
+    the bits of the lcm of the entries of A.
     """
     if not pencil or not pencil[0]:
         raise ValueError("pencil must contain at least one non-empty matrix")
@@ -285,13 +292,21 @@ def pencil_determinant(pencil: Sequence[RatMatrix]) -> Poly:
         if len(g) != size or any(len(row) != size for row in g):
             raise ValueError("pencil matrices must be square and equally sized")
     n = len(pencil)
-    scale = math.lcm(*(x.denominator for g in pencil for row in g for x in row))
+    rho = [math.lcm(*(g[a][b].denominator for g in pencil for b in range(size)))
+           for a in range(size)]
+    # rho_a * G_s[a][b], an integer; entry (a, b) of A'_s is it over rho_b.
+    ints = [[[x.numerator * (r // x.denominator) for x in row] for row, r in zip(g, rho)]
+            for g in pencil]
+    # The reduced common denominator of column b of A'.
+    dens = [r // math.gcd(r, *(m[a][b] for m in ints for a in range(size)))
+            for b, r in enumerate(rho)]
+    scale = math.lcm(*dens)
     # A monomial x1^e1..xn^en is packed as the int sum e_s * base^(s-1), so
     # multiplying monomials adds keys; no exponent reaches base = N+1.
     base = size + 1
     mat = [
         [
-            {base**s: int(g[a][b] * scale) for s, g in enumerate(pencil) if g[a][b]}
+            {base**s: m[a][b] * scale // rho[b] for s, m in enumerate(ints) if m[a][b]}
             for b in range(size)
         ]
         for a in range(size)

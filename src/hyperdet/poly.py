@@ -13,6 +13,7 @@ canonical text form.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -419,21 +420,35 @@ def exact_divide(f: Poly, g: Poly) -> Poly:
     return Poly(f.nvars, quotient)
 
 
-def _power_table(bases: list, one):
-    """power(i, k) = bases[i]^k, each power one product from the one below.
+def _linear_power(coeffs: Sequence[Fraction], k: int) -> dict[Monomial, Fraction]:
+    """Terms of (c_0*y_0 + ... + c_m*y_m)^k, k >= 1, by the multinomial theorem.
 
-    The powers of each base are cached in a list grown by a loop, so an
-    exponent costs no recursion depth.
+    Each term is k!/(k_0!..k_m!) * prod c_j^k_j, built from powers of the
+    coefficients' numerators and denominators and reduced once; no lower
+    power of the form is expanded.  A variable whose coefficient is zero
+    keeps exponent 0, so a form in r variables gives C(k+r-1, r-1) terms.
     """
-    tables = [[one] for _ in bases]
+    support = [(j, c.numerator, c.denominator) for j, c in enumerate(coeffs) if c]
+    exps = [0] * len(coeffs)
+    out: dict[Monomial, Fraction] = {}
+    if not support:
+        return out
 
-    def power(i: int, k: int):
-        table = tables[i]
-        while len(table) <= k:
-            table.append(table[-1] * bases[i])
-        return table[k]
+    def expand(pos: int, rest: int, num: int, den: int) -> None:
+        j, a, b = support[pos]
+        if pos == len(support) - 1:
+            exps[j] = rest
+            out[tuple(exps)] = Fraction(num * a**rest, den * b**rest)
+        else:
+            binom = 1  # C(rest, e)
+            for e in range(rest + 1):
+                exps[j] = e
+                expand(pos + 1, rest - e, num * binom * a**e, den * b**e)
+                binom = binom * (rest - e) // (e + 1)
+        exps[j] = 0
 
-    return power
+    expand(0, k, 1, 1)
+    return out
 
 
 def substitute_line(h: Poly, e: Sequence[RationalLike], v: Sequence[RationalLike]) -> UniPoly:
@@ -442,8 +457,15 @@ def substitute_line(h: Poly, e: Sequence[RationalLike], v: Sequence[RationalLike
     vv = as_point(v)
     if len(ev) != h.nvars or len(vv) != h.nvars:
         raise DimensionMismatch("direction/offset length must match the variable count")
-    # (e_i t + v_i)^k expanded once per needed power, cached per variable.
-    line_power = _power_table([UniPoly([vv[i], ev[i]]) for i in range(h.nvars)], UniPoly([1]))
+
+    @functools.cache
+    def line_power(i: int, k: int) -> UniPoly:
+        """(e_i*t + v_i)^k by the binomial theorem, once per power h uses."""
+        coeffs = [_ZERO] * (k + 1)
+        for (_, j), c in _linear_power((vv[i], ev[i]), k).items():
+            coeffs[j] = c
+        return UniPoly(coeffs)
+
     total = UniPoly()
     for mono, c in h._terms.items():
         term = UniPoly([c])
@@ -460,9 +482,11 @@ def apply_linear(p: Poly, matrix: Sequence[Sequence[RationalLike]]) -> Poly:
     rows = [as_point(row) for row in matrix]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise DimensionMismatch("substitution matrix must be square of size nvars")
-    images = [Poly(n, {tuple(0 if j != k else 1 for k in range(n)): rows[i][j]
-                       for j in range(n) if rows[i][j] != 0}) for i in range(n)]
-    image_power = _power_table(images, Poly.one(n))
+
+    @functools.cache
+    def image_power(i: int, k: int) -> Poly:
+        """(A*y)_i^k by the multinomial theorem, once per power p uses."""
+        return Poly(n, _linear_power(rows[i], k))
 
     total = Poly.zero(n)
     for mono, c in p._terms.items():

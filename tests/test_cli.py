@@ -342,6 +342,30 @@ def test_certify_takes_its_determinant_on_the_gram_basis_pencil(capsys, monkeypa
     assert determinant(pencil) == determinant(DetRepCertificate.from_json(out).pencil)
 
 
+def test_verify_takes_its_determinant_on_a_row_balanced_pencil(capsys, tmp_path, monkeypatch):
+    # verify's determinant conjugates G_s by the diagonal of its row lcms
+    # before the integer Berkowitz pass: on the N=6 certificate the widest
+    # integer handed to Berkowitz is 183 bits, against 245 when G_s is
+    # scaled by the lcm of all its denominators.
+    poly, direction, _ = GOLDEN_CERTIFICATES[3]
+    path = tmp_path / "cert.json"
+    code, out, err = run(capsys, "certify", "--poly", poly, "--e", direction,
+                         "--output", str(path))
+    assert code == 0, err
+    widest = []
+    charpoly = hyperdet.detrep._berkowitz_charpoly
+
+    def recorded(mat):
+        widest.append(max(abs(c).bit_length() for row in mat for f in row for c in f.values()))
+        return charpoly(mat)
+
+    monkeypatch.setattr(hyperdet.detrep, "_berkowitz_charpoly", recorded)
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert code == 0, err
+    [bits] = widest
+    assert bits <= 200
+
+
 def test_rank_deficient_quadric_is_refused(capsys):
     # Rank-deficient 4-variable quadric: no level has a positive margin or a
     # PD rounding, and the refusal names pivots by bit length, not value.  A
@@ -359,6 +383,16 @@ def test_rank_deficient_quadric_is_refused(capsys):
     assert len(err.encode()) < 4096
     for ell in range(5):
         assert err.count(f"ell={ell}: no positive-definiteness margin") <= 1
+
+
+def test_high_exponent_check_is_quick(capsys):
+    # Each line power (e_i*t + v_i)^1000 comes from the binomial theorem,
+    # not from the 999 powers below it.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--poly", "x0^1000 - x1^1000", "--e", "1,0")
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert json.loads(out)["hyperbolicity"]["status"] == "NotHyperbolic"
 
 
 def test_text_format(capsys):

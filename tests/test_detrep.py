@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperdet import (
     CertifyError,
@@ -121,27 +123,59 @@ def test_pencil_determinant_zero_matrices():
     assert pencil_determinant([zero]) == P("x0^2", 2)
 
 
+def _pencil_matrix(pencil):
+    """x0*I - sum_s x_s G_s as a matrix of Polys, for the Leibniz oracle."""
+    n = len(pencil)
+    size = len(pencil[0])
+    mat = []
+    for a in range(size):
+        row = []
+        for b in range(size):
+            terms = {}
+            if a == b:
+                terms[(1,) + (0,) * n] = F(1)
+            for s in range(n):
+                if pencil[s][a][b]:
+                    mono = tuple(1 if k == s + 1 else 0 for k in range(n + 1))
+                    terms[mono] = terms.get(mono, F(0)) - pencil[s][a][b]
+            row.append(Poly(n + 1, terms))
+        mat.append(row)
+    return mat
+
+
 def test_pencil_determinant_matches_leibniz():
     rng = random.Random(77)
     for _ in range(12):
         size = rng.randint(1, 6)
         n = rng.randint(1, 4)
         pencil = [random_symmetric_rational(rng, size) for _ in range(n)]
-        result = pencil_determinant(pencil)
-        mat = []
-        for a in range(size):
-            row = []
-            for b in range(size):
-                terms = {}
-                if a == b:
-                    terms[(1,) + (0,) * n] = F(1)
-                for s in range(n):
-                    if pencil[s][a][b]:
-                        mono = tuple(1 if k == s + 1 else 0 for k in range(n + 1))
-                        terms[mono] = terms.get(mono, F(0)) - pencil[s][a][b]
-                row.append(Poly(n + 1, terms))
-            mat.append(row)
-        assert result == leibniz_determinant(mat)
+        assert pencil_determinant(pencil) == leibniz_determinant(_pencil_matrix(pencil))
+
+
+@st.composite
+def conjugated_pencils(draw):
+    """(pencil, diag(sigma) G_s diag(sigma)^-1 for every G_s), size 1-4."""
+    size = draw(st.integers(1, 4))
+    entries = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 8))
+    pencil = [[[draw(entries) for _ in range(size)] for _ in range(size)]
+              for _ in range(draw(st.integers(1, 3)))]
+    wide = st.builds(Fraction, st.integers(-2**40, 2**40).filter(bool), st.integers(1, 2**64))
+    sigma = [draw(wide) for _ in range(size)]
+    conjugated = [[[sigma[a] * g[a][b] / sigma[b] for b in range(size)] for a in range(size)]
+                  for g in pencil]
+    return pencil, conjugated
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugated_pencils())
+def test_pencil_determinant_is_invariant_under_diagonal_similarity(drawn):
+    # pencil_determinant balances the pencil by its row lcms before the
+    # integer pass; a pencil already conjugated by a diagonal with wide
+    # denominators must still give the one determinant, the Leibniz sum's.
+    pencil, conjugated = drawn
+    expected = leibniz_determinant(_pencil_matrix(pencil))
+    assert pencil_determinant(pencil) == expected
+    assert pencil_determinant(conjugated) == expected
 
 
 def test_pencil_determinant_matches_scalar_bareiss_at_points():
@@ -304,9 +338,10 @@ def test_renegar_quartic_certifies_at_level_zero():
 
 def test_degree_five_pencil_determinant_certifies_in_seconds():
     # North-star gate: an HV quintic in 3 variables certifies at ell=0 with
-    # N=15.  A full verify replay takes tens of seconds at this size, so the
-    # identity det(pencil) = cofactor * h_monic is checked at three integer
-    # points with the scalar Bareiss determinant instead.
+    # N=15.  A full verify replay of this certificate takes 8.5-12 s on a
+    # 2-core VM (CI runs it through the CLI), so here the identity
+    # det(pencil) = cofactor * h_monic is checked at three integer points
+    # with the scalar Bareiss determinant instead.
     h = random_pencil_determinant(random.Random(5001), 3, 5)
     start = time.perf_counter()
     cert = certify(h, (1, 0, 0))

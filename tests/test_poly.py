@@ -179,8 +179,9 @@ def test_normalize_direction_spec_substitution():
 
 
 def test_apply_linear_at_a_high_exponent():
-    # Powers are built in a loop, not by recursion: exponent 1500 is past
-    # the interpreter's recursion limit.  x0 = y0 + y1, x1 = 2*y1, x2 = y2
+    # Powers come from the multinomial theorem, whose recursion runs over
+    # the variables, not the exponent: exponent 1500 is past the
+    # interpreter's recursion limit.  x0 = y0 + y1, x1 = 2*y1, x2 = y2
     # turn x0^2*x1^1500 - x2^1500 into 2^1500*(y0 + y1)^2*y1^1500 - y2^1500.
     scale = Fraction(2**1500)
     expected = Poly(3, {(2, 1500, 0): scale, (1, 1501, 0): 2 * scale,
@@ -190,7 +191,7 @@ def test_apply_linear_at_a_high_exponent():
 
 
 def test_substitute_line_at_a_high_exponent():
-    # The line powers are built in the same loop: with e = (1, 0) and
+    # The line powers come from the binomial theorem: with e = (1, 0) and
     # v = (1, 2), x0^2*x1^1500 - x1^1502 restricts to 2^1500*((t+1)^2 - 4).
     scale = Fraction(2**1500)
     restricted = substitute_line(P("x0^2*x1^1500 - x1^1502"), (1, 0), (1, 2))

@@ -29,6 +29,7 @@ from .detrep import (
 )
 from .errors import HyperdetError, InputError
 from .hyperbolicity import (
+    DEFAULT_NUM_SAMPLES,
     NOT_HYPERBOLIC,
     SINGULAR_SUSPECTED,
     check_hyperbolic_sampled,
@@ -36,6 +37,8 @@ from .hyperbolicity import (
 )
 from .poly import Poly, as_point, normalize_direction, parse_poly
 from .quotient import QuotientContext, bezoutian_of, delta_bezoutian
+from .sdp import DEFAULT_TOL
+from .sos import DEFAULT_DENOMINATOR_BOUND, DEFAULT_ELL_MAX
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
@@ -79,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="sampled hyperbolicity and PD-witness checks")
     add_common(p_check)
-    p_check.add_argument("--samples", type=_POSITIVE_INT, default=64)
+    p_check.add_argument("--samples", type=_POSITIVE_INT, default=DEFAULT_NUM_SAMPLES)
     p_check.add_argument("--seed", type=int, default=0)
 
     p_bez = sub.add_parser("bezoutian", help="serialize the basic Bézoutian forms")
@@ -87,10 +90,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="produce a verified certificate")
     add_common(p_cert)
-    p_cert.add_argument("--lmax", type=_NON_NEGATIVE_INT, default=4)
-    p_cert.add_argument("--sdp-tol", type=_POSITIVE_FLOAT, default=1e-8)
-    p_cert.add_argument("--denominator-bound", type=_POSITIVE_INT, default=2**32)
-    p_cert.add_argument("--samples", type=_POSITIVE_INT, default=64)
+    p_cert.add_argument("--lmax", type=_NON_NEGATIVE_INT, default=DEFAULT_ELL_MAX)
+    p_cert.add_argument("--sdp-tol", type=_POSITIVE_FLOAT, default=DEFAULT_TOL)
+    p_cert.add_argument("--denominator-bound", type=_POSITIVE_INT,
+                        default=DEFAULT_DENOMINATOR_BOUND)
+    p_cert.add_argument("--samples", type=_POSITIVE_INT, default=DEFAULT_NUM_SAMPLES)
     p_cert.add_argument("--seed", type=int, default=0)
 
     p_ver = sub.add_parser("verify", help="replay a certificate file")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -38,6 +39,7 @@ from .poly import (
     parse_poly,
 )
 from .quotient import QuotientContext, QuotientElement
+from .sdp import DEFAULT_TOL
 from .sos import (
     DEFAULT_DENOMINATOR_BOUND,
     DEFAULT_ELL_MAX,
@@ -57,15 +59,22 @@ class CertifyOptions:
 
     lmax caps the multiplier exponent, sdp_tol and denominator_bound steer
     the SDP and its rounding grid, num_samples and seed the PD-witness check.
+    A value of the wrong type or out of range raises InputError.
     """
 
     lmax: int = DEFAULT_ELL_MAX
-    sdp_tol: float = 1e-8
+    sdp_tol: float = DEFAULT_TOL
     denominator_bound: int = DEFAULT_DENOMINATOR_BOUND
     num_samples: int = DEFAULT_NUM_SAMPLES
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("lmax", "denominator_bound", "num_samples", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InputError(f"{name} must be an int, got {value!r}")
+        if not isinstance(self.sdp_tol, numbers.Real) or isinstance(self.sdp_tol, bool):
+            raise InputError(f"sdp_tol must be a real number, got {self.sdp_tol!r}")
         if self.lmax < 0:
             raise InputError(f"lmax must be non-negative, got {self.lmax}")
         if not 0 < self.sdp_tol < math.inf:
@@ -250,12 +259,11 @@ def solve_symmetric_lift(
                 rows.append({u: c for u, c in per_row[pos].items() if c})
                 rhs.append(target.get(pos, _ZERO))
 
-    result = solve_sparse_system(rows, rhs, n * per_s)
-    if not result.consistent:
+    values = solve_sparse_system(rows, rhs, n * per_s)
+    if values is None:
         raise NoSymmetricLift(
             "no weighted-symmetric solution: the decomposition vectors do not span"
         )
-    values = result.values
     pencil: list[RatMatrix] = []
     for s in range(n):
         g = [[_ZERO] * m for _ in range(m)]

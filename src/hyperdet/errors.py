@@ -36,10 +36,6 @@ class SingularMatrix(HyperdetError):
     """A matrix expected to be invertible is singular."""
 
 
-class DegreeViolation(HyperdetError):
-    """Univariate degrees violate a precondition (e.g. deg g >= deg f)."""
-
-
 class ZeroPolynomial(HyperdetError):
     """The zero polynomial was passed where a nonzero one is required."""
 

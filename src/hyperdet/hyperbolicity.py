@@ -101,15 +101,6 @@ def _distinct_real_roots(chain: Sequence[UniPoly]) -> int:
     return _sign_variations(at_minus) - _sign_variations(at_plus)
 
 
-def count_real_roots(f: UniPoly) -> int:
-    """Number of distinct real roots, exact."""
-    if f.is_zero:
-        raise ZeroPolynomial("cannot count roots of the zero polynomial")
-    if f.degree == 0:
-        return 0
-    return _distinct_real_roots(sturm_chain(f))
-
-
 def is_real_rooted(f: UniPoly) -> bool:
     """True iff every complex root is real (multiplicities allowed).
 

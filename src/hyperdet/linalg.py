@@ -30,43 +30,9 @@ def transpose(m: RatMatrix) -> RatMatrix:
     return [list(col) for col in zip(*m)]
 
 
-def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), _ZERO) for col in bt] for row in a]
-
-
 def is_symmetric(m: RatMatrix) -> bool:
     n = len(m)
     return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
-
-
-def bareiss_determinant(matrix: Sequence[Sequence[RationalLike]]) -> Fraction:
-    """Fraction-free determinant by Bareiss elimination with row swaps."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    m = rat_matrix(matrix)
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if swap is None:
-                return _ZERO
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
-            m[i][k] = _ZERO
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def leading_principal_minors(matrix: Sequence[Sequence[RationalLike]]) -> list[Fraction]:
-    """Determinants of the leading k x k blocks, k = 1..n."""
-    m = rat_matrix(matrix)
-    return [bareiss_determinant([row[: k + 1] for row in m[: k + 1]]) for k in range(len(m))]
 
 
 def ldl_decompose(matrix: Sequence[Sequence[RationalLike]]) -> tuple[list[Fraction], RatMatrix]:
@@ -102,34 +68,16 @@ def ldl_decompose(matrix: Sequence[Sequence[RationalLike]]) -> tuple[list[Fracti
     return d, transpose(lower)
 
 
-def is_positive_definite(matrix: Sequence[Sequence[RationalLike]]) -> bool:
-    try:
-        ldl_decompose(matrix)
-    except NotPD:
-        return False
-    return True
-
-
-class SparseSolveResult:
-    """Outcome of a sparse rational solve: solution or inconsistency proof."""
-
-    __slots__ = ("consistent", "values")
-
-    def __init__(self, consistent: bool, values: list[Fraction] | None):
-        self.consistent = consistent
-        self.values = values
-
-
 def solve_sparse_system(
     rows: Sequence[dict[int, Fraction]],
     rhs: Sequence[Fraction],
     num_unknowns: int,
-) -> SparseSolveResult:
+) -> list[Fraction] | None:
     """Gauss-Jordan elimination on sparse rational rows.
 
     Unknowns are eliminated in index order; free unknowns are fixed at zero,
-    which makes the returned solution deterministic.  Returns an inconsistent
-    result when some equation reduces to 0 = c with c != 0.
+    which makes the returned solution deterministic.  Returns None when the
+    system is inconsistent: some equation reduces to 0 = c with c != 0.
     """
     pivots: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
     for raw_row, raw_val in zip(rows, rhs):
@@ -151,7 +99,7 @@ def solve_sparse_system(
         row = {c: v for c, v in row.items() if v}
         if not row:
             if val != 0:
-                return SparseSolveResult(False, None)
+                return None
             continue
         col = min(row)
         inv = 1 / row[col]
@@ -174,7 +122,7 @@ def solve_sparse_system(
         # After full reduction the pivot row couples only free unknowns,
         # which are all zero, so the pivot value is immediate.
         values[col] = val
-    return SparseSolveResult(True, values)
+    return values
 
 
 def invert_matrix(matrix: Sequence[Sequence[RationalLike]]) -> RatMatrix:
@@ -186,7 +134,7 @@ def invert_matrix(matrix: Sequence[Sequence[RationalLike]]) -> RatMatrix:
     n = len(a)
     rows = [{k * n + j: a[i][k] for k in range(n) if a[i][k]} for i in range(n) for j in range(n)]
     rhs = [Fraction(i == j) for i in range(n) for j in range(n)]
-    result = solve_sparse_system(rows, rhs, n * n)
-    if not result.consistent:
+    values = solve_sparse_system(rows, rhs, n * n)
+    if values is None:
         raise SingularMatrix("matrix is not invertible")
-    return [result.values[k * n:(k + 1) * n] for k in range(n)]
+    return [values[k * n:(k + 1) * n] for k in range(n)]

@@ -137,9 +137,6 @@ class Poly:
         degs = {sum(m) for m in self._terms}
         return len(degs) <= 1
 
-    def is_homogeneous_of_degree(self, k: int) -> bool:
-        return all(sum(m) == k for m in self._terms)
-
     def degree_in(self, index: int) -> int:
         """Largest exponent of variable `index`; 0 for the zero polynomial."""
         if not self._terms:

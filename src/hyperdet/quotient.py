@@ -3,8 +3,7 @@
 For a homogeneous h of degree d with nonzero x0^d coefficient, the quotient
 of the full polynomial ring by (h) is free of rank d over the subring in
 x1..xn, with basis 1, x0bar, ..., x0bar^{d-1}.  This module provides exact
-reduction to that basis, the companion-style multiplication-by-x0 matrix,
-classical Bézout matrices of univariate pairs, and the d x d polynomial
+reduction to that basis, multiplication by x0bar, and the d x d polynomial
 matrices ("Bézoutian forms") obtained from difference quotients.
 """
 
@@ -14,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DegreeViolation, DimensionMismatch
+from .errors import DimensionMismatch
 from .linalg import RatMatrix
-from .poly import Poly, RationalLike, UniPoly, as_point
+from .poly import Poly, RationalLike, as_point
 
 _ZERO = Fraction(0)
 
@@ -87,15 +86,6 @@ class QuotientElement:
                 return c.degree + i
         return 0
 
-    def to_poly(self, ctx: QuotientContext) -> Poly:
-        x0 = Poly.variable(ctx.nvars, 0)
-        total = Poly.zero(ctx.nvars)
-        power = Poly.one(ctx.nvars)
-        for c in self.coeffs:
-            total = total + c * power
-            power = power * x0
-        return total
-
     def mult_by_x0(self, ctx: QuotientContext) -> "QuotientElement":
         """Multiply by x0bar: shift the basis powers and reduce the overflow."""
         d = ctx.d
@@ -127,44 +117,10 @@ def reduce_mod_h(ctx: QuotientContext, p: Poly) -> QuotientElement:
     return QuotientElement(tuple(parts))
 
 
-def mult_x0_matrix(ctx: QuotientContext) -> list[list[Poly]]:
-    """Matrix of multiplication by x0bar in the basis 1, ..., x0bar^{d-1}.
-
-    Companion style: ones on the subdiagonal, last column from the negated
-    lower coefficients of h.
-    """
-    d = ctx.d
-    zero = ctx.zero_r()
-    mat = [[zero for _ in range(d)] for _ in range(d)]
-    for j in range(d - 1):
-        mat[j + 1][j] = Poly.one(ctx.nvars)
-    for i in range(d):
-        mat[i][d - 1] = -ctx.h_coeffs[i]
-    return mat
-
-
-def bezout_matrix_univariate(f: UniPoly, g: UniPoly) -> RatMatrix:
-    """Symmetric d x d matrix from (f(s)g(t) - f(t)g(s)) / (s - t).
-
-    Entry (i, j) (0-indexed) is the coefficient of s^i t^j in the quotient.
-    Requires deg g < deg f = d >= 1; g may be zero.
-    """
-    d = f.degree
-    if d < 1:
-        raise DegreeViolation("f must have degree at least 1")
-    if g.degree >= d:
-        raise DegreeViolation("g must have degree strictly below deg f")
-    fc = list(f.coeffs)
-    gc = list(g.coeffs) + [_ZERO] * (d + 1 - len(g.coeffs))
-    # Numerator coefficients n[i][j] of s^i t^j.
-    num = [[fc[i] * gc[j] - fc[j] * gc[i] for j in range(d + 1)] for i in range(d + 1)]
-    return _divide_by_s_minus_t(num, d)
-
-
 def _divide_by_s_minus_t(num: list[list], d: int) -> list[list]:
     """Synthetic division of an antisymmetric (d+1) x (d+1) table by (s - t).
 
-    Entries are Fractions or x0-free Polys; the d x d quotient is returned.
+    Entries are x0-free Polys; the d x d quotient is returned.
     """
     quot = [None] * d
     carry = num[d]
@@ -230,28 +186,6 @@ def bezoutian_of(ctx: QuotientContext, p: Poly) -> BezoutianForm:
 def delta_bezoutian(ctx: QuotientContext) -> BezoutianForm:
     """The distinguished Bézoutian from (h(s) - h(t)) / (s - t)."""
     return bezoutian_of(ctx, Poly.one(ctx.nvars))
-
-
-def is_bezoutian(ctx: QuotientContext, entries: Sequence[Sequence[Poly]]) -> bool:
-    """True iff the matrix is symmetric and F B = B F^T for the x0 matrix."""
-    d = ctx.d
-    if len(entries) != d or any(len(row) != d for row in entries):
-        return False
-    for i in range(d):
-        for j in range(i + 1, d):
-            if entries[i][j] != entries[j][i]:
-                return False
-    f = mult_x0_matrix(ctx)
-    for i in range(d):
-        for j in range(d):
-            lhs = Poly.zero(ctx.nvars)
-            rhs = Poly.zero(ctx.nvars)
-            for k in range(d):
-                lhs = lhs + f[i][k] * entries[k][j]
-                rhs = rhs + entries[i][k] * f[j][k]
-            if lhs != rhs:
-                return False
-    return True
 
 
 def evaluate_form(form: BezoutianForm, v: Sequence[RationalLike]) -> RatMatrix:

@@ -26,7 +26,7 @@ from .errors import DegreeTooSmall, Exhausted, NotPD, RoundingFailed
 from .linalg import RatMatrix, ldl_decompose
 from .poly import Monomial, Poly, grlex_key
 from .quotient import BezoutianForm, QuotientContext, QuotientElement, bezoutian_of
-from .sdp import ExactConstraint, SdpProblem, solve_maxeig
+from .sdp import DEFAULT_TOL, ExactConstraint, SdpProblem, solve_maxeig
 
 DEFAULT_ELL_MAX = 4
 DEFAULT_DENOMINATOR_BOUND = 2**32
@@ -228,7 +228,7 @@ def _vectors_from_ldl(
 def find_sos_decomposition(
     ctx: QuotientContext,
     ell_max: int = DEFAULT_ELL_MAX,
-    sdp_tol: float = 1e-8,
+    sdp_tol: float = DEFAULT_TOL,
     denominator_bound: int = DEFAULT_DENOMINATOR_BOUND,
 ) -> SosDecomposition:
     """Escalate the multiplier exponent until an exact decomposition exists.

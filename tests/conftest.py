@@ -6,7 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from hyperdet import Poly, pencil_determinant
+from hyperdet import Poly
 
 
 def all_monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -71,10 +71,16 @@ def random_pencil_determinant(rng: random.Random, nvars: int, degree: int) -> Po
     """h = det(x0*I + x1*B_1 + ... + xn*B_n) for random symmetric rational B_i.
 
     Hyperbolic with respect to (1,0,...,0) by construction and monic in x0.
+    Expanded by leibniz_determinant, without the package's determinant code.
     """
     mats = [random_symmetric_rational(rng, degree) for _ in range(nvars - 1)]
-    negated = [[[-x for x in row] for row in b] for b in mats]
-    return pencil_determinant(negated)
+    x = [Poly.variable(nvars, s) for s in range(nvars)]
+
+    def entry(a: int, b: int) -> Poly:
+        start = x[0] if a == b else Poly.zero(nvars)
+        return sum((x[s + 1] * m[a][b] for s, m in enumerate(mats)), start)
+
+    return leibniz_determinant([[entry(a, b) for b in range(degree)] for a in range(degree)])
 
 
 def renegar_derivative(rng: random.Random, nvars: int, count: int) -> Poly:

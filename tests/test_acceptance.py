@@ -16,28 +16,17 @@ import numpy as np
 from hyperdet import (
     DetRepCertificate,
     Poly,
-    QuotientContext,
-    SdpProblem,
-    UniPoly,
-    bezout_matrix_univariate,
-    bezoutian_of,
     certify,
     check_hyperbolic_sampled,
-    evaluate_form,
-    find_sos_decomposition,
-    is_bezoutian,
-    is_real_rooted,
-    monomial_basis_Mk,
     parse_poly,
-    pd_witness_check,
-    pencil_determinant,
-    solve_maxeig,
-    substitute_line,
     verify_certificate,
 )
-from hyperdet.hyperbolicity import NOT_HYPERBOLIC
-from hyperdet.linalg import leading_principal_minors
-from hyperdet.sos import power_sum_multiplier
+from hyperdet.detrep import pencil_determinant
+from hyperdet.hyperbolicity import NOT_HYPERBOLIC, is_real_rooted, pd_witness_check
+from hyperdet.poly import UniPoly, substitute_line
+from hyperdet.quotient import QuotientContext, bezoutian_of, evaluate_form
+from hyperdet.sdp import SdpProblem, solve_maxeig
+from hyperdet.sos import find_sos_decomposition, monomial_basis_Mk, power_sum_multiplier
 
 from conftest import (
     all_monomials,
@@ -45,6 +34,7 @@ from conftest import (
     random_pencil_determinant,
     rational_rank,
 )
+from oracles import bezout_matrix_univariate, is_bezoutian, leading_principal_minors
 
 
 def P(text, nvars=None):

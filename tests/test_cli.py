@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import hyperdet.detrep
 import hyperdet.hyperbolicity
-from hyperdet import DetRepCertificate, parse_poly
-from hyperdet.cli import main
+from hyperdet import CertifyOptions, DetRepCertificate, parse_poly
+from hyperdet.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -146,6 +146,14 @@ def test_out_of_range_numeric_flag_is_a_usage_error(capsys, argv):
         main(list(argv))
     assert info.value.code == 2
     assert f"argument {argv[-2]}: must be" in capsys.readouterr().err
+
+
+def test_certify_flag_defaults_are_the_option_defaults():
+    args = _build_parser().parse_args(list(LORENTZ_CERTIFY))
+    defaults = CertifyOptions()
+    assert (args.lmax, args.sdp_tol, args.denominator_bound, args.samples, args.seed) == (
+        defaults.lmax, defaults.sdp_tol, defaults.denominator_bound,
+        defaults.num_samples, defaults.seed)
 
 
 def _lorentz_certificate(capsys, tmp_path) -> dict:

@@ -17,20 +17,15 @@ from hyperdet import (
     NoSymmetricLift,
     NotDivisible,
     Poly,
-    QuotientContext,
-    QuotientElement,
-    SosDecomposition,
-    apply_linear,
     certify,
-    extract_cofactor,
-    find_sos_decomposition,
-    invert_matrix,
     parse_poly,
-    pencil_determinant,
-    solve_symmetric_lift,
     verify_certificate,
 )
-from hyperdet.linalg import bareiss_determinant
+from hyperdet.detrep import extract_cofactor, pencil_determinant, solve_symmetric_lift
+from hyperdet.linalg import invert_matrix
+from hyperdet.poly import apply_linear
+from hyperdet.quotient import QuotientContext, QuotientElement
+from hyperdet.sos import SosDecomposition, find_sos_decomposition
 
 from conftest import (
     leibniz_determinant,
@@ -38,6 +33,7 @@ from conftest import (
     random_symmetric_rational,
     renegar_derivative,
 )
+from oracles import bareiss_determinant
 
 
 def P(text, nvars=None):
@@ -281,6 +277,13 @@ def test_certify_rejects_polynomials_outside_the_domain(h, e):
     ("sdp_tol", float("inf")),
     ("denominator_bound", 0),
     ("num_samples", -3),
+    ("denominator_bound", 2.5),
+    ("lmax", 1.5),
+    ("lmax", True),
+    ("sdp_tol", "1e-8"),
+    ("sdp_tol", True),
+    ("num_samples", 2.5),
+    ("seed", 0.5),
 ])
 def test_certify_options_reject_out_of_range_values(field, value):
     with pytest.raises(InputError, match=field):

@@ -7,19 +7,22 @@ import pytest
 
 from hyperdet import (
     DirectionVanishes,
-    QuotientContext,
-    UniPoly,
     ZeroPolynomial,
     check_hyperbolic_sampled,
-    count_real_roots,
-    is_real_rooted,
     parse_poly,
-    pd_witness_check,
-    substitute_line,
 )
-from hyperdet.hyperbolicity import HYPERBOLIC_SAMPLED, NOT_HYPERBOLIC, sample_directions
+from hyperdet.hyperbolicity import (
+    HYPERBOLIC_SAMPLED,
+    NOT_HYPERBOLIC,
+    is_real_rooted,
+    pd_witness_check,
+    sample_directions,
+)
+from hyperdet.poly import UniPoly, substitute_line
+from hyperdet.quotient import QuotientContext
 
 from conftest import random_pencil_determinant
+from oracles import count_real_roots, is_positive_definite
 
 
 def P(text, nvars=None):
@@ -149,8 +152,7 @@ def test_pd_witness_linear():
 def test_pd_witness_implies_real_rooted_restrictions():
     # Positive definiteness of the evaluated form at v certifies simple real
     # roots of the restriction; cross-check both paths.
-    from hyperdet import bezoutian_of, evaluate_form
-    from hyperdet.linalg import is_positive_definite
+    from hyperdet.quotient import bezoutian_of, evaluate_form
 
     rng = random.Random(29)
     for _ in range(10):

@@ -5,8 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hyperdet import SdpProblem, solve_maxeig
-from hyperdet.sdp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL
+from hyperdet.sdp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL, SdpProblem, solve_maxeig
 
 from conftest import exact_row
 

@@ -302,6 +302,41 @@ def test_certificate_bytes_are_pinned(capsys, poly, direction, digest):
     assert "float_pencil" not in json.loads(out)
 
 
+# sha256 of the check JSON on stdout, pinned so that both sampled verdicts,
+# their witnesses and sample counts stay the same across rewrites of the
+# real-root routine.  Three inputs pass, one is not hyperbolic along a tilted
+# direction, and two are singular.
+GOLDEN_CHECKS = [
+    ("x0^2 - x1^2 - x2^2", "2,1,0", 0,
+     "52fb44c4e5d01ed02c8214d09c50fff2fd780fc1cc23a82f4d7c8592770e0915"),
+    (GOLDEN_CERTIFICATES[2][0], "1,0,0", 0,
+     "52fb44c4e5d01ed02c8214d09c50fff2fd780fc1cc23a82f4d7c8592770e0915"),
+    (GOLDEN_CERTIFICATES[3][0], "1,0,0", 0,
+     "52fb44c4e5d01ed02c8214d09c50fff2fd780fc1cc23a82f4d7c8592770e0915"),
+    ("x0^2 + x1^2 + x2^2", "2,1,0", 1,
+     "cbbbc1aab63122f43e9d6ba0ef1a39a1761fad22e944fed585959b72530de4b2"),
+    ("x0*x1*x2", "1,1,1", 1,
+     "8c8063fd571e2b4b601d410d992828d5d0319df115b4ecb9529e76e106f980f2"),
+    ("x0^2 - x1^2", "1,0,0", 1,
+     "59fd81347eb9f00dcc15aae3e87b96e639a5c0f740c450a772a53fc352fe2627"),
+]
+
+
+@pytest.mark.parametrize("poly,direction,exit_code,digest", GOLDEN_CHECKS)
+def test_check_bytes_are_pinned(capsys, poly, direction, exit_code, digest):
+    code, out, err = run(capsys, "check", "--poly", poly, "--e", direction)
+    assert code == exit_code, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_certify_refusal_line_is_pinned(capsys):
+    code, out, err = run(capsys, "certify", "--poly", "x0*x1*x2", "--e", "1,1,1")
+    assert (code, out) == (1, "")
+    assert err == ("refused: [pd_witness] derivative Bézoutian not positive definite at "
+                   "v=('1', '0'); the polynomial is not hyperbolic or has a real "
+                   "singularity\n")
+
+
 def test_legacy_float_pencil_key_is_ignored(capsys, tmp_path):
     # Older certificates carried a float view of the pencil; they still load
     # under the same schema, and the exact replay ignores the floats.

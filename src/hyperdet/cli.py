@@ -133,7 +133,6 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
 
 def _run_check(args: argparse.Namespace) -> int:
     h, e = _read_poly(args)
-    h_norm, _ = normalize_direction(h, e)
     verdict = check_hyperbolic_sampled(h, e, args.samples, args.seed)
     payload: dict = {"schema": SCHEMA, "command": "check",
                      "hyperbolicity": verdict.to_json_dict()}
@@ -145,6 +144,7 @@ def _run_check(args: argparse.Namespace) -> int:
         payload["pd_witness"] = None
         exit_code = EXIT_REFUSED
     else:
+        h_norm, _ = normalize_direction(h, e)
         report = pd_witness_check(QuotientContext(h_norm), args.samples, args.seed)
         payload["pd_witness"] = report.to_json_dict()
         lines.append(f"pd_witness: {'ok' if report.ok else SINGULAR_SUSPECTED}")

@@ -1,10 +1,15 @@
 """Exact real-root counting and sampled hyperbolicity verdicts.
 
-Root counting is exact (Sturm chains over the rationals).  Hyperbolicity is
-certified asymmetrically: a NotHyperbolic verdict carries an exact witness
-line, while a HyperbolicSampled verdict only says no sampled line failed.
-The positive-definiteness witness check plays the same role for the
-smoothness hypothesis.
+Both sampled checks restrict h to a line in one way: they evaluate the x0
+coefficients of h_monic, the normalized h made monic in x0, at a point w of
+x1..xn, and read the integer Sturm chain of the univariate h_monic(t, w).
+Hyperbolicity asks that every root be real; the PD witness asks for d
+distinct real roots, which by Hermite's theorem is exactly positive
+definiteness of the derivative Bézoutian at w (Basu, Pollack & Roy,
+*Algorithms in Real Algebraic Geometry*, ch. 4).  The verdicts are
+asymmetric: a NotHyperbolic verdict carries an exact witness line, while a
+HyperbolicSampled verdict only says no sampled line failed.  The PD witness
+check plays the same role for the smoothness hypothesis.
 """
 
 from __future__ import annotations
@@ -12,12 +17,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Sequence
 
-from .errors import DirectionVanishes, NotPD, ZeroPolynomial
-from .linalg import ldl_decompose
-from .poly import Poly, RationalLike, UniPoly, as_point, substitute_line
-from .quotient import QuotientContext, bezoutian_of, evaluate_form
+from .errors import ZeroPolynomial
+from .poly import Poly, RationalLike, UniPoly, normalize_direction
+from .quotient import QuotientContext
 
 HYPERBOLIC_SAMPLED = "HyperbolicSampled"
 NOT_HYPERBOLIC = "NotHyperbolic"
@@ -55,38 +60,54 @@ class PdWitnessReport:
         return out
 
 
-def _primitive_signed(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """Scale by a positive rational so coefficients are small integers.
+def _primitive(coeffs: list[int]) -> list[int]:
+    """Divide an integer polynomial by its (positive) content."""
+    g = gcd(*coeffs)
+    return coeffs if g == 1 else [c // g for c in coeffs]
 
-    Positive scaling preserves every sign in a Sturm chain.
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of a mod b, computed over the integers.
+
+    Before each elimination step the running remainder is multiplied by
+    |lc(b)| / gcd(lead, lc(b)), which makes the quotient term an integer.
     """
-    nums = [c for c in coeffs if c != 0]
-    if not nums:
-        return list(coeffs)
-    from math import gcd
+    rem = list(a)
+    lead_b = b[-1]
+    while len(rem) >= len(b):
+        lead = rem[-1]
+        g = gcd(lead, lead_b)
+        scale = abs(lead_b) // g
+        if scale != 1:
+            rem = [c * scale for c in rem]
+        q = lead // g if lead_b > 0 else -(lead // g)
+        k = len(rem) - len(b)
+        for i, c in enumerate(b):
+            rem[k + i] -= q * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return rem
 
-    den_lcm = 1
-    for c in nums:
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    ints = [c * den_lcm for c in coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, int(c))
-    if g > 1:
-        ints = [c / g for c in ints]
-    return ints
 
+def sturm_chain(f: UniPoly) -> list[list[int]]:
+    """Sturm chain of a nonzero f as integer coefficient lists, lowest first.
 
-def sturm_chain(f: UniPoly) -> list[UniPoly]:
-    chain = [UniPoly(_primitive_signed(f.coeffs))]
-    deriv = f.derivative()
-    if not deriv.is_zero:
-        chain.append(UniPoly(_primitive_signed(deriv.coeffs)))
-        while chain[-1].degree > 0:
-            rem = chain[-2].divmod(chain[-1])[1]
-            if rem.is_zero:
+    A primitive pseudo-remainder sequence: f is scaled to a primitive integer
+    polynomial, and each entry after f' is the negated pseudo-remainder of
+    the two before it, divided by its content.  Every factor applied is
+    positive, so each entry is a positive multiple of the rational Euclidean
+    chain's and has the same signs, hence the same root counts.  The last
+    entry is a multiple of gcd(f, f').
+    """
+    den = lcm(*(c.denominator for c in f.coeffs))
+    chain = [_primitive([c.numerator * (den // c.denominator) for c in f.coeffs])]
+    if len(chain[0]) > 1:
+        chain.append(_primitive([i * c for i, c in enumerate(chain[0])][1:]))
+        while len(chain[-1]) > 1:
+            rem = _pseudo_remainder(chain[-2], chain[-1])
+            if not rem:
                 break
-            chain.append(UniPoly(_primitive_signed((-rem).coeffs)))
+            chain.append(_primitive([-c for c in rem]))
     return chain
 
 
@@ -95,9 +116,9 @@ def _sign_variations(signs: Sequence[int]) -> int:
     return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a * b < 0)
 
 
-def _distinct_real_roots(chain: Sequence[UniPoly]) -> int:
-    at_plus = [1 if p.leading > 0 else -1 for p in chain]
-    at_minus = [s * (-1) ** (p.degree % 2) for s, p in zip(at_plus, chain)]
+def _distinct_real_roots(chain: Sequence[Sequence[int]]) -> int:
+    at_plus = [1 if p[-1] > 0 else -1 for p in chain]
+    at_minus = [s if len(p) % 2 else -s for s, p in zip(at_plus, chain)]
     return _sign_variations(at_minus) - _sign_variations(at_plus)
 
 
@@ -113,7 +134,7 @@ def is_real_rooted(f: UniPoly) -> bool:
     if f.degree == 0:
         return True
     chain = sturm_chain(f)
-    return _distinct_real_roots(chain) == f.degree - chain[-1].degree
+    return _distinct_real_roots(chain) == f.degree - (len(chain[-1]) - 1)
 
 
 def sample_directions(dim: int, num_samples: int, seed: int) -> Iterator[tuple[Fraction, ...]]:
@@ -140,6 +161,12 @@ def sample_directions(dim: int, num_samples: int, seed: int) -> Iterator[tuple[F
         yield vec
 
 
+def _restriction(ctx: QuotientContext, w: Sequence[Fraction]) -> UniPoly:
+    """h_monic(t, w): the monic x0 coefficients of h evaluated at (0, w)."""
+    point = (Fraction(0),) + tuple(w)
+    return UniPoly([c.evaluate(point) for c in ctx.h_coeffs])
+
+
 def check_hyperbolic_sampled(
     h: Poly,
     e: Sequence[RationalLike],
@@ -150,15 +177,18 @@ def check_hyperbolic_sampled(
 
     Returns NotHyperbolic with the first failing offset (an exact disproof),
     or HyperbolicSampled when every sampled line passes (a heuristic verdict).
+    normalize_direction gives h_norm and T with T*e = (1,0,...,0), so
+    h(t*e + v) = h_norm(t + (T*v)_0, w) with w = (T*v)_1..n: the line through
+    v is h_monic(t, w) shifted in t and scaled by h(e), which changes no
+    root's realness.
     """
-    ev = as_point(e)
-    if h.evaluate(ev) == 0:
-        raise DirectionVanishes("polynomial vanishes at the direction")
+    h_norm, t_mat = normalize_direction(h, e)
+    ctx = QuotientContext(h_norm)
     used = 0
     for v in sample_directions(h.nvars, num_samples, seed):
         used += 1
-        restricted = substitute_line(h, ev, v)
-        if not is_real_rooted(restricted):
+        w = [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in t_mat[1:]]
+        if not is_real_rooted(_restriction(ctx, w)):
             return HyperbolicityVerdict(NOT_HYPERBOLIC, v, used)
     return HyperbolicityVerdict(HYPERBOLIC_SAMPLED, None, used)
 
@@ -170,17 +200,16 @@ def pd_witness_check(
 ) -> PdWitnessReport:
     """Check that the Bézoutian of dh/dx0 is positive definite at sampled v.
 
-    Positive definiteness at every nonzero v is the working proxy for
-    "hyperbolic and real-smooth"; a failure pinpoints a line whose
-    restriction has a repeated or complex root.
+    At v it is the Hermite matrix of h_monic(t, v), which is positive
+    definite exactly when h_monic(t, v) has d distinct real roots (Hermite),
+    so the check counts them with the Sturm chain.  Positive definiteness at
+    every nonzero v is the working proxy for "hyperbolic and real-smooth"; a
+    failure pinpoints a line whose restriction has a repeated or complex
+    root.
     """
-    omega = bezoutian_of(ctx, ctx.h.derivative(0))
     used = 0
     for v in sample_directions(ctx.n, num_samples, seed):
         used += 1
-        matrix = evaluate_form(omega, v)
-        try:
-            ldl_decompose(matrix)
-        except NotPD:
+        if _distinct_real_roots(sturm_chain(_restriction(ctx, v))) != ctx.d:
             return PdWitnessReport(False, v, used)
     return PdWitnessReport(True, None, used)

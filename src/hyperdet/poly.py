@@ -346,24 +346,6 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         return UniPoly([c * i for i, c in enumerate(self.coeffs)][1:])
 
-    def divmod(self, divisor: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        """Exact euclidean division; divisor must be nonzero."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dd = divisor.degree
-        lead = divisor.leading
-        quot = [_ZERO] * max(0, len(rem) - dd)
-        while len(rem) - 1 >= dd and rem:
-            k = len(rem) - 1 - dd
-            factor = rem[-1] / lead
-            quot[k] = factor
-            for i, c in enumerate(divisor.coeffs):
-                rem[k + i] -= factor * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return UniPoly(quot), UniPoly(rem)
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -446,31 +428,6 @@ def _linear_power(coeffs: Sequence[Fraction], k: int) -> dict[Monomial, Fraction
 
     expand(0, k, 1, 1)
     return out
-
-
-def substitute_line(h: Poly, e: Sequence[RationalLike], v: Sequence[RationalLike]) -> UniPoly:
-    """Expand h(t*e + v) exactly as a univariate polynomial in t."""
-    ev = as_point(e)
-    vv = as_point(v)
-    if len(ev) != h.nvars or len(vv) != h.nvars:
-        raise DimensionMismatch("direction/offset length must match the variable count")
-
-    @functools.cache
-    def line_power(i: int, k: int) -> UniPoly:
-        """(e_i*t + v_i)^k by the binomial theorem, once per power h uses."""
-        coeffs = [_ZERO] * (k + 1)
-        for (_, j), c in _linear_power((vv[i], ev[i]), k).items():
-            coeffs[j] = c
-        return UniPoly(coeffs)
-
-    total = UniPoly()
-    for mono, c in h._terms.items():
-        term = UniPoly([c])
-        for i, exp in enumerate(mono):
-            if exp:
-                term = term * line_power(i, exp)
-        total = total + term
-    return total
 
 
 def apply_linear(p: Poly, matrix: Sequence[Sequence[RationalLike]]) -> Poly:
@@ -589,10 +546,15 @@ class _Scanner:
     def read_int(self) -> int:
         if not self.peek().isdigit():
             raise self.error("expected a digit")
+        line, col = self.line, self.col
         digits = []
         while self.peek().isdigit():
             digits.append(self.advance())
-        return int("".join(digits))
+        try:
+            return int("".join(digits))
+        except ValueError:  # longer than the interpreter's int-string limit
+            raise PolyParseError(f"integer literal of {len(digits)} digits is too long",
+                                 line, col) from None
 
 
 def parse_poly(text: str, nvars: int | None = None) -> Poly:

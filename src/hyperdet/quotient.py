@@ -10,14 +10,9 @@ matrices ("Bézoutian forms") obtained from difference quotients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
 
 from .errors import DimensionMismatch
-from .linalg import RatMatrix
-from .poly import Poly, RationalLike, as_point
-
-_ZERO = Fraction(0)
+from .poly import Poly
 
 
 class QuotientContext:
@@ -186,13 +181,3 @@ def bezoutian_of(ctx: QuotientContext, p: Poly) -> BezoutianForm:
 def delta_bezoutian(ctx: QuotientContext) -> BezoutianForm:
     """The distinguished Bézoutian from (h(s) - h(t)) / (s - t)."""
     return bezoutian_of(ctx, Poly.one(ctx.nvars))
-
-
-def evaluate_form(form: BezoutianForm, v: Sequence[RationalLike]) -> RatMatrix:
-    """Entrywise evaluation at a point of the coefficient ring (length n)."""
-    sample = form.entries[0][0]
-    point = as_point(v)
-    if len(point) != sample.nvars - 1:
-        raise DimensionMismatch("evaluation point must have one entry per x1..xn")
-    full = (_ZERO,) + point
-    return [[e.evaluate(full) for e in row] for row in form.entries]

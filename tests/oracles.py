@@ -3,18 +3,21 @@
 Each one recomputes a quantity the package works with by a route of its own:
 scalar determinants by Bareiss elimination, definiteness by Sylvester's
 criterion, univariate Bézout matrices by expanding the difference quotient
-monomial by monomial, and the commutation test of a Bézoutian form with the
-multiplication-by-x0 matrix.
+monomial by monomial, the commutation test of a Bézoutian form with the
+multiplication-by-x0 matrix, restrictions to a line by expanding h(t*e + v)
+in t, the entrywise value of a Bézoutian form at a point, and the Sturm chain
+by Euclidean division over the rationals.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
-from hyperdet.errors import ZeroPolynomial
+from hyperdet.errors import DimensionMismatch, ZeroPolynomial
 from hyperdet.hyperbolicity import _distinct_real_roots, sturm_chain
-from hyperdet.poly import Poly, UniPoly
-from hyperdet.quotient import QuotientContext, QuotientElement
+from hyperdet.poly import Poly, UniPoly, _linear_power, as_point
+from hyperdet.quotient import BezoutianForm, QuotientContext, QuotientElement
 
 
 def mat_mul(a, b):
@@ -135,3 +138,68 @@ def is_bezoutian(ctx: QuotientContext, entries) -> bool:
             if lhs != rhs:
                 return False
     return True
+
+
+def substitute_line(h: Poly, e, v) -> UniPoly:
+    """Expand h(t*e + v) exactly as a univariate polynomial in t."""
+    ev = as_point(e)
+    vv = as_point(v)
+    if len(ev) != h.nvars or len(vv) != h.nvars:
+        raise DimensionMismatch("direction/offset length must match the variable count")
+
+    @functools.cache
+    def line_power(i: int, k: int) -> UniPoly:
+        """(e_i*t + v_i)^k by the binomial theorem, once per power h uses."""
+        coeffs = [Fraction(0)] * (k + 1)
+        for (_, j), c in _linear_power((vv[i], ev[i]), k).items():
+            coeffs[j] = c
+        return UniPoly(coeffs)
+
+    total = UniPoly()
+    for mono, c in h.terms():
+        term = UniPoly([c])
+        for i, exp in enumerate(mono):
+            if exp:
+                term = term * line_power(i, exp)
+        total = total + term
+    return total
+
+
+def evaluate_form(form: BezoutianForm, v) -> list[list[Fraction]]:
+    """Entrywise evaluation at a point of the coefficient ring (length n)."""
+    point = as_point(v)
+    if len(point) != form.entries[0][0].nvars - 1:
+        raise DimensionMismatch("evaluation point must have one entry per x1..xn")
+    full = (Fraction(0),) + point
+    return [[e.evaluate(full) for e in row] for row in form.entries]
+
+
+def uni_divmod(f: UniPoly, divisor: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """Exact Euclidean division over the rationals; divisor must be nonzero."""
+    if divisor.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    rem = list(f.coeffs)
+    dd = divisor.degree
+    quot = [Fraction(0)] * max(0, len(rem) - dd)
+    while rem and len(rem) - 1 >= dd:
+        k = len(rem) - 1 - dd
+        factor = rem[-1] / divisor.leading
+        quot[k] = factor
+        for i, c in enumerate(divisor.coeffs):
+            rem[k + i] -= factor * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return UniPoly(quot), UniPoly(rem)
+
+
+def fraction_sturm_chain(f: UniPoly) -> list[UniPoly]:
+    """Sturm chain f, f', -rem(f, f'), ... by Euclidean division, unscaled."""
+    chain = [f]
+    if f.degree > 0:
+        chain.append(f.derivative())
+        while chain[-1].degree > 0:
+            rem = uni_divmod(chain[-2], chain[-1])[1]
+            if rem.is_zero:
+                break
+            chain.append(-rem)
+    return chain

@@ -23,8 +23,8 @@ from hyperdet import (
 )
 from hyperdet.detrep import pencil_determinant
 from hyperdet.hyperbolicity import NOT_HYPERBOLIC, is_real_rooted, pd_witness_check
-from hyperdet.poly import UniPoly, substitute_line
-from hyperdet.quotient import QuotientContext, bezoutian_of, evaluate_form
+from hyperdet.poly import UniPoly
+from hyperdet.quotient import QuotientContext, bezoutian_of
 from hyperdet.sdp import SdpProblem, solve_maxeig
 from hyperdet.sos import find_sos_decomposition, monomial_basis_Mk, power_sum_multiplier
 
@@ -34,7 +34,13 @@ from conftest import (
     random_pencil_determinant,
     rational_rank,
 )
-from oracles import bezout_matrix_univariate, is_bezoutian, leading_principal_minors
+from oracles import (
+    bezout_matrix_univariate,
+    evaluate_form,
+    is_bezoutian,
+    leading_principal_minors,
+    substitute_line,
+)
 
 
 def P(text, nvars=None):

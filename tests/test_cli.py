@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -185,6 +186,18 @@ def test_malformed_certificate_is_an_input_error(capsys, tmp_path, mangle, messa
     assert code == 2
     assert err.startswith("input error: ") and message in err and err.count("\n") == 1
     assert out == ""
+
+
+def test_multiplier_field_is_not_replayed(capsys, tmp_path):
+    # q_multiplier records the search's multiplier for the reader; verify
+    # does not read it, so even "0" leaves a valid certificate valid.
+    data = _lorentz_certificate(capsys, tmp_path)
+    data["q_multiplier"] = "0"
+    path = tmp_path / "zero-multiplier.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert code == 0, err
+    assert json.loads(out)["valid"] is True
 
 
 def test_empty_pencil_certificate_is_refused(capsys, tmp_path):
@@ -429,13 +442,41 @@ def test_rank_deficient_quadric_is_refused(capsys):
 
 
 def test_high_exponent_check_is_quick(capsys):
-    # Each line power (e_i*t + v_i)^1000 comes from the binomial theorem,
-    # not from the 999 powers below it.
+    # A line restriction evaluates the x0 coefficients of h_monic at a point,
+    # so no power of a linear form in t is expanded.
     start = time.perf_counter()
     code, out, err = run(capsys, "check", "--poly", "x0^1000 - x1^1000", "--e", "1,0")
     assert time.perf_counter() - start < 5
     assert code == 1
     assert json.loads(out)["hyperbolicity"]["status"] == "NotHyperbolic"
+
+
+def test_dense_high_degree_check_is_quick(capsys):
+    # Along (3, 1) the normalized h is dense of degree 600 with 950-bit
+    # coefficients; each sampled line reads one integer Sturm chain.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--poly", "x0^600 - x1^600", "--e", "3,1")
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert json.loads(out)["hyperbolicity"]["status"] == "NotHyperbolic"
+
+
+_INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_TOO_LONG = "7" * (_INT_LIMIT + 1)
+
+
+@pytest.mark.skipif(not _INT_LIMIT, reason="the interpreter has no int-string limit")
+@pytest.mark.parametrize("command", ["check", "certify", "bezoutian"])
+@pytest.mark.parametrize("poly", [
+    f"x0^2 - {_TOO_LONG}*x1^2",
+    f"x0^2 - 1/{_TOO_LONG}*x1^2",
+    f"x0^{_TOO_LONG} - x1^2",
+    f"x0^2 - x{_TOO_LONG}^2",
+], ids=["coefficient", "denominator", "exponent", "variable index"])
+def test_integer_literal_past_the_int_string_limit_exits_two(capsys, command, poly):
+    code, out, err = run(capsys, command, "--poly", poly, "--e", "1,0")
+    assert code == 2
+    assert err.startswith("input error: integer literal of") and "line 1" in err
 
 
 def test_text_format(capsys):

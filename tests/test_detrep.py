@@ -339,6 +339,19 @@ def test_renegar_quartic_certifies_at_level_zero():
     assert verify_certificate(cert) == (True, [])
 
 
+def test_renegar_four_variable_cubic_certifies_at_level_zero():
+    # Known answer for a smooth 4-variable input that is not given as a
+    # determinant: the Renegar cubic of seed 1 certifies at ell=0 with N=10.
+    h = renegar_derivative(random.Random(1), 4, 5)
+    assert h.degree == 3
+    start = time.perf_counter()
+    cert = certify(h, (1, 0, 0, 0))
+    assert time.perf_counter() - start < 10
+    assert cert.multiplier == Poly.one(4)
+    assert cert.size == 10
+    assert verify_certificate(cert) == (True, [])
+
+
 def test_degree_five_pencil_determinant_certifies_in_seconds():
     # North-star gate: an HV quintic in 3 variables certifies at ell=0 with
     # N=15.  A full verify replay of this certificate takes 8.5-12 s on a

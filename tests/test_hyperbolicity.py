@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperdet import (
     DirectionVanishes,
@@ -17,12 +19,19 @@ from hyperdet.hyperbolicity import (
     is_real_rooted,
     pd_witness_check,
     sample_directions,
+    sturm_chain,
 )
-from hyperdet.poly import UniPoly, substitute_line
-from hyperdet.quotient import QuotientContext
+from hyperdet.poly import UniPoly, normalize_direction
+from hyperdet.quotient import QuotientContext, bezoutian_of
 
-from conftest import random_pencil_determinant
-from oracles import count_real_roots, is_positive_definite
+from conftest import random_pencil_determinant, renegar_derivative
+from oracles import (
+    count_real_roots,
+    evaluate_form,
+    fraction_sturm_chain,
+    is_positive_definite,
+    substitute_line,
+)
 
 
 def P(text, nvars=None):
@@ -152,8 +161,6 @@ def test_pd_witness_linear():
 def test_pd_witness_implies_real_rooted_restrictions():
     # Positive definiteness of the evaluated form at v certifies simple real
     # roots of the restriction; cross-check both paths.
-    from hyperdet.quotient import bezoutian_of, evaluate_form
-
     rng = random.Random(29)
     for _ in range(10):
         nvars = rng.randint(2, 3)
@@ -167,3 +174,87 @@ def test_pd_witness_implies_real_rooted_restrictions():
                 restriction = substitute_line(ctx.h, e, (0,) + tuple(v))
                 assert is_real_rooted(restriction)
                 assert count_real_roots(restriction) == restriction.degree  # simple roots
+
+
+# -- the integer Sturm chain and the one restriction, against the oracles ------
+
+def _sign(c):
+    return (c > 0) - (c < 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                       st.integers(min_value=1, max_value=3)), min_size=1, max_size=4),
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7), min_size=0, max_size=3),
+    st.fractions(min_value=-50, max_value=50, max_denominator=9).filter(lambda c: c != 0),
+)
+def test_integer_chain_has_the_signs_of_the_rational_chain(roots, extra, scale):
+    # Rational roots with multiplicities, times a factor with arbitrary
+    # (possibly complex) roots: every integer chain entry is a positive
+    # multiple of the Euclidean chain's entry, coefficient by coefficient.
+    f = UniPoly([scale])
+    for root, multiplicity in roots:
+        for _ in range(multiplicity):
+            f = f * UniPoly([-root, 1])
+    f = f * UniPoly(list(extra) + [1])
+    integer_chain = sturm_chain(f)
+    rational_chain = fraction_sturm_chain(f)
+    assert len(integer_chain) == len(rational_chain)
+    for entry, oracle in zip(integer_chain, rational_chain):
+        assert all(isinstance(c, int) for c in entry)
+        assert [_sign(c) for c in entry] == [_sign(c) for c in oracle.coeffs]
+
+
+def _equivalence_corpus():
+    """(h, e) pairs: HV, Renegar, definite and product inputs, on tilted
+    directions too, so that the offset map v -> (T*v)[1:] is exercised."""
+    rng = random.Random(41)
+    return [
+        (random_pencil_determinant(rng, 3, 3), (1, 0, 0)),
+        (random_pencil_determinant(rng, 3, 4), (1, Fraction(1, 9), 0)),
+        (random_pencil_determinant(rng, 4, 2), (1, 0, 0, 0)),
+        (renegar_derivative(rng, 3, 4), (1, 0, 0)),
+        (renegar_derivative(rng, 4, 5), (1, 0, 0, 0)),
+        (P("x0^2 + 2*x1^2 + 1/3*x2^2"), (2, 1, 0)),
+        (P("x0^2 + x1^2 + x2^2 + x3^2"), (1, -1, 2, 0)),
+        (P("x0*x1*x2"), (1, 1, 1)),
+        (P("3*x0*x1*x2*x3"), (2, 1, 3, 1)),
+        (P("x0^2 - x1^2 - x2^2"), (2, 1, 0)),
+        (P("x0^2 - x1^2 + x2^2"), (1, 0, 0)),
+        (P("x0^2 - x1^2", 3), (3, 0, 1)),
+    ]
+
+
+def test_hyperbolicity_verdict_matches_the_expanded_line_at_every_sample():
+    for h, e in _equivalence_corpus():
+        lines = list(sample_directions(h.nvars, 24, seed=7))
+        oracle = [is_real_rooted(substitute_line(h, e, v)) for v in lines]
+        first_bad = next((i for i, ok in enumerate(oracle) if not ok), None)
+        for count in range(1, len(lines) + 1):
+            verdict = check_hyperbolic_sampled(h, e, num_samples=count, seed=7)
+            if first_bad is not None and first_bad < count:
+                assert verdict.status == NOT_HYPERBOLIC, (str(h), e, count)
+                assert verdict.witness == lines[first_bad]
+                assert verdict.samples_used == first_bad + 1
+            else:
+                assert verdict.status == HYPERBOLIC_SAMPLED, (str(h), e, count)
+                assert verdict.samples_used == count
+
+
+def test_pd_witness_matches_the_evaluated_bezoutian_at_every_sample():
+    for h, e in _equivalence_corpus():
+        ctx = QuotientContext(normalize_direction(h, e)[0])
+        omega = bezoutian_of(ctx, ctx.h.derivative(0))
+        points = list(sample_directions(ctx.n, 24, seed=7))
+        oracle = [is_positive_definite(evaluate_form(omega, v)) for v in points]
+        first_bad = next((i for i, ok in enumerate(oracle) if not ok), None)
+        for count in range(1, len(points) + 1):
+            report = pd_witness_check(ctx, num_samples=count, seed=7)
+            if first_bad is not None and first_bad < count:
+                assert not report.ok, (str(h), e, count)
+                assert report.witness == points[first_bad]
+                assert report.samples_used == first_bad + 1
+            else:
+                assert report.ok, (str(h), e, count)
+                assert report.samples_used == count

@@ -6,12 +6,11 @@ from fractions import Fraction
 import pytest
 
 from hyperdet import Poly, parse_poly
-from hyperdet.poly import UniPoly, substitute_line
+from hyperdet.poly import UniPoly
 from hyperdet.quotient import (
     QuotientContext,
     bezoutian_of,
     delta_bezoutian,
-    evaluate_form,
     reduce_mod_h,
 )
 
@@ -19,10 +18,12 @@ from conftest import random_homogeneous, all_monomials
 from oracles import (
     bezout_matrix_univariate,
     element_to_poly,
+    evaluate_form,
     is_bezoutian,
     is_homogeneous_of_degree,
     leading_principal_minors,
     mult_x0_matrix,
+    substitute_line,
 )
 
 

@@ -144,8 +144,7 @@ def _run_check(args: argparse.Namespace) -> int:
         payload["pd_witness"] = None
         exit_code = EXIT_REFUSED
     else:
-        h_norm, _ = normalize_direction(h, e)
-        report = pd_witness_check(QuotientContext(h_norm), args.samples, args.seed)
+        report = pd_witness_check(verdict.context, args.samples, args.seed)
         payload["pd_witness"] = report.to_json_dict()
         lines.append(f"pd_witness: {'ok' if report.ok else SINGULAR_SUSPECTED}")
         if report.witness is not None:

@@ -15,7 +15,7 @@ check plays the same role for the smoothness hypothesis.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Sequence
@@ -34,9 +34,13 @@ _SAMPLE_RANGE = 10  # coordinates drawn from {-10..10}/{1..10}
 
 @dataclass(frozen=True)
 class HyperbolicityVerdict:
+    """The sampled verdict; context is the normalized h its lines were read
+    from, so a caller can run pd_witness_check without normalizing again."""
+
     status: str
     witness: tuple[Fraction, ...] | None
     samples_used: int
+    context: QuotientContext = field(compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         out: dict = {"status": self.status}
@@ -189,8 +193,8 @@ def check_hyperbolic_sampled(
         used += 1
         w = [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in t_mat[1:]]
         if not is_real_rooted(_restriction(ctx, w)):
-            return HyperbolicityVerdict(NOT_HYPERBOLIC, v, used)
-    return HyperbolicityVerdict(HYPERBOLIC_SAMPLED, None, used)
+            return HyperbolicityVerdict(NOT_HYPERBOLIC, v, used, ctx)
+    return HyperbolicityVerdict(HYPERBOLIC_SAMPLED, None, used, ctx)
 
 
 def pd_witness_check(

@@ -8,6 +8,7 @@ largest one.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import NotPD, SingularMatrix
@@ -22,14 +23,6 @@ def rat_matrix(rows: Sequence[Sequence[RationalLike]]) -> RatMatrix:
     return [[as_fraction(x) for x in row] for row in rows]
 
 
-def identity(n: int) -> RatMatrix:
-    return [[Fraction(i == j) for j in range(n)] for i in range(n)]
-
-
-def transpose(m: RatMatrix) -> RatMatrix:
-    return [list(col) for col in zip(*m)]
-
-
 def is_symmetric(m: RatMatrix) -> bool:
     n = len(m)
     return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
@@ -42,6 +35,13 @@ def ldl_decompose(matrix: Sequence[Sequence[RationalLike]]) -> tuple[list[Fracti
     support only to the right.  Raises NotPD at the first pivot <= 0, which
     by Sylvester's criterion certifies the matrix is not positive definite;
     the message gives the pivot's sign, index and bit lengths.
+
+    Fraction-free: symmetric Bareiss elimination (Math. Comp. 1968) on the
+    integer matrix A = den*G, den the lcm of the denominators.  Its pivots
+    are the leading principal minors Delta_j of A, so pivot j of G is
+    Delta_{j+1} / (Delta_j * den), and every division is exact; entry (i, j)
+    of the standard lower factor is the stage-j Bareiss entry over
+    Delta_{j+1}.  Only the lower triangle is eliminated.
     """
     g = rat_matrix(matrix)
     n = len(g)
@@ -49,23 +49,30 @@ def ldl_decompose(matrix: Sequence[Sequence[RationalLike]]) -> tuple[list[Fracti
         raise ValueError("matrix must be square")
     if not is_symmetric(g):
         raise ValueError("matrix must be symmetric")
-    # Standard lower LDL^T; returned L is its transpose.
-    lower = identity(n)
-    d: list[Fraction] = []
-    for j in range(n):
-        pivot = g[j][j] - sum((lower[j][k] * lower[j][k] * d[k] for k in range(j)), _ZERO)
+    den = lcm(*(x.denominator for row in g for x in row))
+    a = [[x.numerator * (den // x.denominator) for x in row[:i + 1]] for i, row in enumerate(g)]
+    minors = [1]  # Delta_0 .. Delta_n
+    for k in range(n):
+        pivot = a[k][k]
         if pivot <= 0:
             # Bit lengths, not the pivot: it can be too long to format.
+            reduced = Fraction(pivot, minors[k] * den)
             raise NotPD(
-                f"pivot at index {j} is {'zero' if pivot == 0 else 'negative'} "
-                f"({pivot.numerator.bit_length()}-bit numerator, "
-                f"{pivot.denominator.bit_length()}-bit denominator)"
+                f"pivot at index {k} is {'zero' if pivot == 0 else 'negative'} "
+                f"({reduced.numerator.bit_length()}-bit numerator, "
+                f"{reduced.denominator.bit_length()}-bit denominator)"
             )
-        d.append(pivot)
-        for i in range(j + 1, n):
-            val = g[i][j] - sum((lower[i][k] * lower[j][k] * d[k] for k in range(j)), _ZERO)
-            lower[i][j] = val / pivot
-    return d, transpose(lower)
+        prev = minors[k]
+        minors.append(pivot)
+        for i in range(k + 1, n):
+            row_i = a[i]
+            a_ik = row_i[k]
+            for j in range(k + 1, i + 1):
+                row_i[j] = (pivot * row_i[j] - a_ik * a[j][k]) // prev
+    d = [Fraction(minors[j + 1], minors[j] * den) for j in range(n)]
+    rows = [[Fraction(a[i][j], minors[j + 1]) if i > j else Fraction(i == j) for i in range(n)]
+            for j in range(n)]
+    return d, rows
 
 
 def solve_sparse_system(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -127,34 +128,29 @@ def gram_problem(
     d = ctx.d
     k = d - 1 + ell
     basis = monomial_basis_Mk(ctx, k)
-    index_of = {(g.basis_power, g.r_monomial): a for a, g in enumerate(basis)}
     target = omega0.scaled(power_sum_multiplier(ctx, ell))
-
-    monos_by_degree = {deg: r_monomials_of_degree(ctx.nvars, deg) for deg in range(2 * k + 1)}
+    by_power: list[list[tuple[int, Monomial]]] = [[] for _ in range(d)]
+    for a, g in enumerate(basis):
+        by_power[g.basis_power].append((a, g.r_monomial))
 
     constraints: list[ExactConstraint] = []
-    half = Fraction(1, 2)
     for i in range(d):
         for j in range(i, d):
+            # Each pair of indices lands in the bucket of gamma + delta, in
+            # basis order of gamma: one pass over the (i, j) block.
+            splits: dict[Monomial, list[tuple[int, int]]] = {}
+            for a, gamma in by_power[i]:
+                for b, delta in by_power[j]:
+                    mu = tuple(x + y for x, y in zip(gamma, delta))
+                    splits.setdefault(mu, []).append((a, b))
+            # In a diagonal block (a, b) and (b, a) are both splits of mu, so
+            # each position weighs 1; off it, one split puts 1/2 on both.
+            weight = Fraction(1) if i == j else Fraction(1, 2)
             entry = target.entry(i, j)
-            deg = 2 * k - i - j
-            if deg < 0:
-                continue
-            for mu in monos_by_degree[deg]:
+            for mu in r_monomials_of_degree(ctx.nvars, 2 * k - i - j):
                 row: dict[tuple[int, int], Fraction] = {}
-                for gamma in monos_by_degree[k - i]:
-                    delta = tuple(a - b for a, b in zip(mu, gamma))
-                    if any(e < 0 for e in delta):
-                        continue
-                    a = index_of[(i, gamma)]
-                    b = index_of.get((j, delta))
-                    if b is None:
-                        continue
-                    if a == b:
-                        row[(a, a)] = row.get((a, a), _ZERO) + 1
-                    else:
-                        row[(a, b)] = row.get((a, b), _ZERO) + half
-                        row[(b, a)] = row.get((b, a), _ZERO) + half
+                for a, b in splits.get(mu, ()):
+                    row[(a, b)] = row[(b, a)] = weight
                 constraints.append((row, entry.coeff(mu)))
     return SdpProblem(len(basis), constraints), basis
 
@@ -181,33 +177,57 @@ def round_gram(
     the solver status of the iterate g was.
     """
     m = problem.m
-    g_sym = 0.5 * (g + g.T)
-    approx = [
-        [Fraction(round(Fraction(float(g_sym[i, j])) * denominator_bound), denominator_bound)
-         for j in range(m)]
-        for i in range(m)
-    ]
+    bound = denominator_bound
+    # Grid numerators: q[i][j] / bound is float entry (i, j) rounded to the
+    # nearest grid point, ties to even as round(Fraction) does.
+    g_rows = (0.5 * (g + g.T)).tolist()
+    q = [[0] * m for _ in range(m)]
     for i in range(m):
-        for j in range(i + 1, m):
-            approx[j][i] = approx[i][j]
+        for j in range(i, m):
+            top, bottom = g_rows[i][j].as_integer_ratio()
+            near, rem = divmod(top * bound, bottom)
+            if 2 * rem > bottom or (2 * rem == bottom and near & 1):
+                near += 1
+            q[i][j] = q[j][i] = near
 
-    rows = problem.constraints
-    defects = [rhs - sum((w * approx[a][b] for (a, b), w in row.items()), _ZERO)
-               for row, rhs in rows]
-    if any(defects):
+    # Each row, as integers: weights w = wnum / wden, and
+    # <A_k, q / bound> = dot / (wden * bound).  Its defect is
+    # dnum / (rhs.denominator * wden * bound).
+    rows = []
+    for row, rhs in problem.constraints:
+        wden = lcm(*(w.denominator for w in row.values()))
+        wnum = {pos: w.numerator * (wden // w.denominator) for pos, w in row.items()}
+        dot = sum(c * q[a][b] for (a, b), c in wnum.items())
+        dnum = rhs.numerator * wden * bound - rhs.denominator * dot
+        rows.append((wnum, wden, rhs, dnum))
+
+    num, scale = q, 1  # entry (a, b) is num[a][b] / (bound * scale)
+    if any(dnum for *_, dnum in rows):
         # Orthogonal projection: the normal equations have N_kl = <A_k, A_l>,
         # which is diagonal when no two constraints share a Gram position, as
-        # in every gram_problem; then lam_k = defect_k / |A_k|^2.
-        for (row, _), defect in zip(rows, defects):
-            norm = sum((w * w for w in row.values()), _ZERO)
-            if defect and norm:
-                lam = defect / norm
-                for (a, b), w in row.items():
-                    approx[a][b] += lam * w
+        # in every gram_problem; then lam_k = defect_k / |A_k|^2, and adding
+        # lam_k * w to an entry adds dnum * wnum / (bound * rhs.denominator
+        # * |wnum|^2).  One common denominator takes every such step.
+        steps = []
+        for wnum, wden, rhs, dnum in rows:
+            norm = sum(c * c for c in wnum.values())
+            if dnum and norm:
+                steps.append((wnum, dnum, rhs.denominator * norm))
+        scale = lcm(*(step_den for *_, step_den in steps))
+        num = [[x * scale for x in row] for row in q]
+        for wnum, dnum, step_den in steps:
+            factor = dnum * (scale // step_den)
+            for (a, b), c in wnum.items():
+                num[a][b] += factor * c
         # Overlapping supports make the diagonal step wrong; refuse them here.
-        for row, rhs in rows:
-            if sum((w * approx[a][b] for (a, b), w in row.items()), _ZERO) != rhs:
+        for wnum, wden, rhs, _ in rows:
+            dot = sum(c * num[a][b] for (a, b), c in wnum.items())
+            if rhs.denominator * dot != rhs.numerator * wden * bound * scale:
                 raise RoundingFailed("projection failed to satisfy a constraint exactly")
+    approx = [[_ZERO] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            approx[i][j] = approx[j][i] = Fraction(num[i][j], bound * scale)
     return approx
 
 

@@ -6,7 +6,10 @@ criterion, univariate Bézout matrices by expanding the difference quotient
 monomial by monomial, the commutation test of a Bézoutian form with the
 multiplication-by-x0 matrix, restrictions to a line by expanding h(t*e + v)
 in t, the entrywise value of a Bézoutian form at a point, and the Sturm chain
-by Euclidean division over the rationals.
+by Euclidean division over the rationals.  The last three are the former
+Fraction routes of rewrites that must agree with them exactly: the LDL^T by
+rational pivots, Gram rounding by Fraction arithmetic, and the Gram problem
+built by testing every split of every monomial.
 """
 
 from __future__ import annotations
@@ -14,10 +17,13 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from hyperdet.errors import DimensionMismatch, ZeroPolynomial
+from hyperdet.errors import DimensionMismatch, NotPD, RoundingFailed, ZeroPolynomial
 from hyperdet.hyperbolicity import _distinct_real_roots, sturm_chain
+from hyperdet.linalg import is_symmetric, rat_matrix
 from hyperdet.poly import Poly, UniPoly, _linear_power, as_point
 from hyperdet.quotient import BezoutianForm, QuotientContext, QuotientElement
+from hyperdet.sdp import SdpProblem
+from hyperdet.sos import monomial_basis_Mk, power_sum_multiplier, r_monomials_of_degree
 
 
 def mat_mul(a, b):
@@ -203,3 +209,88 @@ def fraction_sturm_chain(f: UniPoly) -> list[UniPoly]:
                 break
             chain.append(-rem)
     return chain
+
+
+def fraction_ldl_decompose(matrix):
+    """G = L^T diag(d) L by rational pivots; NotPD at the first pivot <= 0."""
+    g = rat_matrix(matrix)
+    n = len(g)
+    if any(len(row) != n for row in g):
+        raise ValueError("matrix must be square")
+    if not is_symmetric(g):
+        raise ValueError("matrix must be symmetric")
+    lower = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    d: list[Fraction] = []
+    for j in range(n):
+        pivot = g[j][j] - sum((lower[j][k] * lower[j][k] * d[k] for k in range(j)), Fraction(0))
+        if pivot <= 0:
+            raise NotPD(
+                f"pivot at index {j} is {'zero' if pivot == 0 else 'negative'} "
+                f"({pivot.numerator.bit_length()}-bit numerator, "
+                f"{pivot.denominator.bit_length()}-bit denominator)"
+            )
+        d.append(pivot)
+        for i in range(j + 1, n):
+            val = g[i][j] - sum((lower[i][k] * lower[j][k] * d[k] for k in range(j)), Fraction(0))
+            lower[i][j] = val / pivot
+    return d, [list(col) for col in zip(*lower)]
+
+
+def fraction_round_gram(problem: SdpProblem, g, denominator_bound: int):
+    """Round to the grid 1/bound by round(Fraction), then project exactly."""
+    m = problem.m
+    g_sym = 0.5 * (g + g.T)
+    approx = [
+        [Fraction(round(Fraction(float(g_sym[i, j])) * denominator_bound), denominator_bound)
+         for j in range(m)]
+        for i in range(m)
+    ]
+    for i in range(m):
+        for j in range(i + 1, m):
+            approx[j][i] = approx[i][j]
+    rows = problem.constraints
+    defects = [rhs - sum((w * approx[a][b] for (a, b), w in row.items()), Fraction(0))
+               for row, rhs in rows]
+    if any(defects):
+        for (row, _), defect in zip(rows, defects):
+            norm = sum((w * w for w in row.values()), Fraction(0))
+            if defect and norm:
+                lam = defect / norm
+                for (a, b), w in row.items():
+                    approx[a][b] += lam * w
+        for row, rhs in rows:
+            if sum((w * approx[a][b] for (a, b), w in row.items()), Fraction(0)) != rhs:
+                raise RoundingFailed("projection failed to satisfy a constraint exactly")
+    return approx
+
+
+def pair_scan_gram_problem(ctx: QuotientContext, omega0: BezoutianForm, ell: int):
+    """The Gram SDP rows, found by testing every (mu, gamma) pair."""
+    d = ctx.d
+    k = d - 1 + ell
+    basis = monomial_basis_Mk(ctx, k)
+    index_of = {(g.basis_power, g.r_monomial): a for a, g in enumerate(basis)}
+    target = omega0.scaled(power_sum_multiplier(ctx, ell))
+    monos_by_degree = {deg: r_monomials_of_degree(ctx.nvars, deg) for deg in range(2 * k + 1)}
+    constraints = []
+    half = Fraction(1, 2)
+    for i in range(d):
+        for j in range(i, d):
+            entry = target.entry(i, j)
+            for mu in monos_by_degree[2 * k - i - j]:
+                row: dict[tuple[int, int], Fraction] = {}
+                for gamma in monos_by_degree[k - i]:
+                    delta = tuple(a - b for a, b in zip(mu, gamma))
+                    if any(e < 0 for e in delta):
+                        continue
+                    a = index_of[(i, gamma)]
+                    b = index_of.get((j, delta))
+                    if b is None:
+                        continue
+                    if a == b:
+                        row[(a, a)] = row.get((a, a), Fraction(0)) + 1
+                    else:
+                        row[(a, b)] = row.get((a, b), Fraction(0)) + half
+                        row[(b, a)] = row.get((b, a), Fraction(0)) + half
+                constraints.append((row, entry.coeff(mu)))
+    return SdpProblem(len(basis), constraints), basis

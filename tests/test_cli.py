@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperdet.cli
 import hyperdet.detrep
 import hyperdet.hyperbolicity
 from hyperdet import CertifyOptions, DetRepCertificate, parse_poly
@@ -289,6 +290,23 @@ def test_certify_computes_the_determinant_once_and_samples_nothing(capsys, monke
     code, out, err = run(capsys, "certify", "--poly", "x0^2 - x1^2 - x2^2", "--e", "1,0,0")
     assert code == 0, err
     assert calls == {"det": 1, "real_rooted": 0}
+
+
+def test_check_normalizes_the_direction_once(capsys, monkeypatch):
+    # The PD witness reads the context the hyperbolicity lines came from.
+    calls = []
+    normalize = hyperdet.hyperbolicity.normalize_direction
+
+    def counted(*args):
+        calls.append(args)
+        return normalize(*args)
+
+    for module in (hyperdet.hyperbolicity, hyperdet.cli):
+        monkeypatch.setattr(module, "normalize_direction", counted)
+    code, out, err = run(capsys, "check", "--poly", "x0^2 - x1^2 - x2^2", "--e", "2,1,0")
+    assert code == 0, err
+    assert json.loads(out)["pd_witness"]["ok"] is True
+    assert len(calls) == 1
 
 
 # sha256 of the certify JSON on stdout, pinned so that certificates stay

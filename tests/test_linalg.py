@@ -4,11 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperdet.errors import NotPD, SingularMatrix
 from hyperdet.linalg import invert_matrix, ldl_decompose, solve_sparse_system
 
-from oracles import bareiss_determinant, is_positive_definite, leading_principal_minors, mat_mul
+from oracles import (
+    bareiss_determinant,
+    fraction_ldl_decompose,
+    is_positive_definite,
+    leading_principal_minors,
+    mat_mul,
+)
 
 
 def F(x, y=1):
@@ -139,3 +147,56 @@ def test_is_positive_definite():
 def test_ldl_rejects_indefinite():
     with pytest.raises(NotPD):
         ldl_decompose([[1, 2], [2, 1]])
+
+
+_FRACTIONS = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+
+
+@st.composite
+def symmetric_rational_matrices(draw):
+    """B^T diag(s) B for an r x n rational B and signs s: positive definite
+    when r = n, B is invertible and every sign is +1, singular when r < n,
+    indefinite when a sign is -1; denominators are mixed."""
+    n = draw(st.integers(1, 6))
+    rank = draw(st.integers(0, n))
+    signs = draw(st.lists(st.sampled_from([1, 1, 1, -1]), min_size=rank, max_size=rank))
+    b = draw(st.lists(st.lists(_FRACTIONS, min_size=n, max_size=n), min_size=rank, max_size=rank))
+    return [[sum((s * row[i] * row[j] for s, row in zip(signs, b)), Fraction(0)) for j in range(n)]
+            for i in range(n)]
+
+
+@st.composite
+def symmetric_entries(draw):
+    n = draw(st.integers(1, 5))
+    upper = {(i, j): draw(_FRACTIONS) for i in range(n) for j in range(i, n)}
+    return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+
+
+def _ldl_outcome(decompose, matrix):
+    try:
+        return decompose(matrix)
+    except NotPD as exc:
+        return f"NotPD: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(symmetric_rational_matrices(), symmetric_entries()))
+def test_ldl_matches_the_fraction_ldl(matrix):
+    # The fraction-free factorization gives the rational one's weights and
+    # rows, or refuses at the same pivot with the same message.
+    assert _ldl_outcome(ldl_decompose, matrix) == _ldl_outcome(fraction_ldl_decompose, matrix)
+
+
+def test_ldl_matches_the_fraction_ldl_on_each_outcome():
+    pd = [[Fraction(4), Fraction(1, 2), Fraction(1, 3)],
+          [Fraction(1, 2), Fraction(3), Fraction(-1, 5)],
+          [Fraction(1, 3), Fraction(-1, 5), Fraction(2)]]
+    singular = [[Fraction(1, 2), Fraction(1)], [Fraction(1), Fraction(2)]]
+    indefinite = [[Fraction(1, 3), Fraction(1)], [Fraction(1), Fraction(1, 7)]]
+    d, rows = ldl_decompose(pd)
+    assert (d, rows) == fraction_ldl_decompose(pd)
+    for matrix, text in ((singular, "pivot at index 1 is zero"),
+                         (indefinite, "pivot at index 1 is negative")):
+        with pytest.raises(NotPD, match=text) as exc:
+            ldl_decompose(matrix)
+        assert _ldl_outcome(fraction_ldl_decompose, matrix) == f"NotPD: {exc.value}"

@@ -7,19 +7,32 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hyperdet.sdp
 import hyperdet.sos
 from hyperdet import (
+    CertifyOptions,
     DegreeTooSmall,
     Exhausted,
     NotPD,
     Poly,
     RoundingFailed,
+    certify,
     parse_poly,
 )
 from hyperdet.linalg import ldl_decompose, solve_sparse_system
 from hyperdet.quotient import QuotientContext, bezoutian_of
-from hyperdet.sdp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL, SdpProblem, SdpSolution, solve_maxeig
+from hyperdet.sdp import (
+    INFEASIBLE,
+    MAX_ITERATIONS,
+    OPTIMAL,
+    STALL_WINDOW,
+    SdpProblem,
+    SdpSolution,
+    solve_maxeig,
+)
 from hyperdet.sos import (
     find_sos_decomposition,
     gram_problem,
@@ -29,7 +42,7 @@ from hyperdet.sos import (
 )
 
 from conftest import rational_rank, random_pencil_determinant
-from oracles import is_bezoutian
+from oracles import fraction_round_gram, is_bezoutian, pair_scan_gram_problem
 
 
 def P(text, nvars=None):
@@ -114,6 +127,28 @@ def test_gram_problem_index_growth():
     assert len(basis1) == 3 + 2
 
 
+@pytest.mark.parametrize("h,ell_max", [
+    (LORENTZ, 2),
+    (P("x0^3 - x0*x1^2 - x0*x2^2"), 2),
+    (random_pencil_determinant(random.Random(3), 3, 3), 2),
+    (random_pencil_determinant(random.Random(7), 4, 3), 1),
+    (random_pencil_determinant(random.Random(1), 4, 2), 2),
+])
+def test_gram_problem_matches_the_pair_scan(h, ell_max):
+    # The bucketed builder states the same rows, in the same order and with
+    # the same key order, as testing every (mu, gamma) pair.
+    ctx = QuotientContext(h)
+    omega = bezoutian_of(ctx, ctx.h.derivative(0))
+    for ell in range(ell_max + 1):
+        problem, basis = gram_problem(ctx, omega, ell)
+        expected, expected_basis = pair_scan_gram_problem(ctx, omega, ell)
+        assert basis == expected_basis
+        assert problem.m == expected.m
+        assert problem.constraints == expected.constraints
+        assert [list(row) for row, _ in problem.constraints] == \
+            [list(row) for row, _ in expected.constraints]
+
+
 # -- round_gram ---------------------------------------------------------------
 
 def _diag_problem():
@@ -164,6 +199,82 @@ def test_round_gram_refuses_overlapping_supports():
     problem = SdpProblem(2, cons)
     with pytest.raises(RoundingFailed):
         round_gram(problem, np.diag([1.25, 0.875]))
+
+
+_BOUNDS = (2**8, 2**64, 1000)
+
+
+@st.composite
+def rounding_cases(draw):
+    """A float matrix and a problem whose rows split the Gram positions into
+    random groups (one row may overlap another), under one grid bound.
+
+    Some entries lie exactly halfway between two grid points: odd multiples
+    of 1 / (2 * 2^a) for a bound 2^a * c with c odd, which times the bound
+    is c/2 times an odd number.
+    """
+    bound = draw(st.sampled_from(_BOUNDS))
+    m = draw(st.integers(1, 5))
+    tie_step = 1 / (2 * (bound & -bound))
+    value = st.one_of(
+        st.floats(-50, 50, allow_nan=False),
+        st.integers(-2**20, 2**20).map(lambda j: (2 * j + 1) * tie_step),
+    )
+    upper = [(i, j) for i in range(m) for j in range(i, m)]
+    g = np.zeros((m, m))
+    for i, j in upper:
+        g[i, j] = g[j, i] = draw(value)
+    if draw(st.booleans()):
+        # An asymmetric iterate: round_gram rounds its symmetric part.
+        g[0, -1] = draw(value)
+    groups = draw(st.lists(st.integers(0, len(upper) - 1), min_size=len(upper),
+                           max_size=len(upper)))
+    if draw(st.booleans()):
+        groups[0] = groups[-1] = -1  # positions 0 and -1 share a row ...
+        groups.append(0)  # ... and position 0 is in a second one too
+    weight = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    constraints = []
+    for label in sorted(set(groups)):
+        row = {}
+        for index, group in enumerate(groups):
+            if group == label:
+                a, b = upper[index % len(upper)]
+                row[(a, b)] = row[(b, a)] = draw(weight)
+        constraints.append((row, draw(st.fractions(-20, 20, max_denominator=9))))
+    return SdpProblem(m, constraints), g, bound
+
+
+def _rounding_outcome(rounder, problem, g, bound):
+    try:
+        return rounder(problem, g, bound)
+    except RoundingFailed as exc:
+        return f"RoundingFailed: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(rounding_cases())
+def test_round_gram_matches_the_fraction_rounding(case):
+    # Integer rounding with ties to even, the projection over one common
+    # denominator and the exact re-check give the Fraction route's matrix,
+    # or the same refusal.
+    problem, g, bound = case
+    assert _rounding_outcome(round_gram, problem, g, bound) == \
+        _rounding_outcome(fraction_round_gram, problem, g, bound)
+
+
+@pytest.mark.parametrize("bound", _BOUNDS)
+def test_round_gram_rounds_ties_to_even(bound):
+    # Without constraints that move them, entries halfway between grid
+    # points go to the even neighbour, as round(Fraction) does.
+    step = 1 / (2 * (bound & -bound))
+    values = [step, 3 * step, -step, -3 * step]
+    problem = SdpProblem(4, [({(i, j): Fraction(1), (j, i): Fraction(1)}, Fraction(0))
+                             for i in range(4) for j in range(i + 1, 4)])
+    gram = round_gram(problem, np.diag(values), bound)
+    halves = [Fraction(v) * bound for v in values]
+    assert all(h.denominator == 2 for h in halves)
+    assert [gram[i][i] * bound for i in range(4)] == [round(h) for h in halves]
+    assert all((gram[i][i] * bound).numerator % 2 == 0 for i in range(4))
 
 
 def test_round_gram_returns_projection_without_pd_test():
@@ -290,6 +401,39 @@ def test_linear_decomposition():
     assert dec.ell == 0 and dec.k == 0
     assert dec.weights == [Fraction(1)]
     assert dec.vectors[0].coeffs == (Poly.one(2),)
+
+
+def test_stalled_level_is_left_with_the_same_refusal(monkeypatch):
+    # The seed-7 4-variable cubic: at ell=1 the best iterate comes at
+    # iteration 12, and the solver used to run on to the 200-iteration cap.
+    # It now leaves the level STALL_WINDOW iterations after its best iterate,
+    # and the refusal text is the one pinned before the stall exit.
+    solves = []
+    steps = [0]
+    apply_step = hyperdet.sdp._apply_step
+
+    def counting_step(*args):
+        steps[0] += 1  # twice per iteration: the primal and the dual step
+        return apply_step(*args)
+
+    def recording_solve(problem, **kwargs):
+        steps[0] = 0
+        sol = solve_maxeig(problem, **kwargs)
+        solves.append((sol, steps[0] // 2))
+        return sol
+
+    monkeypatch.setattr(hyperdet.sdp, "_apply_step", counting_step)
+    monkeypatch.setattr(hyperdet.sos, "solve_maxeig", recording_solve)
+    h = random_pencil_determinant(random.Random(7), 4, 3)
+    with pytest.raises(Exhausted) as exc:
+        certify(h, [1, 0, 0, 0], CertifyOptions(lmax=1))
+    assert str(exc.value) == (
+        "no exact decomposition up to ell=1 (ell=0: no positive-definiteness margin "
+        "to absorb rounding; ell=1: no positive-definiteness margin to absorb rounding)")
+    sol, iterations = solves[1]
+    assert sol.iterations == 12
+    assert iterations <= sol.iterations + STALL_WINDOW + 1
+    assert "stalled" in sol.detail and str(STALL_WINDOW) in sol.detail
 
 
 def test_definite_quadric_exhausts():

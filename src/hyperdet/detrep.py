@@ -26,9 +26,10 @@ from .errors import (
     NoSymmetricLift,
     NotDivisible,
 )
-from .hyperbolicity import DEFAULT_NUM_SAMPLES, pd_witness_check
+from .hyperbolicity import DEFAULT_NUM_SAMPLES, check_num_samples, pd_witness_check
 from .linalg import RatMatrix, invert_matrix, rat_matrix, solve_sparse_system
 from .poly import (
+    Monomial,
     Poly,
     RationalLike,
     apply_linear,
@@ -38,11 +39,12 @@ from .poly import (
     normalize_direction,
     parse_poly,
 )
-from .quotient import QuotientContext, QuotientElement
+from .quotient import QuotientContext
 from .sdp import DEFAULT_TOL
 from .sos import (
     DEFAULT_DENOMINATOR_BOUND,
     DEFAULT_ELL_MAX,
+    GramIndex,
     SosDecomposition,
     find_sos_decomposition,
     monomial_basis_Mk,
@@ -69,10 +71,11 @@ class CertifyOptions:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("lmax", "denominator_bound", "num_samples", "seed"):
+        for name in ("lmax", "denominator_bound", "seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InputError(f"{name} must be an int, got {value!r}")
+        check_num_samples(self.num_samples)
         if not isinstance(self.sdp_tol, numbers.Real) or isinstance(self.sdp_tol, bool):
             raise InputError(f"sdp_tol must be a real number, got {self.sdp_tol!r}")
         if self.lmax < 0:
@@ -81,8 +84,6 @@ class CertifyOptions:
             raise InputError(f"sdp_tol must be positive and finite, got {self.sdp_tol}")
         if self.denominator_bound < 1:
             raise InputError(f"denominator_bound must be positive, got {self.denominator_bound}")
-        if self.num_samples < 1:
-            raise InputError(f"num_samples must be positive, got {self.num_samples}")
 
 
 @dataclass
@@ -182,67 +183,75 @@ class DetRepCertificate:
         return cls.from_json_dict(json.loads(text))
 
 
+def basis_maps(
+    ctx: QuotientContext, basis: Sequence[GramIndex], basis_up: Sequence[GramIndex]
+) -> list[list[dict[int, Fraction]]]:
+    """Images of the degree-k basis under x_1, ..., x_n and x0, over basis_up.
+
+    Map s < n sends basis[a] = x0bar^p x^gamma to {position: coefficient}
+    under x_(s+1): to x0bar^p x^(gamma + e_(s+1)) alone.  The last map is x0:
+    to x0bar^(p+1) x^gamma when p+1 < d, otherwise to -sum_j c_j x^gamma
+    x0bar^j over j < d, where c_j = ctx.h_coeffs[j].
+    """
+    index = {(g.basis_power, g.r_monomial): r for r, g in enumerate(basis_up)}
+
+    def at(power: int, *monos: Monomial) -> int:
+        return index[(power, tuple(map(sum, zip(*monos))))]
+
+    units = [tuple(int(i == s) for i in range(ctx.nvars)) for s in range(1, ctx.nvars)]
+    maps = [[{at(g.basis_power, g.r_monomial, unit): Fraction(1)} for g in basis] for unit in units]
+    maps.append([{at(g.basis_power + 1, g.r_monomial): Fraction(1)} if g.basis_power + 1 < ctx.d
+                 else {at(j, g.r_monomial, mono): -c
+                       for j in range(ctx.d) for mono, c in ctx.h_coeffs[j].terms()}
+                 for g in basis])
+    return maps
+
+
 def solve_symmetric_lift(
     ctx: QuotientContext, dec: SosDecomposition
 ) -> tuple[list[Fraction], list[RatMatrix]]:
     """Solve for the weighted-symmetric matrices of the x0 action.
 
-    The solve runs in the intertwining convention x0bar * u_j =
-    sum_i G(x)_{ij} u_i (written out over the degree-(k+1) monomial basis)
-    with the weighted self-adjointness G_s * D = D * G_s^T, which is the
-    variant the weighted-square decomposition guarantees solvable; the
-    symmetry is imposed by substituting the lower triangle in terms of the
-    upper one.  The returned matrices are the transposes, so they satisfy
-    the certificate convention D * G_s = G_s^T * D with the same pencil
+    The generators u_i are the rows of dec.rows.  The solve runs in the
+    intertwining convention x0bar * u_j = sum_i G(x)_{ij} u_i, written out
+    over the degree-(k+1) monomial basis through basis_maps, with the
+    weighted self-adjointness G_s * D = D * G_s^T, which is the variant the
+    weighted-square decomposition guarantees solvable; the symmetry is
+    imposed by substituting the lower triangle in terms of the upper one.
+    The returned matrices are the transposes, so they satisfy the
+    certificate convention D * G_s = G_s^T * D with the same pencil
     determinant and the same value at the direction.
 
     Any solution is valid; free unknowns are set to zero by the deterministic
     elimination.  Raises NoSymmetricLift when the system is inconsistent,
-    which means the decomposition's vectors do not span the graded piece.
+    which means the decomposition's rows do not span the graded piece.
     """
-    m = len(dec.vectors)
+    m = len(dec.rows)
     n = ctx.n
-    k = dec.k
     weights = dec.weights
-    basis_up = monomial_basis_Mk(ctx, k + 1)
-    up_index = {(g.basis_power, g.r_monomial): r for r, g in enumerate(basis_up)}
+    basis_up = monomial_basis_Mk(ctx, dec.k + 1)
+    sparse = [[(a, v) for a, v in enumerate(row) if v] for row in dec.rows]
+    # x_s * u_i for every s, then x0bar * u_j: each row through each map.
+    products = []
+    for images in basis_maps(ctx, dec.basis, basis_up):
+        products.append([])
+        for row in sparse:
+            acc: dict[int, Fraction] = {}
+            for a, v in row:
+                for pos, c in images[a].items():
+                    acc[pos] = acc.get(pos, _ZERO) + v * c
+            products[-1].append({pos: c for pos, c in acc.items() if c})
+    *shifted, targets = products
 
-    def coords_up(elem: QuotientElement) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for power, poly in enumerate(elem.coeffs):
-            for mono, coeff in poly.terms():
-                out[up_index[(power, mono)]] = coeff
-        return out
-
-    # x_s * u_i lives in the degree-(k+1) piece without reduction.
-    shifted: list[list[dict[int, Fraction]]] = []
-    for s in range(1, n + 1):
-        row = []
-        for u in dec.vectors:
-            out: dict[int, Fraction] = {}
-            for power, poly in enumerate(u.coeffs):
-                for mono, coeff in poly.terms():
-                    bumped = tuple(e + (1 if idx == s else 0) for idx, e in enumerate(mono))
-                    pos = up_index[(power, bumped)]
-                    out[pos] = out.get(pos, _ZERO) + coeff
-            row.append(out)
-        shifted.append(row)
-
-    targets = [coords_up(u.mult_by_x0(ctx)) for u in dec.vectors]
-
-    # Unknown order: (s, a, b) with a <= b, flattened.
+    # Unknown order: (s, a, b) with a <= b, flattened.  G_s * D symmetric
+    # means G_ab * d_b = G_ba * d_a, so the lower triangle is d_a/d_b times
+    # the mirrored upper-triangle unknown.
     per_s = m * (m + 1) // 2
 
     def unknown_id(s: int, a: int, b: int) -> tuple[int, Fraction]:
-        """Map (G_s)_{ab} to its representative unknown and scale factor.
-
-        G_s * D symmetric means G_ab * d_b = G_ba * d_a, so the lower
-        triangle is d_a/d_b times the mirrored upper-triangle unknown.
-        """
         if a <= b:
             return s * per_s + (a * (2 * m - a - 1)) // 2 + b, Fraction(1)
-        rep = s * per_s + (b * (2 * m - b - 1)) // 2 + a
-        return rep, weights[a] / weights[b]
+        return s * per_s + (b * (2 * m - b - 1)) // 2 + a, weights[a] / weights[b]
 
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
@@ -261,16 +270,13 @@ def solve_symmetric_lift(
 
     values = solve_sparse_system(rows, rhs, n * per_s)
     if values is None:
-        raise NoSymmetricLift(
-            "no weighted-symmetric solution: the decomposition vectors do not span"
-        )
+        raise NoSymmetricLift("no weighted-symmetric solution: the decomposition rows do not span")
     pencil: list[RatMatrix] = []
     for s in range(n):
         g = [[_ZERO] * m for _ in range(m)]
         for a in range(m):
             for b in range(a, m):
-                uid, _ = unknown_id(s, a, b)
-                val = values[uid]
+                val = values[unknown_id(s, a, b)[0]]
                 # Store the transpose: g[row][col] = (G_s)_{col,row}.
                 g[b][a] = val
                 g[a][b] = val * weights[b] / weights[a]
@@ -457,7 +463,7 @@ def certify(h: Poly, e: Sequence[RationalLike], options: CertifyOptions | None =
         h=h,
         e=ev,
         transform=transform,
-        size=len(dec.vectors),
+        size=len(dec.rows),
         weights=weights,
         pencil=pencil,
         cofactor=None,

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Sequence
 
-from .errors import ZeroPolynomial
+from .errors import InputError, ZeroPolynomial
 from .poly import Poly, RationalLike, UniPoly, normalize_direction
 from .quotient import QuotientContext
 
@@ -165,6 +165,14 @@ def sample_directions(dim: int, num_samples: int, seed: int) -> Iterator[tuple[F
         yield vec
 
 
+def check_num_samples(num_samples: int) -> None:
+    """InputError for a sample count that is not a positive int."""
+    if not isinstance(num_samples, int) or isinstance(num_samples, bool):
+        raise InputError(f"num_samples must be an int, got {num_samples!r}")
+    if num_samples < 1:
+        raise InputError(f"num_samples must be positive, got {num_samples}")
+
+
 def _restriction(ctx: QuotientContext, w: Sequence[Fraction]) -> UniPoly:
     """h_monic(t, w): the monic x0 coefficients of h evaluated at (0, w)."""
     point = (Fraction(0),) + tuple(w)
@@ -184,8 +192,9 @@ def check_hyperbolic_sampled(
     normalize_direction gives h_norm and T with T*e = (1,0,...,0), so
     h(t*e + v) = h_norm(t + (T*v)_0, w) with w = (T*v)_1..n: the line through
     v is h_monic(t, w) shifted in t and scaled by h(e), which changes no
-    root's realness.
+    root's realness.  num_samples must be a positive int (InputError).
     """
+    check_num_samples(num_samples)
     h_norm, t_mat = normalize_direction(h, e)
     ctx = QuotientContext(h_norm)
     used = 0
@@ -209,8 +218,9 @@ def pd_witness_check(
     so the check counts them with the Sturm chain.  Positive definiteness at
     every nonzero v is the working proxy for "hyperbolic and real-smooth"; a
     failure pinpoints a line whose restriction has a repeated or complex
-    root.
+    root.  num_samples must be a positive int (InputError).
     """
+    check_num_samples(num_samples)
     used = 0
     for v in sample_directions(ctx.n, num_samples, seed):
         used += 1

@@ -156,10 +156,6 @@ class Poly:
             buckets[mono[0]][stripped] = c
         return [Poly(self.nvars, b) for b in buckets]
 
-    def uses_only_r_variables(self) -> bool:
-        """True when x0 does not occur (coefficient-ring element)."""
-        return all(m[0] == 0 for m in self._terms)
-
     # -- arithmetic ---------------------------------------------------
 
     def _check_same_vars(self, other: "Poly") -> None:

@@ -3,8 +3,8 @@
 For a homogeneous h of degree d with nonzero x0^d coefficient, the quotient
 of the full polynomial ring by (h) is free of rank d over the subring in
 x1..xn, with basis 1, x0bar, ..., x0bar^{d-1}.  This module provides exact
-reduction to that basis, multiplication by x0bar, and the d x d polynomial
-matrices ("Bézoutian forms") obtained from difference quotients.
+reduction to that basis and the d x d polynomial matrices ("Bézoutian
+forms") obtained from difference quotients.
 """
 
 from __future__ import annotations
@@ -52,50 +52,12 @@ class QuotientContext:
     def nvars(self) -> int:
         return self.n + 1
 
-    def zero_r(self) -> Poly:
-        return Poly.zero(self.nvars)
-
     def __repr__(self) -> str:
         return f"QuotientContext(h={self.h!s}, d={self.d}, n={self.n})"
 
 
-@dataclass(frozen=True)
-class QuotientElement:
-    """Element of the quotient: coefficient i multiplies x0bar^i.
-
-    Every coefficient is free of x0.  For an element homogeneous of degree k
-    the i-th coefficient is homogeneous of degree k - i (or zero).
-    """
-
-    coeffs: tuple[Poly, ...]
-
-    def __post_init__(self):
-        for c in self.coeffs:
-            if not c.uses_only_r_variables():
-                raise ValueError("quotient coefficients must not involve x0")
-
-    def homogeneous_degree(self) -> int:
-        """Degree of a homogeneous element (coefficient degree + basis power)."""
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                return c.degree + i
-        return 0
-
-    def mult_by_x0(self, ctx: QuotientContext) -> "QuotientElement":
-        """Multiply by x0bar: shift the basis powers and reduce the overflow."""
-        d = ctx.d
-        top = self.coeffs[d - 1]
-        out = [Poly.zero(ctx.nvars) for _ in range(d)]
-        for i in range(d - 1):
-            out[i + 1] = self.coeffs[i]
-        if not top.is_zero:
-            for j in range(d):
-                out[j] = out[j] - ctx.h_coeffs[j] * top
-        return QuotientElement(tuple(out))
-
-
-def reduce_mod_h(ctx: QuotientContext, p: Poly) -> QuotientElement:
-    """Unique representative with x0-degree below d."""
+def reduce_mod_h(ctx: QuotientContext, p: Poly) -> tuple[Poly, ...]:
+    """The x0-free coefficients of x0bar^0..x0bar^(d-1) in p's representative."""
     if p.nvars != ctx.nvars:
         raise DimensionMismatch("polynomial and context variable counts differ")
     d = ctx.d
@@ -109,7 +71,7 @@ def reduce_mod_h(ctx: QuotientContext, p: Poly) -> QuotientElement:
         for j in range(d):
             parts[k - d + j] = parts[k - d + j] - ctx.h_coeffs[j] * top
     parts += [Poly.zero(ctx.nvars)] * (d - len(parts))
-    return QuotientElement(tuple(parts))
+    return tuple(parts)
 
 
 def _divide_by_s_minus_t(num: list[list], d: int) -> list[list]:
@@ -168,14 +130,13 @@ def bezoutian_of(ctx: QuotientContext, p: Poly) -> BezoutianForm:
     if not p.is_homogeneous:
         raise ValueError("generator must be homogeneous")
     d = ctx.d
-    p_red = reduce_mod_h(ctx, p)
-    zero = ctx.zero_r()
-    pc = list(p_red.coeffs) + [zero]
-    hc = list(ctx.h_coeffs)
+    pc = reduce_mod_h(ctx, p) + (Poly.zero(ctx.nvars),)
+    hc = ctx.h_coeffs
     # Numerator table N[i][j] = h_i p_j - h_j p_i over the coefficient ring.
     num = [[hc[i] * pc[j] - hc[j] * pc[i] for j in range(d + 1)] for i in range(d + 1)]
     entries = tuple(tuple(row) for row in _divide_by_s_minus_t(num, d))
-    return BezoutianForm(entries, d - 1 + p_red.homogeneous_degree())
+    # A multiple of h reduces to zero, and its form is given degree d - 1.
+    return BezoutianForm(entries, d - 1 + (p.degree if any(pc) else 0))
 
 
 def delta_bezoutian(ctx: QuotientContext) -> BezoutianForm:

@@ -5,8 +5,8 @@ Searches for an exponent ell and an exact rational identity
     (x1^2 + ... + xn^2)^ell * omega0  =  sum_i d_i * u_i (x) u_i
 
 where omega0 is the Bézoutian of dh/dx0, the weights d_i are positive
-rationals and the u_i are quotient elements of one degree k = d-1+ell whose
-coefficient matrix has full rank (so they span the degree-k graded piece).
+rationals and the u_i, coordinates over the monomial basis of the quotient's
+degree k = d-1+ell piece, form a full-rank matrix (so they span that piece).
 Each candidate level states the Gram problem once as exact sparse rows,
 solves the SDP on float copies of them, rounds the float solution onto one
 rational grid, projects exactly back onto the same rows and factors the result
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DegreeTooSmall, Exhausted, NotPD, RoundingFailed
 from .linalg import RatMatrix, ldl_decompose
 from .poly import Monomial, Poly, grlex_key
-from .quotient import BezoutianForm, QuotientContext, QuotientElement, bezoutian_of
+from .quotient import BezoutianForm, QuotientContext, bezoutian_of
 from .sdp import DEFAULT_TOL, ExactConstraint, SdpProblem, solve_maxeig
 
 DEFAULT_ELL_MAX = 4
@@ -51,25 +51,25 @@ class GramIndex:
 class SosDecomposition:
     """Exact certificate that multiplier * omega0 splits into weighted squares.
 
-    Invariant (holds by construction in the search): the identity
-    multiplier * omega0 = sum_i weights[i] * vectors[i] (x) vectors[i] holds
-    entrywise in exact arithmetic, because the Gram matrix meets every affine
-    constraint exactly and weights/vectors are its exact LDL^T factors, whose
-    positive pivots are the only positive-definiteness test it passed; the
-    vectors span the degree-k piece.  It is not replayed here: the
-    certificate replay in verify_certificate is the soundness gate.
+    The generators u_i are the rows of the unit upper-triangular factor R
+    of gram = R^T diag(weights) R from the search's one LDL^T: row i holds
+    u_i over basis, the monomial basis of the degree-k piece that gram is
+    stated in, and the rows span that piece.  The lift reads them, and
+    certify conjugates the lifted pencil by R back to that basis.
 
-    rows is the unit upper-triangular factor R of gram = R^T diag(weights) R
-    that the search's one LDL^T returned: row i is vectors[i] in the
-    monomial basis of the degree-k piece.  certify conjugates the lifted
-    pencil by it back to that basis.
+    Invariant (holds by construction in the search): multiplier * omega0 =
+    sum_i weights[i] * u_i (x) u_i entrywise in exact arithmetic, because
+    gram meets every affine constraint exactly and weights/rows are its
+    exact LDL^T factors, whose positive pivots are the only PD test it
+    passed.  It is not replayed here: the certificate replay in
+    verify_certificate is the soundness gate.
     """
 
     ell: int
     k: int
     multiplier: Poly
     weights: list[Fraction]
-    vectors: list[QuotientElement]
+    basis: list[GramIndex]
     gram: RatMatrix
     rows: RatMatrix
 
@@ -231,20 +231,6 @@ def round_gram(
     return approx
 
 
-def _vectors_from_ldl(
-    ctx: QuotientContext, basis: list[GramIndex], rows: RatMatrix
-) -> list[QuotientElement]:
-    """Read generating vectors off the unit-triangular LDL rows."""
-    vectors = []
-    for row in rows:
-        coeffs: list[dict[Monomial, Fraction]] = [dict() for _ in range(ctx.d)]
-        for value, idx in zip(row, basis):
-            if value:
-                coeffs[idx.basis_power][idx.r_monomial] = value
-        vectors.append(QuotientElement(tuple(Poly(ctx.nvars, c) for c in coeffs)))
-    return vectors
-
-
 def find_sos_decomposition(
     ctx: QuotientContext,
     ell_max: int = DEFAULT_ELL_MAX,
@@ -263,7 +249,7 @@ def find_sos_decomposition(
     non-positive pivot (NotPD) is recorded as the bound's failure and the
     next bound is tried.  Per-level failures escalate; Exhausted is raised
     only when every level fails.  A returned decomposition satisfies the
-    identity exactly by construction (see SosDecomposition) and its vectors
+    identity exactly by construction (see SosDecomposition) and its rows
     always span (unit-triangular coefficient matrix).
     """
     omega0 = bezoutian_of(ctx, ctx.h.derivative(0))
@@ -293,7 +279,7 @@ def find_sos_decomposition(
                     k=ctx.d - 1 + ell,
                     multiplier=power_sum_multiplier(ctx, ell),
                     weights=weights,
-                    vectors=_vectors_from_ldl(ctx, basis, rows),
+                    basis=basis,
                     gram=gram,
                     rows=rows,
                 )

@@ -6,10 +6,11 @@ criterion, univariate Bézout matrices by expanding the difference quotient
 monomial by monomial, the commutation test of a Bézoutian form with the
 multiplication-by-x0 matrix, restrictions to a line by expanding h(t*e + v)
 in t, the entrywise value of a Bézoutian form at a point, and the Sturm chain
-by Euclidean division over the rationals.  The last three are the former
-Fraction routes of rewrites that must agree with them exactly: the LDL^T by
-rational pivots, Gram rounding by Fraction arithmetic, and the Gram problem
-built by testing every split of every monomial.
+by Euclidean division over the rationals.  Four are former routes of
+rewrites that must agree with them exactly: the symmetric lift with its
+generators held as Polys and multiplied by x0 through Poly products, the
+LDL^T by rational pivots, Gram rounding by Fraction arithmetic, and the Gram
+problem built by testing every split of every monomial.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from fractions import Fraction
 
 from hyperdet.errors import DimensionMismatch, NotPD, RoundingFailed, ZeroPolynomial
 from hyperdet.hyperbolicity import _distinct_real_roots, sturm_chain
-from hyperdet.linalg import is_symmetric, rat_matrix
+from hyperdet.linalg import is_symmetric, rat_matrix, solve_sparse_system
 from hyperdet.poly import Poly, UniPoly, _linear_power, as_point
-from hyperdet.quotient import BezoutianForm, QuotientContext, QuotientElement
+from hyperdet.quotient import BezoutianForm, QuotientContext
 from hyperdet.sdp import SdpProblem
 from hyperdet.sos import monomial_basis_Mk, power_sum_multiplier, r_monomials_of_degree
 
@@ -76,15 +77,91 @@ def is_homogeneous_of_degree(p: Poly, k: int) -> bool:
     return all(sum(mono) == k for mono, _ in p.terms())
 
 
-def element_to_poly(ctx: QuotientContext, elem: QuotientElement) -> Poly:
-    """The polynomial sum_i coeffs[i] * x0^i that the element represents."""
+def element_to_poly(ctx: QuotientContext, coeffs) -> Poly:
+    """The polynomial sum_i coeffs[i] * x0^i that a reduced element represents."""
     x0 = Poly.variable(ctx.nvars, 0)
     total = Poly.zero(ctx.nvars)
     power = Poly.one(ctx.nvars)
-    for c in elem.coeffs:
+    for c in coeffs:
         total = total + c * power
         power = power * x0
     return total
+
+
+def row_to_element(ctx: QuotientContext, basis, row) -> tuple[Poly, ...]:
+    """The reduced element sum_a row[a] * basis[a], as its d coefficients."""
+    terms = [dict() for _ in range(ctx.d)]
+    for value, idx in zip(row, basis):
+        if value:
+            terms[idx.basis_power][idx.r_monomial] = value
+    return tuple(Poly(ctx.nvars, t) for t in terms)
+
+
+def mult_by_x0(ctx: QuotientContext, coeffs) -> tuple[Poly, ...]:
+    """x0bar times a reduced element: shift the powers and reduce the overflow."""
+    d = ctx.d
+    top = coeffs[d - 1]
+    out = [Poly.zero(ctx.nvars)] + list(coeffs[:d - 1])
+    if not top.is_zero:
+        for j in range(d):
+            out[j] = out[j] - ctx.h_coeffs[j] * top
+    return tuple(out)
+
+
+def poly_lift(ctx: QuotientContext, dec):
+    """The symmetric lift with each generator held as d Polys.
+
+    Each LDL row becomes its reduced element (row_to_element), and x_s * u_i and x0bar * u_j are formed by Poly products before their
+    coordinates over the degree-(k+1) basis are read back term by term.  The
+    equations, their order and the unknown numbering are those of
+    detrep.solve_symmetric_lift; None when the system is inconsistent.
+    """
+    m = len(dec.rows)
+    n = ctx.n
+    weights = dec.weights
+    vectors = [row_to_element(ctx, dec.basis, row) for row in dec.rows]
+    basis_up = monomial_basis_Mk(ctx, dec.k + 1)
+    up_index = {(g.basis_power, g.r_monomial): r for r, g in enumerate(basis_up)}
+
+    def coords_up(coeffs) -> dict[int, Fraction]:
+        return {up_index[(power, mono)]: c
+                for power, poly in enumerate(coeffs) for mono, c in poly.terms()}
+
+    shifted = [[coords_up(tuple(c * Poly.variable(ctx.nvars, s) for c in u)) for u in vectors]
+               for s in range(1, n + 1)]
+    targets = [coords_up(mult_by_x0(ctx, u)) for u in vectors]
+    per_s = m * (m + 1) // 2
+
+    def unknown_id(s: int, a: int, b: int) -> tuple[int, Fraction]:
+        if a <= b:
+            return s * per_s + (a * (2 * m - a - 1)) // 2 + b, Fraction(1)
+        return s * per_s + (b * (2 * m - b - 1)) // 2 + a, weights[a] / weights[b]
+
+    rows, rhs = [], []
+    for j in range(m):
+        per_row = [dict() for _ in basis_up]
+        for s in range(n):
+            for i in range(m):
+                uid, factor = unknown_id(s, i, j)
+                for pos, coeff in shifted[s][i].items():
+                    per_row[pos][uid] = per_row[pos].get(uid, Fraction(0)) + factor * coeff
+        for pos in range(len(basis_up)):
+            if per_row[pos] or pos in targets[j]:
+                rows.append({u: c for u, c in per_row[pos].items() if c})
+                rhs.append(targets[j].get(pos, Fraction(0)))
+    values = solve_sparse_system(rows, rhs, n * per_s)
+    if values is None:
+        return None
+    pencil = []
+    for s in range(n):
+        g = [[Fraction(0)] * m for _ in range(m)]
+        for a in range(m):
+            for b in range(a, m):
+                val = values[unknown_id(s, a, b)[0]]
+                g[b][a] = val
+                g[a][b] = val * weights[b] / weights[a]
+        pencil.append(g)
+    return list(weights), pencil
 
 
 def bezout_matrix_univariate(f: UniPoly, g: UniPoly) -> list[list[Fraction]]:

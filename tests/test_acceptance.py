@@ -39,6 +39,7 @@ from oracles import (
     evaluate_form,
     is_bezoutian,
     leading_principal_minors,
+    row_to_element,
     substitute_line,
 )
 
@@ -193,24 +194,18 @@ def test_criterion_5_sos_exactness_gate():
         multiplier = power_sum_multiplier(ctx, dec.ell)
         assert dec.multiplier == multiplier
         d = ctx.d
+        vectors = [row_to_element(ctx, dec.basis, row) for row in dec.rows]
         for a in range(d):
             for b in range(d):
                 acc = Poly.zero(ctx.nvars)
-                for w, u in zip(dec.weights, dec.vectors):
-                    acc = acc + u.coeffs[a] * u.coeffs[b] * w
+                for w, u in zip(dec.weights, vectors):
+                    acc = acc + u[a] * u[b] * w
                 assert acc == multiplier * omega.entries[a][b], f"corpus[{index}] entry {(a, b)}"
         assert all(w > 0 for w in dec.weights)
-        # Full-rank generating vectors over the monomial basis of degree k.
+        # Full-rank generating rows over the monomial basis of degree k.
         basis = monomial_basis_Mk(ctx, dec.k)
-        position = {(g.basis_power, g.r_monomial): col for col, g in enumerate(basis)}
-        rows = []
-        for u in dec.vectors:
-            row = [Fraction(0)] * len(basis)
-            for power, coeff_poly in enumerate(u.coeffs):
-                for mono, coeff in coeff_poly.terms():
-                    row[position[(power, mono)]] = coeff
-            rows.append(row)
-        assert rational_rank(rows) == len(basis), f"corpus[{index}] rank deficit"
+        assert dec.basis == basis, f"corpus[{index}] basis"
+        assert rational_rank(dec.rows) == len(basis), f"corpus[{index}] rank deficit"
 
 
 @report(6, "SDP solver: 50 feasible instances, residual <= 1e-8, t >= 1 - 1e-6")

@@ -23,9 +23,9 @@ from hyperdet import (
 )
 from hyperdet.detrep import extract_cofactor, pencil_determinant, solve_symmetric_lift
 from hyperdet.linalg import invert_matrix
-from hyperdet.poly import apply_linear
-from hyperdet.quotient import QuotientContext, QuotientElement
-from hyperdet.sos import SosDecomposition, find_sos_decomposition
+from hyperdet.poly import apply_linear, normalize_direction
+from hyperdet.quotient import QuotientContext
+from hyperdet.sos import SosDecomposition, find_sos_decomposition, monomial_basis_Mk
 
 from conftest import (
     leibniz_determinant,
@@ -33,7 +33,7 @@ from conftest import (
     random_symmetric_rational,
     renegar_derivative,
 )
-from oracles import bareiss_determinant
+from oracles import bareiss_determinant, poly_lift, row_to_element
 
 
 def P(text, nvars=None):
@@ -67,23 +67,43 @@ def test_lift_linear():
 
 
 def test_lift_rejects_non_spanning_vectors():
+    # Rows x1, 2*x1 and x0bar over the basis x1, x2, x0bar: rank 2 of 3.
     ctx = QuotientContext(LORENTZ)
-    x1 = P("x1", 3)
+    basis = monomial_basis_Mk(ctx, 1)
     fake = SosDecomposition(
         ell=0,
         k=1,
         multiplier=Poly.one(3),
         weights=[F(1), F(1), F(1)],
-        vectors=[
-            QuotientElement((x1, Poly.zero(3))),
-            QuotientElement((x1 * 2, Poly.zero(3))),
-            QuotientElement((Poly.zero(3), Poly.one(3))),
-        ],
+        basis=basis,
         gram=[[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]],
         rows=[[F(1), F(0), F(0)], [F(2), F(0), F(0)], [F(0), F(0), F(1)]],
     )
+    assert [row_to_element(ctx, basis, row) for row in fake.rows] == [
+        (P("x1", 3), Poly.zero(3)),
+        (P("x1", 3) * 2, Poly.zero(3)),
+        (Poly.zero(3), Poly.one(3)),
+    ]
     with pytest.raises(NoSymmetricLift):
         solve_symmetric_lift(ctx, fake)
+    assert poly_lift(ctx, fake) is None
+
+
+@pytest.mark.parametrize("h", [
+    *(random_pencil_determinant(random.Random(seed), 3, d)
+      for d in (1, 2, 3, 4) for seed in (1, 2)),
+    renegar_derivative(random.Random(1), 4, 5),
+    renegar_derivative(random.Random(1), 3, 5),
+], ids=[*(f"hv-d{d}-seed{seed}" for d in (1, 2, 3, 4) for seed in (1, 2)),
+        "renegar-cubic", "renegar-quartic"])
+def test_lift_matches_the_poly_lift(h):
+    # The lift reads the LDL rows through the x_s and x0 basis maps; the Poly
+    # oracle multiplies each generator as d Polys.  Same equations, same
+    # unknowns, same elimination: the same weights and pencil, entry for entry.
+    ctx = QuotientContext(normalize_direction(h, [1] + [0] * (h.nvars - 1))[0])
+    dec = find_sos_decomposition(ctx)
+    weights, pencil = solve_symmetric_lift(ctx, dec)
+    assert (weights, pencil) == poly_lift(ctx, dec)
 
 
 def test_lift_weighted_symmetry_holds():

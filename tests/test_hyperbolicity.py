@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hyperdet import (
     DirectionVanishes,
+    InputError,
     ZeroPolynomial,
     check_hyperbolic_sampled,
     parse_poly,
@@ -125,6 +126,24 @@ def test_pencil_determinants_never_refused():
         e = (1,) + (0,) * (nvars - 1)
         verdict = check_hyperbolic_sampled(h, e, num_samples=32, seed=3)
         assert verdict.status == HYPERBOLIC_SAMPLED, str(h)
+
+
+@pytest.mark.parametrize("num_samples,message", [
+    (0, "num_samples must be positive, got 0"),
+    (-3, "num_samples must be positive, got -3"),
+    (2.5, "num_samples must be an int, got 2.5"),
+    (True, "num_samples must be an int, got True"),
+    ("4", "num_samples must be an int, got '4'"),
+])
+def test_sampled_checks_reject_a_sample_count_that_is_not_a_positive_int(num_samples, message):
+    # With no line sampled, a definite form that fails at sample 3 and a
+    # singular quadric that fails at sample 3 would both pass.
+    with pytest.raises(InputError) as info:
+        check_hyperbolic_sampled(P("x0^2 + x1^2"), (1, 0), num_samples=num_samples)
+    assert str(info.value) == message
+    with pytest.raises(InputError) as info:
+        pd_witness_check(QuotientContext(P("x0^2 - x1^2", 3)), num_samples)
+    assert str(info.value) == message
 
 
 def test_sample_stream_units_first_then_deterministic():

@@ -7,12 +7,14 @@ import pytest
 
 from hyperdet import Poly, parse_poly
 from hyperdet.poly import UniPoly
+from hyperdet.detrep import basis_maps
 from hyperdet.quotient import (
     QuotientContext,
     bezoutian_of,
     delta_bezoutian,
     reduce_mod_h,
 )
+from hyperdet.sos import monomial_basis_Mk
 
 from conftest import random_homogeneous, all_monomials
 from oracles import (
@@ -22,6 +24,7 @@ from oracles import (
     is_bezoutian,
     is_homogeneous_of_degree,
     leading_principal_minors,
+    mult_by_x0,
     mult_x0_matrix,
     substitute_line,
 )
@@ -38,26 +41,33 @@ LORENTZ = P("x0^2 - x1^2 - x2^2")
 
 def test_reduce_x0_squared():
     ctx = QuotientContext(LORENTZ)
-    elem = reduce_mod_h(ctx, P("x0^2", 3))
-    assert elem.coeffs[0] == P("x1^2 + x2^2", 3)
-    assert elem.coeffs[1].is_zero
+    coeffs = reduce_mod_h(ctx, P("x0^2", 3))
+    assert len(coeffs) == 2
+    assert coeffs[0] == P("x1^2 + x2^2", 3)
+    assert coeffs[1].is_zero
 
 
 def test_reduce_already_reduced():
     ctx = QuotientContext(LORENTZ)
-    elem = reduce_mod_h(ctx, P("x1", 3))
-    assert elem.coeffs[0] == P("x1", 3)
-    assert elem.coeffs[1].is_zero
+    coeffs = reduce_mod_h(ctx, P("x1", 3))
+    assert len(coeffs) == 2
+    assert coeffs[0] == P("x1", 3)
+    assert coeffs[1].is_zero
 
 
 def test_reduce_x0_cubed():
     ctx = QuotientContext(LORENTZ)
-    elem = reduce_mod_h(ctx, P("x0^3", 3))
-    assert elem.coeffs[0].is_zero
-    assert elem.coeffs[1] == P("x1^2 + x2^2", 3)
+    coeffs = reduce_mod_h(ctx, P("x0^3", 3))
+    assert len(coeffs) == 2
+    assert coeffs[0].is_zero
+    assert coeffs[1] == P("x1^2 + x2^2", 3)
 
 
 def test_mult_by_x0_agrees_with_reduction():
+    # The lift's x0 map sends each basis element x0bar^p x^gamma of degree k
+    # to a sparse combination of the degree-(k+1) basis; it must be the
+    # reduction of x0 * x0bar^p x^gamma, as must the Poly oracle's x0bar
+    # product of any reduced element.  The x_s map must be the bare product.
     rng = random.Random(53)
     for _ in range(10):
         nvars = rng.randint(2, 4)
@@ -65,11 +75,31 @@ def test_mult_by_x0_agrees_with_reduction():
         h = random_homogeneous(rng, nvars, degree, monic_in_x0=True)
         ctx = QuotientContext(h)
         p = random_homogeneous(rng, nvars, rng.randint(0, degree + 1))
-        elem = reduce_mod_h(ctx, p)
+        coeffs = reduce_mod_h(ctx, p)
         x0 = Poly.variable(nvars, 0)
-        direct = elem.mult_by_x0(ctx)
-        via_reduction = reduce_mod_h(ctx, element_to_poly(ctx, elem) * x0)
+        direct = mult_by_x0(ctx, coeffs)
+        via_reduction = reduce_mod_h(ctx, element_to_poly(ctx, coeffs) * x0)
         assert direct == via_reduction
+
+        k = ctx.d - 1 + rng.randint(0, 1)
+        basis = monomial_basis_Mk(ctx, k)
+        basis_up = monomial_basis_Mk(ctx, k + 1)
+        *shift_maps, x0_images = basis_maps(ctx, basis, basis_up)
+
+        def as_coeffs(image):
+            coeffs = [Poly.zero(nvars) for _ in range(ctx.d)]
+            for pos, c in image.items():
+                g = basis_up[pos]
+                coeffs[g.basis_power] = coeffs[g.basis_power] + Poly.monomial(g.r_monomial, c)
+            return tuple(coeffs)
+
+        for a, g in enumerate(basis):
+            b = Poly.monomial(g.r_monomial, 1) * x0**g.basis_power
+            assert all(x0_images[a].values())
+            assert as_coeffs(x0_images[a]) == reduce_mod_h(ctx, x0 * b)
+            for s in range(1, nvars):
+                xs = Poly.variable(nvars, s)
+                assert as_coeffs(shift_maps[s - 1][a]) == reduce_mod_h(ctx, xs * b)
 
 
 def test_reduce_agrees_with_polynomial_identity():
@@ -81,7 +111,10 @@ def test_reduce_agrees_with_polynomial_identity():
         h = random_homogeneous(rng, 3, 3, monic_in_x0=True)
         ctx = QuotientContext(h)
         p = random_homogeneous(rng, 3, rng.randint(3, 5))
-        rep = element_to_poly(ctx, reduce_mod_h(ctx, p))
+        coeffs = reduce_mod_h(ctx, p)
+        assert len(coeffs) == ctx.d
+        assert all(c.degree_in(0) == 0 for c in coeffs)
+        rep = element_to_poly(ctx, coeffs)
         difference = p - rep
         if difference.is_zero:
             continue

@@ -42,7 +42,12 @@ from hyperdet.sos import (
 )
 
 from conftest import rational_rank, random_pencil_determinant
-from oracles import fraction_round_gram, is_bezoutian, pair_scan_gram_problem
+from oracles import (
+    fraction_round_gram,
+    is_bezoutian,
+    pair_scan_gram_problem,
+    row_to_element,
+)
 
 
 def P(text, nvars=None):
@@ -333,7 +338,8 @@ def test_lorentz_decomposition_pinned():
         (P("x2", 3), Poly.zero(3)),
         (Poly.zero(3), Poly.one(3)),
     ]
-    assert [(v.coeffs[0], v.coeffs[1]) for v in dec.vectors] == expected
+    assert dec.basis == monomial_basis_Mk(ctx, 1)
+    assert [row_to_element(ctx, dec.basis, row) for row in dec.rows] == expected
     assert dec.gram == [[Fraction(2 * (i == j)) for j in range(3)] for i in range(3)]
 
 
@@ -400,7 +406,8 @@ def test_linear_decomposition():
     dec = find_sos_decomposition(ctx)
     assert dec.ell == 0 and dec.k == 0
     assert dec.weights == [Fraction(1)]
-    assert dec.vectors[0].coeffs == (Poly.one(2),)
+    assert dec.basis == monomial_basis_Mk(ctx, 0)
+    assert [row_to_element(ctx, dec.basis, row) for row in dec.rows] == [(Poly.one(2),)]
 
 
 def test_stalled_level_is_left_with_the_same_refusal(monkeypatch):
@@ -451,23 +458,17 @@ def test_exactness_gate_and_rank():
         ctx = QuotientContext(h)
         omega = bezoutian_of(ctx, ctx.h.derivative(0))
         dec = find_sos_decomposition(ctx)
+        vectors = [row_to_element(ctx, dec.basis, row) for row in dec.rows]
         # Exact replay of multiplier * omega0 = sum_i d_i u_i (x) u_i.
         for a in range(ctx.d):
             for b in range(ctx.d):
                 acc = Poly.zero(ctx.nvars)
-                for w, u in zip(dec.weights, dec.vectors):
-                    acc = acc + u.coeffs[a] * u.coeffs[b] * w
+                for w, u in zip(dec.weights, vectors):
+                    acc = acc + u[a] * u[b] * w
                 assert acc == dec.multiplier * omega.entry(a, b)
         basis = monomial_basis_Mk(ctx, dec.k)
-        index = {(g.basis_power, g.r_monomial): col for col, g in enumerate(basis)}
-        rows = []
-        for u in dec.vectors:
-            row = [Fraction(0)] * len(basis)
-            for power, coeff_poly in enumerate(u.coeffs):
-                for mono, c in coeff_poly.terms():
-                    row[index[(power, mono)]] = c
-            rows.append(row)
-        assert rational_rank(rows) == len(basis)
+        assert dec.basis == basis
+        assert rational_rank(dec.rows) == len(basis)
         assert is_bezoutian(ctx, omega.scaled(dec.multiplier).entries)
 
 
@@ -482,12 +483,11 @@ def test_generation_of_next_graded_piece():
         ctx = QuotientContext(h)
         dec = find_sos_decomposition(ctx)
         basis = monomial_basis_Mk(ctx, dec.k)
+        assert dec.basis == basis
         index = {(g.basis_power, g.r_monomial): col for col, g in enumerate(basis)}
-        coords = [[Fraction(0)] * len(dec.vectors) for _ in range(len(basis))]
-        for col, u in enumerate(dec.vectors):
-            for power, coeff_poly in enumerate(u.coeffs):
-                for mono, c in coeff_poly.terms():
-                    coords[index[(power, mono)]][col] = c
+        # Column i of coords is row i of the LDL factor: u_i over the basis.
+        coords = [list(col) for col in zip(*dec.rows)]
+        vectors = [row_to_element(ctx, basis, row) for row in dec.rows]
         for g_up in monomial_basis_Mk(ctx, dec.k + 1):
             mono = g_up.r_monomial
             s = next(i for i in range(1, nvars) if mono[i] > 0)
@@ -497,15 +497,15 @@ def test_generation_of_next_graded_piece():
             combo = solve_sparse_system(
                 [{col: c for col, c in enumerate(row) if c} for row in coords],
                 target,
-                len(dec.vectors),
+                len(dec.rows),
             )
             assert combo is not None
             rebuilt = [Poly.zero(nvars) for _ in range(ctx.d)]
             xs = Poly.variable(nvars, s)
-            for coeff, u in zip(combo, dec.vectors):
+            for coeff, u in zip(combo, vectors):
                 if coeff:
                     for power in range(ctx.d):
-                        rebuilt[power] = rebuilt[power] + u.coeffs[power] * coeff * xs
+                        rebuilt[power] = rebuilt[power] + u[power] * coeff * xs
             expected = [Poly.zero(nvars) for _ in range(ctx.d)]
             expected[g_up.basis_power] = Poly.monomial(mono, 1)
             assert rebuilt == expected

@@ -185,13 +185,15 @@ class DetRepCertificate:
 
 def basis_maps(
     ctx: QuotientContext, basis: Sequence[GramIndex], basis_up: Sequence[GramIndex]
-) -> list[list[dict[int, Fraction]]]:
+) -> list[list[dict[int, int | Fraction]]]:
     """Images of the degree-k basis under x_1, ..., x_n and x0, over basis_up.
 
     Map s < n sends basis[a] = x0bar^p x^gamma to {position: coefficient}
-    under x_(s+1): to x0bar^p x^(gamma + e_(s+1)) alone.  The last map is x0:
-    to x0bar^(p+1) x^gamma when p+1 < d, otherwise to -sum_j c_j x^gamma
-    x0bar^j over j < d, where c_j = ctx.h_coeffs[j].
+    under x_(s+1): to x0bar^p x^(gamma + e_(s+1)) alone, with the int
+    coefficient 1.  The last map is x0: to x0bar^(p+1) x^gamma (again 1)
+    when p+1 < d, otherwise to -sum_j c_j x^gamma x0bar^j over j < d, where
+    c_j = ctx.h_coeffs[j].  Integer rows stay integer under every map but
+    the reduction of the top power.
     """
     index = {(g.basis_power, g.r_monomial): r for r, g in enumerate(basis_up)}
 
@@ -199,8 +201,8 @@ def basis_maps(
         return index[(power, tuple(map(sum, zip(*monos))))]
 
     units = [tuple(int(i == s) for i in range(ctx.nvars)) for s in range(1, ctx.nvars)]
-    maps = [[{at(g.basis_power, g.r_monomial, unit): Fraction(1)} for g in basis] for unit in units]
-    maps.append([{at(g.basis_power + 1, g.r_monomial): Fraction(1)} if g.basis_power + 1 < ctx.d
+    maps = [[{at(g.basis_power, g.r_monomial, unit): 1} for g in basis] for unit in units]
+    maps.append([{at(g.basis_power + 1, g.r_monomial): 1} if g.basis_power + 1 < ctx.d
                  else {at(j, g.r_monomial, mono): -c
                        for j in range(ctx.d) for mono, c in ctx.h_coeffs[j].terms()}
                  for g in basis])
@@ -216,11 +218,21 @@ def solve_symmetric_lift(
     intertwining convention x0bar * u_j = sum_i G(x)_{ij} u_i, written out
     over the degree-(k+1) monomial basis through basis_maps, with the
     weighted self-adjointness G_s * D = D * G_s^T, which is the variant the
-    weighted-square decomposition guarantees solvable; the symmetry is
-    imposed by substituting the lower triangle in terms of the upper one.
-    The returned matrices are the transposes, so they satisfy the
-    certificate convention D * G_s = G_s^T * D with the same pencil
-    determinant and the same value at the direction.
+    weighted-square decomposition guarantees solvable.  The returned
+    matrices are the transposes, so they satisfy the certificate convention
+    D * G_s = G_s^T * D with the same pencil determinant and the same value
+    at the direction.
+
+    The system is stated over integer rows: with delta_i the lcm of the
+    denominators of u_i and v_i = delta_i * u_i, the unknowns are
+    Z_s[i][j] = d_j * G_s[i][j] / (delta_i * delta_j), which the weighted
+    symmetry makes symmetric, one per upper-triangle entry, and equation
+    (j, pos) reads sum_{s,i} Z_s[i][j] * (x_s v_i)[pos] =
+    (d_j / delta_j^2) * (x0 v_j)[pos]: integer coefficients, a rational
+    right-hand side.  Each equation is the rational one times d_j / delta_j
+    and each unknown the rational one times a positive constant, so the
+    pivot columns and the solution with free unknowns at zero are those of
+    the system in G itself.
 
     Any solution is valid; free unknowns are set to zero by the deterministic
     elimination.  Raises NoSymmetricLift when the system is inconsistent,
@@ -230,43 +242,45 @@ def solve_symmetric_lift(
     n = ctx.n
     weights = dec.weights
     basis_up = monomial_basis_Mk(ctx, dec.k + 1)
-    sparse = [[(a, v) for a, v in enumerate(row) if v] for row in dec.rows]
-    # x_s * u_i for every s, then x0bar * u_j: each row through each map.
+    deltas = [math.lcm(*(v.denominator for v in row)) for row in dec.rows]
+    sparse = [[(a, v.numerator * (delta // v.denominator)) for a, v in enumerate(row) if v]
+              for row, delta in zip(dec.rows, deltas)]
+    # x_s * v_i for every s, then x0bar * v_j: each row through each map.
     products = []
     for images in basis_maps(ctx, dec.basis, basis_up):
         products.append([])
         for row in sparse:
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, int | Fraction] = {}
             for a, v in row:
                 for pos, c in images[a].items():
-                    acc[pos] = acc.get(pos, _ZERO) + v * c
+                    acc[pos] = acc.get(pos, 0) + v * c
             products[-1].append({pos: c for pos, c in acc.items() if c})
     *shifted, targets = products
 
-    # Unknown order: (s, a, b) with a <= b, flattened.  G_s * D symmetric
-    # means G_ab * d_b = G_ba * d_a, so the lower triangle is d_a/d_b times
-    # the mirrored upper-triangle unknown.
+    # Unknown order: (s, a, b) with a <= b, flattened; Z_s[i][j] = Z_s[j][i].
     per_s = m * (m + 1) // 2
 
-    def unknown_id(s: int, a: int, b: int) -> tuple[int, Fraction]:
-        if a <= b:
-            return s * per_s + (a * (2 * m - a - 1)) // 2 + b, Fraction(1)
-        return s * per_s + (b * (2 * m - b - 1)) // 2 + a, weights[a] / weights[b]
+    def unknown_id(s: int, a: int, b: int) -> int:
+        a, b = min(a, b), max(a, b)
+        return s * per_s + (a * (2 * m - a - 1)) // 2 + b
 
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, int]] = []
     rhs: list[Fraction] = []
     for j in range(m):
-        per_row: list[dict[int, Fraction]] = [dict() for _ in range(len(basis_up))]
+        per_row: list[dict[int, int]] = [dict() for _ in range(len(basis_up))]
+        # With j fixed, each (s, i) has its own unknown, so no entry is
+        # written twice: the coefficients are entries of the x_s v_i.
         for s in range(n):
             for i in range(m):
-                uid, factor = unknown_id(s, i, j)
+                uid = unknown_id(s, i, j)
                 for pos, coeff in shifted[s][i].items():
-                    per_row[pos][uid] = per_row[pos].get(uid, _ZERO) + factor * coeff
+                    per_row[pos][uid] = coeff
         target = targets[j]
+        scale = weights[j] / deltas[j] ** 2
         for pos in range(len(basis_up)):
             if per_row[pos] or pos in target:
-                rows.append({u: c for u, c in per_row[pos].items() if c})
-                rhs.append(target.get(pos, _ZERO))
+                rows.append(per_row[pos])
+                rhs.append(scale * target.get(pos, 0))
 
     values = solve_sparse_system(rows, rhs, n * per_s)
     if values is None:
@@ -276,7 +290,8 @@ def solve_symmetric_lift(
         g = [[_ZERO] * m for _ in range(m)]
         for a in range(m):
             for b in range(a, m):
-                val = values[unknown_id(s, a, b)[0]]
+                # G_s[a][b] = Z_s[a][b] * delta_a * delta_b / d_b.
+                val = values[unknown_id(s, a, b)] * (deltas[a] * deltas[b]) / weights[b]
                 # Store the transpose: g[row][col] = (G_s)_{col,row}.
                 g[b][a] = val
                 g[a][b] = val * weights[b] / weights[a]

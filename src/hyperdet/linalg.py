@@ -1,14 +1,17 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Matrices are plain lists of lists of Fraction.  Everything here is pure and
-deterministic: pivoting picks the first usable row, never the numerically
-largest one.
+Matrices are plain lists of lists of Fraction, and sparse systems are rows
+of {column: coefficient}.  Both eliminations run fraction-free: each scales
+its input to integers once, keeps integer rows with exact divisions or gcd
+reductions, and forms one Fraction per result entry at the end.  Everything
+here is pure and deterministic: pivoting picks the first usable row, never
+the numerically largest one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import NotPD, SingularMatrix
@@ -76,60 +79,77 @@ def ldl_decompose(matrix: Sequence[Sequence[RationalLike]]) -> tuple[list[Fracti
 
 
 def solve_sparse_system(
-    rows: Sequence[dict[int, Fraction]],
-    rhs: Sequence[Fraction],
+    rows: Sequence[dict[int, int | Fraction]],
+    rhs: Sequence[int | Fraction],
     num_unknowns: int,
 ) -> list[Fraction] | None:
-    """Gauss-Jordan elimination on sparse rational rows.
+    """Gauss-Jordan elimination on sparse rational rows, fraction-free.
 
-    Unknowns are eliminated in index order; free unknowns are fixed at zero,
-    which makes the returned solution deterministic.  Returns None when the
-    system is inconsistent: some equation reduces to 0 = c with c != 0.
+    Unknowns are eliminated in index order, the pivot of each new row in its
+    first nonzero column; free unknowns are fixed at zero, which makes the
+    returned solution deterministic.  Returns None when the system is
+    inconsistent: some equation reduces to 0 = c with c != 0.
+
+    Each row, right-hand side included, is scaled to integers by the lcm of
+    its denominators.  Eliminating column c of a row with entry a there by a
+    pivot row with entry p forms (p/g)*row - (a/g)*pivot_row, g = gcd(a, p),
+    and every row so formed is divided by its content.  The stored rows are
+    integer multiples of the reduced row echelon form of the rows seen so
+    far, which is unique, so the solution, pivot value over pivot entry per
+    pivot column, is the one rational elimination returns.
     """
-    pivots: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
+    pivots: dict[int, tuple[dict[int, int], int]] = {}
     for raw_row, raw_val in zip(rows, rhs):
-        row = dict(raw_row)
-        val = raw_val
-        # Reduce by existing pivots (iterate over a snapshot; row shrinks).
-        for col in sorted(row):
-            if col in pivots and row.get(col):
-                coeff = row[col]
-                prow, pval = pivots[col]
-                for c2, v2 in prow.items():
-                    nv = row.get(c2, _ZERO) - coeff * v2
-                    if nv:
-                        row[c2] = nv
-                    else:
-                        row.pop(c2, None)
-                val -= coeff * pval
-                row.pop(col, None)
-        row = {c: v for c, v in row.items() if v}
+        den = lcm(raw_val.denominator, *(v.denominator for v in raw_row.values()))
+        row = {c: v.numerator * (den // v.denominator) for c, v in raw_row.items() if v}
+        val = raw_val.numerator * (den // raw_val.denominator)
+        # Reduce by existing pivots.  A stored row is zero in every other
+        # pivot column, so each step leaves the row's other pivot entries
+        # nonzero and adds none.
+        for col in sorted(row.keys() & pivots.keys()):
+            row, val = _eliminate(row, val, col, *pivots[col])
         if not row:
-            if val != 0:
+            if val:
                 return None
             continue
         col = min(row)
-        inv = 1 / row[col]
-        row = {c: v * inv for c, v in row.items()}
-        val *= inv
         # Jordan step: clear the new pivot column from all stored rows.
         for pcol, (prow, pval) in list(pivots.items()):
             if col in prow:
-                f = prow[col]
-                for c2, v2 in row.items():
-                    nv = prow.get(c2, _ZERO) - f * v2
-                    if nv:
-                        prow[c2] = nv
-                    else:
-                        prow.pop(c2, None)
-                pivots[pcol] = (prow, pval - f * val)
+                pivots[pcol] = _eliminate(prow, pval, col, row, val)
         pivots[col] = (row, val)
     values = [_ZERO] * num_unknowns
     for col, (row, val) in pivots.items():
         # After full reduction the pivot row couples only free unknowns,
         # which are all zero, so the pivot value is immediate.
-        values[col] = val
+        values[col] = Fraction(val, row[col])
     return values
+
+
+def _eliminate(
+    row: dict[int, int], val: int, col: int, prow: dict[int, int], pval: int
+) -> tuple[dict[int, int], int]:
+    """Clear column col of an integer row by the pivot row prow, then make
+    the result primitive: divide it by the gcd of its entries and value."""
+    a, p = row[col], prow[col]
+    g = gcd(a, p)
+    s, t = p // g, a // g
+    if s != 1:
+        row = {c: s * v for c, v in row.items()}
+    else:
+        row = dict(row)
+    for c, v in prow.items():
+        nv = row.get(c, 0) - t * v
+        if nv:
+            row[c] = nv
+        else:
+            del row[c]
+    val = s * val - t * pval
+    content = gcd(val, *row.values())
+    if content > 1:
+        row = {c: v // content for c, v in row.items()}
+        val //= content
+    return row, val
 
 
 def invert_matrix(matrix: Sequence[Sequence[RationalLike]]) -> RatMatrix:

@@ -114,7 +114,7 @@ def power_sum_multiplier(ctx: QuotientContext, ell: int) -> Poly:
 
 
 def gram_problem(
-    ctx: QuotientContext, omega0: BezoutianForm, ell: int
+    ctx: QuotientContext, omega0: BezoutianForm, ell: int, multiplier: Poly | None = None
 ) -> tuple[SdpProblem, list[GramIndex]]:
     """Assemble the Gram-matrix SDP for multiplier exponent ell.
 
@@ -123,12 +123,15 @@ def gram_problem(
     the gram entries over all splits gamma + delta = mu must sum to the
     coefficient of x^mu in (multiplier * omega0)_{ij}.  Each constraint is
     one exact sparse row; the solver and the rounding stage both read these
-    rows, and no two rows share a Gram position.
+    rows, and no two rows share a Gram position.  multiplier is
+    power_sum_multiplier(ctx, ell), computed here when not given.
     """
     d = ctx.d
     k = d - 1 + ell
     basis = monomial_basis_Mk(ctx, k)
-    target = omega0.scaled(power_sum_multiplier(ctx, ell))
+    if multiplier is None:
+        multiplier = power_sum_multiplier(ctx, ell)
+    target = omega0.scaled(multiplier)
     by_power: list[list[tuple[int, Monomial]]] = [[] for _ in range(d)]
     for a, g in enumerate(basis):
         by_power[g.basis_power].append((a, g.r_monomial))
@@ -259,8 +262,13 @@ def find_sos_decomposition(
     # the weights, the lift and the pencil determinant cheap downstream.
     bounds = sorted({min(2**8, denominator_bound), min(2**16, denominator_bound),
                      denominator_bound, denominator_bound**2})
+    # (x1^2 + ... + xn^2)^ell, one product per level.
+    square_sum = power_sum_multiplier(ctx, 1)
+    multiplier = Poly.one(ctx.nvars)
     for ell in range(ell_max + 1):
-        problem, basis = gram_problem(ctx, omega0, ell)
+        if ell:
+            multiplier = multiplier * square_sum
+        problem, basis = gram_problem(ctx, omega0, ell, multiplier)
         sol = solve_maxeig(problem, tol=sdp_tol)
         if not sol.t > 0:
             failures.append(f"ell={ell}: no positive-definiteness margin to absorb rounding")
@@ -277,7 +285,7 @@ def find_sos_decomposition(
                 return SosDecomposition(
                     ell=ell,
                     k=ctx.d - 1 + ell,
-                    multiplier=power_sum_multiplier(ctx, ell),
+                    multiplier=multiplier,
                     weights=weights,
                     basis=basis,
                     gram=gram,

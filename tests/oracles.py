@@ -6,11 +6,12 @@ criterion, univariate Bézout matrices by expanding the difference quotient
 monomial by monomial, the commutation test of a Bézoutian form with the
 multiplication-by-x0 matrix, restrictions to a line by expanding h(t*e + v)
 in t, the entrywise value of a Bézoutian form at a point, and the Sturm chain
-by Euclidean division over the rationals.  Four are former routes of
+by Euclidean division over the rationals.  Five are former routes of
 rewrites that must agree with them exactly: the symmetric lift with its
-generators held as Polys and multiplied by x0 through Poly products, the
-LDL^T by rational pivots, Gram rounding by Fraction arithmetic, and the Gram
-problem built by testing every split of every monomial.
+generators held as Polys, multiplied by x0 through Poly products and solved
+over their rational coordinates, Gauss-Jordan elimination by rational
+pivots, the LDL^T by rational pivots, Gram rounding by Fraction arithmetic,
+and the Gram problem built by testing every split of every monomial.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 from hyperdet.errors import DimensionMismatch, NotPD, RoundingFailed, ZeroPolynomial
 from hyperdet.hyperbolicity import _distinct_real_roots, sturm_chain
-from hyperdet.linalg import is_symmetric, rat_matrix, solve_sparse_system
+from hyperdet.linalg import is_symmetric, rat_matrix
 from hyperdet.poly import Poly, UniPoly, _linear_power, as_point
 from hyperdet.quotient import BezoutianForm, QuotientContext
 from hyperdet.sdp import SdpProblem
@@ -108,13 +109,65 @@ def mult_by_x0(ctx: QuotientContext, coeffs) -> tuple[Poly, ...]:
     return tuple(out)
 
 
+def fraction_solve_sparse_system(rows, rhs, num_unknowns):
+    """Gauss-Jordan elimination on sparse rows by rational pivots.
+
+    Unknowns are eliminated in index order, the pivot of each new row in its
+    first nonzero column, and every stored row is kept normalized with pivot
+    1; free unknowns are zero.  None when some row reduces to 0 = c, c != 0.
+    """
+    pivots = {}
+    for raw_row, raw_val in zip(rows, rhs):
+        row = {c: Fraction(v) for c, v in raw_row.items()}
+        val = Fraction(raw_val)
+        for col in sorted(row):
+            if col in pivots and row.get(col):
+                coeff = row[col]
+                prow, pval = pivots[col]
+                for c2, v2 in prow.items():
+                    nv = row.get(c2, Fraction(0)) - coeff * v2
+                    if nv:
+                        row[c2] = nv
+                    else:
+                        row.pop(c2, None)
+                val -= coeff * pval
+                row.pop(col, None)
+        row = {c: v for c, v in row.items() if v}
+        if not row:
+            if val != 0:
+                return None
+            continue
+        col = min(row)
+        inv = 1 / row[col]
+        row = {c: v * inv for c, v in row.items()}
+        val *= inv
+        for pcol, (prow, pval) in list(pivots.items()):
+            if col in prow:
+                f = prow[col]
+                for c2, v2 in row.items():
+                    nv = prow.get(c2, Fraction(0)) - f * v2
+                    if nv:
+                        prow[c2] = nv
+                    else:
+                        prow.pop(c2, None)
+                pivots[pcol] = (prow, pval - f * val)
+        pivots[col] = (row, val)
+    values = [Fraction(0)] * num_unknowns
+    for col, (_, val) in pivots.items():
+        values[col] = val
+    return values
+
+
 def poly_lift(ctx: QuotientContext, dec):
     """The symmetric lift with each generator held as d Polys.
 
-    Each LDL row becomes its reduced element (row_to_element), and x_s * u_i and x0bar * u_j are formed by Poly products before their
-    coordinates over the degree-(k+1) basis are read back term by term.  The
-    equations, their order and the unknown numbering are those of
-    detrep.solve_symmetric_lift; None when the system is inconsistent.
+    Each LDL row becomes its reduced element (row_to_element), and x_s * u_i
+    and x0bar * u_j are formed by Poly products before their coordinates over
+    the degree-(k+1) basis are read back term by term.  The unknowns are the
+    entries of G_s themselves, the equations have rational coefficients, and
+    fraction_solve_sparse_system solves them; the equation order and the
+    unknown numbering are those of detrep.solve_symmetric_lift.  None when
+    the system is inconsistent.
     """
     m = len(dec.rows)
     n = ctx.n
@@ -149,7 +202,7 @@ def poly_lift(ctx: QuotientContext, dec):
             if per_row[pos] or pos in targets[j]:
                 rows.append({u: c for u, c in per_row[pos].items() if c})
                 rhs.append(targets[j].get(pos, Fraction(0)))
-    values = solve_sparse_system(rows, rhs, n * per_s)
+    values = fraction_solve_sparse_system(rows, rhs, n * per_s)
     if values is None:
         return None
     pencil = []

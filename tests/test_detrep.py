@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperdet.detrep
 from hyperdet import (
     CertifyError,
     CertifyOptions,
@@ -22,7 +23,7 @@ from hyperdet import (
     verify_certificate,
 )
 from hyperdet.detrep import extract_cofactor, pencil_determinant, solve_symmetric_lift
-from hyperdet.linalg import invert_matrix
+from hyperdet.linalg import invert_matrix, solve_sparse_system
 from hyperdet.poly import apply_linear, normalize_direction
 from hyperdet.quotient import QuotientContext
 from hyperdet.sos import SosDecomposition, find_sos_decomposition, monomial_basis_Mk
@@ -104,6 +105,26 @@ def test_lift_matches_the_poly_lift(h):
     dec = find_sos_decomposition(ctx)
     weights, pencil = solve_symmetric_lift(ctx, dec)
     assert (weights, pencil) == poly_lift(ctx, dec)
+
+
+def test_lift_states_its_system_with_integer_coefficients(monkeypatch):
+    # The unknowns are the G_s entries scaled by d_j / (delta_i * delta_j),
+    # delta_i the lcm of the denominators of LDL row i, so every coefficient
+    # is an entry of an integer row and only the right-hand side is rational.
+    h = random_pencil_determinant(random.Random(1), 3, 4)
+    ctx = QuotientContext(normalize_direction(h, [1, 0, 0])[0])
+    dec = find_sos_decomposition(ctx)
+    systems = []
+
+    def recorded(rows, rhs, num_unknowns):
+        systems.append(rows)
+        return solve_sparse_system(rows, rhs, num_unknowns)
+
+    monkeypatch.setattr(hyperdet.detrep, "solve_sparse_system", recorded)
+    lifted = solve_symmetric_lift(ctx, dec)
+    assert len(systems) == 1 and systems[0]
+    assert all(c.denominator == 1 for row in systems[0] for c in row.values())
+    assert lifted == poly_lift(ctx, dec)
 
 
 def test_lift_weighted_symmetry_holds():

@@ -13,6 +13,7 @@ from hyperdet.linalg import invert_matrix, ldl_decompose, solve_sparse_system
 from oracles import (
     bareiss_determinant,
     fraction_ldl_decompose,
+    fraction_solve_sparse_system,
     is_positive_definite,
     leading_principal_minors,
     mat_mul,
@@ -129,6 +130,67 @@ def test_sparse_solver_detects_inconsistency():
     rows = [{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}]
     values = solve_sparse_system(rows, [F(1), F(3)], 2)
     assert values is None
+
+
+_ENTRIES = st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@st.composite
+def sparse_systems(draw):
+    """Sparse rows with int or Fraction entries, explicit zeros and empty
+    rows among them; some rows combine earlier ones, so the rank may fall
+    short, and the right-hand side is A*x for a drawn x, or drawn itself,
+    which makes most overdetermined systems inconsistent."""
+    unknowns = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            ca, cb = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            rows.append({c: ca * a.get(c, 0) + cb * b.get(c, 0) for c in {*a, *b}})
+        else:
+            rows.append(draw(st.dictionaries(st.integers(0, unknowns - 1), _ENTRIES,
+                                             max_size=unknowns)))
+    if draw(st.booleans()):
+        x = draw(st.lists(_ENTRIES, min_size=unknowns, max_size=unknowns))
+        rhs = [sum((v * x[c] for c, v in row.items()), 0) for row in rows]
+    else:
+        rhs = draw(st.lists(_ENTRIES, min_size=len(rows), max_size=len(rows)))
+    return rows, rhs, unknowns
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_systems())
+def test_sparse_solver_matches_the_fraction_solver(system):
+    # Integer elimination returns the rational elimination's solution, free
+    # unknowns at zero, or None for the same inconsistent systems.
+    assert solve_sparse_system(*system) == fraction_solve_sparse_system(*system)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems(), st.randoms(use_true_random=False))
+def test_sparse_solver_ignores_the_row_order(system, rng):
+    rows, rhs, unknowns = system
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    permuted = solve_sparse_system([rows[i] for i in order], [rhs[i] for i in order], unknowns)
+    assert permuted == solve_sparse_system(rows, rhs, unknowns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems(), st.data())
+def test_sparse_solver_scaling_a_column_divides_its_unknown(system, data):
+    # The lift relies on this: positive column scalings keep the pivot
+    # columns, so the solution with free unknowns at zero scales with them.
+    rows, rhs, unknowns = system
+    col = data.draw(st.integers(0, unknowns - 1))
+    sigma = data.draw(st.fractions(min_value=Fraction(1, 9), max_value=9)
+                      .filter(lambda f: f > 0))
+    scaled = [{c: v * sigma if c == col else v for c, v in row.items()} for row in rows]
+    values = solve_sparse_system(rows, rhs, unknowns)
+    expected = None if values is None else [v / sigma if c == col else v
+                                            for c, v in enumerate(values)]
+    assert solve_sparse_system(scaled, rhs, unknowns) == expected
 
 
 def test_ldl_requires_symmetry_and_squareness():

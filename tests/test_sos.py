@@ -516,3 +516,32 @@ def test_power_sum_multiplier():
     assert power_sum_multiplier(ctx, 0) == Poly.one(3)
     assert power_sum_multiplier(ctx, 1) == P("x1^2 + x2^2", 3)
     assert power_sum_multiplier(ctx, 2) == P("x1^4 + 2*x1^2*x2^2 + x2^4", 3)
+
+
+def test_multiplier_is_built_once_per_search(monkeypatch):
+    # One sum of squares per search and one product per level: every Gram
+    # problem and the returned decomposition carry that level's power.
+    ctx = QuotientContext(LORENTZ)
+    powers, multipliers = [], []
+
+    def counted_power(ctx_, ell):
+        powers.append(ell)
+        return power_sum_multiplier(ctx_, ell)
+
+    def recorded_problem(ctx_, omega0, ell, multiplier=None):
+        multipliers.append((ell, multiplier))
+        return gram_problem(ctx_, omega0, ell, multiplier)
+
+    def solve(problem, tol):
+        # No margin at ell=0 (m = 3), so the search goes on to ell=1.
+        sol = solve_maxeig(problem, tol=tol)
+        return sol if problem.m > 3 else dataclasses.replace(sol, t=-1.0)
+
+    monkeypatch.setattr(hyperdet.sos, "power_sum_multiplier", counted_power)
+    monkeypatch.setattr(hyperdet.sos, "gram_problem", recorded_problem)
+    monkeypatch.setattr(hyperdet.sos, "solve_maxeig", solve)
+    dec = find_sos_decomposition(ctx, ell_max=2)
+    assert dec.ell == 1
+    assert dec.multiplier == P("x1^2 + x2^2", 3)
+    assert powers == [1]
+    assert multipliers == [(ell, power_sum_multiplier(ctx, ell)) for ell in (0, 1)]

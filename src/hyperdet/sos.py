@@ -114,7 +114,7 @@ def power_sum_multiplier(ctx: QuotientContext, ell: int) -> Poly:
 
 
 def gram_problem(
-    ctx: QuotientContext, omega0: BezoutianForm, ell: int, multiplier: Poly | None = None
+    ctx: QuotientContext, omega0: BezoutianForm, ell: int, multiplier: Poly
 ) -> tuple[SdpProblem, list[GramIndex]]:
     """Assemble the Gram-matrix SDP for multiplier exponent ell.
 
@@ -124,13 +124,11 @@ def gram_problem(
     coefficient of x^mu in (multiplier * omega0)_{ij}.  Each constraint is
     one exact sparse row; the solver and the rounding stage both read these
     rows, and no two rows share a Gram position.  multiplier is
-    power_sum_multiplier(ctx, ell), computed here when not given.
+    power_sum_multiplier(ctx, ell), which the caller builds level by level.
     """
     d = ctx.d
     k = d - 1 + ell
     basis = monomial_basis_Mk(ctx, k)
-    if multiplier is None:
-        multiplier = power_sum_multiplier(ctx, ell)
     target = omega0.scaled(multiplier)
     by_power: list[list[tuple[int, Monomial]]] = [[] for _ in range(d)]
     for a, g in enumerate(basis):

@@ -102,7 +102,7 @@ def test_basis_size_formula():
 def test_gram_problem_lorentz_forces_diagonal():
     ctx = QuotientContext(LORENTZ)
     omega = bezoutian_of(ctx, LORENTZ.derivative(0))
-    problem, basis = gram_problem(ctx, omega, 0)
+    problem, basis = gram_problem(ctx, omega, 0, power_sum_multiplier(ctx, 0))
     assert problem.m == 3
     assert len(problem.constraints) == 6
     sol = solve_maxeig(problem)
@@ -115,7 +115,7 @@ def test_gram_problem_lorentz_forces_diagonal():
 def test_gram_problem_linear_case():
     ctx = QuotientContext(P("x0 - x1"))
     omega = bezoutian_of(ctx, ctx.h.derivative(0))
-    problem, basis = gram_problem(ctx, omega, 0)
+    problem, basis = gram_problem(ctx, omega, 0, power_sum_multiplier(ctx, 0))
     assert problem.m == 1
     sol = solve_maxeig(problem)
     gram = round_gram(problem, sol.G)
@@ -125,8 +125,8 @@ def test_gram_problem_linear_case():
 def test_gram_problem_index_growth():
     ctx = QuotientContext(LORENTZ)
     omega = bezoutian_of(ctx, LORENTZ.derivative(0))
-    p0, basis0 = gram_problem(ctx, omega, 0)
-    p1, basis1 = gram_problem(ctx, omega, 1)
+    p0, basis0 = gram_problem(ctx, omega, 0, power_sum_multiplier(ctx, 0))
+    p1, basis1 = gram_problem(ctx, omega, 1, power_sum_multiplier(ctx, 1))
     assert len(basis1) > len(basis0)
     # k=2 with d=2: power 0 carries |gamma|=2 (3 monomials), power 1 |gamma|=1 (2)
     assert len(basis1) == 3 + 2
@@ -145,7 +145,7 @@ def test_gram_problem_matches_the_pair_scan(h, ell_max):
     ctx = QuotientContext(h)
     omega = bezoutian_of(ctx, ctx.h.derivative(0))
     for ell in range(ell_max + 1):
-        problem, basis = gram_problem(ctx, omega, ell)
+        problem, basis = gram_problem(ctx, omega, ell, power_sum_multiplier(ctx, ell))
         expected, expected_basis = pair_scan_gram_problem(ctx, omega, ell)
         assert basis == expected_basis
         assert problem.m == expected.m
@@ -528,7 +528,7 @@ def test_multiplier_is_built_once_per_search(monkeypatch):
         powers.append(ell)
         return power_sum_multiplier(ctx_, ell)
 
-    def recorded_problem(ctx_, omega0, ell, multiplier=None):
+    def recorded_problem(ctx_, omega0, ell, multiplier):
         multipliers.append((ell, multiplier))
         return gram_problem(ctx_, omega0, ell, multiplier)
 

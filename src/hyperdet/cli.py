@@ -9,14 +9,13 @@ Commands:
 Exit codes: 0 success, 1 mathematical refusal (not hyperbolic, suspected
 singularity, multiplier search exhausted, failed verification: any
 HyperdetError that is not an InputError), 2 input error (InputError, an
-unreadable file or malformed JSON).
+unreadable, undecodable or malformed file, an out-of-range flag).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Sequence
 
@@ -37,29 +36,11 @@ from .hyperbolicity import (
 )
 from .poly import Poly, as_point, normalize_direction, parse_poly
 from .quotient import QuotientContext, bezoutian_of, delta_bezoutian
-from .sdp import DEFAULT_TOL
-from .sos import DEFAULT_DENOMINATOR_BOUND, DEFAULT_ELL_MAX
+from .sos import DEFAULT_ELL_MAX
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
 EXIT_INPUT = 2
-
-
-def _checked(kind, ok, requirement: str):
-    """argparse type: parse with kind, then reject values that fail ok."""
-    def parse(text: str):
-        value = kind(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
-        return value
-
-    parse.__name__ = kind.__name__  # argparse names the type in its messages
-    return parse
-
-
-_POSITIVE_INT = _checked(int, lambda v: v > 0, "a positive integer")
-_NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "a non-negative integer")
-_POSITIVE_FLOAT = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="sampled hyperbolicity and PD-witness checks")
     add_common(p_check)
-    p_check.add_argument("--samples", type=_POSITIVE_INT, default=DEFAULT_NUM_SAMPLES)
+    p_check.add_argument("--samples", type=int, default=DEFAULT_NUM_SAMPLES)
     p_check.add_argument("--seed", type=int, default=0)
 
     p_bez = sub.add_parser("bezoutian", help="serialize the basic Bézoutian forms")
@@ -90,11 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="produce a verified certificate")
     add_common(p_cert)
-    p_cert.add_argument("--lmax", type=_NON_NEGATIVE_INT, default=DEFAULT_ELL_MAX)
-    p_cert.add_argument("--sdp-tol", type=_POSITIVE_FLOAT, default=DEFAULT_TOL)
-    p_cert.add_argument("--denominator-bound", type=_POSITIVE_INT,
-                        default=DEFAULT_DENOMINATOR_BOUND)
-    p_cert.add_argument("--samples", type=_POSITIVE_INT, default=DEFAULT_NUM_SAMPLES)
+    p_cert.add_argument("--lmax", type=int, default=DEFAULT_ELL_MAX)
+    p_cert.add_argument("--samples", type=int, default=DEFAULT_NUM_SAMPLES)
     p_cert.add_argument("--seed", type=int, default=0)
 
     p_ver = sub.add_parser("verify", help="replay a certificate file")
@@ -105,10 +83,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of a file; other bytes are an InputError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _read_poly(args: argparse.Namespace) -> tuple[Poly, tuple]:
     if args.input is not None:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(args.input)
     else:
         text = args.poly
     try:
@@ -179,13 +165,7 @@ def _run_bezoutian(args: argparse.Namespace) -> int:
 
 def _run_certify(args: argparse.Namespace) -> int:
     h, e = _read_poly(args)
-    options = CertifyOptions(
-        lmax=args.lmax,
-        sdp_tol=args.sdp_tol,
-        denominator_bound=args.denominator_bound,
-        num_samples=args.samples,
-        seed=args.seed,
-    )
+    options = CertifyOptions(lmax=args.lmax, num_samples=args.samples, seed=args.seed)
     cert = certify(h, e, options)
     payload = cert.to_json_dict()
     lines = [
@@ -200,8 +180,12 @@ def _run_certify(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    with open(args.cert, "r", encoding="utf-8") as fh:
-        cert = DetRepCertificate.from_json_dict(json.load(fh))
+    text = _read_text(args.cert)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise InputError(f"{args.cert}: JSON nested too deeply") from None
+    cert = DetRepCertificate.from_json_dict(data)
     ok, diagnostics = verify_certificate(cert)
     payload = {"schema": SCHEMA, "command": "verify", "valid": ok, "diagnostics": diagnostics}
     lines = [f"valid: {str(ok).lower()}"] + [f"  {d}" for d in diagnostics]

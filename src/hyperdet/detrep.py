@@ -7,25 +7,20 @@ under the weight matrix D.  The pencil x0*I - sum_i x_i G_i then has
 determinant cofactor * h_monic with the pencil at the normalized direction
 equal to the identity, which is the definiteness certificate.  Everything in
 the certificate replays in exact arithmetic; the pencil determinant is one
-division-free Berkowitz characteristic polynomial over integer polynomials.
+division-free Berkowitz characteristic polynomial over integer polynomials,
+and the cofactor is its x0-quotient by h_monic, the division that defines
+the quotient module (quotient.divide_by_h).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import (
-    CertifyError,
-    HyperdetError,
-    InputError,
-    NoSymmetricLift,
-    NotDivisible,
-)
+from .errors import CertifyError, HyperdetError, InputError, NoSymmetricLift
 from .hyperbolicity import DEFAULT_NUM_SAMPLES, check_num_samples, pd_witness_check
 from .linalg import RatMatrix, invert_matrix, rat_matrix, solve_sparse_system
 from .poly import (
@@ -35,14 +30,11 @@ from .poly import (
     apply_linear,
     as_fraction,
     as_point,
-    exact_divide,
     normalize_direction,
     parse_poly,
 )
-from .quotient import QuotientContext
-from .sdp import DEFAULT_TOL
+from .quotient import QuotientContext, divide_by_h
 from .sos import (
-    DEFAULT_DENOMINATOR_BOUND,
     DEFAULT_ELL_MAX,
     GramIndex,
     SosDecomposition,
@@ -59,31 +51,23 @@ _ZERO = Fraction(0)
 class CertifyOptions:
     """Search settings of certify; none of them changes what the replay checks.
 
-    lmax caps the multiplier exponent, sdp_tol and denominator_bound steer
-    the SDP and its rounding grid, num_samples and seed the PD-witness check.
-    A value of the wrong type or out of range raises InputError.
+    lmax caps the multiplier exponent, num_samples and seed steer the
+    PD-witness check.  A value of the wrong type or out of range raises
+    InputError.
     """
 
     lmax: int = DEFAULT_ELL_MAX
-    sdp_tol: float = DEFAULT_TOL
-    denominator_bound: int = DEFAULT_DENOMINATOR_BOUND
     num_samples: int = DEFAULT_NUM_SAMPLES
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("lmax", "denominator_bound", "seed"):
+        for name in ("lmax", "seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InputError(f"{name} must be an int, got {value!r}")
         check_num_samples(self.num_samples)
-        if not isinstance(self.sdp_tol, numbers.Real) or isinstance(self.sdp_tol, bool):
-            raise InputError(f"sdp_tol must be a real number, got {self.sdp_tol!r}")
         if self.lmax < 0:
             raise InputError(f"lmax must be non-negative, got {self.lmax}")
-        if not 0 < self.sdp_tol < math.inf:
-            raise InputError(f"sdp_tol must be positive and finite, got {self.sdp_tol}")
-        if self.denominator_bound < 1:
-            raise InputError(f"denominator_bound must be positive, got {self.denominator_bound}")
 
 
 @dataclass
@@ -387,13 +371,6 @@ def _berkowitz_charpoly(mat: list[list[dict[int, int]]]) -> list[dict[int, int]]
     return coeffs
 
 
-def extract_cofactor(detp: Poly, h_monic: Poly) -> Poly:
-    """q' with detp = q' * h_monic; NotDivisible signals a soundness failure."""
-    if not (detp.is_homogeneous and h_monic.is_homogeneous):
-        raise ValueError("both polynomials must be homogeneous")
-    return exact_divide(detp, h_monic)
-
-
 def _gram_basis_pencil(pencil: Sequence[RatMatrix], rows: RatMatrix) -> list[RatMatrix]:
     """R^-1 G_s R for every G_s: the pencil restated in the monomial basis.
 
@@ -472,7 +449,7 @@ def certify(h: Poly, e: Sequence[RationalLike], options: CertifyOptions | None =
             witness=report.witness,
         )
 
-    dec = find_sos_decomposition(ctx, opts.lmax, opts.sdp_tol, opts.denominator_bound)
+    dec = find_sos_decomposition(ctx, opts.lmax)
     weights, pencil = solve_symmetric_lift(ctx, dec)
     cert = DetRepCertificate(
         h=h,
@@ -511,9 +488,11 @@ def _replay(
 
     Check (c) takes the determinant of det_pencil, which is cert.pencil in
     verify_certificate and a pencil similar to it in certify; checks (a),
-    (b) and (d) read cert.pencil.  Check (c) compares the quotient with
-    cert.cofactor, unless that is None, as it is while certify builds the
-    certificate.
+    (b) and (d) read cert.pencil.  Check (c) divides it by h_monic in the
+    quotient context of h recomputed from h and T, which makes h monic and
+    refuses an h that vanishes at (1,0,...,0); a nonzero remainder fails the
+    check.  It compares the quotient with cert.cofactor, unless that is
+    None, as it is while certify builds the certificate.
     """
     diagnostics: list[str] = []
     quotient = None
@@ -540,18 +519,12 @@ def _replay(
 
     if shapes_ok:
         try:
-            inverse_t = invert_matrix(cert.transform)
-            h_norm = apply_linear(cert.h, inverse_t)
-            d = h_norm.degree
-            lead = h_norm.coeff((d,) + (0,) * n)
-            if lead == 0:
-                diagnostics.append("(c) transformed polynomial vanishes at (1,0,...,0)")
-            else:
-                quotient = extract_cofactor(pencil_determinant(det_pencil), h_norm * (1 / lead))
-                if cert.cofactor is not None and quotient != cert.cofactor:
-                    diagnostics.append("(c) pencil determinant differs from cofactor * h_monic")
-        except NotDivisible:
-            diagnostics.append("(c) pencil determinant is not a multiple of h_monic")
+            ctx = QuotientContext(apply_linear(cert.h, invert_matrix(cert.transform)))
+            quotient, remainder = divide_by_h(ctx, pencil_determinant(det_pencil))
+            if any(remainder):
+                diagnostics.append("(c) pencil determinant is not a multiple of h_monic")
+            elif cert.cofactor is not None and quotient != cert.cofactor:
+                diagnostics.append("(c) pencil determinant differs from cofactor * h_monic")
         except (HyperdetError, ValueError) as exc:
             diagnostics.append(f"(c) determinant check could not be replayed: {exc}")
 

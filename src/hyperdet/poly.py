@@ -21,7 +21,6 @@ from .errors import (
     DimensionMismatch,
     DirectionVanishes,
     InputError,
-    NotDivisible,
     PolyParseError,
 )
 
@@ -368,31 +367,6 @@ class UniPoly:
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-
-def exact_divide(f: Poly, g: Poly) -> Poly:
-    """Return q with f = q*g, reducing against the single divisor g.
-
-    Reduction repeatedly cancels the grlex-leading term of the remainder, so
-    it either terminates at zero or proves that g does not divide f.
-    """
-    if f.nvars != g.nvars:
-        raise DimensionMismatch("dividend and divisor use different variable counts")
-    if g.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    g_terms = list(g.terms())
-    g_mono, g_coeff = g_terms[0]
-    quotient: dict[Monomial, Fraction] = {}
-    rem = f
-    while not rem.is_zero:
-        r_mono, r_coeff = next(rem.terms())
-        diff = tuple(a - b for a, b in zip(r_mono, g_mono))
-        if any(e < 0 for e in diff):
-            raise NotDivisible(f"{g} does not divide {f}")
-        factor = r_coeff / g_coeff
-        quotient[diff] = quotient.get(diff, _ZERO) + factor
-        rem = rem - Poly.monomial(diff, factor) * g
-    return Poly(f.nvars, quotient)
 
 
 def _linear_power(coeffs: Sequence[Fraction], k: int) -> dict[Monomial, Fraction]:

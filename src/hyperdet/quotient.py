@@ -2,28 +2,29 @@
 
 For a homogeneous h of degree d with nonzero x0^d coefficient, the quotient
 of the full polynomial ring by (h) is free of rank d over the subring in
-x1..xn, with basis 1, x0bar, ..., x0bar^{d-1}.  This module provides exact
-reduction to that basis and the d x d polynomial matrices ("Bézoutian
-forms") obtained from difference quotients.
+x1..xn, with basis 1, x0bar, ..., x0bar^{d-1}.  This module provides the
+one division by h, whose remainder is the reduction to that basis and whose
+quotient is the cofactor of a certificate, and the d x d polynomial matrices
+("Bézoutian forms") obtained from difference quotients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DimensionMismatch
-from .poly import Poly
+from .poly import Monomial, Poly
 
 
 class QuotientContext:
     """Degree-d quotient of the polynomial ring by a single homogeneous h.
 
-    The stored h is rescaled to be monic in x0 (the original leading
-    coefficient is kept in `scale`), so reduction against h is companion
-    style and exact.
+    The stored h is rescaled to be monic in x0, so division by h is
+    companion style and exact.
     """
 
-    __slots__ = ("h", "d", "n", "scale", "h_coeffs")
+    __slots__ = ("h", "d", "n", "h_coeffs")
 
     def __init__(self, h: Poly):
         if not h.is_homogeneous:
@@ -42,7 +43,6 @@ class QuotientContext:
         object.__setattr__(self, "h", monic)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n", h.nvars - 1)
-        object.__setattr__(self, "scale", lead)
         object.__setattr__(self, "h_coeffs", tuple(coeffs))
 
     def __setattr__(self, name, value):
@@ -56,22 +56,30 @@ class QuotientContext:
         return f"QuotientContext(h={self.h!s}, d={self.d}, n={self.n})"
 
 
-def reduce_mod_h(ctx: QuotientContext, p: Poly) -> tuple[Poly, ...]:
-    """The x0-free coefficients of x0bar^0..x0bar^(d-1) in p's representative."""
+def divide_by_h(ctx: QuotientContext, p: Poly) -> tuple[Poly, tuple[Poly, ...]]:
+    """(q, r) with p = q * h_monic + sum_j r_j x0^j, every r_j free of x0.
+
+    r_0..r_(d-1) are the coordinates of p's class over 1, x0bar, ...,
+    x0bar^(d-1), and q is the x0-quotient; p is a multiple of h_monic
+    exactly when every r_j is zero.
+    """
     if p.nvars != ctx.nvars:
         raise DimensionMismatch("polynomial and context variable counts differ")
     d = ctx.d
     parts = p.x0_coefficients()
-    # Rewrite x0^k for k >= d via x0^d = -sum_{j<d} c_j x0^j, top down.
+    quotient: dict[Monomial, Fraction] = {}
+    # Rewrite x0^k for k >= d via x0^d = -sum_{j<d} c_j x0^j, top down; the
+    # coefficient popped at x0^k is that of x0^(k-d) in q.
     while len(parts) > d:
         top = parts.pop()
         k = len(parts)  # top was the coefficient of x0^k
         if top.is_zero:
             continue
+        quotient.update(((k - d,) + mono[1:], c) for mono, c in top.terms())
         for j in range(d):
             parts[k - d + j] = parts[k - d + j] - ctx.h_coeffs[j] * top
     parts += [Poly.zero(ctx.nvars)] * (d - len(parts))
-    return tuple(parts)
+    return Poly(ctx.nvars, quotient), tuple(parts)
 
 
 def _divide_by_s_minus_t(num: list[list], d: int) -> list[list]:
@@ -99,7 +107,6 @@ class BezoutianForm:
     """
 
     entries: tuple[tuple[Poly, ...], ...]
-    total_degree: int
 
     @property
     def size(self) -> int:
@@ -109,11 +116,7 @@ class BezoutianForm:
         return self.entries[i][j]
 
     def scaled(self, p: Poly) -> "BezoutianForm":
-        deg = p.degree
-        return BezoutianForm(
-            tuple(tuple(p * e for e in row) for row in self.entries),
-            self.total_degree + deg,
-        )
+        return BezoutianForm(tuple(tuple(p * e for e in row) for row in self.entries))
 
     def to_json_rows(self) -> list[list[str]]:
         return [[str(e) for e in row] for row in self.entries]
@@ -122,21 +125,21 @@ class BezoutianForm:
 def bezoutian_of(ctx: QuotientContext, p: Poly) -> BezoutianForm:
     """Bézoutian form generated by p: reduce (h(s)p(t) - h(t)p(s)) / (s - t).
 
-    p is reduced modulo h first; the division then lands directly in the
-    span of s^i t^j with i, j < d, so no bidegree reduction is needed.
+    p is reduced modulo h first (the remainder of divide_by_h); the division
+    then lands directly in the span of s^i t^j with i, j < d, so no bidegree
+    reduction is needed.
     """
     if p.nvars != ctx.nvars:
         raise DimensionMismatch("polynomial and context variable counts differ")
     if not p.is_homogeneous:
         raise ValueError("generator must be homogeneous")
     d = ctx.d
-    pc = reduce_mod_h(ctx, p) + (Poly.zero(ctx.nvars),)
+    _, reduced = divide_by_h(ctx, p)
+    pc = reduced + (Poly.zero(ctx.nvars),)
     hc = ctx.h_coeffs
     # Numerator table N[i][j] = h_i p_j - h_j p_i over the coefficient ring.
     num = [[hc[i] * pc[j] - hc[j] * pc[i] for j in range(d + 1)] for i in range(d + 1)]
-    entries = tuple(tuple(row) for row in _divide_by_s_minus_t(num, d))
-    # A multiple of h reduces to zero, and its form is given degree d - 1.
-    return BezoutianForm(entries, d - 1 + (p.degree if any(pc) else 0))
+    return BezoutianForm(tuple(tuple(row) for row in _divide_by_s_minus_t(num, d)))
 
 
 def delta_bezoutian(ctx: QuotientContext) -> BezoutianForm:

@@ -31,6 +31,11 @@ from .sdp import DEFAULT_TOL, ExactConstraint, SdpProblem, solve_maxeig
 
 DEFAULT_ELL_MAX = 4
 DEFAULT_DENOMINATOR_BOUND = 2**32
+# The rounding grids of each level, coarse first: the positive-definiteness
+# margin usually absorbs the larger rounding error, and a small common
+# denominator keeps the weights, the lift and the pencil determinant cheap
+# downstream.
+DENOMINATOR_BOUNDS = (2**8, 2**16, 2**32, 2**64)
 
 _ZERO = Fraction(0)
 
@@ -233,10 +238,7 @@ def round_gram(
 
 
 def find_sos_decomposition(
-    ctx: QuotientContext,
-    ell_max: int = DEFAULT_ELL_MAX,
-    sdp_tol: float = DEFAULT_TOL,
-    denominator_bound: int = DEFAULT_DENOMINATOR_BOUND,
+    ctx: QuotientContext, ell_max: int = DEFAULT_ELL_MAX
 ) -> SosDecomposition:
     """Escalate the multiplier exponent until an exact decomposition exists.
 
@@ -244,22 +246,17 @@ def find_sos_decomposition(
     dh/dx0 and solve it.  A level whose iterate has no positive eigenvalue
     margin t is skipped with one recorded failure: rounding could only make
     a PD matrix by luck, so this is a cost filter, not a soundness check.
-    Otherwise, for each denominator bound, coarse first, round the iterate
-    (whatever its solver status) to rationals that satisfy every constraint
-    exactly and factor LDL^T once.  That factorization is the PD test: a
-    non-positive pivot (NotPD) is recorded as the bound's failure and the
-    next bound is tried.  Per-level failures escalate; Exhausted is raised
+    Otherwise, for each bound of DENOMINATOR_BOUNDS, coarse first, round the
+    iterate (whatever its solver status) to rationals that satisfy every
+    constraint exactly and factor LDL^T once.  That factorization is the PD
+    test: a non-positive pivot (NotPD) is recorded as the bound's failure
+    and the next bound is tried.  Per-level failures escalate; Exhausted is raised
     only when every level fails.  A returned decomposition satisfies the
     identity exactly by construction (see SosDecomposition) and its rows
     always span (unit-triangular coefficient matrix).
     """
     omega0 = bezoutian_of(ctx, ctx.h.derivative(0))
     failures: list[str] = []
-    # Coarse grids are tried first: the positive-definiteness margin usually
-    # absorbs the larger rounding error, and a small common denominator keeps
-    # the weights, the lift and the pencil determinant cheap downstream.
-    bounds = sorted({min(2**8, denominator_bound), min(2**16, denominator_bound),
-                     denominator_bound, denominator_bound**2})
     # (x1^2 + ... + xn^2)^ell, one product per level.
     square_sum = power_sum_multiplier(ctx, 1)
     multiplier = Poly.one(ctx.nvars)
@@ -267,11 +264,11 @@ def find_sos_decomposition(
         if ell:
             multiplier = multiplier * square_sum
         problem, basis = gram_problem(ctx, omega0, ell, multiplier)
-        sol = solve_maxeig(problem, tol=sdp_tol)
+        sol = solve_maxeig(problem, tol=DEFAULT_TOL)
         if not sol.t > 0:
             failures.append(f"ell={ell}: no positive-definiteness margin to absorb rounding")
             continue
-        for bound in bounds:
+        for bound in DENOMINATOR_BOUNDS:
             try:
                 gram = round_gram(problem, sol.G, bound)
                 weights, rows = ldl_decompose(gram)

@@ -6,12 +6,13 @@ criterion, univariate Bézout matrices by expanding the difference quotient
 monomial by monomial, the commutation test of a Bézoutian form with the
 multiplication-by-x0 matrix, restrictions to a line by expanding h(t*e + v)
 in t, the entrywise value of a Bézoutian form at a point, and the Sturm chain
-by Euclidean division over the rationals.  Five are former routes of
+by Euclidean division over the rationals.  Six are former routes of
 rewrites that must agree with them exactly: the symmetric lift with its
 generators held as Polys, multiplied by x0 through Poly products and solved
 over their rational coordinates, Gauss-Jordan elimination by rational
 pivots, the LDL^T by rational pivots, Gram rounding by Fraction arithmetic,
-and the Gram problem built by testing every split of every monomial.
+the Gram problem built by testing every split of every monomial, and exact
+polynomial division by grlex leading terms.
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from hyperdet.errors import DimensionMismatch, NotPD, RoundingFailed, ZeroPolynomial
+from hyperdet.errors import (
+    DimensionMismatch,
+    NotDivisible,
+    NotPD,
+    RoundingFailed,
+    ZeroPolynomial,
+)
 from hyperdet.hyperbolicity import _distinct_real_roots, sturm_chain
 from hyperdet.linalg import is_symmetric, rat_matrix
 from hyperdet.poly import Poly, UniPoly, _linear_power, as_point
@@ -31,6 +38,30 @@ from hyperdet.sos import monomial_basis_Mk, power_sum_multiplier, r_monomials_of
 def mat_mul(a, b):
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
             for row in a]
+
+
+def exact_divide(f: Poly, g: Poly) -> Poly:
+    """Return q with f = q*g, reducing against the single divisor g.
+
+    Reduction repeatedly cancels the grlex-leading term of the remainder, so
+    it either terminates at zero or proves that g does not divide f.
+    """
+    if f.nvars != g.nvars:
+        raise DimensionMismatch("dividend and divisor use different variable counts")
+    if g.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    g_mono, g_coeff = next(g.terms())
+    quotient: dict = {}
+    rem = f
+    while not rem.is_zero:
+        r_mono, r_coeff = next(rem.terms())
+        diff = tuple(a - b for a, b in zip(r_mono, g_mono))
+        if any(e < 0 for e in diff):
+            raise NotDivisible(f"{g} does not divide {f}")
+        factor = r_coeff / g_coeff
+        quotient[diff] = quotient.get(diff, Fraction(0)) + factor
+        rem = rem - Poly.monomial(diff, factor) * g
+    return Poly(f.nvars, quotient)
 
 
 def bareiss_determinant(matrix) -> Fraction:

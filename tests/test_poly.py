@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hyperdet import (
     DirectionVanishes,
-    NotDivisible,
     Poly,
     PolyParseError,
     parse_poly,
@@ -18,9 +17,9 @@ from hyperdet.linalg import invert_matrix
 from hyperdet.poly import (
     UniPoly,
     apply_linear,
-    exact_divide,
     normalize_direction,
 )
+from hyperdet.quotient import QuotientContext, divide_by_h
 
 from conftest import all_monomials, random_homogeneous
 from oracles import is_homogeneous_of_degree, substitute_line, uni_divmod
@@ -72,32 +71,34 @@ def test_mul_preserves_homogeneity(a, b):
         assert product.is_zero or product.degree == a.degree + b.degree
 
 
-# -- exact_divide ------------------------------------------------------------
+# -- exact division by h ---------------------------------------------------
 
 def test_exact_divide_cofactor_roundtrip():
     f = P("x0^3 - x0*x1^2 - x0*x2^2")
     g = P("x0^2 - x1^2 - x2^2")
-    q = exact_divide(f, g)
+    q, r = divide_by_h(QuotientContext(g), f)
+    assert not any(r)
     assert q * g == f
 
 
 def test_exact_divide_self():
     h = P("x0^2 - x1^2 - x2^2")
-    assert exact_divide(h, h) == Poly.one(3)
+    assert divide_by_h(QuotientContext(h), h) == (Poly.one(3), (Poly.zero(3),) * 2)
 
 
 def test_exact_divide_remainder_rejected():
-    with pytest.raises(NotDivisible):
-        exact_divide(P("x0^2 - x1^2", 3), P("x0 + x2", 3))
+    _, r = divide_by_h(QuotientContext(P("x0 + x2", 3)), P("x0^2 - x1^2", 3))
+    assert r == (P("x2^2 - x1^2", 3),)
 
 
 @settings(max_examples=60, deadline=None)
 @given(homogeneous(nvars=3, degree=2), homogeneous(nvars=3, degree=1))
 def test_division_roundtrip(q, g):
-    if g.is_zero:
+    # h_monic is g over its x0 coefficient, so q * g is (lead * q) * h_monic.
+    lead = g.coeff((1, 0, 0))
+    if not lead:
         return
-    f = q * g
-    assert exact_divide(f, g) == q
+    assert divide_by_h(QuotientContext(g), q * g) == (q * lead, (Poly.zero(3),))
 
 
 # -- substitute_line ---------------------------------------------------------

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperdet import Poly, parse_poly
 from hyperdet.poly import UniPoly
@@ -12,7 +14,7 @@ from hyperdet.quotient import (
     QuotientContext,
     bezoutian_of,
     delta_bezoutian,
-    reduce_mod_h,
+    divide_by_h,
 )
 from hyperdet.sos import monomial_basis_Mk
 
@@ -21,6 +23,7 @@ from oracles import (
     bezout_matrix_univariate,
     element_to_poly,
     evaluate_form,
+    exact_divide,
     is_bezoutian,
     is_homogeneous_of_degree,
     leading_principal_minors,
@@ -37,11 +40,11 @@ def P(text, nvars=None):
 LORENTZ = P("x0^2 - x1^2 - x2^2")
 
 
-# -- reduce_mod_h ------------------------------------------------------------
+# -- divide_by_h: the remainder is the reduction ------------------------------
 
 def test_reduce_x0_squared():
     ctx = QuotientContext(LORENTZ)
-    coeffs = reduce_mod_h(ctx, P("x0^2", 3))
+    coeffs = divide_by_h(ctx, P("x0^2", 3))[1]
     assert len(coeffs) == 2
     assert coeffs[0] == P("x1^2 + x2^2", 3)
     assert coeffs[1].is_zero
@@ -49,7 +52,7 @@ def test_reduce_x0_squared():
 
 def test_reduce_already_reduced():
     ctx = QuotientContext(LORENTZ)
-    coeffs = reduce_mod_h(ctx, P("x1", 3))
+    coeffs = divide_by_h(ctx, P("x1", 3))[1]
     assert len(coeffs) == 2
     assert coeffs[0] == P("x1", 3)
     assert coeffs[1].is_zero
@@ -57,7 +60,7 @@ def test_reduce_already_reduced():
 
 def test_reduce_x0_cubed():
     ctx = QuotientContext(LORENTZ)
-    coeffs = reduce_mod_h(ctx, P("x0^3", 3))
+    coeffs = divide_by_h(ctx, P("x0^3", 3))[1]
     assert len(coeffs) == 2
     assert coeffs[0].is_zero
     assert coeffs[1] == P("x1^2 + x2^2", 3)
@@ -75,10 +78,10 @@ def test_mult_by_x0_agrees_with_reduction():
         h = random_homogeneous(rng, nvars, degree, monic_in_x0=True)
         ctx = QuotientContext(h)
         p = random_homogeneous(rng, nvars, rng.randint(0, degree + 1))
-        coeffs = reduce_mod_h(ctx, p)
+        coeffs = divide_by_h(ctx, p)[1]
         x0 = Poly.variable(nvars, 0)
         direct = mult_by_x0(ctx, coeffs)
-        via_reduction = reduce_mod_h(ctx, element_to_poly(ctx, coeffs) * x0)
+        via_reduction = divide_by_h(ctx, element_to_poly(ctx, coeffs) * x0)[1]
         assert direct == via_reduction
 
         k = ctx.d - 1 + rng.randint(0, 1)
@@ -96,22 +99,20 @@ def test_mult_by_x0_agrees_with_reduction():
         for a, g in enumerate(basis):
             b = Poly.monomial(g.r_monomial, 1) * x0**g.basis_power
             assert all(x0_images[a].values())
-            assert as_coeffs(x0_images[a]) == reduce_mod_h(ctx, x0 * b)
+            assert as_coeffs(x0_images[a]) == divide_by_h(ctx, x0 * b)[1]
             for s in range(1, nvars):
                 xs = Poly.variable(nvars, s)
-                assert as_coeffs(shift_maps[s - 1][a]) == reduce_mod_h(ctx, xs * b)
+                assert as_coeffs(shift_maps[s - 1][a]) == divide_by_h(ctx, xs * b)[1]
 
 
 def test_reduce_agrees_with_polynomial_identity():
     # p - representative must be divisible by h.
     rng = random.Random(23)
-    from hyperdet.poly import exact_divide
-
     for _ in range(10):
         h = random_homogeneous(rng, 3, 3, monic_in_x0=True)
         ctx = QuotientContext(h)
         p = random_homogeneous(rng, 3, rng.randint(3, 5))
-        coeffs = reduce_mod_h(ctx, p)
+        coeffs = divide_by_h(ctx, p)[1]
         assert len(coeffs) == ctx.d
         assert all(c.degree_in(0) == 0 for c in coeffs)
         rep = element_to_poly(ctx, coeffs)
@@ -121,9 +122,48 @@ def test_reduce_agrees_with_polynomial_identity():
         assert exact_divide(difference, ctx.h) * ctx.h == difference
 
 
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def form(draw, nvars, degree, x0_free=False):
+    """A homogeneous polynomial of the given degree, free of x0 if asked."""
+    monos = [m for m in all_monomials(nvars, degree) if not (x0_free and m[0])]
+    if not monos:
+        return Poly.zero(nvars)
+    picked = draw(st.lists(st.sampled_from(monos), max_size=4, unique=True))
+    return Poly(nvars, {m: draw(small_fractions) for m in picked})
+
+
+@st.composite
+def division_case(draw):
+    """(h, q, r): h with a nonzero x0^d coefficient, q and x0-free r_j so that
+    q * h_monic + sum_j r_j x0^j is homogeneous."""
+    nvars = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 3))
+    h = draw(form(nvars, d))
+    top = (d,) + (0,) * (nvars - 1)
+    h = h + Poly.monomial(top, draw(small_fractions.filter(bool)) - h.coeff(top))
+    degree = draw(st.integers(0, 2))
+    q = draw(form(nvars, degree))
+    r = tuple(draw(form(nvars, degree + d - j, x0_free=True)) for j in range(d))
+    return h, q, r
+
+
+@settings(max_examples=80, deadline=None)
+@given(division_case())
+def test_divide_by_h_returns_quotient_and_remainder(case):
+    h, q, r = case
+    ctx = QuotientContext(h)
+    x0 = Poly.variable(h.nvars, 0)
+    p = q * ctx.h + sum((r_j * x0**j for j, r_j in enumerate(r)), Poly.zero(h.nvars))
+    assert divide_by_h(ctx, p) == (q, r)
+    if not any(r):
+        assert q == exact_divide(p, ctx.h)
+
+
 def test_context_rescales_to_monic():
     ctx = QuotientContext(P("3*x0^2 - 3*x1^2 - 6*x2^2"))
-    assert ctx.scale == Fraction(3)
     assert ctx.h == P("x0^2 - x1^2 - 2*x2^2")
     assert ctx.d == 2 and ctx.n == 2
 
@@ -247,7 +287,6 @@ def test_bezoutian_of_derivative():
     assert omega.entries[0][0] == P("2*x1^2 + 2*x2^2", 3)
     assert omega.entries[0][1].is_zero and omega.entries[1][0].is_zero
     assert omega.entries[1][1] == Poly.constant(3, 2)
-    assert omega.total_degree == 2
 
 
 def test_bezoutian_of_x1_is_scaled_delta():

@@ -150,6 +150,9 @@ def test_malformed_direction_is_an_input_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    LORENTZ_CHECK + ("--samples", "0"),
+    LORENTZ_CERTIFY + ("--samples", "-1"),
+    LORENTZ_CERTIFY + ("--lmax", "-7"),
     LORENTZ_CERTIFY + ("--lmax", "-1"),
     LORENTZ_CERTIFY + ("--samples", "0"),
     LORENTZ_CHECK + ("--samples", "-3"),

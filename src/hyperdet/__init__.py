@@ -20,7 +20,6 @@ from .errors import (
     HyperdetError,
     InputError,
     NoSymmetricLift,
-    NotDivisible,
     NotPD,
     PolyParseError,
     RoundingFailed,
@@ -46,7 +45,6 @@ __all__ = [
     "HyperdetError",
     "InputError",
     "NoSymmetricLift",
-    "NotDivisible",
     "NotPD",
     "Poly",
     "PolyParseError",

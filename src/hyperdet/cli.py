@@ -180,12 +180,7 @@ def _run_certify(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    text = _read_text(args.cert)
-    try:
-        data = json.loads(text)
-    except RecursionError:
-        raise InputError(f"{args.cert}: JSON nested too deeply") from None
-    cert = DetRepCertificate.from_json_dict(data)
+    cert = DetRepCertificate.from_json(_read_text(args.cert))
     ok, diagnostics = verify_certificate(cert)
     payload = {"schema": SCHEMA, "command": "verify", "valid": ok, "diagnostics": diagnostics}
     lines = [f"valid: {str(ok).lower()}"] + [f"  {d}" for d in diagnostics]
@@ -204,7 +199,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "certify":
             return _run_certify(args)
         return _run_verify(args)
-    except (InputError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except HyperdetError as exc:

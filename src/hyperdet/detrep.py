@@ -164,7 +164,14 @@ class DetRepCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "DetRepCertificate":
-        return cls.from_json_dict(json.loads(text))
+        """Load a certificate from JSON text; text that is not JSON is an InputError."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"certificate is not JSON: {exc}") from None
+        except RecursionError:
+            raise InputError("certificate JSON is nested too deeply") from None
+        return cls.from_json_dict(data)
 
 
 def basis_maps(

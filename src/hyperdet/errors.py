@@ -24,10 +24,6 @@ class DimensionMismatch(InputError):
     """Operands use a different number of variables or coordinates."""
 
 
-class NotDivisible(HyperdetError):
-    """Exact polynomial division left a nonzero remainder."""
-
-
 class DirectionVanishes(InputError):
     """The polynomial vanishes at the proposed hyperbolicity direction."""
 

@@ -8,9 +8,14 @@ X = G - t*I:
 
 Scaling is Nesterov-Todd (the scaled primal and dual variables coincide in
 a diagonal matrix), search directions are Mehrotra predictor-corrector, and
-all linear algebra is dense Cholesky / SVD on numpy arrays.  The solver is
-deterministic: fixed initialization X = I, S = I, y = 0, t = 0 (so the
-matrix variable starts at G = I) and no randomized pivoting.
+all linear algebra is dense numpy.  Each iteration factors each matrix once:
+X and S keep the Cholesky factors of the step that accepted them, and the
+inverses of those factors give the scaling and the step lengths; the Schur
+matrix is the symmetric product B B^T, row k of B holding the scaled
+constraint g^T A_k g, and its Cholesky factor is inverted once, so every
+Schur solve is two matrix-vector products.  The solver is deterministic:
+fixed initialization X = I, S = I, y = 0, t = 0 (so the matrix variable
+starts at G = I) and no randomized pivoting.
 """
 
 from __future__ import annotations
@@ -80,27 +85,48 @@ def _max_violation(a_flat: np.ndarray, b: np.ndarray, g: np.ndarray) -> float:
     return float(np.max(np.abs(a_flat @ g.ravel() - b))) if len(b) else 0.0
 
 
-def _max_step(mat: np.ndarray, delta: np.ndarray) -> float:
-    """Largest alpha with mat + alpha*delta still PSD (mat assumed PD)."""
-    chol = np.linalg.cholesky(mat)
-    inner = np.linalg.solve(chol, np.linalg.solve(chol, delta).T).T
+def _max_step(inv_chol: np.ndarray, delta: np.ndarray) -> float:
+    """Largest alpha with mat + alpha*delta still PSD, given inv(cholesky(mat)).
+
+    With mat = L L^T and F = L^-1, mat + alpha*delta = L (I + alpha F delta F^T) L^T.
+    """
+    inner = inv_chol @ delta @ inv_chol.T
     lam_min = float(np.linalg.eigvalsh(0.5 * (inner + inner.T))[0])
     if lam_min >= -1e-14:
         return math.inf
     return -1.0 / lam_min
 
 
-def _apply_step(current: np.ndarray, delta: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
-    """Step with Cholesky-guarded backtracking so the iterate stays PD."""
+def _apply_step(current: np.ndarray, chol: np.ndarray, delta: np.ndarray,
+                alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Step with Cholesky-guarded backtracking so the iterate stays PD.
+
+    Returns the new iterate, its Cholesky factor (chol, that of current, if
+    no step is taken) and the step length.
+    """
     for _ in range(30):
         candidate = current + alpha * delta
         candidate = 0.5 * (candidate + candidate.T)
         try:
-            np.linalg.cholesky(candidate)
-            return candidate, alpha
+            return candidate, np.linalg.cholesky(candidate), alpha
         except np.linalg.LinAlgError:
             alpha *= 0.8
-    return current.copy(), 0.0
+    return current.copy(), chol, 0.0
+
+
+def _schur_matrix(a_stack: np.ndarray, g_sc: np.ndarray) -> np.ndarray:
+    """S_kl = <A_k, W A_l W> for W = g_sc g_sc^T, as B B^T with B_k = g_sc^T A_k g_sc.
+
+    One symmetric product, so S is exactly symmetric.
+    """
+    p, m, _ = a_stack.shape
+    b_rows = np.matmul(np.matmul(g_sc.T, a_stack), g_sc).reshape(p, m * m)
+    return b_rows @ b_rows.T
+
+
+def _inverse_cholesky(mat: np.ndarray) -> np.ndarray:
+    """F = inv(cholesky(mat)), so that mat^-1 @ rhs is F.T @ (F @ rhs)."""
+    return np.linalg.inv(np.linalg.cholesky(mat))
 
 
 def solve_maxeig(problem: SdpProblem, tol: float = DEFAULT_TOL,
@@ -147,10 +173,10 @@ def solve_maxeig(problem: SdpProblem, tol: float = DEFAULT_TOL,
     # A(X) + tau*t = b to solver precision without moving t.
     gram_ops = a_flat @ a_flat.T
     try:
-        gram_chol = np.linalg.cholesky(gram_ops + 1e-13 * np.trace(gram_ops) / p * np.eye(p))
+        gram_inv = _inverse_cholesky(gram_ops + 1e-13 * np.trace(gram_ops) / p * np.eye(p))
 
         def gram_solve(rhs: np.ndarray) -> np.ndarray:
-            return np.linalg.solve(gram_chol.T, np.linalg.solve(gram_chol, rhs))
+            return gram_inv.T @ (gram_inv @ rhs)
     except np.linalg.LinAlgError:
         def gram_solve(rhs: np.ndarray) -> np.ndarray:
             return np.linalg.lstsq(gram_ops, rhs, rcond=None)[0]
@@ -166,6 +192,8 @@ def solve_maxeig(problem: SdpProblem, tol: float = DEFAULT_TOL,
 
     x = np.eye(m)
     s = np.eye(m)
+    lx = np.eye(m)  # Cholesky factors of x and s
+    ls = np.eye(m)
     y = np.zeros(p)
     t = 0.0
 
@@ -213,30 +241,29 @@ def solve_maxeig(problem: SdpProblem, tol: float = DEFAULT_TOL,
             return best
 
         # Nesterov-Todd scaling point: scaled X and S coincide in diag(sigma).
-        lx = np.linalg.cholesky(x)
-        ls = np.linalg.cholesky(s)
+        fx = np.linalg.inv(lx)
+        fs = np.linalg.inv(ls)
         u_svd, sigma, vt_svd = np.linalg.svd(ls.T @ lx)
         sigma = np.maximum(sigma, 1e-300)
         g_sc = lx @ vt_svd.T @ np.diag(sigma**-0.5)
-        g_inv = np.diag(sigma**0.5) @ vt_svd @ np.linalg.inv(lx)
+        g_inv = np.diag(sigma**0.5) @ vt_svd @ fx
         w = g_sc @ g_sc.T
 
-        wa = np.matmul(np.matmul(w, a_stack), w)
-        schur = a_flat @ wa.reshape(p, m * m).T
-        schur = 0.5 * (schur + schur.T)
+        schur = _schur_matrix(a_stack, g_sc)
         rp = b - a_flat @ x.ravel() - tau * t
         wdw = w @ dual_defect @ w
 
         try:
-            chol_schur = np.linalg.cholesky(schur + 1e-14 * np.trace(schur) / p * np.eye(p))
+            schur_inv = _inverse_cholesky(schur + 1e-14 * np.trace(schur) / p * np.eye(p))
 
             def schur_solve(rhs: np.ndarray) -> np.ndarray:
-                z = np.linalg.solve(chol_schur.T, np.linalg.solve(chol_schur, rhs))
-                # One round of iterative refinement; the Schur matrix gets
-                # ill-conditioned as the barrier parameter shrinks.
+                z = schur_inv.T @ (schur_inv @ rhs)
+                # One round of iterative refinement against the unregularized
+                # matrix: it gets ill-conditioned as the barrier parameter
+                # shrinks, and solving through the inverse factor loses more
+                # digits than triangular solves would.
                 correction = rhs - schur @ z
-                z = z + np.linalg.solve(chol_schur.T, np.linalg.solve(chol_schur, correction))
-                return z
+                return z + schur_inv.T @ (schur_inv @ correction)
         except np.linalg.LinAlgError:
             def schur_solve(rhs: np.ndarray) -> np.ndarray:
                 return np.linalg.lstsq(schur, rhs, rcond=None)[0]
@@ -256,8 +283,8 @@ def solve_maxeig(problem: SdpProblem, tol: float = DEFAULT_TOL,
 
         # Predictor (affine scaling): target complementarity zero.
         dx_a, dy_a, ds_a, dt_a = directions(np.diag(-sigma))
-        alpha_p = min(1.0, _max_step(x, dx_a))
-        alpha_d = min(1.0, _max_step(s, ds_a))
+        alpha_p = min(1.0, _max_step(fx, dx_a))
+        alpha_d = min(1.0, _max_step(fs, ds_a))
         mu_aff = float(np.sum((x + alpha_p * dx_a) * (s + alpha_d * ds_a))) / m
         center = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
@@ -270,10 +297,10 @@ def solve_maxeig(problem: SdpProblem, tol: float = DEFAULT_TOL,
         u_hat = 2.0 * rc / denom
 
         dx, dy, ds, dt = directions(u_hat)
-        alpha_p = min(1.0, _STEP_FRACTION * _max_step(x, dx))
-        alpha_d = min(1.0, _STEP_FRACTION * _max_step(s, ds))
-        x, alpha_p = _apply_step(x, dx, alpha_p)
-        s, alpha_d = _apply_step(s, ds, alpha_d)
+        alpha_p = min(1.0, _STEP_FRACTION * _max_step(fx, dx))
+        alpha_d = min(1.0, _STEP_FRACTION * _max_step(fs, ds))
+        x, lx, alpha_p = _apply_step(x, lx, dx, alpha_p)
+        s, ls, alpha_d = _apply_step(s, ls, ds, alpha_d)
         y = y + alpha_d * dy
         t = t + alpha_p * dt
         if alpha_p == 0.0 and alpha_d == 0.0:

@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from hyperdet.errors import (
     DimensionMismatch,
-    NotDivisible,
     NotPD,
     RoundingFailed,
     ZeroPolynomial,
@@ -57,7 +56,7 @@ def exact_divide(f: Poly, g: Poly) -> Poly:
         r_mono, r_coeff = next(rem.terms())
         diff = tuple(a - b for a, b in zip(r_mono, g_mono))
         if any(e < 0 for e in diff):
-            raise NotDivisible(f"{g} does not divide {f}")
+            raise ValueError(f"{g} does not divide {f}")
         factor = r_coeff / g_coeff
         quotient[diff] = quotient.get(diff, Fraction(0)) + factor
         rem = rem - Poly.monomial(diff, factor) * g

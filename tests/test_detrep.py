@@ -457,6 +457,13 @@ def test_json_roundtrip_preserves_certificate():
     assert back.to_json() == text
 
 
+@pytest.mark.parametrize("text", ["{", "[" * 100000 + "]" * 100000],
+                         ids=["undecodable", "deeply-nested"])
+def test_from_json_refuses_text_that_is_not_a_json_certificate(text):
+    with pytest.raises(InputError):
+        DetRepCertificate.from_json(text)
+
+
 def test_verify_is_graceful_on_degenerate_certificates():
     cert = certify(LORENTZ, (1, 0, 0))
 

@@ -1,13 +1,25 @@
 """Dense max-min-eigenvalue SDP solver."""
 
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hyperdet.sdp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL, SdpProblem, solve_maxeig
+from hyperdet.quotient import QuotientContext, bezoutian_of
+from hyperdet.sdp import (
+    INFEASIBLE,
+    MAX_ITERATIONS,
+    OPTIMAL,
+    SdpProblem,
+    _max_step,
+    _schur_matrix,
+    solve_maxeig,
+)
+from hyperdet.sos import gram_problem, power_sum_multiplier
 
-from conftest import exact_row
+from conftest import exact_row, random_pencil_determinant
 
 
 def pin(i, j, value):
@@ -91,3 +103,73 @@ def test_rejects_bad_inputs():
         SdpProblem(2, [({(0, 2): Fraction(1), (2, 0): Fraction(1)}, Fraction(1))])
     with pytest.raises(ValueError):
         solve_maxeig(SdpProblem(1, [({(0, 0): Fraction(1)}, Fraction(1))]), tol=0.0)
+
+
+# -- per-iteration linear algebra ---------------------------------------------
+
+def test_schur_matrix_is_the_scaled_constraint_pairing():
+    # S_kl = <A_k, W A_l W>, summed over the exact sparse rows of a Gram problem.
+    h = random_pencil_determinant(random.Random(3001), 3, 3)
+    ctx = QuotientContext(h)
+    omega = bezoutian_of(ctx, h.derivative(0))
+    problem, _ = gram_problem(ctx, omega, 1, power_sum_multiplier(ctx, 1))
+    m, p = problem.m, len(problem.constraints)
+    a_stack = np.zeros((p, m, m))
+    for k, (row, _) in enumerate(problem.constraints):
+        for (a, b), weight in row.items():
+            a_stack[k, a, b] = float(weight)
+    g = np.random.default_rng(5).standard_normal((m, m)) + m * np.eye(m)
+    w = g @ g.T
+    expected = np.array([[sum(float(wk) * float(wl) * w[a, c] * w[d, b]
+                              for (a, b), wk in row_k.items() for (c, d), wl in row_l.items())
+                          for row_l, _ in problem.constraints]
+                         for row_k, _ in problem.constraints])
+    schur = _schur_matrix(a_stack, g)
+    assert np.array_equal(schur, schur.T)
+    assert np.max(np.abs(schur - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_max_step_from_the_inverse_cholesky_factor():
+    rng = np.random.default_rng(8)
+    for m in (1, 2, 5, 9):
+        r = rng.standard_normal((m, m))
+        mat = r @ r.T + 0.1 * np.eye(m)
+        inv_chol = np.linalg.inv(np.linalg.cholesky(mat))
+        delta = rng.standard_normal((m, m))
+        delta = delta + delta.T - 3.0 * np.eye(m)
+        lam_min = float(np.min(np.linalg.eigvals(np.linalg.solve(mat, delta)).real))
+        assert lam_min < 0
+        assert _max_step(inv_chol, delta) == pytest.approx(-1.0 / lam_min, rel=1e-9)
+        assert _max_step(inv_chol, r @ r.T) == math.inf
+
+
+def test_each_matrix_is_factored_once_per_iteration(monkeypatch):
+    # m = 5 and p = 8, so the p x p Schur matrix is told apart from the
+    # m x m iterates by its shape.
+    rng = np.random.default_rng(21)
+    m = 5
+    r_mat = rng.standard_normal((m, m))
+    gstar = r_mat.T @ r_mat + np.eye(m)
+    cons = [exact_row(np.eye(m), np.trace(gstar))]
+    for _ in range(7):
+        a = rng.standard_normal((m, m))
+        a = 0.5 * (a + a.T)
+        cons.append(exact_row(a, np.sum(a * gstar)))
+    p = len(cons)
+    calls = {"cholesky": [], "inv": [], "solve": []}
+    for name, record in calls.items():
+        original = getattr(np.linalg, name)
+
+        def spy(mat, *rest, original=original, record=record):
+            record.append(np.shape(mat))
+            return original(mat, *rest)
+        monkeypatch.setattr(np.linalg, name, spy)
+    sol = solve_maxeig(SdpProblem(m, cons))
+    assert sol.status == OPTIMAL and sol.iterations > 5
+    assert (p, p) not in calls["solve"]
+    # One Cholesky factor and its inverse per iteration, plus one of each
+    # for the constraint Gram matrix that polishes primal feasibility.
+    assert calls["cholesky"].count((p, p)) == sol.iterations + 1
+    assert calls["inv"].count((p, p)) == sol.iterations + 1
+    # x and s are factored once each, when their step is accepted.
+    assert calls["cholesky"].count((m, m)) == 2 * sol.iterations

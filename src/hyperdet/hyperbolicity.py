@@ -9,7 +9,9 @@ definiteness of the derivative Bézoutian at w (Basu, Pollack & Roy,
 *Algorithms in Real Algebraic Geometry*, ch. 4).  The verdicts are
 asymmetric: a NotHyperbolic verdict carries an exact witness line, while a
 HyperbolicSampled verdict only says no sampled line failed.  The PD witness
-check plays the same role for the smoothness hypothesis.
+check plays the same role for the smoothness hypothesis; it tests one line
+more on a cylinder, read from the exact lineality space, where the witness
+is exact.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from .errors import InputError, ZeroPolynomial
-from .poly import Poly, RationalLike, UniPoly, normalize_direction
+from .linalg import nullspace
+from .poly import Monomial, Poly, RationalLike, UniPoly, normalize_direction
 from .quotient import QuotientContext
 
 HYPERBOLIC_SAMPLED = "HyperbolicSampled"
@@ -179,6 +182,11 @@ def _restriction(ctx: QuotientContext, w: Sequence[Fraction]) -> UniPoly:
     return UniPoly([c.evaluate(point) for c in ctx.h_coeffs])
 
 
+def _has_distinct_real_roots(ctx: QuotientContext, w: Sequence[Fraction]) -> bool:
+    """True iff h_monic(t, w) has d distinct real roots."""
+    return _distinct_real_roots(sturm_chain(_restriction(ctx, w))) == ctx.d
+
+
 def check_hyperbolic_sampled(
     h: Poly,
     e: Sequence[RationalLike],
@@ -206,6 +214,24 @@ def check_hyperbolic_sampled(
     return HyperbolicityVerdict(HYPERBOLIC_SAMPLED, None, used, ctx)
 
 
+def lineality_space(h: Poly) -> list[tuple[Fraction, ...]]:
+    """Basis of the lineality space {v : h(x + v) = h(x) for all x} of a
+    homogeneous h, in reduced row echelon form with a unit at each free
+    coordinate (linalg.nullspace); empty when h depends on every direction.
+
+    For homogeneous h, h(x + s*v) = h(x) for all s exactly when
+    sum_i v_i dh/dx_i is the zero polynomial, so the space is the nullspace
+    of one linear system: n+1 unknowns, one row per monomial of degree d-1.
+    """
+    rows: dict[Monomial, dict[int, Fraction]] = {}
+    for mono, c in h.terms():
+        for i, e in enumerate(mono):
+            if e:
+                lowered = mono[:i] + (e - 1,) + mono[i + 1:]
+                rows.setdefault(lowered, {})[i] = c * e
+    return nullspace(list(rows.values()), h.nvars)
+
+
 def pd_witness_check(
     ctx: QuotientContext,
     num_samples: int = DEFAULT_NUM_SAMPLES,
@@ -219,11 +245,26 @@ def pd_witness_check(
     every nonzero v is the working proxy for "hyperbolic and real-smooth"; a
     failure pinpoints a line whose restriction has a repeated or complex
     root.  num_samples must be a positive int (InputError).
+
+    After every sampled line passes, one more line is tested when h is a
+    cylinder: w = v[1:] for the first vector v of lineality_space(h), and
+    samples_used counts it.  That witness is exact.  e = (1,0,...,0) is not
+    in the lineality space, because h(e) != 0 = h(v); so v's free
+    coordinate is not x0 (that basis vector would be e), w holds its unit,
+    and h_monic(t, w) = h(t*e - v_0*e + v) = (t - v_0)^d, which for d >= 2
+    has one distinct root.  For d = 1 that line has d distinct roots, so a
+    linear h still passes.
     """
     check_num_samples(num_samples)
     used = 0
     for v in sample_directions(ctx.n, num_samples, seed):
         used += 1
-        if _distinct_real_roots(sturm_chain(_restriction(ctx, v))) != ctx.d:
+        if not _has_distinct_real_roots(ctx, v):
             return PdWitnessReport(False, v, used)
+    lineality = lineality_space(ctx.h)
+    if lineality:
+        used += 1
+        w = lineality[0][1:]
+        if not _has_distinct_real_roots(ctx, w):
+            return PdWitnessReport(False, w, used)
     return PdWitnessReport(True, None, used)

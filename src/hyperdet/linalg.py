@@ -89,14 +89,55 @@ def solve_sparse_system(
     first nonzero column; free unknowns are fixed at zero, which makes the
     returned solution deterministic.  Returns None when the system is
     inconsistent: some equation reduces to 0 = c with c != 0.
+    """
+    pivots = _row_reduce(rows, rhs)
+    if pivots is None:
+        return None
+    values = [_ZERO] * num_unknowns
+    for col, (row, val) in pivots.items():
+        # After full reduction the pivot row couples only free unknowns,
+        # which are all zero, so the pivot value is immediate.
+        values[col] = Fraction(val, row[col])
+    return values
+
+
+def nullspace(
+    rows: Sequence[dict[int, int | Fraction]], num_unknowns: int
+) -> list[tuple[Fraction, ...]]:
+    """Basis of the solutions of the homogeneous sparse rows, one per free unknown.
+
+    The basis is the reduced row echelon one: the vector of free unknown f
+    is 1 at f, 0 at every other free unknown, and minus the pivot row's
+    entry at f over its pivot entry at each pivot unknown.  Vectors come in
+    increasing order of f, so the basis is unique and deterministic.
+    """
+    pivots = _row_reduce(rows, [0] * len(rows))
+    basis = []
+    for free in range(num_unknowns):
+        if free in pivots:
+            continue
+        vec = [_ZERO] * num_unknowns
+        vec[free] = Fraction(1)
+        for col, (row, _) in pivots.items():
+            if free in row:
+                vec[col] = Fraction(-row[free], row[col])
+        basis.append(tuple(vec))
+    return basis
+
+
+def _row_reduce(
+    rows: Sequence[dict[int, int | Fraction]], rhs: Sequence[int | Fraction]
+) -> dict[int, tuple[dict[int, int], int]] | None:
+    """Integer reduced row echelon form of [rows | rhs], keyed by pivot column,
+    or None when some equation reduces to 0 = c with c != 0.
 
     Each row, right-hand side included, is scaled to integers by the lcm of
     its denominators.  Eliminating column c of a row with entry a there by a
     pivot row with entry p forms (p/g)*row - (a/g)*pivot_row, g = gcd(a, p),
     and every row so formed is divided by its content.  The stored rows are
     integer multiples of the reduced row echelon form of the rows seen so
-    far, which is unique, so the solution, pivot value over pivot entry per
-    pivot column, is the one rational elimination returns.
+    far, which is unique, so each ratio of a stored row's entries is the
+    one rational elimination gives.
     """
     pivots: dict[int, tuple[dict[int, int], int]] = {}
     for raw_row, raw_val in zip(rows, rhs):
@@ -118,12 +159,7 @@ def solve_sparse_system(
             if col in prow:
                 pivots[pcol] = _eliminate(prow, pval, col, row, val)
         pivots[col] = (row, val)
-    values = [_ZERO] * num_unknowns
-    for col, (row, val) in pivots.items():
-        # After full reduction the pivot row couples only free unknowns,
-        # which are all zero, so the pivot value is immediate.
-        values[col] = Fraction(val, row[col])
-    return values
+    return pivots
 
 
 def _eliminate(

@@ -73,6 +73,13 @@ class SdpProblem:
 
 @dataclass
 class SdpSolution:
+    """The iterate a solve returns, with its margin t and residual.
+
+    iterations is the 0-based index of that iterate, not the number of
+    iterations run: a solve that stalls or runs out of iterations returns
+    its best iterate, which may have come many iterations before the end.
+    """
+
     G: np.ndarray
     t: float
     residual: float

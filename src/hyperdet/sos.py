@@ -30,7 +30,6 @@ from .quotient import BezoutianForm, QuotientContext, bezoutian_of
 from .sdp import DEFAULT_TOL, ExactConstraint, SdpProblem, solve_maxeig
 
 DEFAULT_ELL_MAX = 4
-DEFAULT_DENOMINATOR_BOUND = 2**32
 # The rounding grids of each level, coarse first: the positive-definiteness
 # margin usually absorbs the larger rounding error, and a small common
 # denominator keeps the weights, the lift and the pencil determinant cheap
@@ -164,7 +163,7 @@ def gram_problem(
 def round_gram(
     problem: SdpProblem,
     g: np.ndarray,
-    denominator_bound: int = DEFAULT_DENOMINATOR_BOUND,
+    denominator_bound: int,
 ) -> RatMatrix:
     """Round the float Gram matrix to rationals satisfying every constraint.
 

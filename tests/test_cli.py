@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import random
 import sys
 import time
 from fractions import Fraction
@@ -16,8 +17,11 @@ from hypothesis import strategies as st
 import hyperdet.cli
 import hyperdet.detrep
 import hyperdet.hyperbolicity
+import hyperdet.sos
 from hyperdet import CertifyOptions, DetRepCertificate, parse_poly
 from hyperdet.cli import _build_parser, main
+
+from conftest import random_pencil_determinant
 
 
 def run(capsys, *argv):
@@ -455,22 +459,38 @@ def test_verify_takes_its_determinant_on_a_row_balanced_pencil(capsys, tmp_path,
     assert bits <= 200
 
 
-def test_rank_deficient_quadric_is_refused(capsys):
-    # Rank-deficient 4-variable quadric: no level has a positive margin or a
-    # PD rounding, and the refusal names pivots by bit length, not value.  A
-    # missing margin does not depend on the rounding bound, so it is
-    # recorded once per level, not once per bound.
+def test_cylinder_quadric_is_refused_at_its_lineality_witness(capsys, monkeypatch):
+    # Rank-deficient 4-variable quadric: h(x + v) = h(x) for v = (15/11,
+    # 4/11, -2/11, 1), so the derivative Bézoutian is singular at v's last
+    # three coordinates.  Every sampled line passes; the lineality line,
+    # tested after them, refuses it before any SDP is solved.
+    solves = []
+    monkeypatch.setattr(hyperdet.sos, "solve_maxeig", lambda *args, **kw: solves.append(args))
     start = time.perf_counter()
     code, out, err = run(
         capsys, "certify", "--e", "1,0,0,0", "--poly",
         "x0^2 + x0*x1 + 1/2*x0*x2 - 3*x0*x3 - 3*x1^2 - 9/2*x1*x2 - 4*x2^2"
         " - 1/2*x2*x3 + 2*x3^2",
     )
-    assert time.perf_counter() - start < 10
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == ("refused: [pd_witness] derivative Bézoutian not positive definite at "
+                   "v=('4/11', '-2/11', '1'); the polynomial is not hyperbolic or has a real "
+                   "singularity\n")
+    assert solves == []
+
+
+def test_exhausted_refusal_is_one_short_line(capsys):
+    # The seed-7 4-variable cubic has no lineality space and no exact
+    # multiplier at ell <= 1.  A missing margin does not depend on the
+    # rounding bound, so it is recorded once per level, not once per bound.
+    poly = str(random_pencil_determinant(random.Random(7), 4, 3))
+    code, out, err = run(capsys, "certify", "--e", "1,0,0,0", "--lmax", "1", "--poly", poly)
     assert code == 1
-    assert err.startswith("refused: ") and err.count("\n") == 1
+    assert err.startswith("refused: no exact decomposition up to ell=1 (")
+    assert err.count("\n") == 1
     assert len(err.encode()) < 4096
-    for ell in range(5):
+    for ell in range(2):
         assert err.count(f"ell={ell}: no positive-definiteness margin") <= 1
 
 

@@ -18,15 +18,17 @@ from hyperdet.hyperbolicity import (
     HYPERBOLIC_SAMPLED,
     NOT_HYPERBOLIC,
     is_real_rooted,
+    lineality_space,
     pd_witness_check,
     sample_directions,
     sturm_chain,
 )
-from hyperdet.poly import UniPoly, normalize_direction
+from hyperdet.poly import Poly, UniPoly, apply_linear, normalize_direction
 from hyperdet.quotient import QuotientContext, bezoutian_of
 
-from conftest import random_pencil_determinant, renegar_derivative
+from conftest import random_fraction, random_pencil_determinant, renegar_derivative
 from oracles import (
+    bareiss_determinant,
     count_real_roots,
     evaluate_form,
     fraction_sturm_chain,
@@ -173,8 +175,13 @@ def test_pd_witness_detects_singular_quadric():
 
 
 def test_pd_witness_linear():
-    report = pd_witness_check(QuotientContext(P("x0 - x1")))
-    assert report.ok
+    # A linear h is a cylinder, and its lineality line, tested after the 64
+    # samples, has d = 1 distinct root: no refusal.
+    h = P("x0 - x1")
+    assert lineality_space(h) == [(1, 1)]
+    report = pd_witness_check(QuotientContext(h))
+    assert report.ok and report.witness is None
+    assert report.samples_used == 64 + 1
 
 
 def test_pd_witness_implies_real_rooted_restrictions():
@@ -193,6 +200,68 @@ def test_pd_witness_implies_real_rooted_restrictions():
                 restriction = substitute_line(ctx.h, e, (0,) + tuple(v))
                 assert is_real_rooted(restriction)
                 assert count_real_roots(restriction) == restriction.degree  # simple roots
+
+
+# -- lineality_space -------------------------------------------------------------
+
+def _assert_lineality(h, basis, rng):
+    # Each vector is a direction of constancy: sum_i v_i dh/dx_i is the zero
+    # polynomial, and h(p + v) = h(p) at rational points p.
+    for v in basis:
+        directional = sum((h.derivative(i) * c for i, c in enumerate(v)), Poly.zero(h.nvars))
+        assert directional == Poly.zero(h.nvars), (str(h), v)
+        for _ in range(3):
+            point = [random_fraction(rng) for _ in range(h.nvars)]
+            assert h.evaluate([a + b for a, b in zip(point, v)]) == h.evaluate(point)
+
+
+def _random_invertible(rng, size):
+    while True:
+        mat = [[random_fraction(rng) for _ in range(size)] for _ in range(size)]
+        if bareiss_determinant(mat) != 0:
+            return mat
+
+
+def test_lineality_of_padded_variables_is_their_unit_vectors():
+    h = P("x0^2 - x1^2 - x2^2", 5)
+    basis = lineality_space(h)
+    assert basis == [(0, 0, 0, 1, 0), (0, 0, 0, 0, 1)]
+    _assert_lineality(h, basis, random.Random(3))
+
+
+@pytest.mark.parametrize("text,kept", [("x0^2 - x1^2 - x2^2", 3), ("x0^2 - x1^2", 2)])
+def test_lineality_follows_a_change_of_coordinates(text, kept):
+    # h(y) = h0(A*y) is constant along v exactly when h0 is constant along
+    # A*v, so A maps the basis into the span of h0's unused variables; a
+    # 4-variable quadric with a 2-dimensional space is like hv4d2-11.
+    rng = random.Random(17)
+    h0 = P(text, 4)
+    for _ in range(3):
+        a = _random_invertible(rng, 4)
+        h = apply_linear(h0, a)
+        basis = lineality_space(h)
+        assert len(basis) == 4 - kept
+        _assert_lineality(h, basis, rng)
+        for v in basis:
+            image = [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+            assert image[:kept] == [0] * kept
+
+
+def test_lineality_of_a_pencil_with_dependent_matrices():
+    # I, B1..B4 are five vectors in the 3-dimensional space of symmetric
+    # 2x2 matrices, so the space has dimension at least 2; for these draws,
+    # exactly 2.
+    rng = random.Random(8)
+    h = random_pencil_determinant(rng, 5, 2)
+    basis = lineality_space(h)
+    assert len(basis) == 2
+    _assert_lineality(h, basis, rng)
+
+
+def test_random_hv_inputs_have_no_lineality():
+    rng = random.Random(23)
+    for d in (2, 2, 3, 3, 4):
+        assert lineality_space(random_pencil_determinant(rng, 3, d)) == []
 
 
 # -- the integer Sturm chain and the one restriction, against the oracles ------
@@ -262,18 +331,33 @@ def test_hyperbolicity_verdict_matches_the_expanded_line_at_every_sample():
 
 
 def test_pd_witness_matches_the_evaluated_bezoutian_at_every_sample():
-    for h, e in _equivalence_corpus():
+    cylinders = []
+    for index, (h, e) in enumerate(_equivalence_corpus()):
         ctx = QuotientContext(normalize_direction(h, e)[0])
         omega = bezoutian_of(ctx, ctx.h.derivative(0))
         points = list(sample_directions(ctx.n, 24, seed=7))
         oracle = [is_positive_definite(evaluate_form(omega, v)) for v in points]
         first_bad = next((i for i, ok in enumerate(oracle) if not ok), None)
+        lineality = lineality_space(ctx.h)
+        if lineality:
+            cylinders.append(index)
         for count in range(1, len(points) + 1):
             report = pd_witness_check(ctx, num_samples=count, seed=7)
             if first_bad is not None and first_bad < count:
                 assert not report.ok, (str(h), e, count)
                 assert report.witness == points[first_bad]
                 assert report.samples_used == first_bad + 1
+            elif lineality:
+                # Every sample passed; the lineality line, tested last,
+                # refuses the cylinder at an exact witness.
+                assert not report.ok, (str(h), e, count)
+                assert report.witness == lineality[0][1:]
+                assert not is_positive_definite(evaluate_form(omega, report.witness))
+                assert report.samples_used == count + 1
             else:
                 assert report.ok, (str(h), e, count)
                 assert report.samples_used == count
+    # The 4-variable HV quadric (I, B1, B2, B3 are four vectors in the
+    # 3-dimensional space of symmetric 2x2 matrices, so they are dependent)
+    # and x0^2 - x1^2 in three variables.
+    assert cylinders == [2, 11]

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperdet.errors import NotPD, SingularMatrix
-from hyperdet.linalg import invert_matrix, ldl_decompose, solve_sparse_system
+from hyperdet.linalg import invert_matrix, ldl_decompose, nullspace, solve_sparse_system
 
+from conftest import rational_rank
 from oracles import (
     bareiss_determinant,
     fraction_ldl_decompose,
@@ -191,6 +192,37 @@ def test_sparse_solver_scaling_a_column_divides_its_unknown(system, data):
     expected = None if values is None else [v / sigma if c == col else v
                                             for c, v in enumerate(values)]
     assert solve_sparse_system(scaled, rhs, unknowns) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems(), st.randoms(use_true_random=False))
+def test_nullspace_is_the_reduced_echelon_kernel(system, rng):
+    # Every vector solves the homogeneous rows, there are unknowns - rank of
+    # them, and vector k is 1 at its own free unknown and 0 at the others',
+    # which makes the basis independent and unique; the row order is moot.
+    rows, _, unknowns = system
+    basis = nullspace(rows, unknowns)
+    for v in basis:
+        assert len(v) == unknowns
+        assert all(sum((c * v[j] for j, c in row.items()), Fraction(0)) == 0 for row in rows)
+    dense = [[Fraction(row.get(j, 0)) for j in range(unknowns)] for row in rows]
+    assert len(basis) == unknowns - rational_rank(dense)
+    # An unknown is free when its column adds nothing to the rank of the
+    # columns before it.
+    free = [j for j in range(unknowns)
+            if rational_rank([r[:j + 1] for r in dense]) == rational_rank([r[:j] for r in dense])]
+    assert [[v[f] for f in free] for v in basis] == [
+        [F(k == i) for k in range(len(free))] for i in range(len(free))]
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    assert nullspace([rows[i] for i in order], unknowns) == basis
+
+
+def test_nullspace_of_one_equation():
+    # x0 + 2*x1 - x2 = 0: x1 and x2 are free.
+    assert nullspace([{0: 1, 1: 2, 2: -1}], 3) == [(F(-2), F(1), F(0)), (F(1), F(0), F(1))]
+    assert nullspace([], 2) == [(F(1), F(0)), (F(0), F(1))]
+    assert nullspace([{0: F(1, 3)}, {1: 5}], 2) == []
 
 
 def test_ldl_requires_symmetry_and_squareness():

@@ -107,7 +107,7 @@ def test_gram_problem_lorentz_forces_diagonal():
     assert len(problem.constraints) == 6
     sol = solve_maxeig(problem)
     assert sol.status == OPTIMAL
-    gram = round_gram(problem, sol.G)
+    gram = round_gram(problem, sol.G, 2**32)
     expected = [[Fraction(2 * (i == j)) for j in range(3)] for i in range(3)]
     assert gram == expected
 
@@ -118,7 +118,7 @@ def test_gram_problem_linear_case():
     problem, basis = gram_problem(ctx, omega, 0, power_sum_multiplier(ctx, 0))
     assert problem.m == 1
     sol = solve_maxeig(problem)
-    gram = round_gram(problem, sol.G)
+    gram = round_gram(problem, sol.G, 2**32)
     assert gram == [[Fraction(1)]]
 
 
@@ -170,13 +170,13 @@ def _diag_problem():
 def test_round_gram_projects_float_noise():
     problem = _diag_problem()
     g = np.diag([2 + 1e-9, 2 - 1e-9, 2.0])
-    gram = round_gram(problem, g)
+    gram = round_gram(problem, g, 2**32)
     assert gram == [[Fraction(2 * (i == j)) for j in range(3)] for i in range(3)]
 
 
 def test_round_gram_fixed_point_on_exact_input():
     problem = _diag_problem()
-    gram = round_gram(problem, np.diag([2.0, 2.0, 2.0]))
+    gram = round_gram(problem, np.diag([2.0, 2.0, 2.0]), 2**32)
     assert gram == [[Fraction(2 * (i == j)) for j in range(3)] for i in range(3)]
 
 
@@ -203,7 +203,7 @@ def test_round_gram_refuses_overlapping_supports():
     ]
     problem = SdpProblem(2, cons)
     with pytest.raises(RoundingFailed):
-        round_gram(problem, np.diag([1.25, 0.875]))
+        round_gram(problem, np.diag([1.25, 0.875]), 2**32)
 
 
 _BOUNDS = (2**8, 2**64, 1000)
@@ -286,7 +286,7 @@ def test_round_gram_returns_projection_without_pd_test():
     # Positive definiteness is decided by the one LDL^T in
     # find_sos_decomposition, not by round_gram.
     problem = SdpProblem(1, [({(0, 0): Fraction(1)}, Fraction(-1))])
-    gram = round_gram(problem, np.array([[1.0]]))
+    gram = round_gram(problem, np.array([[1.0]]), 2**32)
     assert gram == [[Fraction(-1)]]
     with pytest.raises(NotPD):
         ldl_decompose(gram)

@@ -1,8 +1,14 @@
 """Exact real-root counting and sampled hyperbolicity verdicts.
 
-Both sampled checks restrict h to a line in one way: they evaluate the x0
-coefficients of h_monic, the normalized h made monic in x0, at a point w of
-x1..xn, and read the integer Sturm chain of the univariate h_monic(t, w).
+Both sampled checks restrict h to a line in one way, in integers alone.
+Once per call, the x0 coefficients c_0..c_d of den*h_monic, the normalized h
+made monic in x0 and scaled by the lcm den of its denominators, become
+integer term lists in x1..xn.  A line point w of x1..xn becomes the integer
+vector u = q*w, q the lcm of its denominators, and the restriction is the
+coefficient list [c_j(u)], lowest first, which the integer Sturm chain reads.
+Because h is homogeneous, c_j(q*w) = q^(d-j)*c_j(w), so that list is
+den*q^d*h_monic(s/q, w): a positive multiple of h_monic(t, w) in a positively
+scaled variable, with the same signs, real roots and distinct roots.
 Hyperbolicity asks that every root be real; the PD witness asks for d
 distinct real roots, which by Hermite's theorem is exactly positive
 definiteness of the derivative Bézoutian at w (Basu, Pollack & Roy,
@@ -20,11 +26,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import InputError, ZeroPolynomial
 from .linalg import nullspace
-from .poly import Monomial, Poly, RationalLike, UniPoly, normalize_direction
+from .poly import Monomial, Poly, RationalLike, normalize_direction
 from .quotient import QuotientContext
 
 HYPERBOLIC_SAMPLED = "HyperbolicSampled"
@@ -96,18 +103,19 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return rem
 
 
-def sturm_chain(f: UniPoly) -> list[list[int]]:
+def sturm_chain(coeffs: Sequence[int | Fraction]) -> list[list[int]]:
     """Sturm chain of a nonzero f as integer coefficient lists, lowest first.
 
-    A primitive pseudo-remainder sequence: f is scaled to a primitive integer
-    polynomial, and each entry after f' is the negated pseudo-remainder of
-    the two before it, divided by its content.  Every factor applied is
-    positive, so each entry is a positive multiple of the rational Euclidean
-    chain's and has the same signs, hence the same root counts.  The last
-    entry is a multiple of gcd(f, f').
+    f is given by its int or Fraction coefficients, lowest first, with a
+    nonzero leading one.  A primitive pseudo-remainder sequence: f is scaled
+    to a primitive integer polynomial, and each entry after f' is the negated
+    pseudo-remainder of the two before it, divided by its content.  Every
+    factor applied is positive, so each entry is a positive multiple of the
+    rational Euclidean chain's and has the same signs, hence the same root
+    counts.  The last entry is a multiple of gcd(f, f').
     """
-    den = lcm(*(c.denominator for c in f.coeffs))
-    chain = [_primitive([c.numerator * (den // c.denominator) for c in f.coeffs])]
+    den = lcm(*(c.denominator for c in coeffs))
+    chain = [_primitive([c.numerator * (den // c.denominator) for c in coeffs])]
     if len(chain[0]) > 1:
         chain.append(_primitive([i * c for i, c in enumerate(chain[0])][1:]))
         while len(chain[-1]) > 1:
@@ -129,19 +137,20 @@ def _distinct_real_roots(chain: Sequence[Sequence[int]]) -> int:
     return _sign_variations(at_minus) - _sign_variations(at_plus)
 
 
-def is_real_rooted(f: UniPoly) -> bool:
+def is_real_rooted(coeffs: Sequence[int | Fraction]) -> bool:
     """True iff every complex root is real (multiplicities allowed).
 
-    The last element of the Sturm chain is gcd(f, f'), so f has
-    deg f - deg gcd distinct complex roots; all are real iff the chain
-    counts that many real ones.
+    coeffs are f's, lowest first, as for sturm_chain; an empty sequence is
+    the zero polynomial (ZeroPolynomial).  The last element of the Sturm
+    chain is gcd(f, f'), so f has deg f - deg gcd distinct complex roots;
+    all are real iff the chain counts that many real ones.
     """
-    if f.is_zero:
+    if not coeffs:
         raise ZeroPolynomial("the zero polynomial has no well-defined roots")
-    if f.degree == 0:
+    if len(coeffs) == 1:
         return True
-    chain = sturm_chain(f)
-    return _distinct_real_roots(chain) == f.degree - (len(chain[-1]) - 1)
+    chain = sturm_chain(coeffs)
+    return _distinct_real_roots(chain) == len(chain[0]) - len(chain[-1])
 
 
 def sample_directions(dim: int, num_samples: int, seed: int) -> Iterator[tuple[Fraction, ...]]:
@@ -176,15 +185,49 @@ def check_num_samples(num_samples: int) -> None:
         raise InputError(f"num_samples must be positive, got {num_samples}")
 
 
-def _restriction(ctx: QuotientContext, w: Sequence[Fraction]) -> UniPoly:
-    """h_monic(t, w): the monic x0 coefficients of h evaluated at (0, w)."""
-    point = (Fraction(0),) + tuple(w)
-    return UniPoly([c.evaluate(point) for c in ctx.h_coeffs])
+IntegerForm = list[tuple[Monomial, int]]
 
 
-def _has_distinct_real_roots(ctx: QuotientContext, w: Sequence[Fraction]) -> bool:
-    """True iff h_monic(t, w) has d distinct real roots."""
-    return _distinct_real_roots(sturm_chain(_restriction(ctx, w))) == ctx.d
+def _integer_forms(ctx: QuotientContext) -> list[IntegerForm]:
+    """The x0 coefficients c_0..c_d of den*h_monic, den > 0 the lcm of
+    h_monic's denominators, as (exponents of x1..xn, int) terms."""
+    den = lcm(*(c.denominator for form in ctx.h_coeffs for _, c in form.terms()))
+    return [[(mono[1:], c.numerator * (den // c.denominator)) for mono, c in form.terms()]
+            for form in ctx.h_coeffs]
+
+
+def _integer_point(w: Sequence[Fraction]) -> list[int]:
+    """u = q*w, with q > 0 the lcm of the denominators of w."""
+    q = lcm(*(c.denominator for c in w))
+    return [c.numerator * (q // c.denominator) for c in w]
+
+
+def _restriction(forms: Sequence[IntegerForm], u: Sequence[int]) -> list[int]:
+    """[c_j(u)] lowest first: den*q^d*h_monic(s/q, w) when u = q*w.
+
+    Each power u_i^e is computed once per line, and only for an exponent
+    that some term uses.
+    """
+    powers: dict[tuple[int, int], int] = {}
+    coeffs = []
+    for form in forms:
+        total = 0
+        for mono, c in form:
+            for i, e in enumerate(mono):
+                if e:
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[i, e] = u[i] ** e
+                    c *= power
+            total += c
+        coeffs.append(total)
+    return coeffs
+
+
+def _has_distinct_real_roots(forms: Sequence[IntegerForm], w: Sequence[Fraction]) -> bool:
+    """True iff h_monic(t, w) has d = len(forms) - 1 distinct real roots."""
+    chain = sturm_chain(_restriction(forms, _integer_point(w)))
+    return _distinct_real_roots(chain) == len(forms) - 1
 
 
 def check_hyperbolic_sampled(
@@ -200,16 +243,22 @@ def check_hyperbolic_sampled(
     normalize_direction gives h_norm and T with T*e = (1,0,...,0), so
     h(t*e + v) = h_norm(t + (T*v)_0, w) with w = (T*v)_1..n: the line through
     v is h_monic(t, w) shifted in t and scaled by h(e), which changes no
-    root's realness.  num_samples must be a positive int (InputError).
+    root's realness.  The product is taken in integers: T[1:] scaled by the
+    lcm r of its denominators, times q*v, gives u = r*q*w, a positive
+    multiple of w.  num_samples must be a positive int (InputError).
     """
     check_num_samples(num_samples)
     h_norm, t_mat = normalize_direction(h, e)
     ctx = QuotientContext(h_norm)
+    forms = _integer_forms(ctx)
+    r = lcm(*(c.denominator for row in t_mat[1:] for c in row))
+    t_int = [[c.numerator * (r // c.denominator) for c in row] for row in t_mat[1:]]
     used = 0
     for v in sample_directions(h.nvars, num_samples, seed):
         used += 1
-        w = [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in t_mat[1:]]
-        if not is_real_rooted(_restriction(ctx, w)):
+        v_int = _integer_point(v)
+        u = [sum(map(mul, row, v_int)) for row in t_int]
+        if not is_real_rooted(_restriction(forms, u)):
             return HyperbolicityVerdict(NOT_HYPERBOLIC, v, used, ctx)
     return HyperbolicityVerdict(HYPERBOLIC_SAMPLED, None, used, ctx)
 
@@ -256,15 +305,16 @@ def pd_witness_check(
     linear h still passes.
     """
     check_num_samples(num_samples)
+    forms = _integer_forms(ctx)
     used = 0
     for v in sample_directions(ctx.n, num_samples, seed):
         used += 1
-        if not _has_distinct_real_roots(ctx, v):
+        if not _has_distinct_real_roots(forms, v):
             return PdWitnessReport(False, v, used)
     lineality = lineality_space(ctx.h)
     if lineality:
         used += 1
         w = lineality[0][1:]
-        if not _has_distinct_real_roots(ctx, w):
+        if not _has_distinct_real_roots(forms, w):
             return PdWitnessReport(False, w, used)
     return PdWitnessReport(True, None, used)

@@ -14,6 +14,7 @@ canonical text form.
 from __future__ import annotations
 
 import functools
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -31,13 +32,23 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce ints, 'a/b' strings and Fractions to an exact Fraction."""
+    """Coerce ints, Fractions and strings to an exact Fraction.
+
+    A string must be an optional sign and an integer or 'a/b'; anything
+    else is a ValueError.  Fraction alone would also read decimals and
+    exponent notation, and '1e1000000' would cost it a 10**1000000.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL_TEXT.fullmatch(value):
+            raise ValueError(f"{value!r} is not an integer or an a/b fraction")
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
@@ -259,109 +270,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)!r})"
-
-
-class UniPoly:
-    """Dense univariate polynomial over the rationals (variable t)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            return _ZERO
-        return self.coeffs[-1]
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        out = list(self.coeffs) + [_ZERO] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return UniPoly(out)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
-
-    def __mul__(self, other: Union["UniPoly", RationalLike]) -> "UniPoly":
-        if isinstance(other, UniPoly):
-            if not self.coeffs or not other.coeffs:
-                return UniPoly()
-            out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return UniPoly(out)
-        scalar = as_fraction(other)
-        return UniPoly([c * scalar for c in self.coeffs])
-
-    def __rmul__(self, other: RationalLike) -> "UniPoly":
-        return self.__mul__(other)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def evaluate(self, x: RationalLike) -> Fraction:
-        xv = as_fraction(x)
-        total = _ZERO
-        for c in reversed(self.coeffs):
-            total = total * xv + c
-        return total
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly([c * i for i, c in enumerate(self.coeffs)][1:])
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                body = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                body = f"{mag}t" + (f"^{i}" if i > 1 else "")
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"UniPoly({self!s})"
 
 
 # ---------------------------------------------------------------------------

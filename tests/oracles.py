@@ -1,12 +1,15 @@
 """Exact oracles that only the tests need.
 
-Each one recomputes a quantity the package works with by a route of its own:
-scalar determinants by Bareiss elimination, definiteness by Sylvester's
-criterion, univariate Bézout matrices by expanding the difference quotient
-monomial by monomial, the commutation test of a Bézoutian form with the
-multiplication-by-x0 matrix, restrictions to a line by expanding h(t*e + v)
-in t, the entrywise value of a Bézoutian form at a point, and the Sturm chain
-by Euclidean division over the rationals.  Six are former routes of
+UniPoly is a dense univariate polynomial over the rationals, the reference
+form of a restriction to a line; the package itself reads a line as an
+integer coefficient list.  Each other oracle recomputes a quantity the
+package works with by a route of its own: scalar determinants by Bareiss
+elimination, definiteness by Sylvester's criterion, univariate Bézout
+matrices by expanding the difference quotient monomial by monomial, the
+commutation test of a Bézoutian form with the multiplication-by-x0 matrix,
+restrictions to a line by expanding h(t*e + v) in t, the entrywise value of
+a Bézoutian form at a point, and the Sturm chain by Euclidean division over
+the rationals.  Six are former routes of
 rewrites that must agree with them exactly: the symmetric lift with its
 generators held as Polys, multiplied by x0 through Poly products and solved
 over their rational coordinates, Gauss-Jordan elimination by rational
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from typing import Iterable, Union
 
 from hyperdet.errors import (
     DimensionMismatch,
@@ -28,10 +32,113 @@ from hyperdet.errors import (
 )
 from hyperdet.hyperbolicity import _distinct_real_roots, sturm_chain
 from hyperdet.linalg import is_symmetric, rat_matrix
-from hyperdet.poly import Poly, UniPoly, _linear_power, as_point
+from hyperdet.poly import Poly, RationalLike, _linear_power, as_fraction, as_point
 from hyperdet.quotient import BezoutianForm, QuotientContext
 from hyperdet.sdp import SdpProblem
 from hyperdet.sos import monomial_basis_Mk, power_sum_multiplier, r_monomials_of_degree
+
+
+class UniPoly:
+    """Dense univariate polynomial over the rationals (variable t)."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[RationalLike] = ()):
+        cs = [as_fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("UniPoly is immutable")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    @property
+    def leading(self) -> Fraction:
+        if not self.coeffs:
+            return Fraction(0)
+        return self.coeffs[-1]
+
+    def __add__(self, other: "UniPoly") -> "UniPoly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return UniPoly(out)
+
+    def __sub__(self, other: "UniPoly") -> "UniPoly":
+        out = list(self.coeffs) + [Fraction(0)] * max(0, len(other.coeffs) - len(self.coeffs))
+        for i, c in enumerate(other.coeffs):
+            out[i] -= c
+        return UniPoly(out)
+
+    def __neg__(self) -> "UniPoly":
+        return UniPoly([-c for c in self.coeffs])
+
+    def __mul__(self, other: Union["UniPoly", RationalLike]) -> "UniPoly":
+        if isinstance(other, UniPoly):
+            if not self.coeffs or not other.coeffs:
+                return UniPoly()
+            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+            return UniPoly(out)
+        scalar = as_fraction(other)
+        return UniPoly([c * scalar for c in self.coeffs])
+
+    def __rmul__(self, other: RationalLike) -> "UniPoly":
+        return self.__mul__(other)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def evaluate(self, x: RationalLike) -> Fraction:
+        xv = as_fraction(x)
+        total = Fraction(0)
+        for c in reversed(self.coeffs):
+            total = total * xv + c
+        return total
+
+    def derivative(self) -> "UniPoly":
+        return UniPoly([c * i for i, c in enumerate(self.coeffs)][1:])
+
+    def __str__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for i in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[i]
+            if c == 0:
+                continue
+            if i == 0:
+                body = str(abs(c))
+            else:
+                mag = "" if abs(c) == 1 else f"{abs(c)}*"
+                body = f"{mag}t" + (f"^{i}" if i > 1 else "")
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"UniPoly({self!s})"
 
 
 def mat_mul(a, b):
@@ -101,7 +208,7 @@ def count_real_roots(f: UniPoly) -> int:
     """Number of distinct real roots, exact."""
     if f.is_zero:
         raise ZeroPolynomial("cannot count roots of the zero polynomial")
-    return _distinct_real_roots(sturm_chain(f))
+    return _distinct_real_roots(sturm_chain(f.coeffs))
 
 
 def is_homogeneous_of_degree(p: Poly, k: int) -> bool:

@@ -23,7 +23,6 @@ from hyperdet import (
 )
 from hyperdet.detrep import pencil_determinant
 from hyperdet.hyperbolicity import NOT_HYPERBOLIC, is_real_rooted, pd_witness_check
-from hyperdet.poly import UniPoly
 from hyperdet.quotient import QuotientContext, bezoutian_of
 from hyperdet.sdp import SdpProblem, solve_maxeig
 from hyperdet.sos import find_sos_decomposition, monomial_basis_Mk, power_sum_multiplier
@@ -35,6 +34,7 @@ from conftest import (
     rational_rank,
 )
 from oracles import (
+    UniPoly,
     bezout_matrix_univariate,
     evaluate_form,
     is_bezoutian,
@@ -283,7 +283,7 @@ def test_criterion_8_negative_controls():
     assert verdict.status == NOT_HYPERBOLIC
     assert verdict.witness is not None
     restriction = substitute_line(P("x0^2 + x1^2 + x2^2"), (1, 0, 0), verdict.witness)
-    assert not is_real_rooted(restriction)  # exact disproof
+    assert not is_real_rooted(restriction.coeffs)  # exact disproof
 
     report_pd = pd_witness_check(QuotientContext(P("x0^2 - x1^2", 3)))
     assert not report_pd.ok

@@ -18,7 +18,7 @@ import hyperdet.cli
 import hyperdet.detrep
 import hyperdet.hyperbolicity
 import hyperdet.sos
-from hyperdet import CertifyOptions, DetRepCertificate, parse_poly
+from hyperdet import CertifyOptions, DetRepCertificate, Poly, parse_poly
 from hyperdet.cli import _build_parser, main
 
 from conftest import random_pencil_determinant
@@ -170,6 +170,43 @@ def test_out_of_range_numeric_flag_is_a_usage_error(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("direction", ["1e1000000,0", "1.5,0", "1_000,1"])
+def test_direction_outside_the_rational_forms_is_an_input_error_at_once(capsys, direction):
+    # Only an optional sign with an integer or a/b is read; Fraction alone
+    # would compute 10**1000000 for the exponent notation.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--poly", "x0^2 - x1^2", "--e", direction)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err.startswith("input error: --e ") and err.count("\n") == 1
+    assert out == ""
+
+
+def _exponent_in(data, name):
+    value = "1e1000000"
+    if name == "e":
+        return {**data, "e": [value] + data["e"][1:]}
+    if name == "T":
+        return {**data, "T": [[value] + data["T"][0][1:]] + data["T"][1:]}
+    if name == "D":
+        return {**data, "D": [value] + data["D"][1:]}
+    return {**data, "G": [[[value] + data["G"][0][0][1:]] + data["G"][0][1:]] + data["G"][1:]}
+
+
+@pytest.mark.parametrize("name", ["e", "T", "D", "G"])
+def test_certificate_field_in_exponent_notation_is_an_input_error_at_once(capsys, tmp_path, name):
+    # It used to be computed, 10**1000000, and then fail the replay (exit 1).
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(_exponent_in(_lorentz_certificate(capsys, tmp_path), name)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err.startswith("input error: ") and f"field {name!r}" in err
+    assert "'1e1000000' is not an integer or an a/b fraction" in err
+    assert out == ""
+
+
 def test_certify_flag_defaults_are_the_option_defaults():
     args = _build_parser().parse_args(list(LORENTZ_CERTIFY))
     defaults = CertifyOptions()
@@ -309,6 +346,32 @@ def test_certify_computes_the_determinant_once_and_samples_nothing(capsys, monke
     code, out, err = run(capsys, "certify", "--poly", "x0^2 - x1^2 - x2^2", "--e", "1,0,0")
     assert code == 0, err
     assert calls == {"det": 1, "real_rooted": 0}
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--poly", "x0^2 - x1^2 - x2^2", "--e", "2,1,0"),
+    ("check", "--poly", str(random_pencil_determinant(random.Random(3001), 3, 3)), "--e", "1,-1/9,0"),
+    ("check", "--poly", "x0^2 - x1^2", "--e", "1,0,0"),
+    ("check", "--poly", "x0^2 + x1^2 + x2^2", "--e", "2,1,0"),
+    ("certify", "--poly", "x0^2 - x1^2 - x2^2", "--e", "1,0,0"),
+    ("certify", "--poly", "x0*x1*x2", "--e", "1,1,1"),
+])
+def test_sampled_lines_evaluate_no_poly(capsys, monkeypatch, argv):
+    # Every sampled line, the lineality line of a cylinder too, is an
+    # integer computation: the one Poly.evaluate left is the input gate's
+    # h(e) != 0, at the direction itself.
+    points = []
+    evaluate = Poly.evaluate
+
+    def spy(self, point):
+        points.append(tuple(Fraction(c) for c in point))
+        return evaluate(self, point)
+
+    monkeypatch.setattr(Poly, "evaluate", spy)
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1), err
+    direction = tuple(Fraction(c) for c in argv[-1].split(","))
+    assert points and set(points) == {direction}
 
 
 def test_check_normalizes_the_direction_once(capsys, monkeypatch):
@@ -495,8 +558,9 @@ def test_exhausted_refusal_is_one_short_line(capsys):
 
 
 def test_high_exponent_check_is_quick(capsys):
-    # A line restriction evaluates the x0 coefficients of h_monic at a point,
-    # so no power of a linear form in t is expanded.
+    # A line restriction evaluates the integer x0 coefficients of h_monic at
+    # an integer point, with only the powers its terms use, so no power of a
+    # linear form in t is expanded and no table of powers up to d is built.
     start = time.perf_counter()
     code, out, err = run(capsys, "check", "--poly", "x0^1000 - x1^1000", "--e", "1,0")
     assert time.perf_counter() - start < 5

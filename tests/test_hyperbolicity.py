@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperdet import (
@@ -12,22 +13,25 @@ from hyperdet import (
     InputError,
     ZeroPolynomial,
     check_hyperbolic_sampled,
+    hyperbolicity,
     parse_poly,
 )
 from hyperdet.hyperbolicity import (
     HYPERBOLIC_SAMPLED,
     NOT_HYPERBOLIC,
+    _distinct_real_roots,
     is_real_rooted,
     lineality_space,
     pd_witness_check,
     sample_directions,
     sturm_chain,
 )
-from hyperdet.poly import Poly, UniPoly, apply_linear, normalize_direction
+from hyperdet.poly import Poly, apply_linear, normalize_direction
 from hyperdet.quotient import QuotientContext, bezoutian_of
 
 from conftest import random_fraction, random_pencil_determinant, renegar_derivative
 from oracles import (
+    UniPoly,
     bareiss_determinant,
     count_real_roots,
     evaluate_form,
@@ -77,19 +81,19 @@ def test_count_distinct_roots_of_random_products():
 def test_real_rooted_with_multiplicity():
     # (t-1)^2 (t+2)
     f = UniPoly([-1, 1]) * UniPoly([-1, 1]) * UniPoly([2, 1])
-    assert is_real_rooted(f)
+    assert is_real_rooted(f.coeffs)
 
 
 def test_not_real_rooted_complex():
-    assert not is_real_rooted(UniPoly([1, 0, 1]))
+    assert not is_real_rooted(UniPoly([1, 0, 1]).coeffs)
 
 
 def test_quartic_mixed_roots():
-    assert not is_real_rooted(UniPoly([-1, 0, 0, 0, 1]))
+    assert not is_real_rooted(UniPoly([-1, 0, 0, 0, 1]).coeffs)
 
 
 def test_constant_is_real_rooted():
-    assert is_real_rooted(UniPoly([5]))
+    assert is_real_rooted(UniPoly([5]).coeffs)
 
 
 # -- check_hyperbolic_sampled ----------------------------------------------------
@@ -106,7 +110,7 @@ def test_definite_quadric_refused_with_unit_witness():
     assert verdict.status == NOT_HYPERBOLIC
     assert verdict.witness == (Fraction(0), Fraction(1))
     restriction = substitute_line(P("x0^2 + x1^2"), (1, 0), verdict.witness)
-    assert not is_real_rooted(restriction)
+    assert not is_real_rooted(restriction.coeffs)
 
 
 def test_product_of_coordinates_hyperbolic():
@@ -198,7 +202,7 @@ def test_pd_witness_implies_real_rooted_restrictions():
         for v in sample_directions(nvars - 1, 8, seed=5):
             if is_positive_definite(evaluate_form(omega, v)):
                 restriction = substitute_line(ctx.h, e, (0,) + tuple(v))
-                assert is_real_rooted(restriction)
+                assert is_real_rooted(restriction.coeffs)
                 assert count_real_roots(restriction) == restriction.degree  # simple roots
 
 
@@ -286,7 +290,7 @@ def test_integer_chain_has_the_signs_of_the_rational_chain(roots, extra, scale):
         for _ in range(multiplicity):
             f = f * UniPoly([-root, 1])
     f = f * UniPoly(list(extra) + [1])
-    integer_chain = sturm_chain(f)
+    integer_chain = sturm_chain(f.coeffs)
     rational_chain = fraction_sturm_chain(f)
     assert len(integer_chain) == len(rational_chain)
     for entry, oracle in zip(integer_chain, rational_chain):
@@ -317,7 +321,7 @@ def _equivalence_corpus():
 def test_hyperbolicity_verdict_matches_the_expanded_line_at_every_sample():
     for h, e in _equivalence_corpus():
         lines = list(sample_directions(h.nvars, 24, seed=7))
-        oracle = [is_real_rooted(substitute_line(h, e, v)) for v in lines]
+        oracle = [is_real_rooted(substitute_line(h, e, v).coeffs) for v in lines]
         first_bad = next((i for i, ok in enumerate(oracle) if not ok), None)
         for count in range(1, len(lines) + 1):
             verdict = check_hyperbolic_sampled(h, e, num_samples=count, seed=7)
@@ -361,3 +365,76 @@ def test_pd_witness_matches_the_evaluated_bezoutian_at_every_sample():
     # 3-dimensional space of symmetric 2x2 matrices, so they are dependent)
     # and x0^2 - x1^2 in three variables.
     assert cylinders == [2, 11]
+
+
+def _rational_counts(f):
+    """(distinct real roots, distinct complex roots) from the Euclidean chain."""
+    chain = fraction_sturm_chain(f)
+    at_plus = [_sign(p.leading) for p in chain]
+    at_minus = [s if p.degree % 2 == 0 else -s for s, p in zip(at_plus, chain)]
+    variations = [sum(1 for a, b in zip(signs, signs[1:]) if a != b) for signs in (at_minus, at_plus)]
+    return variations[0] - variations[1], f.degree - chain[-1].degree
+
+
+def _integer_counts(coeffs):
+    chain = sturm_chain(coeffs)
+    return _distinct_real_roots(chain), len(chain[0]) - len(chain[-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["hv", "renegar", "cylinder"]),
+    st.integers(min_value=0, max_value=10**6),
+    st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(lambda c: c != 0),
+              st.fractions(min_value=-3, max_value=3, max_denominator=5),
+              st.fractions(min_value=-3, max_value=3, max_denominator=5)),
+    st.lists(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7),
+                      min_size=4, max_size=4), min_size=1, max_size=3),
+)
+def test_integer_restriction_counts_roots_as_the_rational_oracle(kind, seed, tilt, drawn):
+    # Along a tilted direction (T != I), every line of both sampled checks,
+    # as the integer list the Sturm chain reads, has the distinct real and
+    # complex root counts of the expanded rational restriction.  The lines
+    # include w = 0 (an offset along e, restriction t^d) and, on a cylinder,
+    # the lineality vector, whose restriction h(e)*t^d has a repeated root
+    # at w != 0.
+    rng = random.Random(seed)
+    if kind == "hv":
+        h = random_pencil_determinant(rng, 3, rng.randint(2, 4))
+    elif kind == "renegar":
+        h = renegar_derivative(rng, 3, rng.randint(3, 5))
+    else:
+        h = random_pencil_determinant(rng, 4, 2)
+    e = (1,) + tilt[:h.nvars - 1] + (0,) * (h.nvars - 4)
+    assume(h.evaluate(e) != 0)
+    offsets = [tuple(v[:h.nvars]) for v in drawn] + [tuple(Fraction(c) * -2 for c in e)]
+    offsets += [tuple(v) for v in lineality_space(h)]
+    if kind == "cylinder":
+        assert len(offsets) > len(drawn) + 1
+
+    restrictions = []
+
+    def spy(coeffs):
+        restrictions.append(list(coeffs))
+        return True
+
+    with patch.object(hyperbolicity, "sample_directions", lambda dim, count, seed: iter(offsets)), \
+            patch.object(hyperbolicity, "is_real_rooted", spy):
+        verdict = check_hyperbolic_sampled(h, e, num_samples=len(offsets))
+    assert verdict.status == HYPERBOLIC_SAMPLED and len(restrictions) == len(offsets)
+    for v, coeffs in zip(offsets, restrictions):
+        assert all(isinstance(c, int) for c in coeffs)
+        oracle = substitute_line(h, e, v)
+        assert _integer_counts(coeffs) == _rational_counts(oracle), (str(h), e, v)
+        assert is_real_rooted(coeffs) == is_real_rooted(oracle.coeffs)
+    assert restrictions[len(drawn)][:-1] == [0] * (len(restrictions[len(drawn)]) - 1)
+
+    # The PD witness reads points w of x1..xn directly.
+    ctx = QuotientContext(normalize_direction(h, e)[0])
+    forms = hyperbolicity._integer_forms(ctx)
+    points = [tuple(v[1:h.nvars]) for v in drawn] + [(Fraction(0),) * ctx.n]
+    points += [v[1:] for v in lineality_space(ctx.h)]
+    for w in points:
+        coeffs = hyperbolicity._restriction(forms, hyperbolicity._integer_point(w))
+        oracle = substitute_line(ctx.h, (1,) + (0,) * ctx.n, (0,) + tuple(w))
+        assert _integer_counts(coeffs) == _rational_counts(oracle), (str(ctx.h), w)

@@ -14,15 +14,11 @@ from hyperdet import (
     parse_poly,
 )
 from hyperdet.linalg import invert_matrix
-from hyperdet.poly import (
-    UniPoly,
-    apply_linear,
-    normalize_direction,
-)
+from hyperdet.poly import apply_linear, as_fraction, normalize_direction
 from hyperdet.quotient import QuotientContext, divide_by_h
 
 from conftest import all_monomials, random_homogeneous
-from oracles import is_homogeneous_of_degree, substitute_line, uni_divmod
+from oracles import UniPoly, is_homogeneous_of_degree, substitute_line, uni_divmod
 
 
 def P(text, nvars=None):
@@ -231,6 +227,21 @@ def test_evaluate_examples():
     assert P("x0^2 - x1^2").evaluate((3, 2)) == 5
     assert P("x0^3 - x0*x1^2").evaluate((0, 0)) == 0
     assert P("x1^2 + x2^2").evaluate((0, 3, 4)) == 25
+
+
+# -- rational text -----------------------------------------------------------
+
+@pytest.mark.parametrize("text,value", [
+    ("7", Fraction(7)), ("-3/4", Fraction(-3, 4)), ("+6/4", Fraction(3, 2)), ("0/5", Fraction(0)),
+])
+def test_rational_text_forms(text, value):
+    assert as_fraction(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e1000000", "1.5", "1_000", " 3", "3/", "/3", "1/-2", "inf", "0x10", ""])
+def test_other_rational_text_is_a_value_error(text):
+    with pytest.raises(ValueError, match="is not an integer or an a/b fraction"):
+        as_fraction(text)
 
 
 # -- text grammar ------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperdet import Poly, parse_poly
-from hyperdet.poly import UniPoly
 from hyperdet.detrep import basis_maps
 from hyperdet.quotient import (
     QuotientContext,
@@ -20,6 +19,7 @@ from hyperdet.sos import monomial_basis_Mk
 
 from conftest import random_homogeneous, all_monomials
 from oracles import (
+    UniPoly,
     bezout_matrix_univariate,
     element_to_poly,
     evaluate_form,

@@ -15,6 +15,7 @@ unreadable, undecodable or malformed file, an out-of-range flag).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -43,7 +44,9 @@ EXIT_REFUSED = 1
 EXIT_INPUT = 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hyperdet",
         description="Certify definite determinantal representations of multiples "
@@ -51,13 +54,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, needs_poly: bool = True) -> None:
-        if needs_poly:
-            src = p.add_mutually_exclusive_group(required=True)
-            src.add_argument("--poly", help="polynomial in the text grammar, e.g. 'x0^2 - x1^2'")
-            src.add_argument("--input", help="path to a file containing the polynomial")
-            p.add_argument("--e", required=True,
-                           help="direction as comma-separated rationals, e.g. '1,0,0'")
+    def add_common(p: argparse.ArgumentParser) -> None:
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--poly", help="polynomial in the text grammar, e.g. 'x0^2 - x1^2'")
+        src.add_argument("--input", help="path to a file containing the polynomial")
+        p.add_argument("--e", required=True,
+                       help="direction as comma-separated rationals, e.g. '1,0,0'")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--output", help="output path (default: stdout)")
 
@@ -189,8 +191,7 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "check":
             return _run_check(args)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence, Union
 
 from .errors import (
     DimensionMismatch,
@@ -392,47 +392,10 @@ def format_poly(p: Poly) -> str:
     return " ".join(pieces)
 
 
-class _Scanner:
-    """Character scanner with line/column tracking for error reports."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def error(self, message: str) -> PolyParseError:
-        return PolyParseError(message, self.line, self.col)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.advance()
-
-    def read_int(self) -> int:
-        if not self.peek().isdigit():
-            raise self.error("expected a digit")
-        line, col = self.line, self.col
-        digits = []
-        while self.peek().isdigit():
-            digits.append(self.advance())
-        try:
-            return int("".join(digits))
-        except ValueError:  # longer than the interpreter's int-string limit
-            raise PolyParseError(f"integer literal of {len(digits)} digits is too long",
-                                 line, col) from None
+def _fail(text: str, pos: int, message: str) -> NoReturn:
+    """Raise the parse error at offset pos, with its 1-based line and column."""
+    line = text.count("\n", 0, pos) + 1
+    raise PolyParseError(message, line, pos - text.rfind("\n", 0, pos)) from None
 
 
 def parse_poly(text: str, nvars: int | None = None) -> Poly:
@@ -440,76 +403,81 @@ def parse_poly(text: str, nvars: int | None = None) -> Poly:
 
     A term is `coeff`, `coeff*mono`, or `mono`; `mono` is one or more
     `xI^E` factors (E omitted means 1); coefficients are integers or `a/b`
-    fractions.  Whitespace is insignificant.  When nvars is omitted it is
-    inferred from the largest variable index.
+    fractions, and digits are ASCII 0-9.  Whitespace may stand between
+    tokens and after `/`, but not inside `xI^E` or before `/`.  When nvars
+    is omitted it is inferred from the largest variable index.
     """
-    sc = _Scanner(text)
+    end = len(text)
+
+    def skip_ws(pos: int) -> int:
+        while pos < end and text[pos].isspace():
+            pos += 1
+        return pos
+
+    def read_int(pos: int) -> tuple[int, int]:
+        stop = pos
+        while stop < end and "0" <= text[stop] <= "9":
+            stop += 1
+        if stop == pos:
+            _fail(text, pos, "expected a digit")
+        try:
+            return int(text[pos:stop]), stop
+        except ValueError:  # longer than the interpreter's int-string limit
+            _fail(text, pos, f"integer literal of {stop - pos} digits is too long")
+
     terms: list[tuple[dict[int, int], Fraction]] = []
     max_index = -1
 
-    sc.skip_ws()
-    if not sc.peek():
-        raise sc.error("empty polynomial")
+    pos = skip_ws(0)
+    if pos == end:
+        _fail(text, pos, "empty polynomial")
     sign = _ONE
-    if sc.peek() in "+-":
-        if sc.advance() == "-":
+    if text[pos] in "+-":
+        if text[pos] == "-":
             sign = -_ONE
-        sc.skip_ws()
+        pos = skip_ws(pos + 1)
 
     while True:
         exps: dict[int, int] = {}
         coeff = sign
-        saw_coeff = False
-        saw_var = False
         first_factor = True
         while True:
-            sc.skip_ws()
-            ch = sc.peek()
-            if ch.isdigit():
+            pos = skip_ws(pos)
+            ch = text[pos:pos + 1]
+            if "0" <= ch <= "9":
                 if not first_factor:
-                    raise sc.error("numeric coefficient must come first in a term")
-                num = sc.read_int()
+                    _fail(text, pos, "numeric coefficient must come first in a term")
+                num, pos = read_int(pos)
                 den = 1
-                if sc.peek() == "/":
-                    sc.advance()
-                    sc.skip_ws()
-                    den = sc.read_int()
+                if text.startswith("/", pos):
+                    den, pos = read_int(skip_ws(pos + 1))
                     if den == 0:
-                        raise sc.error("zero denominator")
+                        _fail(text, pos, "zero denominator")
                 coeff = coeff * Fraction(num, den)
-                saw_coeff = True
             elif ch == "x":
-                sc.advance()
-                index = sc.read_int()
+                index, pos = read_int(pos + 1)
                 exp = 1
-                if sc.peek() == "^":
-                    sc.advance()
-                    exp = sc.read_int()
+                if text.startswith("^", pos):
+                    exp, pos = read_int(pos + 1)
                 exps[index] = exps.get(index, 0) + exp
                 max_index = max(max_index, index)
-                saw_var = True
             else:
-                raise sc.error("expected a coefficient or a variable")
+                _fail(text, pos, "expected a coefficient or a variable")
             first_factor = False
-            sc.skip_ws()
-            if sc.peek() == "*":
-                sc.advance()
-                continue
-            break
-        if not (saw_coeff or saw_var):
-            raise sc.error("empty term")
+            pos = skip_ws(pos)
+            if not text.startswith("*", pos):
+                break
+            pos += 1
         terms.append((exps, coeff))
 
-        sc.skip_ws()
-        ch = sc.peek()
-        if not ch:
+        if pos == end:
             break
-        if ch not in "+-":
-            raise sc.error(f"unexpected character {ch!r}")
-        sign = _ONE if sc.advance() == "+" else -_ONE
-        sc.skip_ws()
-        if not sc.peek():
-            raise sc.error("dangling sign at end of input")
+        if text[pos] not in "+-":
+            _fail(text, pos, f"unexpected character {text[pos]!r}")
+        sign = _ONE if text[pos] == "+" else -_ONE
+        pos = skip_ws(pos + 1)
+        if pos == end:
+            _fail(text, pos, "dangling sign at end of input")
 
     width = max_index + 1 if nvars is None else nvars
     if width < 1:

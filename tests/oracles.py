@@ -9,12 +9,13 @@ matrices by expanding the difference quotient monomial by monomial, the
 commutation test of a Bézoutian form with the multiplication-by-x0 matrix,
 restrictions to a line by expanding h(t*e + v) in t, the entrywise value of
 a Bézoutian form at a point, and the Sturm chain by Euclidean division over
-the rationals.  Six are former routes of
-rewrites that must agree with them exactly: the symmetric lift with its
-generators held as Polys, multiplied by x0 through Poly products and solved
-over their rational coordinates, Gauss-Jordan elimination by rational
-pivots, the LDL^T by rational pivots, Gram rounding by Fraction arithmetic,
-the Gram problem built by testing every split of every monomial, and exact
+the rationals.  Seven are former routes of rewrites that must agree with
+them exactly: the polynomial text parser whose scanner tracks the line and
+column at every character, the symmetric lift with its generators held as
+Polys, multiplied by x0 through Poly products and solved over their
+rational coordinates, Gauss-Jordan elimination by rational pivots, the
+LDL^T by rational pivots, Gram rounding by Fraction arithmetic, the Gram
+problem built by testing every split of every monomial, and exact
 polynomial division by grlex leading terms.
 """
 
@@ -27,12 +28,22 @@ from typing import Iterable, Union
 from hyperdet.errors import (
     DimensionMismatch,
     NotPD,
+    PolyParseError,
     RoundingFailed,
     ZeroPolynomial,
 )
 from hyperdet.hyperbolicity import _distinct_real_roots, sturm_chain
 from hyperdet.linalg import is_symmetric, rat_matrix
-from hyperdet.poly import Poly, RationalLike, _linear_power, as_fraction, as_point
+from hyperdet.poly import (
+    _ONE,
+    _ZERO,
+    Monomial,
+    Poly,
+    RationalLike,
+    _linear_power,
+    as_fraction,
+    as_point,
+)
 from hyperdet.quotient import BezoutianForm, QuotientContext
 from hyperdet.sdp import SdpProblem
 from hyperdet.sos import monomial_basis_Mk, power_sum_multiplier, r_monomials_of_degree
@@ -561,3 +572,136 @@ def pair_scan_gram_problem(ctx: QuotientContext, omega0: BezoutianForm, ell: int
                         row[(b, a)] = row.get((b, a), Fraction(0)) + half
                 constraints.append((row, entry.coeff(mu)))
     return SdpProblem(len(basis), constraints), basis
+
+
+class _Scanner:
+    """Character scanner with line/column tracking for error reports."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.line = 1
+        self.col = 1
+
+    def error(self, message: str) -> PolyParseError:
+        return PolyParseError(message, self.line, self.col)
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def advance(self) -> str:
+        ch = self.text[self.pos]
+        self.pos += 1
+        if ch == "\n":
+            self.line += 1
+            self.col = 1
+        else:
+            self.col += 1
+        return ch
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.advance()
+
+    def read_int(self) -> int:
+        if not self.peek().isdigit():
+            raise self.error("expected a digit")
+        line, col = self.line, self.col
+        digits = []
+        while self.peek().isdigit():
+            digits.append(self.advance())
+        try:
+            return int("".join(digits))
+        except ValueError:  # longer than the interpreter's int-string limit
+            raise PolyParseError(f"integer literal of {len(digits)} digits is too long",
+                                 line, col) from None
+
+
+def scanner_parse_poly(text: str, nvars: int | None = None) -> Poly:
+    """Parse the textual grammar: terms joined by +/-, factors joined by *.
+
+    A term is `coeff`, `coeff*mono`, or `mono`; `mono` is one or more
+    `xI^E` factors (E omitted means 1); coefficients are integers or `a/b`
+    fractions.  Whitespace is insignificant.  When nvars is omitted it is
+    inferred from the largest variable index.
+    """
+    sc = _Scanner(text)
+    terms: list[tuple[dict[int, int], Fraction]] = []
+    max_index = -1
+
+    sc.skip_ws()
+    if not sc.peek():
+        raise sc.error("empty polynomial")
+    sign = _ONE
+    if sc.peek() in "+-":
+        if sc.advance() == "-":
+            sign = -_ONE
+        sc.skip_ws()
+
+    while True:
+        exps: dict[int, int] = {}
+        coeff = sign
+        saw_coeff = False
+        saw_var = False
+        first_factor = True
+        while True:
+            sc.skip_ws()
+            ch = sc.peek()
+            if ch.isdigit():
+                if not first_factor:
+                    raise sc.error("numeric coefficient must come first in a term")
+                num = sc.read_int()
+                den = 1
+                if sc.peek() == "/":
+                    sc.advance()
+                    sc.skip_ws()
+                    den = sc.read_int()
+                    if den == 0:
+                        raise sc.error("zero denominator")
+                coeff = coeff * Fraction(num, den)
+                saw_coeff = True
+            elif ch == "x":
+                sc.advance()
+                index = sc.read_int()
+                exp = 1
+                if sc.peek() == "^":
+                    sc.advance()
+                    exp = sc.read_int()
+                exps[index] = exps.get(index, 0) + exp
+                max_index = max(max_index, index)
+                saw_var = True
+            else:
+                raise sc.error("expected a coefficient or a variable")
+            first_factor = False
+            sc.skip_ws()
+            if sc.peek() == "*":
+                sc.advance()
+                continue
+            break
+        if not (saw_coeff or saw_var):
+            raise sc.error("empty term")
+        terms.append((exps, coeff))
+
+        sc.skip_ws()
+        ch = sc.peek()
+        if not ch:
+            break
+        if ch not in "+-":
+            raise sc.error(f"unexpected character {ch!r}")
+        sign = _ONE if sc.advance() == "+" else -_ONE
+        sc.skip_ws()
+        if not sc.peek():
+            raise sc.error("dangling sign at end of input")
+
+    width = max_index + 1 if nvars is None else nvars
+    if width < 1:
+        width = 1
+    if max_index >= width:
+        raise PolyParseError(
+            f"variable x{max_index} exceeds the declared {width} variables", 1, 1
+        )
+    acc: dict[Monomial, Fraction] = {}
+    for exps, coeff in terms:
+        mono = tuple(exps.get(i, 0) for i in range(width))
+        acc[mono] = acc.get(mono, _ZERO) + coeff
+    return Poly(width, acc)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON output, round-trips."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -204,6 +205,32 @@ def test_certificate_field_in_exponent_notation_is_an_input_error_at_once(capsys
     assert code == 2
     assert err.startswith("input error: ") and f"field {name!r}" in err
     assert "'1e1000000' is not an integer or an a/b fraction" in err
+    assert out == ""
+
+
+def test_main_builds_the_argument_parser_once(capsys, monkeypatch):
+    run(capsys, "check", "--poly", "x0^2 - x1^2", "--e", "1,0")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, out, err = run(capsys, "check", "--poly", "x0^2 - x1^2", "--e", "1,0")
+    assert code == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("poly, message", [
+    ("x0^\u00b2 - x1^2", "expected a digit (line 1, column 4)"),
+    ("\u0663*x0^2 - x1^2", "expected a coefficient or a variable (line 1, column 1)"),
+], ids=["superscript-two", "arabic-indic-three"])
+def test_non_ascii_digit_exits_two(capsys, poly, message):
+    code, out, err = run(capsys, "check", "--poly", poly, "--e", "1,0")
+    assert code == 2
+    assert err == f"input error: {message}\n"
     assert out == ""
 
 

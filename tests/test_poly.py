@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic: worked examples and algebraic invariants."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,13 @@ from hyperdet.poly import apply_linear, as_fraction, normalize_direction
 from hyperdet.quotient import QuotientContext, divide_by_h
 
 from conftest import all_monomials, random_homogeneous
-from oracles import UniPoly, is_homogeneous_of_degree, substitute_line, uni_divmod
+from oracles import (
+    UniPoly,
+    is_homogeneous_of_degree,
+    scanner_parse_poly,
+    substitute_line,
+    uni_divmod,
+)
 
 
 def P(text, nvars=None):
@@ -280,6 +287,84 @@ def test_parse_rejects_trailing_coefficient():
 def test_parse_empty_rejected():
     with pytest.raises(PolyParseError):
         parse_poly("   ")
+
+
+def _parse_outcome(parse, text, nvars):
+    """The Poly parsed, or the message, line and column of the parse error."""
+    try:
+        return parse(text, nvars)
+    except PolyParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+_TOKENS = ["x0", "x1", "x2", "x3", "x12", "^", "^2", "*", "/", "+", "-", "0", "7",
+           "1/2", "2/0", " ", "\t", "\n", "\r\n", "  \n ", "@"]
+_TERMS = ["x0", "x1^2", "x12^3", "2*x0*x1", "7/3*x2^2", "5", "1/0", "x0*3", "x0^2*x3"]
+_GAPS = ["", "", "", "", "", " ", "\n", "\t", "\r\n", "@", "*", "-"]
+
+
+@st.composite
+def _spaced_polynomials(draw):
+    """Polynomial text with whitespace and stray characters between any two characters."""
+    terms = draw(st.lists(st.tuples(st.sampled_from(["", "+", "-"]), st.sampled_from(_TERMS)),
+                          min_size=1, max_size=4))
+    text = "".join(sign + term for sign, term in terms)
+    gaps = draw(st.lists(st.sampled_from(_GAPS), min_size=len(text) + 1, max_size=len(text) + 1))
+    return gaps[0] + "".join(ch + gap for ch, gap in zip(text, gaps[1:]))
+
+
+ascii_texts = st.one_of(
+    st.lists(st.one_of(st.sampled_from(_TOKENS), st.characters(max_codepoint=127)),
+             max_size=24).map("".join),
+    _spaced_polynomials(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ascii_texts, st.sampled_from([None, 1, 2, 3]))
+def test_parse_agrees_with_the_scanner_parser_on_ascii_text(text, nvars):
+    assert _parse_outcome(parse_poly, text, nvars) == _parse_outcome(scanner_parse_poly, text, nvars)
+
+
+_INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("text, nvars, message, line, column", [
+    ("", None, "empty polynomial", 1, 1),
+    (" \n\t", None, "empty polynomial", 2, 2),
+    ("x0^2 +\n  @ x1", None, "expected a coefficient or a variable", 2, 3),
+    ("-", None, "expected a coefficient or a variable", 1, 2),
+    ("x0^2 @", None, "unexpected character '@'", 1, 6),
+    ("x0^2\n\n x1 x2", None, "unexpected character 'x'", 3, 2),
+    ("x0^2\n  - x1^2 +\n", None, "dangling sign at end of input", 3, 1),
+    ("x0^2 - x1^2 -", None, "dangling sign at end of input", 1, 14),
+    ("x0^\n2", None, "expected a digit", 1, 4),
+    ("x 0", None, "expected a digit", 1, 2),
+    ("x0 + 1/\n x1", None, "expected a digit", 2, 2),
+    ("x0^ 2", None, "expected a digit", 1, 4),
+    ("x0 ^2", None, "unexpected character '^'", 1, 4),
+    ("3 /2*x0", None, "unexpected character '/'", 1, 3),
+    ("x0*\n 2*x1", None, "numeric coefficient must come first in a term", 2, 2),
+    ("x0^2 -\r\n x1^2 * 3", None, "numeric coefficient must come first in a term", 2, 9),
+    ("1/0*x0", None, "zero denominator", 1, 4),
+    ("x0 + 1/\n 0", None, "zero denominator", 2, 3),
+    ("x0^2 - x3^2", 2, "variable x3 exceeds the declared 2 variables", 1, 1),
+    ("x0^2\n - x3^2", 2, "variable x3 exceeds the declared 2 variables", 1, 1),
+    pytest.param(
+        "x0^2 -\n  " + "7" * (_INT_LIMIT + 1) + "*x1^2", None,
+        f"integer literal of {_INT_LIMIT + 1} digits is too long", 2, 3,
+        marks=pytest.mark.skipif(not _INT_LIMIT, reason="the interpreter has no int-string limit"),
+        id="too-long"),
+    # Digits are ASCII 0-9: other Unicode digits are not read as numbers.
+    ("x0^\u00b2 - x1^2", None, "expected a digit", 1, 4),
+    ("\u0663*x0^2 - x1^2", None, "expected a coefficient or a variable", 1, 1),
+    ("x\u0662", None, "expected a digit", 1, 2),
+])
+def test_parse_error_message_and_position(text, nvars, message, line, column):
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(text, nvars)
+    assert (str(err.value), err.value.line, err.value.column) == (
+        f"{message} (line {line}, column {column})", line, column)
 
 
 # -- UniPoly ------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Commands:
   check      hyperbolicity verdict plus the PD-witness report
   bezoutian  the difference-quotient Bézoutian and the derivative Bézoutian
-  certify    run the full pipeline and emit a self-verified certificate
+  certify    run the full pipeline and emit a certificate that verifies by construction
   verify     replay a certificate file
 
 Exit codes: 0 success, 1 mathematical refusal (not hyperbolic, suspected

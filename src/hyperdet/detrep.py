@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import CertifyError, HyperdetError, InputError, NoSymmetricLift
 from .hyperbolicity import DEFAULT_NUM_SAMPLES, check_num_samples, pd_witness_check
@@ -431,16 +431,20 @@ def certify(h: Poly, e: Sequence[RationalLike], options: CertifyOptions | None =
     Normalize the direction (normalize_direction is the input gate and
     raises InputError), check the PD witness (CertifyError "pd_witness",
     which may indicate a real singularity), find the sum-of-squares
-    decomposition, solve the symmetric lift, then replay the certificate
-    exactly once: the replay's quotient det(pencil)/h_monic is the cofactor,
-    and a failed replay is CertifyError "self_verify".  That determinant is
-    taken on the similar pencil R^-1 G_s R (_gram_basis_pencil, R from the
-    decomposition's LDL), whose denominators are far shorter than those of
-    the certificate's G_s; verify_certificate recomputes it on G.  The
-    certificate itself is unchanged by this.  The cofactor needs
-    no check of its own: a pencil with D > 0, every D*G_i symmetric and value
-    I at the direction has a hyperbolic determinant, and every factor of a
-    hyperbolic polynomial is hyperbolic (Gårding 1959).
+    decomposition and solve the symmetric lift.  The cofactor is the
+    quotient of the pencil determinant by h_monic in the quotient context
+    built at normalization; a nonzero remainder is CertifyError
+    "self_verify".  That determinant is taken on the similar pencil
+    R^-1 G_s R (_gram_basis_pencil, R from the decomposition's LDL), whose
+    denominators are far shorter than those of the certificate's G_s;
+    verify_certificate recomputes it on G.  Checks (a), (b) and (d) of
+    verify_certificate hold by construction and are not run here: the
+    weights are the LDL pivots, which ldl_decompose has refused unless
+    positive; the lift sets g[a][b] = g[b][a] * w_b / w_a; and T*e =
+    (1,0,...,0) exactly, where the pencil is I for any G.  The cofactor
+    needs no check of its own: a pencil with D > 0, every D*G_i symmetric
+    and value I at the direction has a hyperbolic determinant, and every
+    factor of a hyperbolic polynomial is hyperbolic (Gårding 1959).
     """
     opts = options or CertifyOptions()
     ev = as_point(e)
@@ -458,20 +462,19 @@ def certify(h: Poly, e: Sequence[RationalLike], options: CertifyOptions | None =
 
     dec = find_sos_decomposition(ctx, opts.lmax)
     weights, pencil = solve_symmetric_lift(ctx, dec)
-    cert = DetRepCertificate(
+    cofactor, remainder = divide_by_h(ctx, pencil_determinant(_gram_basis_pencil(pencil, dec.rows)))
+    if any(remainder):  # pragma: no cover - would be a soundness bug
+        raise CertifyError("self_verify", "(c) pencil determinant is not a multiple of h_monic")
+    return DetRepCertificate(
         h=h,
         e=ev,
         transform=transform,
         size=len(dec.rows),
         weights=weights,
         pencil=pencil,
-        cofactor=None,
+        cofactor=cofactor,
         multiplier=dec.multiplier,
     )
-    diagnostics, cert.cofactor = _replay(cert, _gram_basis_pencil(pencil, dec.rows))
-    if diagnostics:  # pragma: no cover - would be a soundness bug
-        raise CertifyError("self_verify", "; ".join(diagnostics))
-    return cert
 
 
 def verify_certificate(cert: DetRepCertificate) -> tuple[bool, list[str]]:
@@ -480,29 +483,13 @@ def verify_certificate(cert: DetRepCertificate) -> tuple[bool, list[str]]:
     Checks: (a) the weight matrix is positive diagonal, (b) D*G_i is
     symmetric for every i, (c) the pencil determinant divided by h_monic,
     with h_monic recomputed from h and T, is exactly cofactor, and (d) the
-    pencil evaluated at the transformed direction is the identity.  Failures
-    are reported as diagnostics, never raised.  The SDP and the sampling
-    stages are deliberately not replayed.
-    """
-    diagnostics, _ = _replay(cert, cert.pencil)
-    return (not diagnostics, diagnostics)
-
-
-def _replay(
-    cert: DetRepCertificate, det_pencil: Sequence[RatMatrix]
-) -> tuple[list[str], Optional[Poly]]:
-    """Checks (a)-(d) of verify_certificate and the quotient det/h_monic.
-
-    Check (c) takes the determinant of det_pencil, which is cert.pencil in
-    verify_certificate and a pencil similar to it in certify; checks (a),
-    (b) and (d) read cert.pencil.  Check (c) divides it by h_monic in the
-    quotient context of h recomputed from h and T, which makes h monic and
-    refuses an h that vanishes at (1,0,...,0); a nonzero remainder fails the
-    check.  It compares the quotient with cert.cofactor, unless that is
-    None, as it is while certify builds the certificate.
+    pencil evaluated at the transformed direction is the identity.  Check
+    (c) divides in the quotient context of h rebuilt from h and T, which
+    makes h monic and refuses an h that vanishes at (1,0,...,0); a nonzero
+    remainder fails it.  Failures are reported as diagnostics, never
+    raised.  The SDP and the sampling stages are deliberately not replayed.
     """
     diagnostics: list[str] = []
-    quotient = None
     size = cert.size
     n = len(cert.e) - 1
 
@@ -527,10 +514,10 @@ def _replay(
     if shapes_ok:
         try:
             ctx = QuotientContext(apply_linear(cert.h, invert_matrix(cert.transform)))
-            quotient, remainder = divide_by_h(ctx, pencil_determinant(det_pencil))
+            quotient, remainder = divide_by_h(ctx, pencil_determinant(cert.pencil))
             if any(remainder):
                 diagnostics.append("(c) pencil determinant is not a multiple of h_monic")
-            elif cert.cofactor is not None and quotient != cert.cofactor:
+            elif quotient != cert.cofactor:
                 diagnostics.append("(c) pencil determinant differs from cofactor * h_monic")
         except (HyperdetError, ValueError) as exc:
             diagnostics.append(f"(c) determinant check could not be replayed: {exc}")
@@ -546,4 +533,4 @@ def _replay(
         except (HyperdetError, IndexError, ValueError) as exc:
             diagnostics.append(f"(d) direction check could not be replayed: {exc}")
 
-    return diagnostics, quotient
+    return (not diagnostics, diagnostics)

@@ -3,8 +3,9 @@
 Both sampled checks restrict h to a line in one way, in integers alone.
 Once per call, the x0 coefficients c_0..c_d of den*h_monic, the normalized h
 made monic in x0 and scaled by the lcm den of its denominators, become
-integer term lists in x1..xn.  A line point w of x1..xn becomes the integer
-vector u = q*w, q the lcm of its denominators, and the restriction is the
+integer term lists in x1..xn.  A line point w of x1..xn is read as the
+integer vector u = q*w, q > 0 a common denominator (sample_directions draws
+it in that form), and the restriction is the
 coefficient list [c_j(u)], lowest first, which the integer Sturm chain reads.
 Because h is homogeneous, c_j(q*w) = q^(d-j)*c_j(w), so that list is
 den*q^d*h_monic(s/q, w): a positive multiple of h_monic(t, w) in a positively
@@ -153,28 +154,26 @@ def is_real_rooted(coeffs: Sequence[int | Fraction]) -> bool:
     return _distinct_real_roots(chain) == len(chain[0]) - len(chain[-1])
 
 
-def sample_directions(dim: int, num_samples: int, seed: int) -> Iterator[tuple[Fraction, ...]]:
-    """Deterministic sample stream: signed unit vectors first, then rationals
-    with coordinates from {-K..K}/{1..K}, K = 10.  Never yields zero."""
+def sample_directions(dim: int, num_samples: int, seed: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Deterministic sample stream of nonzero points u/q, u integer and q > 0:
+    signed unit vectors first (q = 1), then rationals with coordinates from
+    {-K..K}/{1..K}, K = 10, where q is the lcm of the drawn denominators."""
     produced = 0
     for i in range(dim):
         for sign in (1, -1):
             if produced >= num_samples:
                 return
-            vec = [Fraction(0)] * dim
-            vec[i] = Fraction(sign)
             produced += 1
-            yield tuple(vec)
+            yield tuple(sign if j == i else 0 for j in range(dim)), 1
     rng = random.Random(seed)
     while produced < num_samples:
-        vec = tuple(
-            Fraction(rng.randint(-_SAMPLE_RANGE, _SAMPLE_RANGE), rng.randint(1, _SAMPLE_RANGE))
-            for _ in range(dim)
-        )
-        if all(c == 0 for c in vec):
+        draws = [(rng.randint(-_SAMPLE_RANGE, _SAMPLE_RANGE), rng.randint(1, _SAMPLE_RANGE))
+                 for _ in range(dim)]
+        if not any(num for num, _ in draws):
             continue
+        q = lcm(*(den for _, den in draws))
         produced += 1
-        yield vec
+        yield tuple(num * (q // den) for num, den in draws), q
 
 
 def check_num_samples(num_samples: int) -> None:
@@ -224,9 +223,9 @@ def _restriction(forms: Sequence[IntegerForm], u: Sequence[int]) -> list[int]:
     return coeffs
 
 
-def _has_distinct_real_roots(forms: Sequence[IntegerForm], w: Sequence[Fraction]) -> bool:
-    """True iff h_monic(t, w) has d = len(forms) - 1 distinct real roots."""
-    chain = sturm_chain(_restriction(forms, _integer_point(w)))
+def _has_distinct_real_roots(forms: Sequence[IntegerForm], u: Sequence[int]) -> bool:
+    """True iff h_monic(t, u) has d = len(forms) - 1 distinct real roots."""
+    chain = sturm_chain(_restriction(forms, u))
     return _distinct_real_roots(chain) == len(forms) - 1
 
 
@@ -244,8 +243,9 @@ def check_hyperbolic_sampled(
     h(t*e + v) = h_norm(t + (T*v)_0, w) with w = (T*v)_1..n: the line through
     v is h_monic(t, w) shifted in t and scaled by h(e), which changes no
     root's realness.  The product is taken in integers: T[1:] scaled by the
-    lcm r of its denominators, times q*v, gives u = r*q*w, a positive
-    multiple of w.  num_samples must be a positive int (InputError).
+    lcm r of its denominators, times the integer sample q*v, gives
+    u = r*q*w, a positive multiple of w; the witness v is formed only when
+    its line fails.  num_samples must be a positive int (InputError).
     """
     check_num_samples(num_samples)
     h_norm, t_mat = normalize_direction(h, e)
@@ -254,12 +254,12 @@ def check_hyperbolic_sampled(
     r = lcm(*(c.denominator for row in t_mat[1:] for c in row))
     t_int = [[c.numerator * (r // c.denominator) for c in row] for row in t_mat[1:]]
     used = 0
-    for v in sample_directions(h.nvars, num_samples, seed):
+    for v_int, q in sample_directions(h.nvars, num_samples, seed):
         used += 1
-        v_int = _integer_point(v)
         u = [sum(map(mul, row, v_int)) for row in t_int]
         if not is_real_rooted(_restriction(forms, u)):
-            return HyperbolicityVerdict(NOT_HYPERBOLIC, v, used, ctx)
+            witness = tuple(Fraction(c, q) for c in v_int)
+            return HyperbolicityVerdict(NOT_HYPERBOLIC, witness, used, ctx)
     return HyperbolicityVerdict(HYPERBOLIC_SAMPLED, None, used, ctx)
 
 
@@ -307,14 +307,14 @@ def pd_witness_check(
     check_num_samples(num_samples)
     forms = _integer_forms(ctx)
     used = 0
-    for v in sample_directions(ctx.n, num_samples, seed):
+    for u, q in sample_directions(ctx.n, num_samples, seed):
         used += 1
-        if not _has_distinct_real_roots(forms, v):
-            return PdWitnessReport(False, v, used)
+        if not _has_distinct_real_roots(forms, u):
+            return PdWitnessReport(False, tuple(Fraction(c, q) for c in u), used)
     lineality = lineality_space(ctx.h)
     if lineality:
         used += 1
         w = lineality[0][1:]
-        if not _has_distinct_real_roots(forms, w):
+        if not _has_distinct_real_roots(forms, _integer_point(w)):
             return PdWitnessReport(False, w, used)
     return PdWitnessReport(True, None, used)

@@ -455,12 +455,14 @@ def parse_poly(text: str, nvars: int | None = None) -> Poly:
                         _fail(text, pos, "zero denominator")
                 coeff = coeff * Fraction(num, den)
             elif ch == "x":
+                start = pos
                 index, pos = read_int(pos + 1)
                 exp = 1
                 if text.startswith("^", pos):
                     exp, pos = read_int(pos + 1)
                 exps[index] = exps.get(index, 0) + exp
-                max_index = max(max_index, index)
+                if index > max_index:
+                    max_index, max_pos = index, start
             else:
                 _fail(text, pos, "expected a coefficient or a variable")
             first_factor = False
@@ -483,9 +485,7 @@ def parse_poly(text: str, nvars: int | None = None) -> Poly:
     if width < 1:
         width = 1
     if max_index >= width:
-        raise PolyParseError(
-            f"variable x{max_index} exceeds the declared {width} variables", 1, 1
-        )
+        _fail(text, max_pos, f"variable x{max_index} exceeds the declared {width} variables")
     acc: dict[Monomial, Fraction] = {}
     for exps, coeff in terms:
         mono = tuple(exps.get(i, 0) for i in range(width))

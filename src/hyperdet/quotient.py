@@ -115,9 +115,6 @@ class BezoutianForm:
     def entry(self, i: int, j: int) -> Poly:
         return self.entries[i][j]
 
-    def scaled(self, p: Poly) -> "BezoutianForm":
-        return BezoutianForm(tuple(tuple(p * e for e in row) for row in self.entries))
-
     def to_json_rows(self) -> list[list[str]]:
         return [[str(e) for e in row] for row in self.entries]
 

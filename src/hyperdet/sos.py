@@ -133,7 +133,6 @@ def gram_problem(
     d = ctx.d
     k = d - 1 + ell
     basis = monomial_basis_Mk(ctx, k)
-    target = omega0.scaled(multiplier)
     by_power: list[list[tuple[int, Monomial]]] = [[] for _ in range(d)]
     for a, g in enumerate(basis):
         by_power[g.basis_power].append((a, g.r_monomial))
@@ -151,7 +150,7 @@ def gram_problem(
             # In a diagonal block (a, b) and (b, a) are both splits of mu, so
             # each position weighs 1; off it, one split puts 1/2 on both.
             weight = Fraction(1) if i == j else Fraction(1, 2)
-            entry = target.entry(i, j)
+            entry = multiplier * omega0.entry(i, j)
             for mu in r_monomials_of_degree(ctx.nvars, 2 * k - i - j):
                 row: dict[tuple[int, int], Fraction] = {}
                 for a, b in splits.get(mu, ()):

@@ -548,13 +548,13 @@ def pair_scan_gram_problem(ctx: QuotientContext, omega0: BezoutianForm, ell: int
     k = d - 1 + ell
     basis = monomial_basis_Mk(ctx, k)
     index_of = {(g.basis_power, g.r_monomial): a for a, g in enumerate(basis)}
-    target = omega0.scaled(power_sum_multiplier(ctx, ell))
+    multiplier = power_sum_multiplier(ctx, ell)
     monos_by_degree = {deg: r_monomials_of_degree(ctx.nvars, deg) for deg in range(2 * k + 1)}
     constraints = []
     half = Fraction(1, 2)
     for i in range(d):
         for j in range(i, d):
-            entry = target.entry(i, j)
+            entry = multiplier * omega0.entry(i, j)
             for mu in monos_by_degree[2 * k - i - j]:
                 row: dict[tuple[int, int], Fraction] = {}
                 for gamma in monos_by_degree[k - i]:
@@ -661,6 +661,7 @@ def scanner_parse_poly(text: str, nvars: int | None = None) -> Poly:
                 coeff = coeff * Fraction(num, den)
                 saw_coeff = True
             elif ch == "x":
+                start = (sc.line, sc.col)
                 sc.advance()
                 index = sc.read_int()
                 exp = 1
@@ -668,7 +669,8 @@ def scanner_parse_poly(text: str, nvars: int | None = None) -> Poly:
                     sc.advance()
                     exp = sc.read_int()
                 exps[index] = exps.get(index, 0) + exp
-                max_index = max(max_index, index)
+                if index > max_index:
+                    max_index, max_at = index, start
                 saw_var = True
             else:
                 raise sc.error("expected a coefficient or a variable")
@@ -698,7 +700,7 @@ def scanner_parse_poly(text: str, nvars: int | None = None) -> Poly:
         width = 1
     if max_index >= width:
         raise PolyParseError(
-            f"variable x{max_index} exceeds the declared {width} variables", 1, 1
+            f"variable x{max_index} exceeds the declared {width} variables", *max_at
         )
     acc: dict[Monomial, Fraction] = {}
     for exps, coeff in terms:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperdet.detrep
+import hyperdet.linalg
 from hyperdet import (
     CertifyError,
     CertifyOptions,
@@ -408,6 +409,46 @@ def test_degree_five_pencil_determinant_certifies_in_seconds():
             for a in range(cert.size)
         ]
         assert bareiss_determinant(value) == cert.cofactor.evaluate(point) * h_monic.evaluate(point)
+
+
+# certify returns the certificate it built; verify_certificate alone replays it.
+_CERTIFY_CASES = [
+    pytest.param(LORENTZ, (1, 0, 0), id="lorentz"),
+    pytest.param(LORENTZ, (2, 1, 0), id="lorentz-tilted"),
+    pytest.param(P("x0^3 - x0*x1^2 - x0*x2^2"), (1, 0, 0), id="lorentz-times-x0"),
+    pytest.param(random_pencil_determinant(random.Random(3001), 3, 3), (1, 0, 0), id="hv3-3001"),
+    pytest.param(LORENTZ, (3, 1, -1), id="lorentz-tilted-negative"),
+] + [
+    pytest.param(random_pencil_determinant(random.Random(seed), 3, 3), (1, 0, 0), id=f"hv3-{seed}")
+    for seed in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("h, e", _CERTIFY_CASES)
+def test_certified_pencil_passes_every_replayed_check(h, e):
+    # Checks (a), (b) and (d) hold by construction in certify, and (c) is
+    # the identity certify divided out; the replay confirms all four.
+    assert verify_certificate(certify(h, e)) == (True, [])
+
+
+def test_certify_keeps_one_quotient_context_and_inverts_no_matrix(monkeypatch):
+    # The context built at normalization serves the cofactor division too:
+    # certify rebuilds no h_monic from T, which would need T's inverse.
+    contexts = []
+    init = QuotientContext.__init__
+
+    def counting_init(self, h):
+        contexts.append(h)
+        init(self, h)
+
+    def refuse(*args):
+        raise AssertionError("certify inverted a matrix")
+
+    monkeypatch.setattr(QuotientContext, "__init__", counting_init)
+    monkeypatch.setattr(hyperdet.linalg, "invert_matrix", refuse)
+    monkeypatch.setattr(hyperdet.detrep, "invert_matrix", refuse)
+    certify(LORENTZ, (3, 1, -1))
+    assert len(contexts) == 1
 
 
 # -- verify_certificate ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 from unittest.mock import patch
 
 import pytest
@@ -43,6 +44,17 @@ from oracles import (
 
 def P(text, nvars=None):
     return parse_poly(text, nvars)
+
+
+def rational_samples(dim, count, seed):
+    """The sample stream as rational points u/q."""
+    return [tuple(Fraction(c, q) for c in u) for u, q in sample_directions(dim, count, seed)]
+
+
+def integer_sample(v):
+    """A rational point v as the (u, q) pair sample_directions yields."""
+    q = lcm(*(Fraction(c).denominator for c in v))
+    return tuple(int(Fraction(c) * q) for c in v), q
 
 
 # -- count_real_roots ----------------------------------------------------------
@@ -153,8 +165,8 @@ def test_sampled_checks_reject_a_sample_count_that_is_not_a_positive_int(num_sam
 
 
 def test_sample_stream_units_first_then_deterministic():
-    first = list(sample_directions(2, 6, seed=9))
-    again = list(sample_directions(2, 6, seed=9))
+    first = rational_samples(2, 6, seed=9)
+    again = rational_samples(2, 6, seed=9)
     assert first == again
     assert first[:4] == [
         (Fraction(1), Fraction(0)),
@@ -199,7 +211,7 @@ def test_pd_witness_implies_real_rooted_restrictions():
         ctx = QuotientContext(h)
         omega = bezoutian_of(ctx, ctx.h.derivative(0))
         e = (1,) + (0,) * (nvars - 1)
-        for v in sample_directions(nvars - 1, 8, seed=5):
+        for v in rational_samples(nvars - 1, 8, seed=5):
             if is_positive_definite(evaluate_form(omega, v)):
                 restriction = substitute_line(ctx.h, e, (0,) + tuple(v))
                 assert is_real_rooted(restriction.coeffs)
@@ -320,7 +332,7 @@ def _equivalence_corpus():
 
 def test_hyperbolicity_verdict_matches_the_expanded_line_at_every_sample():
     for h, e in _equivalence_corpus():
-        lines = list(sample_directions(h.nvars, 24, seed=7))
+        lines = rational_samples(h.nvars, 24, seed=7)
         oracle = [is_real_rooted(substitute_line(h, e, v).coeffs) for v in lines]
         first_bad = next((i for i, ok in enumerate(oracle) if not ok), None)
         for count in range(1, len(lines) + 1):
@@ -339,7 +351,7 @@ def test_pd_witness_matches_the_evaluated_bezoutian_at_every_sample():
     for index, (h, e) in enumerate(_equivalence_corpus()):
         ctx = QuotientContext(normalize_direction(h, e)[0])
         omega = bezoutian_of(ctx, ctx.h.derivative(0))
-        points = list(sample_directions(ctx.n, 24, seed=7))
+        points = rational_samples(ctx.n, 24, seed=7)
         oracle = [is_positive_definite(evaluate_form(omega, v)) for v in points]
         first_bad = next((i for i, ok in enumerate(oracle) if not ok), None)
         lineality = lineality_space(ctx.h)
@@ -418,7 +430,8 @@ def test_integer_restriction_counts_roots_as_the_rational_oracle(kind, seed, til
         restrictions.append(list(coeffs))
         return True
 
-    with patch.object(hyperbolicity, "sample_directions", lambda dim, count, seed: iter(offsets)), \
+    samples = [integer_sample(v) for v in offsets]
+    with patch.object(hyperbolicity, "sample_directions", lambda dim, count, seed: iter(samples)), \
             patch.object(hyperbolicity, "is_real_rooted", spy):
         verdict = check_hyperbolic_sampled(h, e, num_samples=len(offsets))
     assert verdict.status == HYPERBOLIC_SAMPLED and len(restrictions) == len(offsets)

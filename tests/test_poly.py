@@ -348,8 +348,8 @@ _INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     ("x0^2 -\r\n x1^2 * 3", None, "numeric coefficient must come first in a term", 2, 9),
     ("1/0*x0", None, "zero denominator", 1, 4),
     ("x0 + 1/\n 0", None, "zero denominator", 2, 3),
-    ("x0^2 - x3^2", 2, "variable x3 exceeds the declared 2 variables", 1, 1),
-    ("x0^2\n - x3^2", 2, "variable x3 exceeds the declared 2 variables", 1, 1),
+    ("x0^2 - x3^2", 2, "variable x3 exceeds the declared 2 variables", 1, 8),
+    ("x0^2\n - x3^2", 2, "variable x3 exceeds the declared 2 variables", 2, 4),
     pytest.param(
         "x0^2 -\n  " + "7" * (_INT_LIMIT + 1) + "*x1^2", None,
         f"integer literal of {_INT_LIMIT + 1} digits is too long", 2, 3,

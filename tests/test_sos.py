@@ -469,7 +469,7 @@ def test_exactness_gate_and_rank():
         basis = monomial_basis_Mk(ctx, dec.k)
         assert dec.basis == basis
         assert rational_rank(dec.rows) == len(basis)
-        assert is_bezoutian(ctx, omega.scaled(dec.multiplier).entries)
+        assert is_bezoutian(ctx, tuple(tuple(dec.multiplier * e for e in row) for row in omega.entries))
 
 
 def test_generation_of_next_graded_piece():

@@ -6,10 +6,13 @@ multiplication-by-x0 action on the generators, constrained to be symmetric
 under the weight matrix D.  The pencil x0*I - sum_i x_i G_i then has
 determinant cofactor * h_monic with the pencil at the normalized direction
 equal to the identity, which is the definiteness certificate.  Everything in
-the certificate replays in exact arithmetic; the pencil determinant is one
-division-free Berkowitz characteristic polynomial over integer polynomials,
-and the cofactor is its x0-quotient by h_monic, the division that defines
-the quotient module (quotient.divide_by_h).
+the certificate replays in exact arithmetic.  certify takes the pencil
+determinant as one division-free Berkowitz characteristic polynomial over
+integer polynomials, and the cofactor as its x0-quotient by h_monic, the
+division that defines the quotient module (quotient.divide_by_h).  The
+replay takes that route when the pencil has three or more matrices; with
+two (a ternary h) it compares integer determinants with cofactor * h_monic
+at the points of the principal lattice instead, which needs no division.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import CertifyError, HyperdetError, InputError, NoSymmetricLift
 from .hyperbolicity import DEFAULT_NUM_SAMPLES, check_num_samples, pd_witness_check
-from .linalg import RatMatrix, invert_matrix, rat_matrix, solve_sparse_system
+from .linalg import RatMatrix, bareiss_determinant, invert_matrix, rat_matrix, solve_sparse_system
 from .poly import (
     Monomial,
     Poly,
@@ -290,20 +293,15 @@ def solve_symmetric_lift(
     return list(weights), pencil
 
 
-def pencil_determinant(pencil: Sequence[RatMatrix]) -> Poly:
-    """det(x0*I - sum_s x_s G_s) as an exact homogeneous polynomial.
+def _balanced_columns(pencil: Sequence[RatMatrix]) -> tuple[list[list[list[int]]], list[int]]:
+    """The pencil conjugated by diag(rho), as integer columns over their denominators.
 
-    The determinant is the characteristic polynomial of A(x) = sum_s x_s G_s
-    in x0.  It is computed in one division-free Berkowitz pass over the ring
-    of integer polynomials in x1..xn, on L*A' where A' = diag(rho) A
-    diag(rho)^-1 and L is the lcm of A''s denominators; the x0^(N-i)
-    coefficient is then divided by L^i.  rho_a is the lcm of the
-    denominators in row a of every G_s, so rho_a * G_s[a][b] is an integer
-    and the entry (a, b) of A' has a denominator dividing rho_b alone.  A
-    similarity leaves the determinant unchanged.  When each entry's
-    denominator carries factors of both its row and its column, as in a
-    lifted certificate pencil, L drops the row factors and has about half
-    the bits of the lcm of the entries of A.
+    rho_a is the lcm of the denominators in row a of every G_s, so
+    rho_a * G_s[a][b] is an integer and entry (a, b) of
+    A'_s = diag(rho) G_s diag(rho)^-1 has a denominator dividing rho_b alone.
+    Returns (cols, dens) with A'_s[a][b] = cols[s][a][b] / dens[b], dens[b]
+    the reduced common denominator of column b over every A'_s.  A
+    similarity leaves det(x0*I - sum_s x_s G_s) unchanged.
     """
     if not pencil or not pencil[0]:
         raise ValueError("pencil must contain at least one non-empty matrix")
@@ -311,22 +309,39 @@ def pencil_determinant(pencil: Sequence[RatMatrix]) -> Poly:
     for g in pencil:
         if len(g) != size or any(len(row) != size for row in g):
             raise ValueError("pencil matrices must be square and equally sized")
-    n = len(pencil)
     rho = [math.lcm(*(g[a][b].denominator for g in pencil for b in range(size)))
            for a in range(size)]
-    # rho_a * G_s[a][b], an integer; entry (a, b) of A'_s is it over rho_b.
     ints = [[[x.numerator * (r // x.denominator) for x in row] for row, r in zip(g, rho)]
             for g in pencil]
-    # The reduced common denominator of column b of A'.
-    dens = [r // math.gcd(r, *(m[a][b] for m in ints for a in range(size)))
-            for b, r in enumerate(rho)]
+    # rho_b over dens_b divides every integer of column b.
+    common = [math.gcd(r, *(m[a][b] for m in ints for a in range(size)))
+              for b, r in enumerate(rho)]
+    cols = [[[x // c for x, c in zip(row, common)] for row in m] for m in ints]
+    return cols, [r // c for r, c in zip(rho, common)]
+
+
+def pencil_determinant(pencil: Sequence[RatMatrix]) -> Poly:
+    """det(x0*I - sum_s x_s G_s) as an exact homogeneous polynomial.
+
+    The determinant is the characteristic polynomial of A(x) = sum_s x_s G_s
+    in x0.  It is computed in one division-free Berkowitz pass over the ring
+    of integer polynomials in x1..xn, on L*A' where A' is the row-balanced
+    pencil of _balanced_columns and L the lcm of its column denominators;
+    the x0^(N-i) coefficient is then divided by L^i.  When each entry's
+    denominator carries factors of both its row and its column, as in a
+    lifted certificate pencil, L drops the row factors and has about half
+    the bits of the lcm of the entries of A.
+    """
+    cols, dens = _balanced_columns(pencil)
+    size = len(dens)
+    n = len(pencil)
     scale = math.lcm(*dens)
     # A monomial x1^e1..xn^en is packed as the int sum e_s * base^(s-1), so
     # multiplying monomials adds keys; no exponent reaches base = N+1.
     base = size + 1
     mat = [
         [
-            {base**s: m[a][b] * scale // rho[b] for s, m in enumerate(ints) if m[a][b]}
+            {base**s: m[a][b] * (scale // dens[b]) for s, m in enumerate(cols) if m[a][b]}
             for b in range(size)
         ]
         for a in range(size)
@@ -413,6 +428,77 @@ def _gram_basis_pencil(pencil: Sequence[RatMatrix], rows: RatMatrix) -> list[Rat
     return out
 
 
+def _quotient_check(ctx: QuotientContext, pencil: Sequence[RatMatrix], cofactor: Poly) -> str | None:
+    """Check (c) by division: the Berkowitz determinant over h_monic is cofactor."""
+    quotient, remainder = divide_by_h(ctx, pencil_determinant(pencil))
+    if any(remainder):
+        return "pencil determinant is not a multiple of h_monic"
+    if quotient != cofactor:
+        return "pencil determinant differs from cofactor * h_monic"
+    return None
+
+
+def _lattice_check(ctx: QuotientContext, pencil: Sequence[RatMatrix], cofactor: Poly) -> str | None:
+    """Check (c) at the points of the principal lattice, with no division by h.
+
+    Once the cofactor is zero or a form of degree N - d in the certificate's
+    variables, Delta = det(x0*I - sum_s x_s G_s) - cofactor * h_monic is a
+    form of degree N, and a form of degree N that vanishes at every
+    a in Z^(n+1)_{>=0} with sum(a) = N is zero: the principal lattice is
+    unisolvent for degree N (Nicolaides 1972; Chung & Yao 1977).  The degree
+    condition carries weight: cofactor * (x0 + x1 + x2) / N agrees with the
+    cofactor at every lattice point.  Each determinant value is one integer
+    Bareiss determinant on the row-balanced pencil of _balanced_columns,
+    every column b scaled by its own denominator dens_b rather than their
+    lcm: det(a0*diag(dens) - sum_s a_s cols_s) = prod(dens) * det(a0*I -
+    sum_s a_s G_s).
+    """
+    cols, dens = _balanced_columns(pencil)
+    size = len(dens)
+    degree = size - ctx.d
+    if cofactor.nvars != ctx.nvars or (
+        cofactor and not (cofactor.is_homogeneous and cofactor.degree == degree)
+    ):
+        return f"cofactor is not a form of degree N - d = {degree} in x0..x{ctx.n}"
+    cofactor_terms, cofactor_den = _integer_terms(cofactor)
+    h_terms, h_den = _integer_terms(ctx.h)
+    powers = [[v**e for e in range(max(size, ctx.d) + 1)] for v in range(size + 1)]
+
+    def value(terms, point):
+        return sum(c * math.prod(powers[v][e] for v, e in zip(point, mono)) for mono, c in terms)
+
+    dens_product = math.prod(dens)
+    for point in _principal_lattice(ctx.nvars, size):
+        a0, *rest = point
+        mat = [[a0 * den if a == b else 0 for b, den in enumerate(dens)] for a in range(size)]
+        for c, m in zip(rest, cols):
+            if c:
+                for row, line in zip(mat, m):
+                    for b, x in enumerate(line):
+                        row[b] -= c * x
+        lhs = bareiss_determinant(mat) * cofactor_den * h_den
+        if lhs != dens_product * value(cofactor_terms, point) * value(h_terms, point):
+            return f"pencil determinant differs from cofactor * h_monic at {point}"
+    return None
+
+
+def _integer_terms(p: Poly) -> tuple[list[tuple[Monomial, int]], int]:
+    """p's terms over one common denominator: p = sum_m c_m * x^m / den."""
+    terms = list(p.terms())
+    den = math.lcm(*(c.denominator for _, c in terms))
+    return [(mono, c.numerator * (den // c.denominator)) for mono, c in terms], den
+
+
+def _principal_lattice(nvars: int, total: int) -> Iterator[tuple[int, ...]]:
+    """Every a in Z^nvars_{>=0} with sum(a) = total, first coordinate descending."""
+    if nvars == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in _principal_lattice(nvars - 1, total - first):
+            yield (first,) + rest
+
+
 def _pencil_value(pencil: Sequence[RatMatrix], point: Sequence[Fraction]) -> RatMatrix:
     size = len(pencil[0])
     out = [[point[0] if a == b else _ZERO for b in range(size)] for a in range(size)]
@@ -437,7 +523,7 @@ def certify(h: Poly, e: Sequence[RationalLike], options: CertifyOptions | None =
     "self_verify".  That determinant is taken on the similar pencil
     R^-1 G_s R (_gram_basis_pencil, R from the decomposition's LDL), whose
     denominators are far shorter than those of the certificate's G_s;
-    verify_certificate recomputes it on G.  Checks (a), (b) and (d) of
+    verify_certificate replays check (c) on G.  Checks (a), (b) and (d) of
     verify_certificate hold by construction and are not run here: the
     weights are the LDL pivots, which ldl_decompose has refused unless
     positive; the lift sets g[a][b] = g[b][a] * w_b / w_a; and T*e =
@@ -481,13 +567,19 @@ def verify_certificate(cert: DetRepCertificate) -> tuple[bool, list[str]]:
     """Replay the certified identities in exact arithmetic.
 
     Checks: (a) the weight matrix is positive diagonal, (b) D*G_i is
-    symmetric for every i, (c) the pencil determinant divided by h_monic,
-    with h_monic recomputed from h and T, is exactly cofactor, and (d) the
+    symmetric for every i, (c) the pencil determinant is exactly
+    cofactor * h_monic, with h_monic recomputed from h and T, and (d) the
     pencil evaluated at the transformed direction is the identity.  Check
-    (c) divides in the quotient context of h rebuilt from h and T, which
-    makes h monic and refuses an h that vanishes at (1,0,...,0); a nonzero
-    remainder fails it.  Failures are reported as diagnostics, never
-    raised.  The SDP and the sampling stages are deliberately not replayed.
+    (c) builds the quotient context of h from h and T, which makes h monic
+    and refuses an h that vanishes at (1,0,...,0).  It takes one of two
+    exact routes, chosen by the number n of pencil matrices: for n = 2,
+    _lattice_check, which requires the cofactor to be zero or a form of
+    degree N - d and compares values at the (N+1)(N+2)/2 points of the
+    principal lattice; otherwise _quotient_check, which divides the
+    Berkowitz determinant by h_monic, fails on a nonzero remainder and
+    compares the quotient with the cofactor.  Failures are reported as
+    diagnostics, never raised.  The SDP and the sampling stages are
+    deliberately not replayed.
     """
     diagnostics: list[str] = []
     size = cert.size
@@ -514,11 +606,10 @@ def verify_certificate(cert: DetRepCertificate) -> tuple[bool, list[str]]:
     if shapes_ok:
         try:
             ctx = QuotientContext(apply_linear(cert.h, invert_matrix(cert.transform)))
-            quotient, remainder = divide_by_h(ctx, pencil_determinant(cert.pencil))
-            if any(remainder):
-                diagnostics.append("(c) pencil determinant is not a multiple of h_monic")
-            elif quotient != cert.cofactor:
-                diagnostics.append("(c) pencil determinant differs from cofactor * h_monic")
+            check = _lattice_check if n == 2 else _quotient_check
+            failure = check(ctx, cert.pencil, cert.cofactor)
+            if failure:
+                diagnostics.append(f"(c) {failure}")
         except (HyperdetError, ValueError) as exc:
             diagnostics.append(f"(c) determinant check could not be replayed: {exc}")
 

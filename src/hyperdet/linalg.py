@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
 Matrices are plain lists of lists of Fraction, and sparse systems are rows
-of {column: coefficient}.  Both eliminations run fraction-free: each scales
+of {column: coefficient}.  Every elimination runs fraction-free: each scales
 its input to integers once, keeps integer rows with exact divisions or gcd
 reductions, and forms one Fraction per result entry at the end.  Everything
 here is pure and deterministic: pivoting picks the first usable row, never
@@ -76,6 +76,33 @@ def ldl_decompose(matrix: Sequence[Sequence[RationalLike]]) -> tuple[list[Fracti
     rows = [[Fraction(a[i][j], minors[j + 1]) if i > j else Fraction(i == j) for i in range(n)]
             for j in range(n)]
     return d, rows
+
+
+def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination (Math. Comp. 1968).
+
+    Every stage-k entry is a (k+1) x (k+1) minor of the input, so each
+    division by the previous pivot is exact and no entry outgrows
+    Hadamard's bound.  A zero pivot is exchanged with the first row below
+    it that is nonzero in its column, which flips the sign; when there is
+    none the determinant is 0.
+    """
+    rows = [list(row) for row in matrix]
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix must be square")
+    sign, prev = 1, 1
+    while len(rows) > 1:
+        k = next((i for i, row in enumerate(rows) if row[0]), None)
+        if k is None:
+            return 0
+        if k:
+            rows[0], rows[k] = rows[k], rows[0]
+            sign = -sign
+        pivot, *top = rows[0]
+        rows = [[(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], top)]
+                for row in rows[1:]]
+        prev = pivot
+    return sign * rows[0][0] if rows else 1
 
 
 def solve_sparse_system(

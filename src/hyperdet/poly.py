@@ -393,9 +393,15 @@ def format_poly(p: Poly) -> str:
 
 
 def _fail(text: str, pos: int, message: str) -> NoReturn:
-    """Raise the parse error at offset pos, with its 1-based line and column."""
-    line = text.count("\n", 0, pos) + 1
-    raise PolyParseError(message, line, pos - text.rfind("\n", 0, pos)) from None
+    """Raise the parse error at offset pos, with its 1-based line and column.
+
+    A line ends at \r\n, \r or \n, so CRLF and CR-only text count lines
+    as LF text does.
+    """
+    head = text[:pos]
+    line = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+    start = max(head.rfind("\n"), head.rfind("\r")) + 1
+    raise PolyParseError(message, line, pos - start + 1) from None
 
 
 def parse_poly(text: str, nvars: int | None = None) -> Poly:

@@ -592,10 +592,10 @@ class _Scanner:
     def advance(self) -> str:
         ch = self.text[self.pos]
         self.pos += 1
-        if ch == "\n":
+        if ch == "\r" or (ch == "\n" and self.text[self.pos - 2:self.pos - 1] != "\r"):
             self.line += 1
             self.col = 1
-        else:
+        elif ch != "\n":  # the \n of \r\n ends the line its \r ended
             self.col += 1
         return ch
 

@@ -22,7 +22,7 @@ import hyperdet.sos
 from hyperdet import CertifyOptions, DetRepCertificate, Poly, parse_poly
 from hyperdet.cli import _build_parser, main
 
-from conftest import random_pencil_determinant
+from conftest import random_pencil_determinant, renegar_derivative
 
 
 def run(capsys, *argv):
@@ -525,28 +525,60 @@ def test_certify_takes_its_determinant_on_the_gram_basis_pencil(capsys, monkeypa
     assert determinant(pencil) == determinant(DetRepCertificate.from_json(out).pencil)
 
 
-def test_verify_takes_its_determinant_on_a_row_balanced_pencil(capsys, tmp_path, monkeypatch):
-    # verify's determinant conjugates G_s by the diagonal of its row lcms
-    # before the integer Berkowitz pass: on the N=6 certificate the widest
-    # integer handed to Berkowitz is 183 bits, against 245 when G_s is
-    # scaled by the lcm of all its denominators.
+def _record_calls(monkeypatch, name, measure):
+    """Wrap hyperdet.detrep.<name> to record measure(matrix) at each call."""
+    recorded = []
+    original = getattr(hyperdet.detrep, name)
+
+    def wrapper(mat):
+        recorded.append(measure(mat))
+        return original(mat)
+
+    monkeypatch.setattr(hyperdet.detrep, name, wrapper)
+    return recorded
+
+
+def test_verify_takes_a_ternary_determinant_on_the_lattice(capsys, tmp_path, monkeypatch):
+    # With two pencil matrices, check (c) compares integer determinants at
+    # the 28 points of the degree-6 principal lattice, each column of the
+    # row-balanced pencil scaled by its own denominator: on the N=6
+    # certificate the widest integer handed to Bareiss is 85 bits, against
+    # 183 handed to Berkowitz, which scales by the lcm of those denominators.
     poly, direction, _ = GOLDEN_CERTIFICATES[3]
     path = tmp_path / "cert.json"
     code, out, err = run(capsys, "certify", "--poly", poly, "--e", direction,
                          "--output", str(path))
     assert code == 0, err
-    widest = []
-    charpoly = hyperdet.detrep._berkowitz_charpoly
-
-    def recorded(mat):
-        widest.append(max(abs(c).bit_length() for row in mat for f in row for c in f.values()))
-        return charpoly(mat)
-
-    monkeypatch.setattr(hyperdet.detrep, "_berkowitz_charpoly", recorded)
+    charpolys = _record_calls(monkeypatch, "_berkowitz_charpoly", len)
+    widest = _record_calls(monkeypatch, "bareiss_determinant",
+                            lambda mat: max(abs(x).bit_length() for row in mat for x in row))
     code, out, err = run(capsys, "verify", "--cert", str(path))
     assert code == 0, err
+    assert charpolys == []
+    assert len(widest) == 28
+    assert max(widest) <= 100
+
+
+def test_verify_takes_its_determinant_on_a_row_balanced_pencil(capsys, tmp_path, monkeypatch):
+    # With three or more pencil matrices, check (c) stays one Berkowitz pass
+    # on the pencil conjugated by the diagonal of its row lcms: on the N=10
+    # certificate of the seed-1 Renegar cubic in four variables the widest
+    # integer handed to Berkowitz is 1555 bits, against 2204 when G_s is
+    # scaled by the lcm of all its denominators.
+    poly = str(renegar_derivative(random.Random(1), 4, 5))
+    path = tmp_path / "cert.json"
+    code, out, err = run(capsys, "certify", "--poly", poly, "--e", "1,0,0,0",
+                         "--output", str(path))
+    assert code == 0, err
+    lattice = _record_calls(monkeypatch, "bareiss_determinant", len)
+    widest = _record_calls(
+        monkeypatch, "_berkowitz_charpoly",
+        lambda mat: max(abs(c).bit_length() for row in mat for f in row for c in f.values()))
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert code == 0, err
+    assert lattice == []
     [bits] = widest
-    assert bits <= 200
+    assert bits <= 1600
 
 
 def test_cylinder_quadric_is_refused_at_its_lineality_witness(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Symmetric lift, pencil determinants, certification and verification."""
 
+import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -22,7 +24,13 @@ from hyperdet import (
     parse_poly,
     verify_certificate,
 )
-from hyperdet.detrep import pencil_determinant, solve_symmetric_lift
+from hyperdet.detrep import (
+    _lattice_check,
+    _principal_lattice,
+    _quotient_check,
+    pencil_determinant,
+    solve_symmetric_lift,
+)
 from hyperdet.linalg import invert_matrix, solve_sparse_system
 from hyperdet.poly import apply_linear, normalize_direction
 from hyperdet.quotient import QuotientContext, divide_by_h
@@ -390,25 +398,15 @@ def test_renegar_four_variable_cubic_certifies_at_level_zero():
 
 def test_degree_five_pencil_determinant_certifies_in_seconds():
     # North-star gate: an HV quintic in 3 variables certifies at ell=0 with
-    # N=15.  A full verify replay of this certificate takes 8.5-12 s on a
-    # 2-core VM (CI runs it through the CLI), so here the identity
-    # det(pencil) = cofactor * h_monic is checked at three integer points
-    # with the scalar Bareiss determinant instead.
+    # N=15, and the full replay, whose check (c) runs on the 136 points of
+    # the degree-15 principal lattice, confirms it within the same budget.
     h = random_pencil_determinant(random.Random(5001), 3, 5)
     start = time.perf_counter()
     cert = certify(h, (1, 0, 0))
-    assert time.perf_counter() - start < 10
     assert cert.multiplier == Poly.one(3)
     assert cert.size == 15
-    h_norm = apply_linear(h, invert_matrix(cert.transform))
-    h_monic = h_norm * (1 / h_norm.coeff((5, 0, 0)))
-    for point in [(2, 1, -1), (3, -2, 5), (-1, 4, 7)]:
-        value = [
-            [point[0] * (a == b) - sum(point[s + 1] * g[a][b] for s, g in enumerate(cert.pencil))
-             for b in range(cert.size)]
-            for a in range(cert.size)
-        ]
-        assert bareiss_determinant(value) == cert.cofactor.evaluate(point) * h_monic.evaluate(point)
+    assert verify_certificate(cert) == (True, [])
+    assert time.perf_counter() - start < 10
 
 
 # certify returns the certificate it built; verify_certificate alone replays it.
@@ -449,6 +447,96 @@ def test_certify_keeps_one_quotient_context_and_inverts_no_matrix(monkeypatch):
     monkeypatch.setattr(hyperdet.detrep, "invert_matrix", refuse)
     certify(LORENTZ, (3, 1, -1))
     assert len(contexts) == 1
+
+
+# -- check (c) on the principal lattice --------------------------------------------
+
+@pytest.mark.parametrize("degree", range(13))
+def test_principal_lattice_is_unisolvent_for_ternary_forms(degree):
+    # The lattice route of check (c) rests on this: the degree-N monomials
+    # in three variables, evaluated at the lattice points, form a
+    # nonsingular matrix, so a degree-N form that vanishes there is zero.
+    points = list(_principal_lattice(3, degree))
+    monomials = [m for m in itertools.product(range(degree + 1), repeat=3) if sum(m) == degree]
+    assert sorted(points) == sorted(monomials)
+    matrix = [[math.prod(F(v) ** e for v, e in zip(point, mono)) for mono in monomials]
+              for point in points]
+    assert bareiss_determinant(matrix) != 0
+
+
+def _weighted_pencil(rng, size, n):
+    """Weights D and n matrices G_s = D^-1 S_s, S_s symmetric, so D*G_s is symmetric."""
+    weights = [F(rng.randint(1, 9)) / rng.randint(1, 9) for _ in range(size)]
+    return weights, [[[x / w for x in row] for row, w in zip(
+        random_symmetric_rational(rng, size, num=5, den=4), weights)] for _ in range(n)]
+
+
+def _check_c_case(seed):
+    """(ctx, pencil, cofactor, kind): a pencil whose determinant is
+    cofactor * h_monic, permuted out of block form, then left alone (kind 0),
+    given a D-symmetric G tamper (1), a cofactor term of the right degree (2)
+    or a cofactor of the wrong degree (3)."""
+    rng = random.Random(seed)
+    n = rng.choice([1, 2, 2, 2, 3])
+    k, m = rng.randint(1, 3), rng.randint(0, 3)
+    w_h, h_block = _weighted_pencil(rng, k, n)
+    w_c, c_block = _weighted_pencil(rng, m, n)
+    ctx = QuotientContext(pencil_determinant(h_block))
+    cofactor = pencil_determinant(c_block) if m else Poly.one(n + 1)
+    size = k + m
+    order = rng.sample(range(size), size)
+    weights = [(w_h + w_c)[i] for i in order]
+    pencil = []
+    for a_block, b_block in zip(h_block, c_block if m else [[]] * n):
+        whole = [row + [F(0)] * m for row in a_block] + [[F(0)] * k + row for row in b_block]
+        pencil.append([[whole[a][b] for b in order] for a in order])
+    kind = seed % 4
+    if kind == 1:
+        g = rng.choice(pencil)
+        a, b = rng.randrange(size), rng.randrange(size)
+        delta = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        g[a][b] += delta / weights[a]
+        if a != b:
+            g[b][a] += delta / weights[b]
+        assert all(weights[i] * g[i][j] == weights[j] * g[j][i]
+                   for i in range(size) for j in range(size))
+    elif kind == 2:
+        exps = rng.choice([e for e in itertools.product(range(m + 1), repeat=n + 1) if sum(e) == m])
+        cofactor = cofactor + Poly.monomial(exps, rng.choice([-2, 1, Fraction(1, 3)]))
+    elif kind == 3:
+        inhomogeneous = cofactor + Poly.one(n + 1) if m else Poly.variable(n + 1, 1)
+        cofactor = rng.choice([cofactor * Poly.variable(n + 1, 0), inhomogeneous, Poly.zero(n + 1)])
+    return ctx, pencil, cofactor, kind
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_lattice_check_agrees_with_the_division(seed):
+    # The lattice route and the Berkowitz-plus-divide_by_h route accept the
+    # same pencils and cofactors, and both reject every tamper.
+    ctx, pencil, cofactor, kind = _check_c_case(seed)
+    lattice = _lattice_check(ctx, pencil, cofactor)
+    division = _quotient_check(ctx, pencil, cofactor)
+    assert (lattice is None) == (division is None) == (kind == 0), (lattice, division)
+
+
+def test_lattice_agreeing_wrong_cofactors_fail_check_c():
+    # Both wrong cofactors equal the true one at every point of the degree-N
+    # lattice; the degree condition of check (c) is what rejects them.
+    cert = certify(random_pencil_determinant(random.Random(3001), 3, 3), (1, 0, 0))
+    size, degree = cert.size, cert.size - 3
+    x0, x1, x2 = (Poly.variable(3, i) for i in range(3))
+    total = x0 + x1 + x2
+    wrong = [cert.cofactor * total * Fraction(1, size),
+             cert.cofactor + (total - Poly.constant(3, size)) * x0 ** (degree - 1)]
+    for cofactor in wrong:
+        assert all(cofactor.evaluate(point) == cert.cofactor.evaluate(point)
+                   for point in _principal_lattice(3, size))
+        data = cert.to_json_dict()
+        data["cofactor"] = str(cofactor)
+        assert verify_certificate(DetRepCertificate.from_json_dict(data)) == (
+            False, [f"(c) cofactor is not a form of degree N - d = {degree} in x0..x2"])
+        ctx = QuotientContext(apply_linear(cert.h, invert_matrix(cert.transform)))
+        assert _quotient_check(ctx, cert.pencil, cofactor) is not None
 
 
 # -- verify_certificate ---------------------------------------------------------------

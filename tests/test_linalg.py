@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperdet import linalg
 from hyperdet.errors import NotPD, SingularMatrix
 from hyperdet.linalg import invert_matrix, ldl_decompose, nullspace, solve_sparse_system
 
@@ -52,6 +53,34 @@ def test_bareiss_matches_cofactor_expansion():
 
 def test_bareiss_zero_column():
     assert bareiss_determinant([[0, 1], [0, 2]]) == 0
+
+
+@pytest.mark.parametrize("matrix, det", [
+    ([], 1),
+    ([[-7]], -7),
+    ([[0, 1], [1, 0]], -1),  # a zero first pivot: one swap
+    ([[0, 2, 1], [0, 1, 3], [4, 5, 6]], 20),  # the first nonzero pivot is two rows down
+    ([[1, 2, 3], [2, 4, 7], [1, 1, 1]], 1),  # the stage-1 pivot vanishes: a later swap
+    ([[1, 2], [2, 4]], 0),
+    ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 0),  # singular: only the last entry vanishes
+    ([[0, 1, 2], [0, 3, 4], [0, 5, 6]], 0),  # a zero column: no row to swap in
+])
+def test_integer_bareiss_on_swaps_and_singular_matrices(matrix, det):
+    assert linalg.bareiss_determinant(matrix) == det == bareiss_determinant(matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7, 2**70]), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_integer_bareiss_matches_the_oracle(matrix):
+    # Zeros are drawn often, so many matrices need a row swap or are singular.
+    assert linalg.bareiss_determinant(matrix) == bareiss_determinant(matrix)
+
+
+def test_integer_bareiss_requires_a_square_matrix():
+    with pytest.raises(ValueError):
+        linalg.bareiss_determinant([[1, 2], [3, 4], [5, 6]])
 
 
 def test_leading_principal_minors():

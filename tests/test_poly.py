@@ -350,6 +350,12 @@ _INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     ("x0 + 1/\n 0", None, "zero denominator", 2, 3),
     ("x0^2 - x3^2", 2, "variable x3 exceeds the declared 2 variables", 1, 8),
     ("x0^2\n - x3^2", 2, "variable x3 exceeds the declared 2 variables", 2, 4),
+    # \r\n and a lone \r end a line as \n does.
+    ("x0^2\r - x1^2\r + @", None, "expected a coefficient or a variable", 3, 4),
+    ("x0^2\r\n - x1^2\r\n + @", None, "expected a coefficient or a variable", 3, 4),
+    ("x0^2\r  - x1^2 +\r", None, "dangling sign at end of input", 3, 1),
+    ("x0^2\r\n  - x1^2 +\r\n", None, "dangling sign at end of input", 3, 1),
+    ("x0^2\r\n\r - x3^2", 2, "variable x3 exceeds the declared 2 variables", 3, 4),
     pytest.param(
         "x0^2 -\n  " + "7" * (_INT_LIMIT + 1) + "*x1^2", None,
         f"integer literal of {_INT_LIMIT + 1} digits is too long", 2, 3,

@@ -10,9 +10,9 @@ the certificate replays in exact arithmetic.  certify takes the pencil
 determinant as one division-free Berkowitz characteristic polynomial over
 integer polynomials, and the cofactor as its x0-quotient by h_monic, the
 division that defines the quotient module (quotient.divide_by_h).  The
-replay takes that route when the pencil has three or more matrices; with
-two (a ternary h) it compares integer determinants with cofactor * h_monic
-at the points of the principal lattice instead, which needs no division.
+replay divides nothing: with two pencil matrices (a ternary h) it compares
+integer determinants with cofactor * h_monic at the points of the principal
+lattice, and otherwise the Berkowitz determinant with that product.
 """
 
 from __future__ import annotations
@@ -21,10 +21,16 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import CertifyError, HyperdetError, InputError, NoSymmetricLift
-from .hyperbolicity import DEFAULT_NUM_SAMPLES, check_num_samples, pd_witness_check
+from .hyperbolicity import (
+    DEFAULT_NUM_SAMPLES,
+    _restriction,
+    check_num_samples,
+    integer_forms,
+    pd_witness_check,
+)
 from .linalg import RatMatrix, bareiss_determinant, invert_matrix, rat_matrix, solve_sparse_system
 from .poly import (
     Monomial,
@@ -43,6 +49,7 @@ from .sos import (
     SosDecomposition,
     find_sos_decomposition,
     monomial_basis_Mk,
+    r_monomials_of_degree,
 )
 
 SCHEMA = "hyperdet/1"
@@ -428,12 +435,9 @@ def _gram_basis_pencil(pencil: Sequence[RatMatrix], rows: RatMatrix) -> list[Rat
     return out
 
 
-def _quotient_check(ctx: QuotientContext, pencil: Sequence[RatMatrix], cofactor: Poly) -> str | None:
-    """Check (c) by division: the Berkowitz determinant over h_monic is cofactor."""
-    quotient, remainder = divide_by_h(ctx, pencil_determinant(pencil))
-    if any(remainder):
-        return "pencil determinant is not a multiple of h_monic"
-    if quotient != cofactor:
+def _berkowitz_check(ctx: QuotientContext, pencil: Sequence[RatMatrix], cofactor: Poly) -> str | None:
+    """Check (c) as one product comparison: the Berkowitz determinant is cofactor * h_monic."""
+    if pencil_determinant(pencil) != cofactor * ctx.h:
         return "pencil determinant differs from cofactor * h_monic"
     return None
 
@@ -447,11 +451,14 @@ def _lattice_check(ctx: QuotientContext, pencil: Sequence[RatMatrix], cofactor: 
     a in Z^(n+1)_{>=0} with sum(a) = N is zero: the principal lattice is
     unisolvent for degree N (Nicolaides 1972; Chung & Yao 1977).  The degree
     condition carries weight: cofactor * (x0 + x1 + x2) / N agrees with the
-    cofactor at every lattice point.  Each determinant value is one integer
-    Bareiss determinant on the row-balanced pencil of _balanced_columns,
-    every column b scaled by its own denominator dens_b rather than their
-    lcm: det(a0*diag(dens) - sum_s a_s cols_s) = prod(dens) * det(a0*I -
-    sum_s a_s G_s).
+    cofactor at every lattice point.  The points are the exponents of the
+    degree-N monomials (r_monomials_of_degree, x0's slot dropped), in
+    descending lex order.  Each determinant value is one integer Bareiss
+    determinant on the row-balanced pencil of _balanced_columns, every
+    column b scaled by its own denominator dens_b rather than their lcm:
+    det(a0*diag(dens) - sum_s a_s cols_s) = prod(dens) * det(a0*I -
+    sum_s a_s G_s).  The values of den*cofactor and den*h_monic at a are
+    sum_j c_j(a1..an)*a0^j over their integer_forms.
     """
     cols, dens = _balanced_columns(pencil)
     size = len(dens)
@@ -460,15 +467,11 @@ def _lattice_check(ctx: QuotientContext, pencil: Sequence[RatMatrix], cofactor: 
         cofactor and not (cofactor.is_homogeneous and cofactor.degree == degree)
     ):
         return f"cofactor is not a form of degree N - d = {degree} in x0..x{ctx.n}"
-    cofactor_terms, cofactor_den = _integer_terms(cofactor)
-    h_terms, h_den = _integer_terms(ctx.h)
-    powers = [[v**e for e in range(max(size, ctx.d) + 1)] for v in range(size + 1)]
-
-    def value(terms, point):
-        return sum(c * math.prod(powers[v][e] for v, e in zip(point, mono)) for mono, c in terms)
-
+    cofactor_forms, cofactor_den = integer_forms(cofactor)
+    h_forms, h_den = integer_forms(ctx.h)
     dens_product = math.prod(dens)
-    for point in _principal_lattice(ctx.nvars, size):
+    for mono in r_monomials_of_degree(ctx.nvars + 1, size):
+        point = mono[1:]
         a0, *rest = point
         mat = [[a0 * den if a == b else 0 for b, den in enumerate(dens)] for a in range(size)]
         for c, m in zip(rest, cols):
@@ -477,26 +480,11 @@ def _lattice_check(ctx: QuotientContext, pencil: Sequence[RatMatrix], cofactor: 
                     for b, x in enumerate(line):
                         row[b] -= c * x
         lhs = bareiss_determinant(mat) * cofactor_den * h_den
-        if lhs != dens_product * value(cofactor_terms, point) * value(h_terms, point):
+        cofactor_value, h_value = (sum(c * a0**j for j, c in enumerate(_restriction(forms, rest)))
+                                   for forms in (cofactor_forms, h_forms))
+        if lhs != dens_product * cofactor_value * h_value:
             return f"pencil determinant differs from cofactor * h_monic at {point}"
     return None
-
-
-def _integer_terms(p: Poly) -> tuple[list[tuple[Monomial, int]], int]:
-    """p's terms over one common denominator: p = sum_m c_m * x^m / den."""
-    terms = list(p.terms())
-    den = math.lcm(*(c.denominator for _, c in terms))
-    return [(mono, c.numerator * (den // c.denominator)) for mono, c in terms], den
-
-
-def _principal_lattice(nvars: int, total: int) -> Iterator[tuple[int, ...]]:
-    """Every a in Z^nvars_{>=0} with sum(a) = total, first coordinate descending."""
-    if nvars == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _principal_lattice(nvars - 1, total - first):
-            yield (first,) + rest
 
 
 def _pencil_value(pencil: Sequence[RatMatrix], point: Sequence[Fraction]) -> RatMatrix:
@@ -575,9 +563,9 @@ def verify_certificate(cert: DetRepCertificate) -> tuple[bool, list[str]]:
     exact routes, chosen by the number n of pencil matrices: for n = 2,
     _lattice_check, which requires the cofactor to be zero or a form of
     degree N - d and compares values at the (N+1)(N+2)/2 points of the
-    principal lattice; otherwise _quotient_check, which divides the
-    Berkowitz determinant by h_monic, fails on a nonzero remainder and
-    compares the quotient with the cofactor.  Failures are reported as
+    principal lattice; otherwise _berkowitz_check, which compares the
+    Berkowitz determinant with the product cofactor * h_monic.  Neither
+    divides by h_monic.  Failures are reported as
     diagnostics, never raised.  The SDP and the sampling stages are
     deliberately not replayed.
     """
@@ -606,7 +594,7 @@ def verify_certificate(cert: DetRepCertificate) -> tuple[bool, list[str]]:
     if shapes_ok:
         try:
             ctx = QuotientContext(apply_linear(cert.h, invert_matrix(cert.transform)))
-            check = _lattice_check if n == 2 else _quotient_check
+            check = _lattice_check if n == 2 else _berkowitz_check
             failure = check(ctx, cert.pencil, cert.cofactor)
             if failure:
                 diagnostics.append(f"(c) {failure}")

@@ -3,10 +3,11 @@
 Both sampled checks restrict h to a line in one way, in integers alone.
 Once per call, the x0 coefficients c_0..c_d of den*h_monic, the normalized h
 made monic in x0 and scaled by the lcm den of its denominators, become
-integer term lists in x1..xn.  A line point w of x1..xn is read as the
-integer vector u = q*w, q > 0 a common denominator (sample_directions draws
-it in that form), and the restriction is the
-coefficient list [c_j(u)], lowest first, which the integer Sturm chain reads.
+integer term lists in x1..xn (integer_forms, shared with verify's lattice
+check).  A line point w of x1..xn is read as the integer vector u = q*w,
+q > 0 a common denominator (sample_directions draws it in that form), and
+the restriction is the coefficient list [c_j(u)], lowest first, which the
+integer Sturm chain reads.
 Because h is homogeneous, c_j(q*w) = q^(d-j)*c_j(w), so that list is
 den*q^d*h_monic(s/q, w): a positive multiple of h_monic(t, w) in a positively
 scaled variable, with the same signs, real roots and distinct roots.
@@ -187,12 +188,13 @@ def check_num_samples(num_samples: int) -> None:
 IntegerForm = list[tuple[Monomial, int]]
 
 
-def _integer_forms(ctx: QuotientContext) -> list[IntegerForm]:
-    """The x0 coefficients c_0..c_d of den*h_monic, den > 0 the lcm of
-    h_monic's denominators, as (exponents of x1..xn, int) terms."""
-    den = lcm(*(c.denominator for form in ctx.h_coeffs for _, c in form.terms()))
+def integer_forms(p: Poly) -> tuple[list[IntegerForm], int]:
+    """(forms, den): the x0 coefficients c_0, c_1, ... of den*p, lowest power
+    first, as (exponents of x1..xn, int) terms; den > 0 is the lcm of p's
+    denominators."""
+    den = lcm(*(c.denominator for _, c in p.terms()))
     return [[(mono[1:], c.numerator * (den // c.denominator)) for mono, c in form.terms()]
-            for form in ctx.h_coeffs]
+            for form in p.x0_coefficients()], den
 
 
 def _integer_point(w: Sequence[Fraction]) -> list[int]:
@@ -202,7 +204,8 @@ def _integer_point(w: Sequence[Fraction]) -> list[int]:
 
 
 def _restriction(forms: Sequence[IntegerForm], u: Sequence[int]) -> list[int]:
-    """[c_j(u)] lowest first: den*q^d*h_monic(s/q, w) when u = q*w.
+    """[c_j(u)] lowest first, for the forms of integer_forms(p): the
+    coefficients of den*q^d*p(s/q, w) when u = q*w and p has degree d.
 
     Each power u_i^e is computed once per line, and only for an exponent
     that some term uses.
@@ -250,7 +253,7 @@ def check_hyperbolic_sampled(
     check_num_samples(num_samples)
     h_norm, t_mat = normalize_direction(h, e)
     ctx = QuotientContext(h_norm)
-    forms = _integer_forms(ctx)
+    forms, _ = integer_forms(ctx.h)
     r = lcm(*(c.denominator for row in t_mat[1:] for c in row))
     t_int = [[c.numerator * (r // c.denominator) for c in row] for row in t_mat[1:]]
     used = 0
@@ -305,7 +308,7 @@ def pd_witness_check(
     linear h still passes.
     """
     check_num_samples(num_samples)
-    forms = _integer_forms(ctx)
+    forms, _ = integer_forms(ctx.h)
     used = 0
     for u, q in sample_directions(ctx.n, num_samples, seed):
         used += 1

@@ -136,21 +136,19 @@ def _inverse_cholesky(mat: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.linalg.cholesky(mat))
 
 
-def solve_maxeig(problem: SdpProblem, tol: float = DEFAULT_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
+def solve_maxeig(problem: SdpProblem) -> SdpSolution:
     """Maximize the minimum eigenvalue of G subject to <A_k, G> = b_k.
 
     The exact rows of problem.constraints are read once, into a dense float
     stack of the A_k (float() of each weight) and a float right-hand side.
     Returns the best iterate found; the solve stops early, with a detail
     naming the stall, once STALL_WINDOW iterations pass without a better
-    merit.  Status Optimal guarantees the maximum
-    constraint violation is at most tol and lambda_min(G) >= t - tol.
+    merit, and after DEFAULT_MAX_ITER iterations at most.  Status Optimal
+    guarantees the maximum constraint violation is at most DEFAULT_TOL and
+    lambda_min(G) >= t - DEFAULT_TOL.
     Infeasibility is reported heuristically on dual objective divergence;
     callers should treat it as "escalate", not as a certificate.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     m = problem.m
     p = len(problem.constraints)
     a_stack = np.zeros((p, m, m))
@@ -208,7 +206,7 @@ def solve_maxeig(problem: SdpProblem, tol: float = DEFAULT_TOL,
                        MAX_ITERATIONS, 0)
     best_merit = math.inf
 
-    for iteration in range(max_iter):
+    for iteration in range(DEFAULT_MAX_ITER):
         g_unscaled = beta * (x + t * np.eye(m))
         t_unscaled = beta * t
         pinf = _max_violation(a_flat, b_raw, g_unscaled)
@@ -223,8 +221,9 @@ def solve_maxeig(problem: SdpProblem, tol: float = DEFAULT_TOL,
             best_merit = merit
             best = SdpSolution(g_unscaled.copy(), t_unscaled, pinf, MAX_ITERATIONS, iteration)
 
-        if dinf <= tol and abs(rf) <= tol and gap <= tol * max(1.0, abs(t_unscaled)):
-            if pinf <= tol:
+        if (dinf <= DEFAULT_TOL and abs(rf) <= DEFAULT_TOL
+                and gap <= DEFAULT_TOL * max(1.0, abs(t_unscaled))):
+            if pinf <= DEFAULT_TOL:
                 return SdpSolution(g_unscaled, t_unscaled, pinf, OPTIMAL, iteration)
             # Gap and dual feasibility are converged; restore primal
             # feasibility by exact-projection polish and accept if the
@@ -232,7 +231,7 @@ def solve_maxeig(problem: SdpProblem, tol: float = DEFAULT_TOL,
             g_pol = beta * (polish(x, t) + t * np.eye(m))
             pinf_pol = _max_violation(a_flat, b_raw, g_pol)
             lam_min = float(np.linalg.eigvalsh(g_pol)[0])
-            if pinf_pol <= tol and lam_min >= t_unscaled - tol:
+            if pinf_pol <= DEFAULT_TOL and lam_min >= t_unscaled - DEFAULT_TOL:
                 return SdpSolution(g_pol, t_unscaled, pinf_pol, OPTIMAL, iteration)
 
         dual_obj = beta * float(b @ y)

@@ -27,7 +27,7 @@ from .errors import DegreeTooSmall, Exhausted, NotPD, RoundingFailed
 from .linalg import RatMatrix, ldl_decompose
 from .poly import Monomial, Poly, grlex_key
 from .quotient import BezoutianForm, QuotientContext, bezoutian_of
-from .sdp import DEFAULT_TOL, ExactConstraint, SdpProblem, solve_maxeig
+from .sdp import ExactConstraint, SdpProblem, solve_maxeig
 
 DEFAULT_ELL_MAX = 4
 # The rounding grids of each level, coarse first: the positive-definiteness
@@ -262,7 +262,7 @@ def find_sos_decomposition(
         if ell:
             multiplier = multiplier * square_sum
         problem, basis = gram_problem(ctx, omega0, ell, multiplier)
-        sol = solve_maxeig(problem, tol=DEFAULT_TOL)
+        sol = solve_maxeig(problem)
         if not sol.t > 0:
             failures.append(f"ell={ell}: no positive-definiteness margin to absorb rounding")
             continue

@@ -220,7 +220,7 @@ def test_criterion_6_sdp_feasible_instances():
             a = rng.standard_normal((m, m))
             a = 0.5 * (a + a.T)
             cons.append(exact_row(a, np.sum(a * gstar)))
-        sol = solve_maxeig(SdpProblem(m, cons), tol=1e-8)
+        sol = solve_maxeig(SdpProblem(m, cons))
         assert sol.status == "Optimal", f"trial {trial}: {sol.status} ({sol.detail})"
         assert sol.residual <= 1e-8, f"trial {trial}: residual {sol.residual:.2e}"
         assert sol.t >= 1 - 1e-6, f"trial {trial}: t {sol.t}"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import hyperdet.detrep
 import hyperdet.linalg
+import hyperdet.quotient
 from hyperdet import (
     CertifyError,
     CertifyOptions,
@@ -25,16 +26,20 @@ from hyperdet import (
     verify_certificate,
 )
 from hyperdet.detrep import (
+    _berkowitz_check,
     _lattice_check,
-    _principal_lattice,
-    _quotient_check,
     pencil_determinant,
     solve_symmetric_lift,
 )
 from hyperdet.linalg import invert_matrix, solve_sparse_system
 from hyperdet.poly import apply_linear, normalize_direction
 from hyperdet.quotient import QuotientContext, divide_by_h
-from hyperdet.sos import SosDecomposition, find_sos_decomposition, monomial_basis_Mk
+from hyperdet.sos import (
+    SosDecomposition,
+    find_sos_decomposition,
+    monomial_basis_Mk,
+    r_monomials_of_degree,
+)
 
 from conftest import (
     leibniz_determinant,
@@ -451,12 +456,17 @@ def test_certify_keeps_one_quotient_context_and_inverts_no_matrix(monkeypatch):
 
 # -- check (c) on the principal lattice --------------------------------------------
 
+def _ternary_lattice(size):
+    """The points of check (c)'s degree-N lattice for three variables, in its order."""
+    return [mono[1:] for mono in r_monomials_of_degree(4, size)]
+
+
 @pytest.mark.parametrize("degree", range(13))
 def test_principal_lattice_is_unisolvent_for_ternary_forms(degree):
     # The lattice route of check (c) rests on this: the degree-N monomials
     # in three variables, evaluated at the lattice points, form a
     # nonsingular matrix, so a degree-N form that vanishes there is zero.
-    points = list(_principal_lattice(3, degree))
+    points = _ternary_lattice(degree)
     monomials = [m for m in itertools.product(range(degree + 1), repeat=3) if sum(m) == degree]
     assert sorted(points) == sorted(monomials)
     matrix = [[math.prod(F(v) ** e for v, e in zip(point, mono)) for mono in monomials]
@@ -511,12 +521,14 @@ def _check_c_case(seed):
 
 @pytest.mark.parametrize("seed", range(48))
 def test_lattice_check_agrees_with_the_division(seed):
-    # The lattice route and the Berkowitz-plus-divide_by_h route accept the
-    # same pencils and cofactors, and both reject every tamper.
+    # The lattice route and the Berkowitz route accept the same pencils and
+    # cofactors, and both reject every tamper; the Berkowitz route's one
+    # product comparison has one diagnostic.
     ctx, pencil, cofactor, kind = _check_c_case(seed)
     lattice = _lattice_check(ctx, pencil, cofactor)
-    division = _quotient_check(ctx, pencil, cofactor)
-    assert (lattice is None) == (division is None) == (kind == 0), (lattice, division)
+    berkowitz = _berkowitz_check(ctx, pencil, cofactor)
+    assert (lattice is None) == (berkowitz is None) == (kind == 0), (lattice, berkowitz)
+    assert berkowitz == (None if kind == 0 else "pencil determinant differs from cofactor * h_monic")
 
 
 def test_lattice_agreeing_wrong_cofactors_fail_check_c():
@@ -530,13 +542,45 @@ def test_lattice_agreeing_wrong_cofactors_fail_check_c():
              cert.cofactor + (total - Poly.constant(3, size)) * x0 ** (degree - 1)]
     for cofactor in wrong:
         assert all(cofactor.evaluate(point) == cert.cofactor.evaluate(point)
-                   for point in _principal_lattice(3, size))
+                   for point in _ternary_lattice(size))
         data = cert.to_json_dict()
         data["cofactor"] = str(cofactor)
         assert verify_certificate(DetRepCertificate.from_json_dict(data)) == (
             False, [f"(c) cofactor is not a form of degree N - d = {degree} in x0..x2"])
         ctx = QuotientContext(apply_linear(cert.h, invert_matrix(cert.transform)))
-        assert _quotient_check(ctx, cert.pencil, cofactor) is not None
+        assert _berkowitz_check(ctx, cert.pencil, cofactor) is not None
+
+
+def test_lattice_check_names_the_first_failing_point():
+    # A D-symmetric tamper of one pair of G_1 entries in the N=6 certificate
+    # passes at (6, 0, 0), where the pencil is 6*I whatever G is, and the
+    # diagnostic names (5, 1, 0): the lattice is walked with a0 descending.
+    cert = certify(random_pencil_determinant(random.Random(3001), 3, 3), (1, 0, 0))
+    g = cert.pencil[0]
+    g[0][1] += 1 / cert.weights[0]
+    g[1][0] += 1 / cert.weights[1]
+    assert verify_certificate(cert) == (
+        False, ["(c) pencil determinant differs from cofactor * h_monic at (5, 1, 0)"])
+
+
+def test_verify_divides_by_nothing(monkeypatch):
+    # Both routes of check (c) compare a determinant with cofactor * h_monic;
+    # only certify divides by h_monic.  A tampered h in four variables fails
+    # the Berkowitz route's one product comparison.
+    lorentz4 = P("x0^2 - x1^2 - x2^2 - x3^2")
+    certs = [certify(LORENTZ, (1, 0, 0)), certify(lorentz4, (1, 0, 0, 0))]
+
+    def refuse(*args):
+        raise AssertionError("verify divided by h_monic")
+
+    monkeypatch.setattr(hyperdet.detrep, "divide_by_h", refuse)
+    monkeypatch.setattr(hyperdet.quotient, "divide_by_h", refuse)
+    for cert in certs:
+        assert verify_certificate(cert) == (True, [])
+    data = certs[1].to_json_dict()
+    data["h"] = "x0^2 - x1^2 - x2^2 - 2*x3^2"
+    assert verify_certificate(DetRepCertificate.from_json_dict(data)) == (
+        False, ["(c) pencil determinant differs from cofactor * h_monic"])
 
 
 # -- verify_certificate ---------------------------------------------------------------

@@ -21,6 +21,8 @@ from hyperdet.hyperbolicity import (
     HYPERBOLIC_SAMPLED,
     NOT_HYPERBOLIC,
     _distinct_real_roots,
+    _restriction,
+    integer_forms,
     is_real_rooted,
     lineality_space,
     pd_witness_check,
@@ -30,7 +32,7 @@ from hyperdet.hyperbolicity import (
 from hyperdet.poly import Poly, apply_linear, normalize_direction
 from hyperdet.quotient import QuotientContext, bezoutian_of
 
-from conftest import random_fraction, random_pencil_determinant, renegar_derivative
+from conftest import random_fraction, random_homogeneous, random_pencil_determinant, renegar_derivative
 from oracles import (
     UniPoly,
     bareiss_determinant,
@@ -444,10 +446,30 @@ def test_integer_restriction_counts_roots_as_the_rational_oracle(kind, seed, til
 
     # The PD witness reads points w of x1..xn directly.
     ctx = QuotientContext(normalize_direction(h, e)[0])
-    forms = hyperbolicity._integer_forms(ctx)
+    forms, _ = hyperbolicity.integer_forms(ctx.h)
     points = [tuple(v[1:h.nvars]) for v in drawn] + [(Fraction(0),) * ctx.n]
     points += [v[1:] for v in lineality_space(ctx.h)]
     for w in points:
         coeffs = hyperbolicity._restriction(forms, hyperbolicity._integer_point(w))
         oracle = substitute_line(ctx.h, (1,) + (0,) * ctx.n, (0,) + tuple(w))
         assert _integer_counts(coeffs) == _rational_counts(oracle), (str(ctx.h), w)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_integer_forms_evaluate_as_the_polynomial(seed):
+    # sum_j c_j(u) * a0^j == den * p(a0, u) at integer points, for random
+    # forms in 3 and 4 variables, the zero polynomial and a form free of x0:
+    # verify's lattice check reads cofactors of every one of these shapes.
+    rng = random.Random(seed)
+    nvars = 3 + seed % 2
+    degree = rng.randint(0, 4)
+    free_of_x0 = {(0,) + mono: c for mono, c in random_homogeneous(rng, nvars - 1, degree).terms()}
+    shapes = [random_homogeneous(rng, nvars, degree, max_terms=8), Poly.zero(nvars),
+              Poly(nvars, free_of_x0)]
+    for p in shapes:
+        forms, den = integer_forms(p)
+        assert den > 0 and all(isinstance(c, int) for form in forms for _, c in form)
+        for _ in range(8):
+            a0, *u = (rng.randint(-5, 5) for _ in range(nvars))
+            value = sum(c * a0**j for j, c in enumerate(_restriction(forms, u)))
+            assert value == den * p.evaluate((a0, *u)), (str(p), a0, u)

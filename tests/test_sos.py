@@ -347,8 +347,8 @@ def test_lorentz_decomposition_pinned():
 def test_positive_margin_iterate_is_accepted_whatever_its_status(monkeypatch, status):
     # The solver status does not gate rounding: a positive-margin iterate is
     # rounded, and the one exact LDL^T accepts its PD projection at ell=0.
-    def solve(problem, tol):
-        return dataclasses.replace(solve_maxeig(problem, tol=tol), status=status)
+    def solve(problem):
+        return dataclasses.replace(solve_maxeig(problem), status=status)
 
     monkeypatch.setattr(hyperdet.sos, "solve_maxeig", solve)
     dec = find_sos_decomposition(QuotientContext(LORENTZ))
@@ -359,7 +359,7 @@ def test_positive_margin_iterate_is_accepted_whatever_its_status(monkeypatch, st
 def test_positive_margin_iterate_with_non_pd_projection_is_refused(monkeypatch):
     # The rows of x0^2 + x1^2 at ell=0 force a Gram matrix that is not PD;
     # a positive margin claimed by the solver does not get it past the LDL.
-    def solve(problem, tol):
+    def solve(problem):
         return SdpSolution(G=np.eye(problem.m), t=1.0, residual=0.0, status=MAX_ITERATIONS)
 
     monkeypatch.setattr(hyperdet.sos, "solve_maxeig", solve)
@@ -372,7 +372,7 @@ def test_positive_margin_iterate_with_non_pd_projection_is_refused(monkeypatch):
 def test_level_without_margin_is_recorded_once_and_not_rounded(monkeypatch, t):
     rounded = []
 
-    def solve(problem, tol):
+    def solve(problem):
         return SdpSolution(G=np.eye(problem.m), t=t, residual=0.0, status=OPTIMAL)
 
     def counted(*args):
@@ -532,9 +532,9 @@ def test_multiplier_is_built_once_per_search(monkeypatch):
         multipliers.append((ell, multiplier))
         return gram_problem(ctx_, omega0, ell, multiplier)
 
-    def solve(problem, tol):
+    def solve(problem):
         # No margin at ell=0 (m = 3), so the search goes on to ell=1.
-        sol = solve_maxeig(problem, tol=tol)
+        sol = solve_maxeig(problem)
         return sol if problem.m > 3 else dataclasses.replace(sol, t=-1.0)
 
     monkeypatch.setattr(hyperdet.sos, "power_sum_multiplier", counted_power)

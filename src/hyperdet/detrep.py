@@ -1,13 +1,16 @@
 """Build and verify definite determinantal representations of q'*h.
 
-From a weighted sum-of-squares decomposition of the derivative Bézoutian the
-lift stage solves, exactly over the rationals, for matrices G_1..G_n of the
-multiplication-by-x0 action on the generators, constrained to be symmetric
-under the weight matrix D.  The pencil x0*I - sum_i x_i G_i then has
-determinant cofactor * h_monic with the pencil at the normalized direction
-equal to the identity, which is the definiteness certificate.  Everything in
-the certificate replays in exact arithmetic.  certify takes the pencil
-determinant as one division-free Berkowitz characteristic polynomial over
+From a weighted sum-of-squares decomposition W = R^T D R of the derivative
+Bézoutian the lift stage solves, exactly over the rationals, for matrices
+G_1..G_n of the multiplication-by-x0 action on the generators (the rows of
+R), constrained to be symmetric under the weight matrix D.  Its unknowns
+are the symmetric S_s = R^T D G_s R in the monomial basis, where every
+equation has unit coefficients, and it returns G_s with the similar
+P_s = R^-1 G_s R.  The pencil x0*I - sum_i x_i G_i then has determinant
+cofactor * h_monic with the pencil at the normalized direction equal to the
+identity, which is the definiteness certificate.  Everything in the
+certificate replays in exact arithmetic.  certify takes the determinant of
+the P_s as one division-free Berkowitz characteristic polynomial over
 integer polynomials, and the cofactor as its x0-quotient by h_monic, the
 division that defines the quotient module (quotient.divide_by_h).  The
 replay divides nothing: with two pencil matrices (a ternary h) it compares
@@ -212,92 +215,128 @@ def basis_maps(
 
 def solve_symmetric_lift(
     ctx: QuotientContext, dec: SosDecomposition
-) -> tuple[list[Fraction], list[RatMatrix]]:
+) -> tuple[list[RatMatrix], list[RatMatrix]]:
     """Solve for the weighted-symmetric matrices of the x0 action.
 
-    The generators u_i are the rows of dec.rows.  The solve runs in the
-    intertwining convention x0bar * u_j = sum_i G(x)_{ij} u_i, written out
-    over the degree-(k+1) monomial basis through basis_maps, with the
-    weighted self-adjointness G_s * D = D * G_s^T, which is the variant the
-    weighted-square decomposition guarantees solvable.  The returned
-    matrices are the transposes, so they satisfy the certificate convention
-    D * G_s = G_s^T * D with the same pencil determinant and the same value
-    at the direction.
+    Returns (pencil, basis_pencil): the certificate's G_s, with
+    D * G_s = G_s^T * D for D = diag(dec.weights), and the similar
+    P_s = R^-1 G_s R in the monomial basis of the degree-k piece.  R is the
+    unit upper-triangular LDL factor whose rows are the generators
+    (dec.rows), so that W = dec.gram = R^T D R.
 
-    The system is stated over integer rows: with delta_i the lcm of the
-    denominators of u_i and v_i = delta_i * u_i, the unknowns are
-    Z_s[i][j] = d_j * G_s[i][j] / (delta_i * delta_j), which the weighted
-    symmetry makes symmetric, one per upper-triangle entry, and equation
-    (j, pos) reads sum_{s,i} Z_s[i][j] * (x_s v_i)[pos] =
-    (d_j / delta_j^2) * (x0 v_j)[pos]: integer coefficients, a rational
-    right-hand side.  Each equation is the rational one times d_j / delta_j
-    and each unknown the rational one times a positive constant, so the
-    pivot columns and the solution with free unknowns at zero are those of
-    the system in G itself.
+    The unknowns are the entries of the symmetric S_s = W P_s = R^T D G_s R,
+    one per upper-triangle entry, and the system is X_0 W = sum_s X_s S_s,
+    X_s and X_0 the basis_maps images over the degree-(k+1) basis.  Each
+    X_s sends a basis element to one basis element with coefficient 1, so
+    equation (pos, c) reads sum S_s[a][c] = (X_0 W)[pos][c] over the (s, a)
+    with x_s * b_a = b_pos: every coefficient is 1, no equation has more
+    than n unknowns, and only the right-hand side is rational.  It is
+    scaled to integers by the common denominator of W and X_0, which
+    scales every unknown alike.  Free unknowns are set to zero by the
+    deterministic elimination.
 
-    Any solution is valid; free unknowns are set to zero by the deterministic
-    elimination.  Raises NoSymmetricLift when the system is inconsistent,
-    which means the decomposition's rows do not span the graded piece.
+    With delta_i the lcm of the denominators of row i of R, V = diag(delta) R
+    is an integer upper-triangular matrix.  Back substitution gives each
+    column of V^-1 as integers over one denominator, and both pencils are
+    then integer products: G_s = D^-1 R^-T S_s R^-1, which is
+    G_s[a][b] = delta_a delta_b Z[a][b] / d_a with Z = V^-T S_s V^-1, and
+    P_s = W^-1 S_s with W^-1 = V^-1 diag(delta^2 / d) V^-T.
+
+    Raises NoSymmetricLift when the system is inconsistent, and when V has a
+    zero diagonal entry, which means the decomposition's rows do not span
+    the graded piece.
     """
     m = len(dec.rows)
     n = ctx.n
     weights = dec.weights
     basis_up = monomial_basis_Mk(ctx, dec.k + 1)
-    deltas = [math.lcm(*(v.denominator for v in row)) for row in dec.rows]
-    sparse = [[(a, v.numerator * (delta // v.denominator)) for a, v in enumerate(row) if v]
-              for row, delta in zip(dec.rows, deltas)]
-    # x_s * v_i for every s, then x0bar * v_j: each row through each map.
-    products = []
-    for images in basis_maps(ctx, dec.basis, basis_up):
-        products.append([])
-        for row in sparse:
-            acc: dict[int, int | Fraction] = {}
-            for a, v in row:
-                for pos, c in images[a].items():
-                    acc[pos] = acc.get(pos, 0) + v * c
-            products[-1].append({pos: c for pos, c in acc.items() if c})
-    *shifted, targets = products
-
-    # Unknown order: (s, a, b) with a <= b, flattened; Z_s[i][j] = Z_s[j][i].
+    *shifts, x0_images = basis_maps(ctx, dec.basis, basis_up)
+    # Unknown order: (s, a, b) with a <= b, flattened; S_s[a][b] = S_s[b][a].
     per_s = m * (m + 1) // 2
 
     def unknown_id(s: int, a: int, b: int) -> int:
         a, b = min(a, b), max(a, b)
         return s * per_s + (a * (2 * m - a - 1)) // 2 + b
 
+    # preimages[pos]: the (s, a) with x_s * b_a = b_pos, at most one per s.
+    preimages: list[list[tuple[int, int]]] = [[] for _ in basis_up]
+    for s, images in enumerate(shifts):
+        for a, image in enumerate(images):
+            [pos] = image
+            preimages[pos].append((s, a))
+    gram_den = math.lcm(*(x.denominator for row in dec.gram for x in row))
+    map_den = math.lcm(*(c.denominator for image in x0_images for c in image.values()))
+    x0_ints = [{pos: c.numerator * (map_den // c.denominator) for pos, c in image.items()}
+               for image in x0_images]
     rows: list[dict[int, int]] = []
-    rhs: list[Fraction] = []
-    for j in range(m):
-        per_row: list[dict[int, int]] = [dict() for _ in range(len(basis_up))]
-        # With j fixed, each (s, i) has its own unknown, so no entry is
-        # written twice: the coefficients are entries of the x_s v_i.
-        for s in range(n):
-            for i in range(m):
-                uid = unknown_id(s, i, j)
-                for pos, coeff in shifted[s][i].items():
-                    per_row[pos][uid] = coeff
-        target = targets[j]
-        scale = weights[j] / deltas[j] ** 2
-        for pos in range(len(basis_up)):
-            if per_row[pos] or pos in target:
-                rows.append(per_row[pos])
-                rhs.append(scale * target.get(pos, 0))
+    rhs: list[int] = []
+    # Column c of gram_den * map_den * X_0 W; W is symmetric, so its rows
+    # are its columns.
+    for c, column in enumerate(dec.gram):
+        target: dict[int, int] = {}
+        for a, w in enumerate(column):
+            if w:
+                w = w.numerator * (gram_den // w.denominator)
+                for pos, coeff in x0_ints[a].items():
+                    target[pos] = target.get(pos, 0) + coeff * w
+        for pos, pre in enumerate(preimages):
+            if pre or target.get(pos):
+                rows.append({unknown_id(s, a, c): 1 for s, a in pre})
+                rhs.append(target.get(pos, 0))
 
     values = solve_sparse_system(rows, rhs, n * per_s)
     if values is None:
-        raise NoSymmetricLift("no weighted-symmetric solution: the decomposition rows do not span")
+        raise NoSymmetricLift("no symmetric solution of X_0 W = sum_s X_s S_s")
+    deltas = [math.lcm(*(x.denominator for x in row)) for row in dec.rows]
+    v = [[x.numerator * (delta // x.denominator) for x in row] for row, delta in zip(dec.rows, deltas)]
+    if not all(v[i][i] for i in range(m)):
+        raise NoSymmetricLift("the decomposition rows are singular: they do not span")
+    # Column j of V^-1 is inv_cols[j] / inv_dens[j]: V x = e_j solved from
+    # row j up, over one integer denominator made primitive at the end.
+    inv_cols: list[list[int]] = []
+    inv_dens: list[int] = []
+    for j in range(m):
+        col, den = [0] * m, v[j][j]
+        col[j] = 1
+        for i in range(j - 1, -1, -1):
+            t = -sum(v[i][k] * col[k] for k in range(i + 1, j + 1))
+            g = math.gcd(t, v[i][i])
+            step = v[i][i] // g
+            col = [x * step for x in col]
+            col[i] = t // g
+            den *= step
+        content = math.gcd(den, *col)
+        inv_cols.append([x // content for x in col])
+        inv_dens.append(den // content)
+    inv_rows = list(zip(*inv_cols))
+    # W^-1 = V^-1 diag(delta^2 / d) V^-T as integers winv over winv_den.
+    scales = [Fraction(delta**2, den**2) / w for delta, den, w in zip(deltas, inv_dens, weights)]
+    winv_den = math.lcm(*(r.denominator for r in scales))
+    factors = [r.numerator * (winv_den // r.denominator) for r in scales]
+    winv = [[sum(f * x * y for f, x, y in zip(factors, row_a, row_b)) for row_b in inv_rows]
+            for row_a in inv_rows]
+    content = math.gcd(winv_den, *(x for row in winv for x in row))
+    winv = [[x // content for x in row] for row in winv]
+    winv_den //= content
+
     pencil: list[RatMatrix] = []
+    basis_pencil: list[RatMatrix] = []
     for s in range(n):
-        g = [[_ZERO] * m for _ in range(m)]
-        for a in range(m):
-            for b in range(a, m):
-                # G_s[a][b] = Z_s[a][b] * delta_a * delta_b / d_b.
-                val = values[unknown_id(s, a, b)] * (deltas[a] * deltas[b]) / weights[b]
-                # Store the transpose: g[row][col] = (G_s)_{col,row}.
-                g[b][a] = val
-                g[a][b] = val * weights[b] / weights[a]
-        pencil.append(g)
-    return list(weights), pencil
+        # S_s = sym / den: the solved values are gram_den * map_den * S_s.
+        sym = [[values[unknown_id(s, a, b)] for b in range(m)] for a in range(m)]
+        den = math.lcm(*(x.denominator for row in sym for x in row))
+        sym = [[x.numerator * (den // x.denominator) for x in row] for row in sym]
+        den *= gram_den * map_den
+        # Z = V^-T S_s V^-1 = diag(1/inv_dens) K diag(1/inv_dens) / den,
+        # K = C^T sym C for C the integer columns of V^-1; sym is symmetric.
+        half = [[sum(x * y for x, y in zip(col, line)) for line in sym] for col in inv_cols]
+        k = [[sum(x * y for x, y in zip(row, col)) for col in inv_cols] for row in half]
+        pencil.append([[Fraction(deltas[a] * deltas[b] * k[a][b] * weights[a].denominator,
+                                 inv_dens[a] * inv_dens[b] * den * weights[a].numerator)
+                        for b in range(m)] for a in range(m)])
+        basis_pencil.append([[Fraction(sum(x * y for x, y in zip(row, line)), winv_den * den)
+                              for line in sym] for row in winv])
+    return pencil, basis_pencil
 
 
 def _balanced_columns(pencil: Sequence[RatMatrix]) -> tuple[list[list[list[int]]], list[int]]:
@@ -400,41 +439,6 @@ def _berkowitz_charpoly(mat: list[list[dict[int, int]]]) -> list[dict[int, int]]
     return coeffs
 
 
-def _gram_basis_pencil(pencil: Sequence[RatMatrix], rows: RatMatrix) -> list[RatMatrix]:
-    """R^-1 G_s R for every G_s: the pencil restated in the monomial basis.
-
-    R is the unit upper-triangular LDL factor whose row i is the i-th
-    generating vector in the monomial basis (SosDecomposition.rows).  A
-    similarity leaves det(x0*I - sum x_s G_s) unchanged, and in the monomial
-    basis an entry's denominator no longer carries factors from the vectors
-    of its row and its column, so the lcm that pencil_determinant scales by
-    is far shorter.  One product G_s R, then back substitution through R;
-    no inverse is formed.
-    """
-    size = len(rows)
-    sparse_rows = [{b: v for b, v in enumerate(row) if v} for row in rows]
-    out = []
-    for g in pencil:
-        # Rows of G_s R as sparse dicts; a zero entry of G_s costs nothing.
-        x: list[dict[int, Fraction]] = []
-        for line in g:
-            acc: dict[int, Fraction] = {}
-            for c, v in enumerate(line):
-                if v:
-                    for b, r in sparse_rows[c].items():
-                        acc[b] = acc.get(b, _ZERO) + v * r
-            x.append(acc)
-        # Solve R X = G_s R from the last row up; R's diagonal is 1.
-        for i in range(size - 2, -1, -1):
-            acc = x[i]
-            for j, c in sparse_rows[i].items():
-                if j > i:
-                    for b, v in x[j].items():
-                        acc[b] = acc.get(b, _ZERO) - c * v
-        out.append([[acc.get(b, _ZERO) for b in range(size)] for acc in x])
-    return out
-
-
 def _berkowitz_check(ctx: QuotientContext, pencil: Sequence[RatMatrix], cofactor: Poly) -> str | None:
     """Check (c) as one product comparison: the Berkowitz determinant is cofactor * h_monic."""
     if pencil_determinant(pencil) != cofactor * ctx.h:
@@ -509,12 +513,13 @@ def certify(h: Poly, e: Sequence[RationalLike], options: CertifyOptions | None =
     quotient of the pencil determinant by h_monic in the quotient context
     built at normalization; a nonzero remainder is CertifyError
     "self_verify".  That determinant is taken on the similar pencil
-    R^-1 G_s R (_gram_basis_pencil, R from the decomposition's LDL), whose
-    denominators are far shorter than those of the certificate's G_s;
-    verify_certificate replays check (c) on G.  Checks (a), (b) and (d) of
-    verify_certificate hold by construction and are not run here: the
-    weights are the LDL pivots, which ldl_decompose has refused unless
-    positive; the lift sets g[a][b] = g[b][a] * w_b / w_a; and T*e =
+    P_s = R^-1 G_s R that solve_symmetric_lift returns beside G_s (R from
+    the decomposition's LDL), whose denominators are far shorter than those
+    of the certificate's G_s; verify_certificate replays check (c) on G.
+    Checks (a), (b) and (d) of verify_certificate hold by construction and
+    are not run here: the weights are the LDL pivots, which ldl_decompose
+    has refused unless positive; the lift sets g[a][b] = delta_a delta_b
+    Z[a][b] / w_a with Z symmetric; and T*e =
     (1,0,...,0) exactly, where the pencil is I for any G.  The cofactor
     needs no check of its own: a pencil with D > 0, every D*G_i symmetric
     and value I at the direction has a hyperbolic determinant, and every
@@ -535,8 +540,8 @@ def certify(h: Poly, e: Sequence[RationalLike], options: CertifyOptions | None =
         )
 
     dec = find_sos_decomposition(ctx, opts.lmax)
-    weights, pencil = solve_symmetric_lift(ctx, dec)
-    cofactor, remainder = divide_by_h(ctx, pencil_determinant(_gram_basis_pencil(pencil, dec.rows)))
+    pencil, basis_pencil = solve_symmetric_lift(ctx, dec)
+    cofactor, remainder = divide_by_h(ctx, pencil_determinant(basis_pencil))
     if any(remainder):  # pragma: no cover - would be a soundness bug
         raise CertifyError("self_verify", "(c) pencil determinant is not a multiple of h_monic")
     return DetRepCertificate(
@@ -544,7 +549,7 @@ def certify(h: Poly, e: Sequence[RationalLike], options: CertifyOptions | None =
         e=ev,
         transform=transform,
         size=len(dec.rows),
-        weights=weights,
+        weights=list(dec.weights),
         pencil=pencil,
         cofactor=cofactor,
         multiplier=dec.multiplier,

@@ -58,7 +58,7 @@ class Exhausted(HyperdetError):
 
 
 class NoSymmetricLift(HyperdetError):
-    """The intertwining + weighted-symmetry linear system is inconsistent."""
+    """The lift's symmetric system is inconsistent, or the generator rows are singular."""
 
 
 class CertifyError(HyperdetError):

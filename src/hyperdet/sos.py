@@ -58,8 +58,8 @@ class SosDecomposition:
     The generators u_i are the rows of the unit upper-triangular factor R
     of gram = R^T diag(weights) R from the search's one LDL^T: row i holds
     u_i over basis, the monomial basis of the degree-k piece that gram is
-    stated in, and the rows span that piece.  The lift reads them, and
-    certify conjugates the lifted pencil by R back to that basis.
+    stated in, and the rows span that piece.  The lift solves its system
+    in that basis over gram and reaches the generators through R.
 
     Invariant (holds by construction in the search): multiplier * omega0 =
     sum_i weights[i] * u_i (x) u_i entrywise in exact arithmetic, because

@@ -9,19 +9,22 @@ matrices by expanding the difference quotient monomial by monomial, the
 commutation test of a Bézoutian form with the multiplication-by-x0 matrix,
 restrictions to a line by expanding h(t*e + v) in t, the entrywise value of
 a Bézoutian form at a point, and the Sturm chain by Euclidean division over
-the rationals.  Seven are former routes of rewrites that must agree with
+the rationals.  Eight are former routes of rewrites that must agree with
 them exactly: the polynomial text parser whose scanner tracks the line and
-column at every character, the symmetric lift with its generators held as
-Polys, multiplied by x0 through Poly products and solved over their
-rational coordinates, Gauss-Jordan elimination by rational pivots, the
-LDL^T by rational pivots, Gram rounding by Fraction arithmetic, the Gram
-problem built by testing every split of every monomial, and exact
-polynomial division by grlex leading terms.
+column at every character, the symmetric lift with the Gram matrix's
+columns held as Polys, multiplied by x0 through Poly products and solved
+over their rational coordinates, the lift solved in the scaled pencil
+entries over the LDL rows and conjugated back to the monomial basis,
+Gauss-Jordan elimination by rational pivots, the LDL^T by rational pivots,
+Gram rounding by Fraction arithmetic, the Gram problem built by testing
+every split of every monomial, and exact polynomial division by grlex
+leading terms.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -32,8 +35,9 @@ from hyperdet.errors import (
     RoundingFailed,
     ZeroPolynomial,
 )
+from hyperdet.detrep import basis_maps
 from hyperdet.hyperbolicity import _distinct_real_roots, sturm_chain
-from hyperdet.linalg import is_symmetric, rat_matrix
+from hyperdet.linalg import is_symmetric, rat_matrix, solve_sparse_system
 from hyperdet.poly import (
     _ONE,
     _ZERO,
@@ -306,21 +310,34 @@ def fraction_solve_sparse_system(rows, rhs, num_unknowns):
     return values
 
 
-def poly_lift(ctx: QuotientContext, dec):
-    """The symmetric lift with each generator held as d Polys.
+def _fraction_inverse(matrix):
+    """A^-1 from A X = I by fraction_solve_sparse_system; None when A is singular."""
+    size = len(matrix)
+    rows = [{k * size + j: matrix[i][k] for k in range(size) if matrix[i][k]}
+            for i in range(size) for j in range(size)]
+    rhs = [Fraction(i == j) for i in range(size) for j in range(size)]
+    values = fraction_solve_sparse_system(rows, rhs, size * size)
+    if values is None:
+        return None
+    return [values[k * size:(k + 1) * size] for k in range(size)]
 
-    Each LDL row becomes its reduced element (row_to_element), and x_s * u_i
-    and x0bar * u_j are formed by Poly products before their coordinates over
-    the degree-(k+1) basis are read back term by term.  The unknowns are the
-    entries of G_s themselves, the equations have rational coefficients, and
-    fraction_solve_sparse_system solves them; the equation order and the
-    unknown numbering are those of detrep.solve_symmetric_lift.  None when
-    the system is inconsistent.
+
+def poly_lift(ctx: QuotientContext, dec):
+    """The symmetric lift with the Gram matrix's columns held as d Polys.
+
+    Column c of W = dec.gram becomes its reduced element (row_to_element),
+    x0bar times it is formed by mult_by_x0 and x_s times each basis element
+    by a Poly product, and their coordinates over the degree-(k+1) basis
+    are read back term by term.  The unknowns are the upper-triangle
+    entries of the symmetric S_s with X_0 W = sum_s X_s S_s, numbered as in
+    detrep.solve_symmetric_lift, and fraction_solve_sparse_system solves
+    them.  Returns (pencil, basis_pencil): G_s = D^-1 R^-T S_s R^-1 and
+    P_s = W^-1 S_s, with R^-1 and W^-1 by rational elimination and the
+    products by mat_mul.  None when the system is inconsistent or R or W
+    is singular.
     """
     m = len(dec.rows)
     n = ctx.n
-    weights = dec.weights
-    vectors = [row_to_element(ctx, dec.basis, row) for row in dec.rows]
     basis_up = monomial_basis_Mk(ctx, dec.k + 1)
     up_index = {(g.basis_power, g.r_monomial): r for r, g in enumerate(basis_up)}
 
@@ -328,29 +345,93 @@ def poly_lift(ctx: QuotientContext, dec):
         return {up_index[(power, mono)]: c
                 for power, poly in enumerate(coeffs) for mono, c in poly.terms()}
 
-    shifted = [[coords_up(tuple(c * Poly.variable(ctx.nvars, s) for c in u)) for u in vectors]
+    units = [row_to_element(ctx, dec.basis, [Fraction(a == b) for b in range(m)])
+             for a in range(m)]
+    shifted = [[coords_up(tuple(c * Poly.variable(ctx.nvars, s) for c in u)) for u in units]
                for s in range(1, n + 1)]
-    targets = [coords_up(mult_by_x0(ctx, u)) for u in vectors]
+    targets = [coords_up(mult_by_x0(ctx, row_to_element(ctx, dec.basis, column)))
+               for column in zip(*dec.gram)]
     per_s = m * (m + 1) // 2
 
-    def unknown_id(s: int, a: int, b: int) -> tuple[int, Fraction]:
-        if a <= b:
-            return s * per_s + (a * (2 * m - a - 1)) // 2 + b, Fraction(1)
-        return s * per_s + (b * (2 * m - b - 1)) // 2 + a, weights[a] / weights[b]
+    def unknown_id(s: int, a: int, b: int) -> int:
+        a, b = min(a, b), max(a, b)
+        return s * per_s + (a * (2 * m - a - 1)) // 2 + b
+
+    rows, rhs = [], []
+    for c in range(m):
+        per_row = [dict() for _ in basis_up]
+        for s in range(n):
+            for a in range(m):
+                uid = unknown_id(s, a, c)
+                for pos, coeff in shifted[s][a].items():
+                    per_row[pos][uid] = per_row[pos].get(uid, Fraction(0)) + coeff
+        for pos in range(len(basis_up)):
+            if per_row[pos] or pos in targets[c]:
+                rows.append(per_row[pos])
+                rhs.append(targets[c].get(pos, Fraction(0)))
+    values = fraction_solve_sparse_system(rows, rhs, n * per_s)
+    r_inv, w_inv = _fraction_inverse(dec.rows), _fraction_inverse(dec.gram)
+    if values is None or r_inv is None or w_inv is None:
+        return None
+    pencil, basis_pencil = [], []
+    for s in range(n):
+        sym = [[values[unknown_id(s, a, b)] for b in range(m)] for a in range(m)]
+        conjugated = mat_mul(mat_mul([list(col) for col in zip(*r_inv)], sym), r_inv)
+        pencil.append([[x / w for x in row] for row, w in zip(conjugated, dec.weights)])
+        basis_pencil.append(mat_mul(w_inv, sym))
+    return pencil, basis_pencil
+
+
+def z_system_lift(ctx: QuotientContext, dec):
+    """The lift solved in the scaled pencil entries, then conjugated by R.
+
+    The former route of detrep.solve_symmetric_lift.  With delta_i the lcm of
+    the denominators of LDL row i and v_i = delta_i * u_i, the unknowns are
+    Z_s[i][j] = d_j * H_s[i][j] / (delta_i * delta_j) for the matrices H_s
+    of the intertwining x0bar * u_j = sum_i H(x)_{ij} u_i, one per
+    upper-triangle entry, and equation (j, pos) reads sum_{s,i} Z_s[i][j] *
+    (x_s v_i)[pos] = (d_j / delta_j^2) * (x0 v_j)[pos].  G_s is the
+    transpose of H_s, and P_s = R^-1 G_s R is one product G_s R followed by
+    back substitution through the unit upper-triangular R.  Returns
+    (pencil, basis_pencil), or None when the system is inconsistent.
+    """
+    m = len(dec.rows)
+    n = ctx.n
+    weights = dec.weights
+    basis_up = monomial_basis_Mk(ctx, dec.k + 1)
+    deltas = [math.lcm(*(v.denominator for v in row)) for row in dec.rows]
+    sparse = [[(a, v.numerator * (delta // v.denominator)) for a, v in enumerate(row) if v]
+              for row, delta in zip(dec.rows, deltas)]
+    products = []
+    for images in basis_maps(ctx, dec.basis, basis_up):
+        products.append([])
+        for row in sparse:
+            acc = {}
+            for a, v in row:
+                for pos, c in images[a].items():
+                    acc[pos] = acc.get(pos, 0) + v * c
+            products[-1].append({pos: c for pos, c in acc.items() if c})
+    *shifted, targets = products
+    per_s = m * (m + 1) // 2
+
+    def unknown_id(s: int, a: int, b: int) -> int:
+        a, b = min(a, b), max(a, b)
+        return s * per_s + (a * (2 * m - a - 1)) // 2 + b
 
     rows, rhs = [], []
     for j in range(m):
         per_row = [dict() for _ in basis_up]
         for s in range(n):
             for i in range(m):
-                uid, factor = unknown_id(s, i, j)
+                uid = unknown_id(s, i, j)
                 for pos, coeff in shifted[s][i].items():
-                    per_row[pos][uid] = per_row[pos].get(uid, Fraction(0)) + factor * coeff
+                    per_row[pos][uid] = coeff
+        scale = weights[j] / deltas[j] ** 2
         for pos in range(len(basis_up)):
             if per_row[pos] or pos in targets[j]:
-                rows.append({u: c for u, c in per_row[pos].items() if c})
-                rhs.append(targets[j].get(pos, Fraction(0)))
-    values = fraction_solve_sparse_system(rows, rhs, n * per_s)
+                rows.append(per_row[pos])
+                rhs.append(scale * targets[j].get(pos, 0))
+    values = solve_sparse_system(rows, rhs, n * per_s)
     if values is None:
         return None
     pencil = []
@@ -358,11 +439,29 @@ def poly_lift(ctx: QuotientContext, dec):
         g = [[Fraction(0)] * m for _ in range(m)]
         for a in range(m):
             for b in range(a, m):
-                val = values[unknown_id(s, a, b)[0]]
+                val = values[unknown_id(s, a, b)] * (deltas[a] * deltas[b]) / weights[b]
                 g[b][a] = val
                 g[a][b] = val * weights[b] / weights[a]
         pencil.append(g)
-    return list(weights), pencil
+    basis_pencil = []
+    sparse_rows = [{b: v for b, v in enumerate(row) if v} for row in dec.rows]
+    for g in pencil:
+        x = []
+        for line in g:
+            acc = {}
+            for c, v in enumerate(line):
+                if v:
+                    for b, r in sparse_rows[c].items():
+                        acc[b] = acc.get(b, Fraction(0)) + v * r
+            x.append(acc)
+        for i in range(m - 2, -1, -1):
+            acc = x[i]
+            for j, c in sparse_rows[i].items():
+                if j > i:
+                    for b, v in x[j].items():
+                        acc[b] = acc.get(b, Fraction(0)) - c * v
+        basis_pencil.append([[acc.get(b, Fraction(0)) for b in range(m)] for acc in x])
+    return pencil, basis_pencil
 
 
 def bezout_matrix_univariate(f: UniPoly, g: UniPoly) -> list[list[Fraction]]:

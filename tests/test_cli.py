@@ -505,21 +505,31 @@ def test_golden_pencil_entries_stay_short(capsys):
 
 
 def test_certify_takes_its_determinant_on_the_gram_basis_pencil(capsys, monkeypatch):
-    # certify's one determinant runs on the similar pencil R^-1 G_s R, not
-    # on the certificate's G_s: the same determinant over a far shorter
-    # common denominator (243 bits for the G_s of the N=6 certificate).
-    seen = []
+    # certify's one determinant runs on the similar pencil R^-1 G_s R that
+    # the lift returns beside G_s, not on the certificate's G_s: the same
+    # determinant over a far shorter common denominator (243 bits for the
+    # G_s of the N=6 certificate).
+    seen, lifted = [], []
     determinant = hyperdet.detrep.pencil_determinant
+    lift = hyperdet.detrep.solve_symmetric_lift
 
     def recorded(pencil):
         seen.append(pencil)
         return determinant(pencil)
 
+    def recorded_lift(ctx, dec):
+        lifted.append(lift(ctx, dec))
+        return lifted[-1]
+
     monkeypatch.setattr(hyperdet.detrep, "pencil_determinant", recorded)
+    monkeypatch.setattr(hyperdet.detrep, "solve_symmetric_lift", recorded_lift)
     poly, direction, _ = GOLDEN_CERTIFICATES[3]
     code, out, err = run(capsys, "certify", "--poly", poly, "--e", direction)
     assert code == 0, err
     [pencil] = seen
+    [(certified, basis_pencil)] = lifted
+    assert pencil is basis_pencil
+    assert certified == DetRepCertificate.from_json(out).pencil
     lcm = math.lcm(*(x.denominator for g in pencil for row in g for x in row))
     assert lcm.bit_length() <= 64
     assert determinant(pencil) == determinant(DetRepCertificate.from_json(out).pencil)
@@ -563,8 +573,11 @@ def test_verify_takes_its_determinant_on_a_row_balanced_pencil(capsys, tmp_path,
     # With three or more pencil matrices, check (c) stays one Berkowitz pass
     # on the pencil conjugated by the diagonal of its row lcms: on the N=10
     # certificate of the seed-1 Renegar cubic in four variables the widest
-    # integer handed to Berkowitz is 1555 bits, against 2204 when G_s is
-    # scaled by the lcm of all its denominators.
+    # integer handed to Berkowitz is 1122 bits, against 1749 when G_s is
+    # scaled by the lcm of all its denominators.  The lift has free unknowns
+    # there, and zeroing them in S coordinates gives G_s of 318 bits, against
+    # 767 (and 1555 bits handed to Berkowitz) when they were zeroed in the
+    # scaled entries Z_s.
     poly = str(renegar_derivative(random.Random(1), 4, 5))
     path = tmp_path / "cert.json"
     code, out, err = run(capsys, "certify", "--poly", poly, "--e", "1,0,0,0",
@@ -578,7 +591,7 @@ def test_verify_takes_its_determinant_on_a_row_balanced_pencil(capsys, tmp_path,
     assert code == 0, err
     assert lattice == []
     [bits] = widest
-    assert bits <= 1600
+    assert bits <= 1167
 
 
 def test_cylinder_quadric_is_refused_at_its_lineality_witness(capsys, monkeypatch):

@@ -47,7 +47,7 @@ from conftest import (
     random_symmetric_rational,
     renegar_derivative,
 )
-from oracles import bareiss_determinant, poly_lift, row_to_element
+from oracles import bareiss_determinant, mat_mul, poly_lift, row_to_element, z_system_lift
 
 
 def P(text, nvars=None):
@@ -66,18 +66,20 @@ def F(x):
 def test_lift_lorentz_exact():
     ctx = QuotientContext(LORENTZ)
     dec = find_sos_decomposition(ctx)
-    weights, pencil = solve_symmetric_lift(ctx, dec)
-    assert weights == [F(2), F(2), F(2)]
+    pencil, basis_pencil = solve_symmetric_lift(ctx, dec)
+    assert dec.weights == [F(2), F(2), F(2)]
     assert pencil[0] == [[F(0), F(0), F(1)], [F(0), F(0), F(0)], [F(1), F(0), F(0)]]
     assert pencil[1] == [[F(0), F(0), F(0)], [F(0), F(0), F(1)], [F(0), F(1), F(0)]]
+    # The LDL rows are the unit vectors, so R = I and P_s = G_s.
+    assert basis_pencil == pencil
 
 
 def test_lift_linear():
     ctx = QuotientContext(P("x0 - x1"))
     dec = find_sos_decomposition(ctx)
-    weights, pencil = solve_symmetric_lift(ctx, dec)
-    assert weights == [F(1)]
-    assert pencil == [[[F(1)]]]
+    pencil, basis_pencil = solve_symmetric_lift(ctx, dec)
+    assert dec.weights == [F(1)]
+    assert pencil == basis_pencil == [[[F(1)]]]
 
 
 def test_lift_rejects_non_spanning_vectors():
@@ -103,6 +105,24 @@ def test_lift_rejects_non_spanning_vectors():
     assert poly_lift(ctx, fake) is None
 
 
+def test_lift_rejects_an_inconsistent_system():
+    # Unit rows span, but the Gram matrix diag(2, 2, 1) of the Lorentz cone's
+    # degree-1 piece admits no symmetric S_s with X_0 W = sum_s X_s S_s.
+    ctx = QuotientContext(LORENTZ)
+    fake = SosDecomposition(
+        ell=0,
+        k=1,
+        multiplier=Poly.one(3),
+        weights=[F(2), F(2), F(1)],
+        basis=monomial_basis_Mk(ctx, 1),
+        gram=[[F(2), F(0), F(0)], [F(0), F(2), F(0)], [F(0), F(0), F(1)]],
+        rows=[[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]],
+    )
+    with pytest.raises(NoSymmetricLift, match="no symmetric solution"):
+        solve_symmetric_lift(ctx, fake)
+    assert poly_lift(ctx, fake) is None
+
+
 @pytest.mark.parametrize("h", [
     *(random_pencil_determinant(random.Random(seed), 3, d)
       for d in (1, 2, 3, 4) for seed in (1, 2)),
@@ -111,19 +131,20 @@ def test_lift_rejects_non_spanning_vectors():
 ], ids=[*(f"hv-d{d}-seed{seed}" for d in (1, 2, 3, 4) for seed in (1, 2)),
         "renegar-cubic", "renegar-quartic"])
 def test_lift_matches_the_poly_lift(h):
-    # The lift reads the LDL rows through the x_s and x0 basis maps; the Poly
-    # oracle multiplies each generator as d Polys.  Same equations, same
-    # unknowns, same elimination: the same weights and pencil, entry for entry.
+    # The lift reads the Gram matrix through the x_s and x0 basis maps; the
+    # Poly oracle multiplies each of its columns as d Polys.  Same equations,
+    # same unknowns, same elimination: the same pencil and basis pencil,
+    # entry for entry, also where the system has free unknowns.
     ctx = QuotientContext(normalize_direction(h, [1] + [0] * (h.nvars - 1))[0])
     dec = find_sos_decomposition(ctx)
-    weights, pencil = solve_symmetric_lift(ctx, dec)
-    assert (weights, pencil) == poly_lift(ctx, dec)
+    assert solve_symmetric_lift(ctx, dec) == poly_lift(ctx, dec)
 
 
 def test_lift_states_its_system_with_integer_coefficients(monkeypatch):
-    # The unknowns are the G_s entries scaled by d_j / (delta_i * delta_j),
-    # delta_i the lcm of the denominators of LDL row i, so every coefficient
-    # is an entry of an integer row and only the right-hand side is rational.
+    # The unknowns are the entries of S_s = W P_s, and each x_s sends a
+    # basis element to one basis element, so every coefficient is 1 and an
+    # equation has at most one unknown per x_s; only the right-hand side,
+    # a column of X_0 W, carries the data.
     h = random_pencil_determinant(random.Random(1), 3, 4)
     ctx = QuotientContext(normalize_direction(h, [1, 0, 0])[0])
     dec = find_sos_decomposition(ctx)
@@ -136,8 +157,53 @@ def test_lift_states_its_system_with_integer_coefficients(monkeypatch):
     monkeypatch.setattr(hyperdet.detrep, "solve_sparse_system", recorded)
     lifted = solve_symmetric_lift(ctx, dec)
     assert len(systems) == 1 and systems[0]
-    assert all(c.denominator == 1 for row in systems[0] for c in row.values())
+    assert all(c == 1 for row in systems[0] for c in row.values())
+    assert max(len(row) for row in systems[0]) <= ctx.n
     assert lifted == poly_lift(ctx, dec)
+
+
+@pytest.mark.parametrize("h", [
+    *(random_pencil_determinant(random.Random(1), 3, d) for d in (1, 2, 3, 4)),
+    random_pencil_determinant(random.Random(5001), 3, 5),
+    *(P(" - ".join(["x0^2"] + [f"x{i}^2" for i in range(1, n + 1)])) for n in range(2, 7)),
+    renegar_derivative(random.Random(1), 3, 5),
+], ids=[*(f"hv-d{d}" for d in (1, 2, 3, 4)), "hv-d5-seed5001",
+        *(f"lorentz-n{n}" for n in range(2, 7)), "renegar-quartic"])
+def test_lift_matches_the_z_system_where_both_are_unique(h):
+    # Where the former system in the scaled entries Z_s = V^-T S_s V^-1 has
+    # full column rank, so has the system in S_s (S = V^T Z V is a
+    # bijection): the same pencil and basis pencil, entry for entry.
+    ctx = QuotientContext(normalize_direction(h, [1] + [0] * (h.nvars - 1))[0])
+    dec = find_sos_decomposition(ctx)
+    assert solve_symmetric_lift(ctx, dec) == z_system_lift(ctx, dec)
+
+
+def _lift_bits(pencil):
+    return max(max(x.numerator.bit_length(), x.denominator.bit_length())
+               for g in pencil for row in g for x in row)
+
+
+def test_lift_with_free_unknowns_is_valid_and_no_wider():
+    # The 4-variable Renegar cubic has free unknowns (159 pivots for 165
+    # unknowns), which the lift now zeroes in S coordinates.  Both lifts are
+    # D-symmetric, both basis pencils are R^-1 G_s R, and both determinants
+    # leave zero remainder by h_monic; the new G is no wider (318 bits
+    # against 767).
+    h = renegar_derivative(random.Random(1), 4, 5)
+    ctx = QuotientContext(normalize_direction(h, [1, 0, 0, 0])[0])
+    dec = find_sos_decomposition(ctx)
+    lifted = solve_symmetric_lift(ctx, dec)
+    former = z_system_lift(ctx, dec)
+    assert lifted != former
+    rows = dec.rows
+    for pencil, basis_pencil in (lifted, former):
+        for g, p in zip(pencil, basis_pencil):
+            assert all(dec.weights[a] * g[a][b] == dec.weights[b] * g[b][a]
+                       for a in range(len(g)) for b in range(len(g)))
+            assert mat_mul(rows, p) == mat_mul(g, rows)
+        _, remainder = divide_by_h(ctx, pencil_determinant(basis_pencil))
+        assert not any(remainder)
+    assert _lift_bits(lifted[0]) <= _lift_bits(former[0])
 
 
 def test_lift_weighted_symmetry_holds():
@@ -148,7 +214,8 @@ def test_lift_weighted_symmetry_holds():
         h = random_pencil_determinant(rng, nvars, d)
         ctx = QuotientContext(h)
         dec = find_sos_decomposition(ctx)
-        weights, pencil = solve_symmetric_lift(ctx, dec)
+        pencil, _ = solve_symmetric_lift(ctx, dec)
+        weights = dec.weights
         m = len(weights)
         for g in pencil:
             for a in range(m):

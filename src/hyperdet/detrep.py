@@ -14,8 +14,8 @@ the P_s as one division-free Berkowitz characteristic polynomial over
 integer polynomials, and the cofactor as its x0-quotient by h_monic, the
 division that defines the quotient module (quotient.divide_by_h).  The
 replay divides nothing: with two pencil matrices (a ternary h) it compares
-integer determinants with cofactor * h_monic at the points of the principal
-lattice, and otherwise the Berkowitz determinant with that product.
+symmetric integer determinants of D*G_s with cofactor * h_monic at the points
+of the principal lattice, and otherwise the Berkowitz determinant with that.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from .hyperbolicity import (
     integer_forms,
     pd_witness_check,
 )
-from .linalg import RatMatrix, bareiss_determinant, invert_matrix, rat_matrix, solve_sparse_system
+from .linalg import (RatMatrix, bareiss_determinant, invert_matrix, is_symmetric, rat_matrix,
+                     solve_sparse_system)
 from .poly import (
     Monomial,
     Poly,
@@ -446,7 +447,8 @@ def _berkowitz_check(ctx: QuotientContext, pencil: Sequence[RatMatrix], cofactor
     return None
 
 
-def _lattice_check(ctx: QuotientContext, pencil: Sequence[RatMatrix], cofactor: Poly) -> str | None:
+def _lattice_check(ctx: QuotientContext, weights: Sequence[Fraction], products: Sequence[RatMatrix],
+                   cofactor: Poly) -> str | None:
     """Check (c) at the points of the principal lattice, with no division by h.
 
     Once the cofactor is zero or a form of degree N - d in the certificate's
@@ -457,36 +459,42 @@ def _lattice_check(ctx: QuotientContext, pencil: Sequence[RatMatrix], cofactor: 
     condition carries weight: cofactor * (x0 + x1 + x2) / N agrees with the
     cofactor at every lattice point.  The points are the exponents of the
     degree-N monomials (r_monomials_of_degree, x0's slot dropped), in
-    descending lex order.  Each determinant value is one integer Bareiss
-    determinant on the row-balanced pencil of _balanced_columns, every
-    column b scaled by its own denominator dens_b rather than their lcm:
-    det(a0*diag(dens) - sum_s a_s cols_s) = prod(dens) * det(a0*I -
-    sum_s a_s G_s).  The values of den*cofactor and den*h_monic at a are
-    sum_j c_j(a1..an)*a0^j over their integer_forms.
+    descending lex order.  weights is the diagonal w of D > 0 and products
+    the Y_s = D*G_s, symmetric by (b).  With sigma_a the lcm of the
+    denominators of w_a and row a of every Y_s, D' = diag(sigma^2 w) / c and
+    Y'_s = diag(sigma) Y_s diag(sigma) / c are integer, c their content, and
+    det(a0*D' - sum_s a_s Y'_s) = prod(D') * det(a0*I - sum_s a_s G_s) is one
+    symmetric bareiss_determinant on a lower triangle.  den*cofactor and
+    den*h_monic at a are sum_j c_j(a1..an)*a0^j over their integer_forms.
     """
-    cols, dens = _balanced_columns(pencil)
-    size = len(dens)
+    size = len(weights)
     degree = size - ctx.d
     if cofactor.nvars != ctx.nvars or (
         cofactor and not (cofactor.is_homogeneous and cofactor.degree == degree)
     ):
         return f"cofactor is not a form of degree N - d = {degree} in x0..x{ctx.n}"
+    sigma = [math.lcm(w.denominator, *(x.denominator for y in products for x in y[a]))
+             for a, w in enumerate(weights)]
+    diag = [w.numerator * (r // w.denominator) * r for w, r in zip(weights, sigma)]
+    ints = [[[x.numerator * (sigma[a] // x.denominator) * sigma[b] for b, x in enumerate(row[:a + 1])]
+             for a, row in enumerate(y)] for y in products]
+    content = math.gcd(*diag, *(x for m in ints for row in m for x in row)) or 1  # 0 when N = 0
+    diag = [x // content for x in diag]
+    ints = [[[x // content for x in row] for row in m] for m in ints]
     cofactor_forms, cofactor_den = integer_forms(cofactor)
     h_forms, h_den = integer_forms(ctx.h)
-    dens_product = math.prod(dens)
+    diag_product = math.prod(diag)
     for mono in r_monomials_of_degree(ctx.nvars + 1, size):
         point = mono[1:]
         a0, *rest = point
-        mat = [[a0 * den if a == b else 0 for b, den in enumerate(dens)] for a in range(size)]
-        for c, m in zip(rest, cols):
+        mat = [[0] * a + [a0 * d] for a, d in enumerate(diag)]
+        for c, m in zip(rest, ints):
             if c:
-                for row, line in zip(mat, m):
-                    for b, x in enumerate(line):
-                        row[b] -= c * x
+                mat = [[x - c * y for x, y in zip(row, line)] for row, line in zip(mat, m)]
         lhs = bareiss_determinant(mat) * cofactor_den * h_den
         cofactor_value, h_value = (sum(c * a0**j for j, c in enumerate(_restriction(forms, rest)))
                                    for forms in (cofactor_forms, h_forms))
-        if lhs != dens_product * cofactor_value * h_value:
+        if lhs != diag_product * cofactor_value * h_value:
             return f"pencil determinant differs from cofactor * h_monic at {point}"
     return None
 
@@ -570,9 +578,10 @@ def verify_certificate(cert: DetRepCertificate) -> tuple[bool, list[str]]:
     degree N - d and compares values at the (N+1)(N+2)/2 points of the
     principal lattice; otherwise _berkowitz_check, which compares the
     Berkowitz determinant with the product cofactor * h_monic.  Neither
-    divides by h_monic.  Failures are reported as
-    diagnostics, never raised.  The SDP and the sampling stages are
-    deliberately not replayed.
+    divides by h_monic.  (b) compares each Y_s = D*G_s with its transpose;
+    the lattice route reads one triangle of the Y_s, so it runs only when
+    (a) and (b) hold.  Failures are reported as diagnostics, never raised.
+    The SDP and the sampling stages are deliberately not replayed.
     """
     diagnostics: list[str] = []
     size = cert.size
@@ -588,19 +597,17 @@ def verify_certificate(cert: DetRepCertificate) -> tuple[bool, list[str]]:
     if not shapes_ok:
         diagnostics.append("(b) pencil must be one square size-N matrix per variable x1..xn")
     elif weights_ok:
-        for s, g in enumerate(cert.pencil):
-            if any(
-                cert.weights[a] * g[a][b] != cert.weights[b] * g[b][a]
-                for a in range(size)
-                for b in range(a + 1, size)
-            ):
-                diagnostics.append(f"(b) D*G_{s + 1} is not symmetric")
+        products = [[[w * x if x else x for x in row] for w, row in zip(cert.weights, g)]
+                    for g in cert.pencil]
+        diagnostics += [f"(b) D*G_{s} is not symmetric"
+                        for s, y in enumerate(products, 1) if not is_symmetric(y)]
 
     if shapes_ok:
         try:
             ctx = QuotientContext(apply_linear(cert.h, invert_matrix(cert.transform)))
-            check = _lattice_check if n == 2 else _berkowitz_check
-            failure = check(ctx, cert.pencil, cert.cofactor)
+            failure = (_berkowitz_check(ctx, cert.pencil, cert.cofactor) if n != 2
+                       else "not replayed: the lattice route needs (a) and (b)" if diagnostics
+                       else _lattice_check(ctx, cert.weights, products, cert.cofactor))
             if failure:
                 diagnostics.append(f"(c) {failure}")
         except (HyperdetError, ValueError) as exc:

@@ -53,10 +53,11 @@ def ldl_decompose(matrix: Sequence[Sequence[RationalLike]]) -> tuple[list[Fracti
     if not is_symmetric(g):
         raise ValueError("matrix must be symmetric")
     den = lcm(*(x.denominator for row in g for x in row))
-    a = [[x.numerator * (den // x.denominator) for x in row[:i + 1]] for i, row in enumerate(g)]
+    rows = [[x.numerator * (den // x.denominator) for x in row[:i + 1]] for i, row in enumerate(g)]
     minors = [1]  # Delta_0 .. Delta_n
+    columns = []  # column k of the stage-k block, its pivot first
     for k in range(n):
-        pivot = a[k][k]
+        pivot = rows[0][0]
         if pivot <= 0:
             # Bit lengths, not the pivot: it can be too long to format.
             reduced = Fraction(pivot, minors[k] * den)
@@ -65,44 +66,56 @@ def ldl_decompose(matrix: Sequence[Sequence[RationalLike]]) -> tuple[list[Fracti
                 f"({reduced.numerator.bit_length()}-bit numerator, "
                 f"{reduced.denominator.bit_length()}-bit denominator)"
             )
-        prev = minors[k]
+        columns.append([row[0] for row in rows])
+        rows = _bareiss_stage(rows, minors[k])
         minors.append(pivot)
-        for i in range(k + 1, n):
-            row_i = a[i]
-            a_ik = row_i[k]
-            for j in range(k + 1, i + 1):
-                row_i[j] = (pivot * row_i[j] - a_ik * a[j][k]) // prev
     d = [Fraction(minors[j + 1], minors[j] * den) for j in range(n)]
-    rows = [[Fraction(a[i][j], minors[j + 1]) if i > j else Fraction(i == j) for i in range(n)]
-            for j in range(n)]
+    rows = [[Fraction(columns[j][i - j], minors[j + 1]) if i > j else Fraction(i == j)
+             for i in range(n)] for j in range(n)]
     return d, rows
 
 
-def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination (Math. Comp. 1968).
+def _bareiss_stage(rows: list[list[int]], prev: int) -> list[list[int]]:
+    """One symmetric Bareiss stage on rows[i] = entries (i, 0..i): the next block,
+    (a_00 a_ij - a_i0 a_j0) / prev at (i, j), 0 < j <= i, an exact division."""
+    pivot, column = rows[0][0], [row[0] for row in rows[1:]]
+    return [[(pivot * x - c * y) // prev for x, y in zip(row[1:], column)]
+            for row, c in zip(rows[1:], column)]
 
-    Every stage-k entry is a (k+1) x (k+1) minor of the input, so each
-    division by the previous pivot is exact and no entry outgrows
-    Hadamard's bound.  A zero pivot is exchanged with the first row below
-    it that is nonzero in its column, which flips the sign; when there is
-    none the determinant is 0.
+
+def bareiss_determinant(lower: Sequence[Sequence[int]]) -> int:
+    """Determinant of the symmetric integer matrix with lower[i] = entries
+    (i, 0..i), by symmetric Bareiss elimination (Math. Comp. 1968) on that
+    triangle.  A zero pivot gives way to a congruence that keeps the
+    determinant and the leading minors: a symmetric swap with the first later
+    nonzero diagonal entry, else adding row and column r, the first row
+    nonzero in column 0, to row and column 0 (new pivot 2 * a_r0), else the
+    determinant is 0.  Stage entries stay bordered minors: divisions are exact.
     """
-    rows = [list(row) for row in matrix]
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError("matrix must be square")
-    sign, prev = 1, 1
+    rows = [list(row) for row in lower]
+    if any(len(row) != i + 1 for i, row in enumerate(rows)):
+        raise ValueError("row i of the lower triangle must have i + 1 entries")
+
+    def at(i: int, j: int) -> int:
+        return rows[max(i, j)][min(i, j)]
+
+    prev = 1
     while len(rows) > 1:
-        k = next((i for i, row in enumerate(rows) if row[0]), None)
-        if k is None:
-            return 0
-        if k:
-            rows[0], rows[k] = rows[k], rows[0]
-            sign = -sign
-        pivot, *top = rows[0]
-        rows = [[(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], top)]
-                for row in rows[1:]]
-        prev = pivot
-    return sign * rows[0][0] if rows else 1
+        if not rows[0][0]:
+            size = len(rows)
+            r = next((r for r in range(1, size) if rows[r][r]), None)
+            if r is not None:
+                swap = {0: r, r: 0}
+                rows = [[at(swap.get(i, i), swap.get(j, j)) for j in range(i + 1)] for i in range(size)]
+            else:
+                r = next((r for r in range(1, size) if rows[r][0]), None)
+                if r is None:
+                    return 0
+                rows[0][0] = 2 * rows[r][0]
+                for j in range(1, size):
+                    rows[j][0] += at(r, j)
+        prev, rows = rows[0][0], _bareiss_stage(rows, prev)
+    return rows[0][0] if rows else 1
 
 
 def solve_sparse_system(

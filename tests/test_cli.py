@@ -550,10 +550,12 @@ def _record_calls(monkeypatch, name, measure):
 
 def test_verify_takes_a_ternary_determinant_on_the_lattice(capsys, tmp_path, monkeypatch):
     # With two pencil matrices, check (c) compares integer determinants at
-    # the 28 points of the degree-6 principal lattice, each column of the
-    # row-balanced pencil scaled by its own denominator: on the N=6
-    # certificate the widest integer handed to Bareiss is 85 bits, against
-    # 183 handed to Berkowitz, which scales by the lcm of those denominators.
+    # the 28 points of the degree-6 principal lattice, each one symmetric
+    # Bareiss elimination on the lower triangle of a0*D' - a1*Y'_1 - a2*Y'_2,
+    # the symmetric D*G_s scaled to integers by a diagonal congruence and
+    # their common content: on the N=6 certificate the widest integer
+    # handed to Bareiss is 85 bits, against 183 handed to Berkowitz, which
+    # scales the row-balanced G_s by the lcm of their column denominators.
     poly, direction, _ = GOLDEN_CERTIFICATES[3]
     path = tmp_path / "cert.json"
     code, out, err = run(capsys, "certify", "--poly", poly, "--e", direction,

@@ -549,10 +549,11 @@ def _weighted_pencil(rng, size, n):
 
 
 def _check_c_case(seed):
-    """(ctx, pencil, cofactor, kind): a pencil whose determinant is
-    cofactor * h_monic, permuted out of block form, then left alone (kind 0),
-    given a D-symmetric G tamper (1), a cofactor term of the right degree (2)
-    or a cofactor of the wrong degree (3)."""
+    """(ctx, weights, pencil, cofactor, kind): a pencil whose determinant is
+    cofactor * h_monic, with D*G_s symmetric for the weights D, permuted out
+    of block form, then left alone (kind 0), given a D-symmetric G tamper
+    (1), a cofactor term of the right degree (2) or a cofactor of the wrong
+    degree (3)."""
     rng = random.Random(seed)
     n = rng.choice([1, 2, 2, 2, 3])
     k, m = rng.randint(1, 3), rng.randint(0, 3)
@@ -583,16 +584,18 @@ def _check_c_case(seed):
     elif kind == 3:
         inhomogeneous = cofactor + Poly.one(n + 1) if m else Poly.variable(n + 1, 1)
         cofactor = rng.choice([cofactor * Poly.variable(n + 1, 0), inhomogeneous, Poly.zero(n + 1)])
-    return ctx, pencil, cofactor, kind
+    return ctx, weights, pencil, cofactor, kind
 
 
 @pytest.mark.parametrize("seed", range(48))
-def test_lattice_check_agrees_with_the_division(seed):
-    # The lattice route and the Berkowitz route accept the same pencils and
-    # cofactors, and both reject every tamper; the Berkowitz route's one
-    # product comparison has one diagnostic.
-    ctx, pencil, cofactor, kind = _check_c_case(seed)
-    lattice = _lattice_check(ctx, pencil, cofactor)
+def test_lattice_check_agrees_with_berkowitz(seed):
+    # The lattice route, on the symmetric products D*G_s, and the Berkowitz
+    # route, on G_s, accept the same pencils and cofactors, and both reject
+    # every tamper; the Berkowitz route's one product comparison has one
+    # diagnostic.
+    ctx, weights, pencil, cofactor, kind = _check_c_case(seed)
+    products = [[[w * x for x in row] for w, row in zip(weights, g)] for g in pencil]
+    lattice = _lattice_check(ctx, weights, products, cofactor)
     berkowitz = _berkowitz_check(ctx, pencil, cofactor)
     assert (lattice is None) == (berkowitz is None) == (kind == 0), (lattice, berkowitz)
     assert berkowitz == (None if kind == 0 else "pencil determinant differs from cofactor * h_monic")
@@ -655,6 +658,17 @@ def test_verify_divides_by_nothing(monkeypatch):
 def test_verify_fresh_certificate():
     cert = certify(LORENTZ, (1, 0, 0))
     assert verify_certificate(cert) == (True, [])
+
+
+def test_verify_does_not_replay_the_lattice_without_weighted_symmetry():
+    # The lattice route reads one triangle of the symmetric D*G_s, so with
+    # (b) failing check (c) is not replayed, and verify fails on (b).
+    data = certify(LORENTZ, (1, 0, 0)).to_json_dict()
+    data["G"][0][0][2] = "2"
+    assert verify_certificate(DetRepCertificate.from_json_dict(data)) == (False, [
+        "(b) D*G_1 is not symmetric",
+        "(c) not replayed: the lattice route needs (a) and (b)",
+    ])
 
 
 def test_verify_detects_pencil_tamper():

@@ -58,29 +58,46 @@ def test_bareiss_zero_column():
 @pytest.mark.parametrize("matrix, det", [
     ([], 1),
     ([[-7]], -7),
-    ([[0, 1], [1, 0]], -1),  # a zero first pivot: one swap
-    ([[0, 2, 1], [0, 1, 3], [4, 5, 6]], 20),  # the first nonzero pivot is two rows down
-    ([[1, 2, 3], [2, 4, 7], [1, 1, 1]], 1),  # the stage-1 pivot vanishes: a later swap
+    ([[0, 1], [1, 0]], -1),  # a zero diagonal: the congruence, new pivot 2
+    ([[0, 1, 2], [1, 0, 3], [2, 3, -8]], 20),  # the first nonzero diagonal entry is two down
+    ([[-1, 1, 1], [1, -1, 0], [1, 0, 5]], 1),  # the stage-1 pivot vanishes: a later swap
     ([[1, 2], [2, 4]], 0),
-    ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 0),  # singular: only the last entry vanishes
-    ([[0, 1, 2], [0, 3, 4], [0, 5, 6]], 0),  # a zero column: no row to swap in
+    ([[1, 2, 3], [2, 5, 7], [3, 7, 10]], 0),  # singular: only the last entry vanishes
+    ([[0, 0, 0], [0, 0, 1], [0, 1, 0]], 0),  # a zero diagonal and a zero column
+    ([[0, 1, 2], [1, 0, 3], [2, 3, 0]], 12),  # a zero diagonal: the congruence
+    ([[1, 1, 0], [1, 1, 1], [0, 1, 0]], -1),  # the congruence at stage 1
 ])
 def test_integer_bareiss_on_swaps_and_singular_matrices(matrix, det):
-    assert linalg.bareiss_determinant(matrix) == det == bareiss_determinant(matrix)
+    assert all(row == list(col) for row, col in zip(matrix, zip(*matrix)))
+    assert linalg.bareiss_determinant(_lower(matrix)) == det == bareiss_determinant(matrix)
+
+
+def _lower(matrix):
+    return [row[:i + 1] for i, row in enumerate(matrix)]
+
+
+def _symmetric(n, entries):
+    """The n x n symmetric matrix whose lower triangle is read row by row from entries."""
+    rows = [entries[i * (i + 1) // 2:(i + 1) * (i + 2) // 2] for i in range(n)]
+    return [[rows[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 6).flatmap(lambda n: st.lists(
-    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7, 2**70]), min_size=n, max_size=n),
-    min_size=n, max_size=n)))
+    st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7, 2**70]),
+    min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2).map(lambda entries: _symmetric(n, entries))))
 def test_integer_bareiss_matches_the_oracle(matrix):
-    # Zeros are drawn often, so many matrices need a row swap or are singular.
-    assert linalg.bareiss_determinant(matrix) == bareiss_determinant(matrix)
+    # Zeros are drawn often, so many matrices need a symmetric swap or the
+    # congruence, or are singular.
+    assert linalg.bareiss_determinant(_lower(matrix)) == bareiss_determinant(matrix)
 
 
 def test_integer_bareiss_requires_a_square_matrix():
-    with pytest.raises(ValueError):
-        linalg.bareiss_determinant([[1, 2], [3, 4], [5, 6]])
+    # The kernel reads the lower triangle of a square matrix: row i has
+    # i + 1 entries.
+    for malformed in ([[1, 2], [3, 4], [5, 6]], [[1], [2]], [[1, 2], [3, 4]]):
+        with pytest.raises(ValueError):
+            linalg.bareiss_determinant(malformed)
 
 
 def test_leading_principal_minors():

@@ -588,7 +588,7 @@ def _check_c_case(seed):
 
 
 @pytest.mark.parametrize("seed", range(48))
-def test_lattice_check_agrees_with_berkowitz(seed):
+def test_lattice_check_agrees_with_the_division(seed):
     # The lattice route, on the symmetric products D*G_s, and the Berkowitz
     # route, on G_s, accept the same pencils and cofactors, and both reject
     # every tamper; the Berkowitz route's one product comparison has one

@@ -13,9 +13,11 @@ certificate replays in exact arithmetic.  certify takes the determinant of
 the P_s as one division-free Berkowitz characteristic polynomial over
 integer polynomials, and the cofactor as its x0-quotient by h_monic, the
 division that defines the quotient module (quotient.divide_by_h).  The
-replay divides nothing: with two pencil matrices (a ternary h) it compares
-symmetric integer determinants of D*G_s with cofactor * h_monic at the points
-of the principal lattice, and otherwise the Berkowitz determinant with that.
+replay divides nothing: it scales the symmetric pencil D, D*G_s to integers
+once, by one diagonal congruence, and with two pencil matrices (a ternary h)
+compares symmetric integer determinants of that pencil with
+cofactor * h_monic at the points of the principal lattice, and otherwise the
+Berkowitz determinant of its similar pencil with that.
 """
 
 from __future__ import annotations
@@ -340,59 +342,44 @@ def solve_symmetric_lift(
     return pencil, basis_pencil
 
 
-def _balanced_columns(pencil: Sequence[RatMatrix]) -> tuple[list[list[list[int]]], list[int]]:
-    """The pencil conjugated by diag(rho), as integer columns over their denominators.
+def _integer_pencil(weights: Sequence[Fraction], products: Sequence[RatMatrix]
+                    ) -> tuple[list[int], list[list[list[int]]]]:
+    """The symmetric pencil D, Y_s = D*G_s scaled to integers by one congruence.
 
-    rho_a is the lcm of the denominators in row a of every G_s, so
-    rho_a * G_s[a][b] is an integer and entry (a, b) of
-    A'_s = diag(rho) G_s diag(rho)^-1 has a denominator dividing rho_b alone.
-    Returns (cols, dens) with A'_s[a][b] = cols[s][a][b] / dens[b], dens[b]
-    the reduced common denominator of column b over every A'_s.  A
-    similarity leaves det(x0*I - sum_s x_s G_s) unchanged.
+    With sigma_a the lcm of the denominators of w_a and of row a of every
+    Y_s (once (b) holds, row a carries the denominators of column a, so rows
+    suffice), D' = diag(sigma^2 w) / c and Y'_s = diag(sigma) Y_s diag(sigma) / c
+    are integer, c their content.  Returns (D', [Y'_s]), D' as its diagonal.
+    det(a0*D' - sum_s a_s Y'_s) = prod(D') * det(a0*I - sum_s a_s G_s), and
+    D'^-1 Y'_s = diag(sigma)^-1 G_s diag(sigma) is a similarity of G_s.
     """
-    if not pencil or not pencil[0]:
-        raise ValueError("pencil must contain at least one non-empty matrix")
-    size = len(pencil[0])
-    for g in pencil:
-        if len(g) != size or any(len(row) != size for row in g):
-            raise ValueError("pencil matrices must be square and equally sized")
-    rho = [math.lcm(*(g[a][b].denominator for g in pencil for b in range(size)))
-           for a in range(size)]
-    ints = [[[x.numerator * (r // x.denominator) for x in row] for row, r in zip(g, rho)]
-            for g in pencil]
-    # rho_b over dens_b divides every integer of column b.
-    common = [math.gcd(r, *(m[a][b] for m in ints for a in range(size)))
-              for b, r in enumerate(rho)]
-    cols = [[[x // c for x, c in zip(row, common)] for row in m] for m in ints]
-    return cols, [r // c for r, c in zip(rho, common)]
+    sigma = [math.lcm(w.denominator, *(x.denominator for y in products for x in y[a]))
+             for a, w in enumerate(weights)]
+    diag = [w.numerator * (r // w.denominator) * r for w, r in zip(weights, sigma)]
+    ints = [[[x.numerator * (sigma[a] // x.denominator) * sigma[b] for b, x in enumerate(row)]
+             for a, row in enumerate(y)] for y in products]
+    content = math.gcd(*diag, *(x for m in ints for row in m for x in row)) or 1  # 0 when N = 0
+    return [x // content for x in diag], [[[x // content for x in row] for row in m] for m in ints]
 
 
-def pencil_determinant(pencil: Sequence[RatMatrix]) -> Poly:
-    """det(x0*I - sum_s x_s G_s) as an exact homogeneous polynomial.
+def _charpoly(ints: Sequence[Sequence[Sequence[int]]], dens: Sequence[int]) -> Poly:
+    """det(x0*I - sum_s x_s A_s) for A_s[a][b] = ints[s][a][b] / dens[a], exactly.
 
-    The determinant is the characteristic polynomial of A(x) = sum_s x_s G_s
-    in x0.  It is computed in one division-free Berkowitz pass over the ring
-    of integer polynomials in x1..xn, on L*A' where A' is the row-balanced
-    pencil of _balanced_columns and L the lcm of its column denominators;
-    the x0^(N-i) coefficient is then divided by L^i.  When each entry's
-    denominator carries factors of both its row and its column, as in a
-    lifted certificate pencil, L drops the row factors and has about half
-    the bits of the lcm of the entries of A.
+    Row a is divided by the gcd of dens[a] and its integers in every A_s,
+    and the pencil is scaled by the lcm L of the reduced denominators.  One
+    division-free Berkowitz pass over the ring of integer polynomials in
+    x1..xn gives the characteristic polynomial of L*A, whose x0^(N-i)
+    coefficient is then divided by L^i.
     """
-    cols, dens = _balanced_columns(pencil)
-    size = len(dens)
-    n = len(pencil)
+    size, n = len(dens), len(ints)
+    common = [math.gcd(den, *(m[a][b] for m in ints for b in range(size))) for a, den in enumerate(dens)]
+    dens = [den // g for den, g in zip(dens, common)]
     scale = math.lcm(*dens)
     # A monomial x1^e1..xn^en is packed as the int sum e_s * base^(s-1), so
     # multiplying monomials adds keys; no exponent reaches base = N+1.
     base = size + 1
-    mat = [
-        [
-            {base**s: m[a][b] * (scale // dens[b]) for s, m in enumerate(cols) if m[a][b]}
-            for b in range(size)
-        ]
-        for a in range(size)
-    ]
+    mat = [[{base**s: m[a][b] // g * (scale // den) for s, m in enumerate(ints) if m[a][b]}
+            for b in range(size)] for a, (g, den) in enumerate(zip(common, dens))]
     coeffs = _berkowitz_charpoly(mat)
     terms: dict[tuple[int, ...], Fraction] = {}
     for i, coeff in enumerate(coeffs):
@@ -404,6 +391,18 @@ def pencil_determinant(pencil: Sequence[RatMatrix]) -> Poly:
                 exps.append(e)
             terms[(size - i,) + tuple(exps)] = Fraction(c, den)
     return Poly(n + 1, terms)
+
+
+def pencil_determinant(pencil: Sequence[RatMatrix]) -> Poly:
+    """det(x0*I - sum_s x_s G_s) as an exact homogeneous polynomial.
+
+    Row a of every G_s is scaled to integers by rho_a, the lcm of its
+    denominators over every G_s, and _charpoly takes the determinant of
+    the pencil with entries (rho_a G_s[a][b]) / rho_a.
+    """
+    rho = [math.lcm(*(x.denominator for g in pencil for x in g[a])) for a in range(len(pencil[0]))]
+    return _charpoly([[[x.numerator * (r // x.denominator) for x in row] for row, r in zip(g, rho)]
+                      for g in pencil], rho)
 
 
 def _dot(fs: Sequence[dict[int, int]], gs: Sequence[dict[int, int]]) -> dict[int, int]:
@@ -422,13 +421,14 @@ def _berkowitz_charpoly(mat: list[list[dict[int, int]]]) -> list[dict[int, int]]
     Berkowitz (IPL 1984): with M = [[a, R], [C, M']], the characteristic
     polynomial of M is the lower-triangular Toeplitz matrix with first
     column (1, -a, -R C, -R M' C, ..., -R M'^(m-1) C) applied to that of the
-    m x m block M'.  Only ring operations, so integer entries stay integers.
+    m x m block M'.  It starts from the empty matrix, whose characteristic
+    polynomial is 1.  Only ring operations, so integer entries stay integers.
     """
     def neg(f):
         return {key: -c for key, c in f.items()}
 
-    coeffs = [{0: 1}, neg(mat[-1][-1])]
-    for k in range(len(mat) - 2, -1, -1):
+    coeffs = [{0: 1}]
+    for k in range(len(mat) - 1, -1, -1):
         block = [row[k + 1:] for row in mat[k + 1:]]
         toeplitz = [{0: 1}, neg(mat[k][k])]
         vec = [row[k] for row in mat[k + 1:]]
@@ -440,14 +440,15 @@ def _berkowitz_charpoly(mat: list[list[dict[int, int]]]) -> list[dict[int, int]]
     return coeffs
 
 
-def _berkowitz_check(ctx: QuotientContext, pencil: Sequence[RatMatrix], cofactor: Poly) -> str | None:
-    """Check (c) as one product comparison: the Berkowitz determinant is cofactor * h_monic."""
-    if pencil_determinant(pencil) != cofactor * ctx.h:
+def _berkowitz_check(ctx: QuotientContext, diag: Sequence[int], ints: Sequence[Sequence[Sequence[int]]],
+                     cofactor: Poly) -> str | None:
+    """Check (c) as one product comparison: det(x0*I - sum_s x_s D'^-1 Y'_s) is cofactor * h_monic."""
+    if _charpoly(ints, diag) != cofactor * ctx.h:
         return "pencil determinant differs from cofactor * h_monic"
     return None
 
 
-def _lattice_check(ctx: QuotientContext, weights: Sequence[Fraction], products: Sequence[RatMatrix],
+def _lattice_check(ctx: QuotientContext, diag: Sequence[int], ints: Sequence[Sequence[Sequence[int]]],
                    cofactor: Poly) -> str | None:
     """Check (c) at the points of the principal lattice, with no division by h.
 
@@ -459,28 +460,18 @@ def _lattice_check(ctx: QuotientContext, weights: Sequence[Fraction], products: 
     condition carries weight: cofactor * (x0 + x1 + x2) / N agrees with the
     cofactor at every lattice point.  The points are the exponents of the
     degree-N monomials (r_monomials_of_degree, x0's slot dropped), in
-    descending lex order.  weights is the diagonal w of D > 0 and products
-    the Y_s = D*G_s, symmetric by (b).  With sigma_a the lcm of the
-    denominators of w_a and row a of every Y_s, D' = diag(sigma^2 w) / c and
-    Y'_s = diag(sigma) Y_s diag(sigma) / c are integer, c their content, and
-    det(a0*D' - sum_s a_s Y'_s) = prod(D') * det(a0*I - sum_s a_s G_s) is one
-    symmetric bareiss_determinant on a lower triangle.  den*cofactor and
-    den*h_monic at a are sum_j c_j(a1..an)*a0^j over their integer_forms.
+    descending lex order.  (diag, ints) is the integer pencil (D', [Y'_s])
+    of _integer_pencil, so det(a0*D' - sum_s a_s Y'_s) =
+    prod(D') * det(a0*I - sum_s a_s G_s) is one symmetric bareiss_determinant
+    on its lower triangle.  den*cofactor and den*h_monic at a are
+    sum_j c_j(a1..an)*a0^j over their integer_forms.
     """
-    size = len(weights)
+    size = len(diag)
     degree = size - ctx.d
     if cofactor.nvars != ctx.nvars or (
         cofactor and not (cofactor.is_homogeneous and cofactor.degree == degree)
     ):
         return f"cofactor is not a form of degree N - d = {degree} in x0..x{ctx.n}"
-    sigma = [math.lcm(w.denominator, *(x.denominator for y in products for x in y[a]))
-             for a, w in enumerate(weights)]
-    diag = [w.numerator * (r // w.denominator) * r for w, r in zip(weights, sigma)]
-    ints = [[[x.numerator * (sigma[a] // x.denominator) * sigma[b] for b, x in enumerate(row[:a + 1])]
-             for a, row in enumerate(y)] for y in products]
-    content = math.gcd(*diag, *(x for m in ints for row in m for x in row)) or 1  # 0 when N = 0
-    diag = [x // content for x in diag]
-    ints = [[[x // content for x in row] for row in m] for m in ints]
     cofactor_forms, cofactor_den = integer_forms(cofactor)
     h_forms, h_den = integer_forms(ctx.h)
     diag_product = math.prod(diag)
@@ -490,6 +481,7 @@ def _lattice_check(ctx: QuotientContext, weights: Sequence[Fraction], products: 
         mat = [[0] * a + [a0 * d] for a, d in enumerate(diag)]
         for c, m in zip(rest, ints):
             if c:
+                # zip stops at row a's a + 1 entries: the lower triangle.
                 mat = [[x - c * y for x, y in zip(row, line)] for row, line in zip(mat, m)]
         lhs = bareiss_determinant(mat) * cofactor_den * h_den
         cofactor_value, h_value = (sum(c * a0**j for j, c in enumerate(_restriction(forms, rest)))
@@ -572,16 +564,18 @@ def verify_certificate(cert: DetRepCertificate) -> tuple[bool, list[str]]:
     cofactor * h_monic, with h_monic recomputed from h and T, and (d) the
     pencil evaluated at the transformed direction is the identity.  Check
     (c) builds the quotient context of h from h and T, which makes h monic
-    and refuses an h that vanishes at (1,0,...,0).  It takes one of two
-    exact routes, chosen by the number n of pencil matrices: for n = 2,
+    and refuses an h that vanishes at (1,0,...,0).  (b) compares each
+    Y_s = D*G_s with its transpose, and once (a) and (b) hold, (c) scales
+    D and the Y_s to the integer pencil (D', [Y'_s]) of _integer_pencil;
+    otherwise (c) is not replayed.  It takes one of two exact routes on that
+    pencil, chosen by the number n of pencil matrices: for n = 2,
     _lattice_check, which requires the cofactor to be zero or a form of
     degree N - d and compares values at the (N+1)(N+2)/2 points of the
     principal lattice; otherwise _berkowitz_check, which compares the
-    Berkowitz determinant with the product cofactor * h_monic.  Neither
-    divides by h_monic.  (b) compares each Y_s = D*G_s with its transpose;
-    the lattice route reads one triangle of the Y_s, so it runs only when
-    (a) and (b) hold.  Failures are reported as diagnostics, never raised.
-    The SDP and the sampling stages are deliberately not replayed.
+    Berkowitz determinant of D'^-1 Y'_s, a similarity of G_s, with the
+    product cofactor * h_monic.  Neither divides by h_monic.  Failures are
+    reported as diagnostics, never raised.  The SDP and the sampling stages
+    are deliberately not replayed.
     """
     diagnostics: list[str] = []
     size = cert.size
@@ -605,9 +599,9 @@ def verify_certificate(cert: DetRepCertificate) -> tuple[bool, list[str]]:
     if shapes_ok:
         try:
             ctx = QuotientContext(apply_linear(cert.h, invert_matrix(cert.transform)))
-            failure = (_berkowitz_check(ctx, cert.pencil, cert.cofactor) if n != 2
-                       else "not replayed: the lattice route needs (a) and (b)" if diagnostics
-                       else _lattice_check(ctx, cert.weights, products, cert.cofactor))
+            failure = ("not replayed: it needs (a) and (b)" if diagnostics
+                       else (_lattice_check if n == 2 else _berkowitz_check)(
+                           ctx, *_integer_pencil(cert.weights, products), cert.cofactor))
             if failure:
                 diagnostics.append(f"(c) {failure}")
         except (HyperdetError, ValueError) as exc:

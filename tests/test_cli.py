@@ -285,14 +285,24 @@ def test_multiplier_field_is_not_replayed(capsys, tmp_path):
 
 
 def test_empty_pencil_certificate_is_refused(capsys, tmp_path):
-    path = tmp_path / "empty.json"
-    path.write_text(json.dumps({**_lorentz_certificate(capsys, tmp_path),
-                                "N": 0, "D": [], "G": [[], []]}))
-    code, out, err = run(capsys, "verify", "--cert", str(path))
-    assert code == 1, err
-    payload = json.loads(out)
-    assert payload["valid"] is False
-    assert any(d.startswith("(c)") for d in payload["diagnostics"])
+    # An N = 0 pencil has determinant 1, which is not cofactor * h_monic for
+    # cofactor 0 or 1, whichever route check (c) takes: one (c) line each.
+    certificates = [{**_lorentz_certificate(capsys, tmp_path), "N": 0, "D": [], "G": [[], []]}]
+    for n in (1, 2, 3):
+        for cofactor in ("0", "1"):
+            certificates.append({
+                "schema": "hyperdet/1", "h": " - ".join(f"x{i}^2" for i in range(n + 1)),
+                "e": ["1"] + ["0"] * n, "T": [[str(int(i == j)) for j in range(n + 1)] for i in range(n + 1)],
+                "N": 0, "D": [], "G": [[]] * n, "cofactor": cofactor, "q_multiplier": "1"})
+    for data in certificates:
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--cert", str(path))
+        assert (code, err) == (1, ""), (data, err)
+        payload = json.loads(out)
+        assert payload["valid"] is False
+        [diagnostic] = payload["diagnostics"]
+        assert diagnostic.startswith("(c)"), diagnostic
 
 
 @pytest.mark.parametrize("argv", [
@@ -555,7 +565,7 @@ def test_verify_takes_a_ternary_determinant_on_the_lattice(capsys, tmp_path, mon
     # the symmetric D*G_s scaled to integers by a diagonal congruence and
     # their common content: on the N=6 certificate the widest integer
     # handed to Bareiss is 85 bits, against 183 handed to Berkowitz, which
-    # scales the row-balanced G_s by the lcm of their column denominators.
+    # scales the similar pencil D'^-1 Y'_s by the lcm of its row denominators.
     poly, direction, _ = GOLDEN_CERTIFICATES[3]
     path = tmp_path / "cert.json"
     code, out, err = run(capsys, "certify", "--poly", poly, "--e", direction,
@@ -573,13 +583,15 @@ def test_verify_takes_a_ternary_determinant_on_the_lattice(capsys, tmp_path, mon
 
 def test_verify_takes_its_determinant_on_a_row_balanced_pencil(capsys, tmp_path, monkeypatch):
     # With three or more pencil matrices, check (c) stays one Berkowitz pass
-    # on the pencil conjugated by the diagonal of its row lcms: on the N=10
-    # certificate of the seed-1 Renegar cubic in four variables the widest
-    # integer handed to Berkowitz is 1122 bits, against 1749 when G_s is
-    # scaled by the lcm of all its denominators.  The lift has free unknowns
-    # there, and zeroing them in S coordinates gives G_s of 318 bits, against
-    # 767 (and 1555 bits handed to Berkowitz) when they were zeroed in the
-    # scaled entries Z_s.
+    # on D'^-1 Y'_s = diag(sigma)^-1 G_s diag(sigma), the similarity of G_s
+    # that the integer pencil of D and D*G_s gives, each row reduced by its
+    # gcd with its denominator: on the N=10 certificate of the seed-1
+    # Renegar cubic in four variables the widest integer handed to
+    # Berkowitz is 1122 bits, against 1749 when G_s is scaled by the lcm of
+    # all its denominators.  The lift has free unknowns there, and zeroing
+    # them in S coordinates gives G_s of 318 bits, against 767 (and 1555
+    # bits handed to Berkowitz) when they were zeroed in the scaled entries
+    # Z_s.
     poly = str(renegar_derivative(random.Random(1), 4, 5))
     path = tmp_path / "cert.json"
     code, out, err = run(capsys, "certify", "--poly", poly, "--e", "1,0,0,0",

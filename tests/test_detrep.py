@@ -27,6 +27,8 @@ from hyperdet import (
 )
 from hyperdet.detrep import (
     _berkowitz_check,
+    _charpoly,
+    _integer_pencil,
     _lattice_check,
     pencil_determinant,
     solve_symmetric_lift,
@@ -286,9 +288,10 @@ def conjugated_pencils(draw):
 @settings(max_examples=60, deadline=None)
 @given(conjugated_pencils())
 def test_pencil_determinant_is_invariant_under_diagonal_similarity(drawn):
-    # pencil_determinant balances the pencil by its row lcms before the
-    # integer pass; a pencil already conjugated by a diagonal with wide
-    # denominators must still give the one determinant, the Leibniz sum's.
+    # pencil_determinant scales each row by the lcm of its denominators; a
+    # pencil conjugated by a diagonal with wide denominators, whose rows and
+    # columns then carry unrelated factors, must still give the one
+    # determinant, the Leibniz sum's.
     pencil, conjugated = drawn
     expected = leibniz_determinant(_pencil_matrix(pencil))
     assert pencil_determinant(pencil) == expected
@@ -589,16 +592,62 @@ def _check_c_case(seed):
 
 @pytest.mark.parametrize("seed", range(48))
 def test_lattice_check_agrees_with_the_division(seed):
-    # The lattice route, on the symmetric products D*G_s, and the Berkowitz
-    # route, on G_s, accept the same pencils and cofactors, and both reject
-    # every tamper; the Berkowitz route's one product comparison has one
-    # diagnostic.
+    # The two routes of check (c) read the one integer pencil (D', Y'_s) of
+    # the symmetric products D*G_s: the lattice route its lower triangles,
+    # the Berkowitz route the similar D'^-1 Y'_s.  They accept the same
+    # pencils and cofactors, and both reject every tamper; the Berkowitz
+    # route's one product comparison has one diagnostic.
     ctx, weights, pencil, cofactor, kind = _check_c_case(seed)
     products = [[[w * x for x in row] for w, row in zip(weights, g)] for g in pencil]
-    lattice = _lattice_check(ctx, weights, products, cofactor)
-    berkowitz = _berkowitz_check(ctx, pencil, cofactor)
+    diag, ints = _integer_pencil(weights, products)
+    lattice = _lattice_check(ctx, diag, ints, cofactor)
+    berkowitz = _berkowitz_check(ctx, diag, ints, cofactor)
     assert (lattice is None) == (berkowitz is None) == (kind == 0), (lattice, berkowitz)
     assert berkowitz == (None if kind == 0 else "pencil determinant differs from cofactor * h_monic")
+
+
+@st.composite
+def wide_weight_pencils(draw):
+    """(weights, pencil, k): G_s = D^-1 S_s, S_s symmetric with no entry
+    between the first k indices and the rest, size 1-5, 1-3 matrices, and
+    weight numerators and denominators up to 2**64."""
+    size = draw(st.integers(1, 5))
+    k = draw(st.integers(1, size))
+    wide = st.integers(1, 2**64)
+    weights = [Fraction(draw(wide), draw(wide)) for _ in range(size)]
+    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    pencil = []
+    for _ in range(draw(st.integers(1, 3))):
+        sym = [[F(0)] * size for _ in range(size)]
+        for a in range(size):
+            for b in range(a + 1):
+                if (a < k) == (b < k):
+                    sym[a][b] = sym[b][a] = draw(entry)
+        pencil.append([[x / w for x in row] for row, w in zip(sym, weights)])
+    return weights, pencil, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_weight_pencils())
+def test_integer_pencil_keeps_the_determinant_with_wide_weights(drawn):
+    # Wide weights send wide denominators through sigma, the content
+    # division and _charpoly's per-row gcd.  The integer pencil keeps the
+    # Leibniz determinant of G, and with h the determinant of the first
+    # diagonal block, both routes accept the true cofactor, the second's.
+    weights, pencil, k = drawn
+    n = len(pencil)
+    products = [[[w * x for x in row] for w, row in zip(weights, g)] for g in pencil]
+    diag, ints = _integer_pencil(weights, products)
+    assert _charpoly(ints, diag) == leibniz_determinant(_pencil_matrix(pencil))
+
+    def block_determinant(block):
+        return leibniz_determinant(_pencil_matrix([[row[block] for row in g[block]] for g in pencil]))
+
+    ctx = QuotientContext(block_determinant(slice(k)))
+    cofactor = block_determinant(slice(k, None)) if k < len(weights) else Poly.one(n + 1)
+    assert _berkowitz_check(ctx, diag, ints, cofactor) is None
+    if n == 2:
+        assert _lattice_check(ctx, diag, ints, cofactor) is None
 
 
 def test_lattice_agreeing_wrong_cofactors_fail_check_c():
@@ -618,7 +667,8 @@ def test_lattice_agreeing_wrong_cofactors_fail_check_c():
         assert verify_certificate(DetRepCertificate.from_json_dict(data)) == (
             False, [f"(c) cofactor is not a form of degree N - d = {degree} in x0..x2"])
         ctx = QuotientContext(apply_linear(cert.h, invert_matrix(cert.transform)))
-        assert _berkowitz_check(ctx, cert.pencil, cofactor) is not None
+        products = [[[w * x for x in row] for w, row in zip(cert.weights, g)] for g in cert.pencil]
+        assert _berkowitz_check(ctx, *_integer_pencil(cert.weights, products), cofactor) is not None
 
 
 def test_lattice_check_names_the_first_failing_point():
@@ -661,14 +711,17 @@ def test_verify_fresh_certificate():
 
 
 def test_verify_does_not_replay_the_lattice_without_weighted_symmetry():
-    # The lattice route reads one triangle of the symmetric D*G_s, so with
-    # (b) failing check (c) is not replayed, and verify fails on (b).
-    data = certify(LORENTZ, (1, 0, 0)).to_json_dict()
-    data["G"][0][0][2] = "2"
-    assert verify_certificate(DetRepCertificate.from_json_dict(data)) == (False, [
-        "(b) D*G_1 is not symmetric",
-        "(c) not replayed: the lattice route needs (a) and (b)",
-    ])
+    # Both routes of check (c) read the integer pencil built from the
+    # symmetric D*G_s, the lattice route one triangle of it, so with (b)
+    # failing check (c) is not replayed, and verify fails on (b): with two
+    # pencil matrices and with three.
+    for h, (a, b) in ((LORENTZ, (0, 2)), (P("x0^2 - x1^2 - x2^2 - x3^2"), (0, 1))):
+        data = certify(h, (1,) + (0,) * (h.nvars - 1)).to_json_dict()
+        data["G"][0][a][b] = "2"
+        assert verify_certificate(DetRepCertificate.from_json_dict(data)) == (False, [
+            "(b) D*G_1 is not symmetric",
+            "(c) not replayed: it needs (a) and (b)",
+        ])
 
 
 def test_verify_detects_pencil_tamper():

@@ -175,7 +175,7 @@ def _run_certify(args: argparse.Namespace) -> int:
         f"cofactor: {cert.cofactor}",
         f"multiplier: {cert.multiplier}",
         f"weights: ({', '.join(str(w) for w in cert.weights)})",
-        "verified: true",
+        "checked: h_monic divides the pencil determinant",
     ]
     _emit(args, payload, lines)
     return EXIT_OK

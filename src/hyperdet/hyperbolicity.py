@@ -17,8 +17,8 @@ definiteness of the derivative Bézoutian at w (Basu, Pollack & Roy,
 *Algorithms in Real Algebraic Geometry*, ch. 4).  The verdicts are
 asymmetric: a NotHyperbolic verdict carries an exact witness line, while a
 HyperbolicSampled verdict only says no sampled line failed.  The PD witness
-check plays the same role for the smoothness hypothesis; it tests one line
-more on a cylinder, read from the exact lineality space, where the witness
+check plays the same role for the smoothness hypothesis; on a cylinder it
+first tests one line read from the exact lineality space, where the witness
 is exact.
 """
 
@@ -298,26 +298,28 @@ def pd_witness_check(
     failure pinpoints a line whose restriction has a repeated or complex
     root.  num_samples must be a positive int (InputError).
 
-    After every sampled line passes, one more line is tested when h is a
-    cylinder: w = v[1:] for the first vector v of lineality_space(h), and
-    samples_used counts it.  That witness is exact.  e = (1,0,...,0) is not
-    in the lineality space, because h(e) != 0 = h(v); so v's free
-    coordinate is not x0 (that basis vector would be e), w holds its unit,
-    and h_monic(t, w) = h(t*e - v_0*e + v) = (t - v_0)^d, which for d >= 2
-    has one distinct root.  For d = 1 that line has d distinct roots, so a
-    linear h still passes.
+    When h is a cylinder, one exact line is tested before any sampled line:
+    w = v[1:] for the first vector v of lineality_space(h), counted in
+    samples_used.  e = (1,0,...,0) is not in the lineality space, because
+    h(e) != 0 = h(v); so v's free coordinate is not x0 (that basis vector
+    would be e), w holds its unit, and h_monic(t, w) = h(t*e - v_0*e + v) =
+    (t - v_0)^d, which for d >= 2 has one distinct root.  So a cylinder of
+    degree d >= 2 is refused at w with samples_used = 1, whatever the
+    samples would say.  For d = 1 that line has d distinct roots, and a
+    linear h goes on to pass every sampled line (samples_used is
+    num_samples + 1).
     """
     check_num_samples(num_samples)
     forms, _ = integer_forms(ctx.h)
     used = 0
+    lineality = lineality_space(ctx.h)
+    if lineality:
+        used = 1
+        w = lineality[0][1:]
+        if not _has_distinct_real_roots(forms, _integer_point(w)):
+            return PdWitnessReport(False, w, used)
     for u, q in sample_directions(ctx.n, num_samples, seed):
         used += 1
         if not _has_distinct_real_roots(forms, u):
             return PdWitnessReport(False, tuple(Fraction(c, q) for c in u), used)
-    lineality = lineality_space(ctx.h)
-    if lineality:
-        used += 1
-        w = lineality[0][1:]
-        if not _has_distinct_real_roots(forms, _integer_point(w)):
-            return PdWitnessReport(False, w, used)
     return PdWitnessReport(True, None, used)

@@ -22,9 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
+
+# The problem data is numpy-free and lives with its one builder, so that
+# numpy loads only where an SDP is solved; both names stay importable here.
+from .sos import ExactConstraint, SdpProblem
 
 DIVERGENCE_THRESHOLD = 1.0e8
 DEFAULT_TOL = 1.0e-8
@@ -38,37 +41,6 @@ _STEP_FRACTION = 0.98
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
 MAX_ITERATIONS = "MaxIterations"
-
-# Exact constraint row: Frobenius-pairing weights by matrix position, and
-# the right-hand side.
-ExactConstraint = tuple[dict[tuple[int, int], Fraction], Fraction]
-
-
-@dataclass
-class SdpProblem:
-    """Affine-constrained symmetric matrix feasibility data.
-
-    Each constraint is an exact sparse row ({(a, b): weight}, b_k) encoding
-    <A_k, G> = b_k under the Frobenius pairing, where A_k holds the weights
-    at their positions and zeros elsewhere.  These rows are the only
-    statement of the constraints: the solver reads float copies of them, and
-    the rounding stage projects onto them exactly.
-    """
-
-    m: int
-    constraints: list[ExactConstraint]
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("matrix size must be at least 1")
-        if not self.constraints:
-            raise ValueError("constraint list must be nonempty")
-        for row, _ in self.constraints:
-            for (a, b), weight in row.items():
-                if not (0 <= a < self.m and 0 <= b < self.m):
-                    raise ValueError(f"constraint position {(a, b)} is outside {self.m}x{self.m}")
-                if row.get((b, a)) != weight:
-                    raise ValueError("constraint rows must be exactly symmetric")
 
 
 @dataclass

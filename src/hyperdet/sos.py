@@ -20,14 +20,17 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegreeTooSmall, Exhausted, NotPD, RoundingFailed
 from .linalg import RatMatrix, ldl_decompose
 from .poly import Monomial, Poly, grlex_key
 from .quotient import BezoutianForm, QuotientContext, bezoutian_of
-from .sdp import ExactConstraint, SdpProblem, solve_maxeig
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .sdp import SdpSolution
 
 DEFAULT_ELL_MAX = 4
 # The rounding grids of each level, coarse first: the positive-definiteness
@@ -37,6 +40,37 @@ DEFAULT_ELL_MAX = 4
 DENOMINATOR_BOUNDS = (2**8, 2**16, 2**32, 2**64)
 
 _ZERO = Fraction(0)
+
+# Exact constraint row: Frobenius-pairing weights by matrix position, and
+# the right-hand side.
+ExactConstraint = tuple[dict[tuple[int, int], Fraction], Fraction]
+
+
+@dataclass
+class SdpProblem:
+    """Affine-constrained symmetric matrix feasibility data.
+
+    Each constraint is an exact sparse row ({(a, b): weight}, b_k) encoding
+    <A_k, G> = b_k under the Frobenius pairing, where A_k holds the weights
+    at their positions and zeros elsewhere.  These rows are the only
+    statement of the constraints: the solver (sdp.solve_maxeig) reads float
+    copies of them, and the rounding stage projects onto them exactly.
+    """
+
+    m: int
+    constraints: list[ExactConstraint]
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError("matrix size must be at least 1")
+        if not self.constraints:
+            raise ValueError("constraint list must be nonempty")
+        for row, _ in self.constraints:
+            for (a, b), weight in row.items():
+                if not (0 <= a < self.m and 0 <= b < self.m):
+                    raise ValueError(f"constraint position {(a, b)} is outside {self.m}x{self.m}")
+                if row.get((b, a)) != weight:
+                    raise ValueError("constraint rows must be exactly symmetric")
 
 
 @dataclass(frozen=True)
@@ -233,6 +267,15 @@ def round_gram(
         for j in range(i, m):
             approx[i][j] = approx[j][i] = Fraction(num[i][j], bound * scale)
     return approx
+
+
+def solve_maxeig(problem: SdpProblem) -> SdpSolution:
+    """sdp.solve_maxeig, imported at the first solve: numpy, which the
+    solver needs, loads only when an SDP runs, so check, verify and
+    bezoutian never import it."""
+    from . import sdp
+
+    return sdp.solve_maxeig(problem)
 
 
 def find_sos_decomposition(

@@ -6,7 +6,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -468,7 +470,7 @@ GOLDEN_CHECKS = [
     ("x0*x1*x2", "1,1,1", 1,
      "8c8063fd571e2b4b601d410d992828d5d0319df115b4ecb9529e76e106f980f2"),
     ("x0^2 - x1^2", "1,0,0", 1,
-     "59fd81347eb9f00dcc15aae3e87b96e639a5c0f740c450a772a53fc352fe2627"),
+     "88b0bd64635ed54e314748df1f36fb3c749a75e20566f3fb0b372d7d36110425"),
 ]
 
 
@@ -485,6 +487,45 @@ def test_certify_refusal_line_is_pinned(capsys):
     assert err == ("refused: [pd_witness] derivative Bézoutian not positive definite at "
                    "v=('1', '0'); the polynomial is not hyperbolic or has a real "
                    "singularity\n")
+
+
+def test_certify_text_states_the_division_it_checked(capsys):
+    # certify does not run the verifier; the one identity it tests is that
+    # h_monic divides the pencil determinant, and its text says only that.
+    code, out, err = run(capsys, *LORENTZ_CERTIFY, "--format", "text")
+    assert code == 0, err
+    assert out.splitlines() == [
+        "certificate: N=3",
+        "cofactor: x0",
+        "multiplier: 1",
+        "weights: (2, 2, 2)",
+        "checked: h_monic divides the pencil determinant",
+    ]
+
+
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+from hyperdet.cli import main
+lorentz = ["--poly", "x0^2 - x1^2 - x2^2", "--e", "1,0,0"]
+codes = [main(["check", *lorentz]), main(["bezoutian", *lorentz]),
+         main(["verify", "--cert", sys.argv[1]])]
+sys.exit(0 if codes == [0, 0, 0] else f"exit codes {codes}")
+"""
+
+
+def test_check_verify_and_bezoutian_run_without_numpy(capsys, tmp_path):
+    # numpy is imported at certify's first SDP solve, so importing the CLI
+    # and running the other three commands needs only the standard library.
+    path = tmp_path / "cert.json"
+    code, *_ = run(capsys, *LORENTZ_CERTIFY, "--output", str(path))
+    assert code == 0
+    src = os.path.dirname(os.path.dirname(hyperdet.cli.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, str(path)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count('"command": ') == 3
 
 
 def test_legacy_float_pencil_key_is_ignored(capsys, tmp_path):
@@ -611,8 +652,8 @@ def test_verify_takes_its_determinant_on_a_row_balanced_pencil(capsys, tmp_path,
 def test_cylinder_quadric_is_refused_at_its_lineality_witness(capsys, monkeypatch):
     # Rank-deficient 4-variable quadric: h(x + v) = h(x) for v = (15/11,
     # 4/11, -2/11, 1), so the derivative Bézoutian is singular at v's last
-    # three coordinates.  Every sampled line passes; the lineality line,
-    # tested after them, refuses it before any SDP is solved.
+    # three coordinates.  The lineality line, tested before any sampled
+    # line, refuses it before any SDP is solved.
     solves = []
     monkeypatch.setattr(hyperdet.sos, "solve_maxeig", lambda *args, **kw: solves.append(args))
     start = time.perf_counter()

@@ -193,13 +193,38 @@ def test_pd_witness_detects_singular_quadric():
 
 
 def test_pd_witness_linear():
-    # A linear h is a cylinder, and its lineality line, tested after the 64
-    # samples, has d = 1 distinct root: no refusal.
+    # A linear h is a cylinder, and its lineality line, tested before the 64
+    # samples, has d = 1 distinct root: no refusal, and every sample runs.
     h = P("x0 - x1")
     assert lineality_space(h) == [(1, 1)]
     report = pd_witness_check(QuotientContext(h))
     assert report.ok and report.witness is None
     assert report.samples_used == 64 + 1
+
+
+def test_cylinder_is_refused_at_its_lineality_line_before_any_sample():
+    # The rank-deficient 4-variable quadric of the CLI's cylinder test:
+    # one line, the exact lineality line, is restricted and read, and the
+    # sample stream is never drawn from.
+    h = P("x0^2 + x0*x1 + 1/2*x0*x2 - 3*x0*x3 - 3*x1^2 - 9/2*x1*x2 - 4*x2^2"
+          " - 1/2*x2*x3 + 2*x3^2")
+    ctx = QuotientContext(normalize_direction(h, (1, 0, 0, 0))[0])
+    lines = []
+
+    def spy(forms, u):
+        lines.append(tuple(u))
+        return _restriction(forms, u)
+
+    def no_samples(*args):
+        raise AssertionError("sample_directions was called")
+
+    with patch.object(hyperbolicity, "_restriction", spy), \
+            patch.object(hyperbolicity, "sample_directions", no_samples):
+        report = pd_witness_check(ctx)
+    assert lines == [(4, -2, 11)]
+    assert not report.ok
+    assert report.witness == (Fraction(4, 11), Fraction(-2, 11), Fraction(1))
+    assert report.samples_used == 1
 
 
 def test_pd_witness_implies_real_rooted_restrictions():
@@ -361,17 +386,17 @@ def test_pd_witness_matches_the_evaluated_bezoutian_at_every_sample():
             cylinders.append(index)
         for count in range(1, len(points) + 1):
             report = pd_witness_check(ctx, num_samples=count, seed=7)
-            if first_bad is not None and first_bad < count:
-                assert not report.ok, (str(h), e, count)
-                assert report.witness == points[first_bad]
-                assert report.samples_used == first_bad + 1
-            elif lineality:
-                # Every sample passed; the lineality line, tested last,
-                # refuses the cylinder at an exact witness.
+            if lineality:
+                # The lineality line, tested before any sample, refuses the
+                # cylinder at an exact witness.
                 assert not report.ok, (str(h), e, count)
                 assert report.witness == lineality[0][1:]
                 assert not is_positive_definite(evaluate_form(omega, report.witness))
-                assert report.samples_used == count + 1
+                assert report.samples_used == 1
+            elif first_bad is not None and first_bad < count:
+                assert not report.ok, (str(h), e, count)
+                assert report.witness == points[first_bad]
+                assert report.samples_used == first_bad + 1
             else:
                 assert report.ok, (str(h), e, count)
                 assert report.samples_used == count

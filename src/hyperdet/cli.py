@@ -3,7 +3,7 @@
 Commands:
   check      hyperbolicity verdict plus the PD-witness report
   bezoutian  the difference-quotient Bézoutian and the derivative Bézoutian
-  certify    run the full pipeline and emit a certificate that verifies by construction
+  certify    run the full pipeline and build a certificate that verify replays
   verify     replay a certificate file
 
 Exit codes: 0 success, 1 mathematical refusal (not hyperbolic, suspected
@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bez = sub.add_parser("bezoutian", help="serialize the basic Bézoutian forms")
     add_common(p_bez)
 
-    p_cert = sub.add_parser("certify", help="produce a verified certificate")
+    p_cert = sub.add_parser("certify", help="build a certificate that verify replays")
     add_common(p_cert)
     p_cert.add_argument("--lmax", type=int, default=DEFAULT_ELL_MAX)
     p_cert.add_argument("--samples", type=int, default=DEFAULT_NUM_SAMPLES)
@@ -132,7 +132,7 @@ def _run_check(args: argparse.Namespace) -> int:
         payload["pd_witness"] = None
         exit_code = EXIT_REFUSED
     else:
-        report = pd_witness_check(verdict.context, args.samples, args.seed)
+        report = pd_witness_check(verdict.context, args.samples, args.seed, verdict.forms)
         payload["pd_witness"] = report.to_json_dict()
         lines.append(f"pd_witness: {'ok' if report.ok else SINGULAR_SUSPECTED}")
         if report.witness is not None:

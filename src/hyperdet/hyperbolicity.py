@@ -1,25 +1,34 @@
 """Exact real-root counting and sampled hyperbolicity verdicts.
 
-Both sampled checks restrict h to a line in one way, in integers alone.
-Once per call, the x0 coefficients c_0..c_d of den*h_monic, the normalized h
-made monic in x0 and scaled by the lcm den of its denominators, become
-integer term lists in x1..xn (integer_forms, shared with verify's lattice
-check).  A line point w of x1..xn is read as the integer vector u = q*w,
-q > 0 a common denominator (sample_directions draws it in that form), and
-the restriction is the coefficient list [c_j(u)], lowest first, which the
-integer Sturm chain reads.
-Because h is homogeneous, c_j(q*w) = q^(d-j)*c_j(w), so that list is
-den*q^d*h_monic(s/q, w): a positive multiple of h_monic(t, w) in a positively
-scaled variable, with the same signs, real roots and distinct roots.
+Both sampled checks run one integer kernel per line, with no Fraction and
+no Poly in it.  Once per call, the x0 coefficients c_0..c_d of den*h_monic,
+the normalized h made monic in x0 and scaled by the lcm den of its
+denominators, are compiled into flat lists (integer_forms, shared with
+verify's lattice check): every term's integer coefficient, and for each
+term the power slots u_i^e it multiplies.  check compiles them once for
+both of its sampled tests.  A line point w of x1..xn is read as the integer
+vector u = q*w, q > 0 a common denominator (sample_directions draws it in
+that form).  The line computes only the powers that some term uses, and
+each c_j(u) is one sum over C-level maps; the restriction is the list
+[c_j(u)], lowest first.  Because h is homogeneous, c_j(q*w) =
+q^(d-j)*c_j(w), so that list is den*q^d*h_monic(s/q, w): a positive
+multiple of h_monic(t, w) in a positively scaled variable, with the same
+signs, real roots and distinct roots.  root_counts reads it in one walk
+over the primitive pseudo-remainder sequence, counting the sign changes at
+-oo and +oo as each entry arrives; no chain or sign list is built.
 Hyperbolicity asks that every root be real; the PD witness asks for d
 distinct real roots, which by Hermite's theorem is exactly positive
 definiteness of the derivative Bézoutian at w (Basu, Pollack & Roy,
-*Algorithms in Real Algebraic Geometry*, ch. 4).  The verdicts are
-asymmetric: a NotHyperbolic verdict carries an exact witness line, while a
-HyperbolicSampled verdict only says no sampled line failed.  The PD witness
-check plays the same role for the smoothness hypothesis; on a cylinder it
-first tests one line read from the exact lineality space, where the witness
-is exact.
+*Algorithms in Real Algebraic Geometry*, ch. 4).
+
+The sample stream is defined by random.Random(seed).getrandbits and the
+rejection rule of Random.randint: a numerator is the first 5-bit draw below
+21, a denominator the first 4-bit draw below 10 (sample_directions).  The
+verdicts are asymmetric: a NotHyperbolic verdict carries an exact witness
+line, while a HyperbolicSampled verdict only says no sampled line failed.
+The PD witness check plays the same role for the smoothness hypothesis; on
+a cylinder it first tests one line read from the exact lineality space,
+where the witness is exact.
 """
 
 from __future__ import annotations
@@ -27,8 +36,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul, sub
 from typing import Iterator, Sequence
 
 from .errors import InputError, ZeroPolynomial
@@ -42,17 +52,20 @@ SINGULAR_SUSPECTED = "SingularSuspected"
 
 DEFAULT_NUM_SAMPLES = 64
 _SAMPLE_RANGE = 10  # coordinates drawn from {-10..10}/{1..10}
+_denominator = attrgetter("denominator")
 
 
 @dataclass(frozen=True)
 class HyperbolicityVerdict:
     """The sampled verdict; context is the normalized h its lines were read
-    from, so a caller can run pd_witness_check without normalizing again."""
+    from and forms its integer_forms, so a caller can run pd_witness_check
+    without normalizing or compiling again."""
 
     status: str
     witness: tuple[Fraction, ...] | None
     samples_used: int
     context: QuotientContext = field(compare=False, repr=False)
+    forms: LineForms = field(compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         out: dict = {"status": self.status}
@@ -76,89 +89,103 @@ class PdWitnessReport:
         return out
 
 
-def _primitive(coeffs: list[int]) -> list[int]:
-    """Divide an integer polynomial by its (positive) content."""
-    g = gcd(*coeffs)
-    return coeffs if g == 1 else [c // g for c in coeffs]
-
-
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """A positive multiple of a mod b, computed over the integers.
-
-    Before each elimination step the running remainder is multiplied by
-    |lc(b)| / gcd(lead, lc(b)), which makes the quotient term an integer.
-    """
-    rem = list(a)
-    lead_b = b[-1]
-    while len(rem) >= len(b):
-        lead = rem[-1]
-        g = gcd(lead, lead_b)
-        scale = abs(lead_b) // g
-        if scale != 1:
-            rem = [c * scale for c in rem]
-        q = lead // g if lead_b > 0 else -(lead // g)
-        k = len(rem) - len(b)
-        for i, c in enumerate(b):
-            rem[k + i] -= q * c
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return rem
-
-
-def sturm_chain(coeffs: Sequence[int | Fraction]) -> list[list[int]]:
-    """Sturm chain of a nonzero f as integer coefficient lists, lowest first.
+def _sturm_walk(coeffs: Sequence[int | Fraction]) -> Iterator[list[int]]:
+    """The Sturm chain of a nonzero f, one integer entry at a time.
 
     f is given by its int or Fraction coefficients, lowest first, with a
-    nonzero leading one.  A primitive pseudo-remainder sequence: f is scaled
-    to a primitive integer polynomial, and each entry after f' is the negated
-    pseudo-remainder of the two before it, divided by its content.  Every
-    factor applied is positive, so each entry is a positive multiple of the
-    rational Euclidean chain's and has the same signs, hence the same root
-    counts.  The last entry is a multiple of gcd(f, f').
+    nonzero leading one; no coefficients at all is the zero polynomial
+    (ZeroPolynomial).  A primitive pseudo-remainder sequence: f is scaled
+    to a primitive integer polynomial, and each entry after f' is the
+    negated pseudo-remainder of the two before it, divided by its content.
+    The pseudo-remainder scales the running remainder by
+    |lc(b)| / gcd(lead, lc(b)) before each elimination step, which makes
+    the quotient term an integer.  Every factor applied is positive, so
+    each entry is a positive multiple of the rational Euclidean chain's and
+    has the same signs, hence the same root counts.  The last entry is a
+    multiple of gcd(f, f').  Only the two latest entries are held.
     """
-    den = lcm(*(c.denominator for c in coeffs))
-    chain = [_primitive([c.numerator * (den // c.denominator) for c in coeffs])]
-    if len(chain[0]) > 1:
-        chain.append(_primitive([i * c for i, c in enumerate(chain[0])][1:]))
-        while len(chain[-1]) > 1:
-            rem = _pseudo_remainder(chain[-2], chain[-1])
-            if not rem:
-                break
-            chain.append(_primitive([-c for c in rem]))
-    return chain
+    if not coeffs:
+        raise ZeroPolynomial("the zero polynomial has no well-defined roots")
+    den = lcm(*map(_denominator, coeffs))
+    a = list(map(int, coeffs)) if den == 1 else [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(*a)
+    if g != 1:
+        a = [c // g for c in a]
+    yield a
+    if len(a) == 1:
+        return
+    b = list(map(mul, range(1, len(a)), a[1:]))
+    g = gcd(*b)
+    if g != 1:
+        b = [c // g for c in b]
+    yield b
+    while len(b) > 1:
+        rem = list(a)
+        lead_b = b[-1]
+        while len(rem) >= len(b):
+            lead = rem[-1]
+            g = gcd(lead, lead_b)
+            scale = abs(lead_b) // g
+            if scale != 1:
+                rem = list(map(scale.__mul__, rem))
+            q = lead // g if lead_b > 0 else -(lead // g)
+            k = len(rem) - len(b)
+            rem[k:] = map(sub, rem[k:], map(q.__mul__, b))
+            while rem and rem[-1] == 0:
+                rem.pop()
+        if not rem:
+            return
+        g = -gcd(*rem)
+        a, b = b, [c // g for c in rem]
+        yield b
 
 
-def _sign_variations(signs: Sequence[int]) -> int:
-    nonzero = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a * b < 0)
+def root_counts(coeffs: Sequence[int | Fraction]) -> tuple[int, int]:
+    """(distinct real roots, distinct complex roots) of a nonzero f.
 
-
-def _distinct_real_roots(chain: Sequence[Sequence[int]]) -> int:
-    at_plus = [1 if p[-1] > 0 else -1 for p in chain]
-    at_minus = [s if len(p) % 2 else -s for s, p in zip(at_plus, chain)]
-    return _sign_variations(at_minus) - _sign_variations(at_plus)
+    coeffs are f's, lowest first, as for _sturm_walk.  One pass over the
+    chain counts the sign changes at -oo and +oo as each entry arrives, from
+    its leading coefficient and degree; their difference is the number of
+    distinct real roots (Sturm).  The last entry is a multiple of
+    gcd(f, f'), so f has deg f - deg gcd distinct complex roots, the real
+    ones among them.
+    """
+    walk = _sturm_walk(coeffs)
+    entry = next(walk)
+    degree = len(entry) - 1
+    plus = entry[-1] > 0
+    minus = plus is (len(entry) % 2 == 1)
+    real = 0
+    for entry in walk:
+        at_plus = entry[-1] > 0
+        at_minus = at_plus is (len(entry) % 2 == 1)
+        real += (at_minus is not minus) - (at_plus is not plus)
+        plus, minus = at_plus, at_minus
+    return real, degree - len(entry) + 1
 
 
 def is_real_rooted(coeffs: Sequence[int | Fraction]) -> bool:
     """True iff every complex root is real (multiplicities allowed).
 
-    coeffs are f's, lowest first, as for sturm_chain; an empty sequence is
-    the zero polynomial (ZeroPolynomial).  The last element of the Sturm
-    chain is gcd(f, f'), so f has deg f - deg gcd distinct complex roots;
-    all are real iff the chain counts that many real ones.
+    coeffs are f's, lowest first, as for _sturm_walk; an empty sequence is
+    the zero polynomial (ZeroPolynomial).
     """
-    if not coeffs:
-        raise ZeroPolynomial("the zero polynomial has no well-defined roots")
-    if len(coeffs) == 1:
-        return True
-    chain = sturm_chain(coeffs)
-    return _distinct_real_roots(chain) == len(chain[0]) - len(chain[-1])
+    real, distinct = root_counts(coeffs)
+    return real == distinct
 
 
 def sample_directions(dim: int, num_samples: int, seed: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Deterministic sample stream of nonzero points u/q, u integer and q > 0:
     signed unit vectors first (q = 1), then rationals with coordinates from
-    {-K..K}/{1..K}, K = 10, where q is the lcm of the drawn denominators."""
+    {-K..K}/{1..K}, K = 10, where q is the lcm of the drawn denominators.
+
+    The rationals come from random.Random(seed): for each coordinate a
+    numerator, the first getrandbits(5) result below 2K + 1 = 21, minus K,
+    then a denominator, the first getrandbits(4) result below K, plus one.
+    That is the rejection rule of Random.randint(-K, K) and
+    Random.randint(1, K), so the stream is theirs value for value.  A draw
+    whose numerators are all zero is skipped.
+    """
     produced = 0
     for i in range(dim):
         for sign in (1, -1):
@@ -166,15 +193,26 @@ def sample_directions(dim: int, num_samples: int, seed: int) -> Iterator[tuple[t
                 return
             produced += 1
             yield tuple(sign if j == i else 0 for j in range(dim)), 1
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
+    span = 2 * _SAMPLE_RANGE + 1
+    num_bits, den_bits = span.bit_length(), _SAMPLE_RANGE.bit_length()
     while produced < num_samples:
-        draws = [(rng.randint(-_SAMPLE_RANGE, _SAMPLE_RANGE), rng.randint(1, _SAMPLE_RANGE))
-                 for _ in range(dim)]
-        if not any(num for num, _ in draws):
+        nums = []
+        dens = []
+        for _ in range(dim):
+            num = bits(num_bits)
+            while num >= span:
+                num = bits(num_bits)
+            den = bits(den_bits)
+            while den >= _SAMPLE_RANGE:
+                den = bits(den_bits)
+            nums.append(num - _SAMPLE_RANGE)
+            dens.append(den + 1)
+        if not any(nums):
             continue
-        q = lcm(*(den for _, den in draws))
+        q = lcm(*dens)
         produced += 1
-        yield tuple(num * (q // den) for num, den in draws), q
+        yield tuple(map(mul, nums, map(q.__floordiv__, dens))), q
 
 
 def check_num_samples(num_samples: int) -> None:
@@ -185,16 +223,45 @@ def check_num_samples(num_samples: int) -> None:
         raise InputError(f"num_samples must be positive, got {num_samples}")
 
 
-IntegerForm = list[tuple[Monomial, int]]
+@dataclass(frozen=True)
+class LineForms:
+    """The x0 coefficients c_0, c_1, ... of den*p, integer forms in x1..xn,
+    compiled for evaluation at integer points u.
+
+    coeffs holds every term's integer coefficient, c_0's terms first, then
+    c_1's, and lengths the number of terms of each c_j.  Each (variable,
+    exponent) pair some term uses is one power slot: slot k >= 1 holds
+    u[variables[k-1]] ** exponents[k-1], and slot 0 holds 1.  Term t is
+    coeffs[t] * slot[factors[0][t]] * slot[factors[1][t]] * ..., a term with
+    fewer variables than len(factors) padded with slot 0.
+    """
+
+    coeffs: tuple[int, ...]
+    lengths: tuple[int, ...]
+    variables: tuple[int, ...]
+    exponents: tuple[int, ...]
+    factors: tuple[tuple[int, ...], ...]
 
 
-def integer_forms(p: Poly) -> tuple[list[IntegerForm], int]:
+def integer_forms(p: Poly) -> tuple[LineForms, int]:
     """(forms, den): the x0 coefficients c_0, c_1, ... of den*p, lowest power
-    first, as (exponents of x1..xn, int) terms; den > 0 is the lcm of p's
-    denominators."""
+    first, as LineForms in x1..xn; den > 0 is the lcm of p's denominators."""
     den = lcm(*(c.denominator for _, c in p.terms()))
-    return [[(mono[1:], c.numerator * (den // c.denominator)) for mono, c in form.terms()]
-            for form in p.x0_coefficients()], den
+    slots: dict[tuple[int, int], int] = {}
+    coeffs: list[int] = []
+    lengths: list[int] = []
+    rows: list[list[int]] = []
+    for form in p.x0_coefficients():
+        terms = list(form.terms())
+        lengths.append(len(terms))
+        for mono, c in terms:
+            coeffs.append(c.numerator * (den // c.denominator))
+            rows.append([slots.setdefault((i, e), len(slots) + 1)
+                         for i, e in enumerate(mono[1:]) if e])
+    width = max(map(len, rows), default=0)
+    factors = tuple(zip(*(row + [0] * (width - len(row)) for row in rows)))
+    return LineForms(tuple(coeffs), tuple(lengths), tuple(i for i, _ in slots),
+                     tuple(e for _, e in slots), factors), den
 
 
 def _integer_point(w: Sequence[Fraction]) -> list[int]:
@@ -203,33 +270,19 @@ def _integer_point(w: Sequence[Fraction]) -> list[int]:
     return [c.numerator * (q // c.denominator) for c in w]
 
 
-def _restriction(forms: Sequence[IntegerForm], u: Sequence[int]) -> list[int]:
+def _restriction(forms: LineForms, u: Sequence[int]) -> list[int]:
     """[c_j(u)] lowest first, for the forms of integer_forms(p): the
     coefficients of den*q^d*p(s/q, w) when u = q*w and p has degree d.
 
-    Each power u_i^e is computed once per line, and only for an exponent
-    that some term uses.
+    Only the powers u_i^e that some term uses are computed, each once per
+    line; each c_j(u) is one sum over a chain of C-level maps.
     """
-    powers: dict[tuple[int, int], int] = {}
-    coeffs = []
-    for form in forms:
-        total = 0
-        for mono, c in form:
-            for i, e in enumerate(mono):
-                if e:
-                    power = powers.get((i, e))
-                    if power is None:
-                        power = powers[i, e] = u[i] ** e
-                    c *= power
-            total += c
-        coeffs.append(total)
-    return coeffs
-
-
-def _has_distinct_real_roots(forms: Sequence[IntegerForm], u: Sequence[int]) -> bool:
-    """True iff h_monic(t, u) has d = len(forms) - 1 distinct real roots."""
-    chain = sturm_chain(_restriction(forms, u))
-    return _distinct_real_roots(chain) == len(forms) - 1
+    slot = [1]
+    slot += map(pow, map(u.__getitem__, forms.variables), forms.exponents)
+    values = iter(forms.coeffs)
+    for column in forms.factors:
+        values = map(mul, values, map(slot.__getitem__, column))
+    return [sum(islice(values, length)) for length in forms.lengths]
 
 
 def check_hyperbolic_sampled(
@@ -262,8 +315,8 @@ def check_hyperbolic_sampled(
         u = [sum(map(mul, row, v_int)) for row in t_int]
         if not is_real_rooted(_restriction(forms, u)):
             witness = tuple(Fraction(c, q) for c in v_int)
-            return HyperbolicityVerdict(NOT_HYPERBOLIC, witness, used, ctx)
-    return HyperbolicityVerdict(HYPERBOLIC_SAMPLED, None, used, ctx)
+            return HyperbolicityVerdict(NOT_HYPERBOLIC, witness, used, ctx, forms)
+    return HyperbolicityVerdict(HYPERBOLIC_SAMPLED, None, used, ctx, forms)
 
 
 def lineality_space(h: Poly) -> list[tuple[Fraction, ...]]:
@@ -288,6 +341,7 @@ def pd_witness_check(
     ctx: QuotientContext,
     num_samples: int = DEFAULT_NUM_SAMPLES,
     seed: int = 0,
+    forms: LineForms | None = None,
 ) -> PdWitnessReport:
     """Check that the Bézoutian of dh/dx0 is positive definite at sampled v.
 
@@ -296,7 +350,8 @@ def pd_witness_check(
     so the check counts them with the Sturm chain.  Positive definiteness at
     every nonzero v is the working proxy for "hyperbolic and real-smooth"; a
     failure pinpoints a line whose restriction has a repeated or complex
-    root.  num_samples must be a positive int (InputError).
+    root.  num_samples must be a positive int (InputError).  forms, when
+    given, is integer_forms(ctx.h)[0], as a HyperbolicityVerdict carries it.
 
     When h is a cylinder, one exact line is tested before any sampled line:
     w = v[1:] for the first vector v of lineality_space(h), counted in
@@ -310,16 +365,18 @@ def pd_witness_check(
     num_samples + 1).
     """
     check_num_samples(num_samples)
-    forms, _ = integer_forms(ctx.h)
+    if forms is None:
+        forms, _ = integer_forms(ctx.h)
+    d = ctx.d
     used = 0
     lineality = lineality_space(ctx.h)
     if lineality:
         used = 1
         w = lineality[0][1:]
-        if not _has_distinct_real_roots(forms, _integer_point(w)):
+        if root_counts(_restriction(forms, _integer_point(w)))[0] != d:
             return PdWitnessReport(False, w, used)
     for u, q in sample_directions(ctx.n, num_samples, seed):
         used += 1
-        if not _has_distinct_real_roots(forms, u):
+        if root_counts(_restriction(forms, u))[0] != d:
             return PdWitnessReport(False, tuple(Fraction(c, q) for c in u), used)
     return PdWitnessReport(True, None, used)

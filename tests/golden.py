@@ -1,0 +1,75 @@
+"""Pinned sha256 digests of certify and check output.
+
+The tests read these lists; run as a script, this file needs no pytest and
+no numpy and replays two pins on the interpreter at hand:
+
+    PYTHONPATH=src:tests python tests/golden.py
+
+It compares the sample stream with the Random.randint oracle (dimensions
+1-6, seeds 0-9, 200 samples each) and the stdout of each GOLDEN_CHECKS case
+of `python -m hyperdet.cli check` with its digest, and exits 1 on the first
+difference.
+"""
+
+import hashlib
+import subprocess
+import sys
+
+from hyperdet.hyperbolicity import sample_directions
+from oracles import randint_sample_directions
+
+# sha256 of the certify JSON on stdout, pinned so that certificates stay
+# byte-identical across changes to the pipeline, not only from run to run.
+GOLDEN_CERTIFICATES = [
+    ("x0^2 - x1^2 - x2^2", "1,0,0",
+     "02653452adcc7a00a88aaee18de5f4dedcec7e8e14277817a68c82c30736eaf6"),
+    ("x0^2 - x1^2 - x2^2", "2,1,0",
+     "93758e73db878240f5f17aadf8d89d74fa4a2771ede3118c7211ce8b2c7fb081"),
+    ("x0^3 - x0*x1^2 - x0*x2^2", "1,0,0",
+     "0db68338e966ee5f498d018d56fae1cfceca48a52ac6fa5a539bfcf81cfce843"),
+    # random_pencil_determinant(random.Random(3001), 3, 3): an N=6 pencil.
+    ("x0^3 + 1/2*x0^2*x1 - 3/4*x0*x1^2 + 17/4*x0*x1*x2 - 9*x0*x2^2 + 1/8*x1^3"
+     " - 5/4*x1^2*x2 + 21/4*x1*x2^2 - 8*x2^3", "1,0,0",
+     "117278e70e0502c0978d969a2ee9a06ccf765f5f8065bb47bcd8c8893b37dd3d"),
+]
+
+# sha256 of the check JSON on stdout, pinned so that both sampled verdicts,
+# their witnesses and sample counts stay the same across rewrites of the
+# real-root routine.  Three inputs pass, one is not hyperbolic along a tilted
+# direction, and two are singular.
+GOLDEN_CHECKS = [
+    ("x0^2 - x1^2 - x2^2", "2,1,0", 0,
+     "52fb44c4e5d01ed02c8214d09c50fff2fd780fc1cc23a82f4d7c8592770e0915"),
+    (GOLDEN_CERTIFICATES[2][0], "1,0,0", 0,
+     "52fb44c4e5d01ed02c8214d09c50fff2fd780fc1cc23a82f4d7c8592770e0915"),
+    (GOLDEN_CERTIFICATES[3][0], "1,0,0", 0,
+     "52fb44c4e5d01ed02c8214d09c50fff2fd780fc1cc23a82f4d7c8592770e0915"),
+    ("x0^2 + x1^2 + x2^2", "2,1,0", 1,
+     "cbbbc1aab63122f43e9d6ba0ef1a39a1761fad22e944fed585959b72530de4b2"),
+    ("x0*x1*x2", "1,1,1", 1,
+     "8c8063fd571e2b4b601d410d992828d5d0319df115b4ecb9529e76e106f980f2"),
+    ("x0^2 - x1^2", "1,0,0", 1,
+     "88b0bd64635ed54e314748df1f36fb3c749a75e20566f3fb0b372d7d36110425"),
+]
+
+
+def main() -> int:
+    for dim in range(1, 7):
+        for seed in range(10):
+            if list(sample_directions(dim, 200, seed)) != list(randint_sample_directions(dim, 200, seed)):
+                print(f"sample stream differs from randint's: dim={dim}, seed={seed}")
+                return 1
+    print("sample stream: randint's, dims 1-6, seeds 0-9")
+    for poly, direction, exit_code, digest in GOLDEN_CHECKS:
+        done = subprocess.run([sys.executable, "-m", "hyperdet.cli", "check", "--poly", poly, "--e", direction],
+                              capture_output=True)
+        got = hashlib.sha256(done.stdout).hexdigest()
+        if (done.returncode, got) != (exit_code, digest):
+            print(f"check --poly {poly!r} --e {direction}: exit {done.returncode}, sha256 {got}")
+            return 1
+        print(f"check --e {direction}: exit {exit_code}, sha256 {got[:8]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

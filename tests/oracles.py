@@ -8,9 +8,10 @@ elimination, definiteness by Sylvester's criterion, univariate Bézout
 matrices by expanding the difference quotient monomial by monomial, the
 commutation test of a Bézoutian form with the multiplication-by-x0 matrix,
 restrictions to a line by expanding h(t*e + v) in t, the entrywise value of
-a Bézoutian form at a point, and the Sturm chain by Euclidean division over
-the rationals.  Eight are former routes of rewrites that must agree with
-them exactly: the polynomial text parser whose scanner tracks the line and
+a Bézoutian form at a point, and the Sturm chain and its root counts by
+Euclidean division over the rationals.  Nine are former routes of rewrites
+that must agree with them exactly: the sample stream drawn by
+Random.randint, the polynomial text parser whose scanner tracks the line and
 column at every character, the symmetric lift with the Gram matrix's
 columns held as Polys, multiplied by x0 through Poly products and solved
 over their rational coordinates, the lift solved in the scaled pencil
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -36,7 +38,6 @@ from hyperdet.errors import (
     ZeroPolynomial,
 )
 from hyperdet.detrep import basis_maps
-from hyperdet.hyperbolicity import _distinct_real_roots, sturm_chain
 from hyperdet.linalg import is_symmetric, rat_matrix, solve_sparse_system
 from hyperdet.poly import (
     _ONE,
@@ -49,8 +50,7 @@ from hyperdet.poly import (
     as_point,
 )
 from hyperdet.quotient import BezoutianForm, QuotientContext
-from hyperdet.sdp import SdpProblem
-from hyperdet.sos import monomial_basis_Mk, power_sum_multiplier, r_monomials_of_degree
+from hyperdet.sos import SdpProblem, monomial_basis_Mk, power_sum_multiplier, r_monomials_of_degree
 
 
 class UniPoly:
@@ -223,7 +223,7 @@ def count_real_roots(f: UniPoly) -> int:
     """Number of distinct real roots, exact."""
     if f.is_zero:
         raise ZeroPolynomial("cannot count roots of the zero polynomial")
-    return _distinct_real_roots(sturm_chain(f.coeffs))
+    return fraction_root_counts(f)[0]
 
 
 def is_homogeneous_of_degree(p: Poly, k: int) -> bool:
@@ -586,6 +586,38 @@ def fraction_sturm_chain(f: UniPoly) -> list[UniPoly]:
                 break
             chain.append(-rem)
     return chain
+
+
+def fraction_root_counts(f: UniPoly) -> tuple[int, int]:
+    """(distinct real roots, distinct complex roots) of a nonzero f from the
+    Euclidean chain: the sign changes at -oo less those at +oo, and
+    deg f - deg gcd(f, f')."""
+    chain = fraction_sturm_chain(f)
+    at_plus = [p.leading > 0 for p in chain]
+    at_minus = [s if p.degree % 2 == 0 else not s for s, p in zip(at_plus, chain)]
+    variations = [sum(1 for a, b in zip(signs, signs[1:]) if a != b) for signs in (at_minus, at_plus)]
+    return variations[0] - variations[1], f.degree - chain[-1].degree
+
+
+def randint_sample_directions(dim: int, num_samples: int, seed: int):
+    """The sample stream as Random.randint draws it: signed unit vectors,
+    then for each coordinate randint(-10, 10) over randint(1, 10), as
+    (u, q) with q the lcm of the denominators; all-zero draws skipped."""
+    produced = 0
+    for i in range(dim):
+        for sign in (1, -1):
+            if produced >= num_samples:
+                return
+            produced += 1
+            yield tuple(sign if j == i else 0 for j in range(dim)), 1
+    rng = random.Random(seed)
+    while produced < num_samples:
+        draws = [(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(dim)]
+        if not any(num for num, _ in draws):
+            continue
+        q = math.lcm(*(den for _, den in draws))
+        produced += 1
+        yield tuple(num * (q // den) for num, den in draws), q
 
 
 def fraction_ldl_decompose(matrix):

@@ -25,6 +25,7 @@ from hyperdet import CertifyOptions, DetRepCertificate, Poly, parse_poly
 from hyperdet.cli import _build_parser, main
 
 from conftest import random_pencil_determinant, renegar_derivative
+from golden import GOLDEN_CERTIFICATES, GOLDEN_CHECKS
 
 
 def run(capsys, *argv):
@@ -430,20 +431,20 @@ def test_check_normalizes_the_direction_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
-# sha256 of the certify JSON on stdout, pinned so that certificates stay
-# byte-identical across changes to the pipeline, not only from run to run.
-GOLDEN_CERTIFICATES = [
-    ("x0^2 - x1^2 - x2^2", "1,0,0",
-     "02653452adcc7a00a88aaee18de5f4dedcec7e8e14277817a68c82c30736eaf6"),
-    ("x0^2 - x1^2 - x2^2", "2,1,0",
-     "93758e73db878240f5f17aadf8d89d74fa4a2771ede3118c7211ce8b2c7fb081"),
-    ("x0^3 - x0*x1^2 - x0*x2^2", "1,0,0",
-     "0db68338e966ee5f498d018d56fae1cfceca48a52ac6fa5a539bfcf81cfce843"),
-    # random_pencil_determinant(random.Random(3001), 3, 3): an N=6 pencil.
-    ("x0^3 + 1/2*x0^2*x1 - 3/4*x0*x1^2 + 17/4*x0*x1*x2 - 9*x0*x2^2 + 1/8*x1^3"
-     " - 5/4*x1^2*x2 + 21/4*x1*x2^2 - 8*x2^3", "1,0,0",
-     "117278e70e0502c0978d969a2ee9a06ccf765f5f8065bb47bcd8c8893b37dd3d"),
-]
+def test_check_compiles_the_line_forms_once(capsys, monkeypatch):
+    # Both sampled tests read one compilation of h_monic's x0 coefficients.
+    calls = []
+    compile_forms = hyperdet.hyperbolicity.integer_forms
+
+    def counted(p):
+        calls.append(p)
+        return compile_forms(p)
+
+    monkeypatch.setattr(hyperdet.hyperbolicity, "integer_forms", counted)
+    code, out, err = run(capsys, "check", "--poly", "x0^2 - x1^2 - x2^2", "--e", "2,1,0")
+    assert code == 0, err
+    assert json.loads(out)["pd_witness"]["ok"] is True
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("poly,direction,digest", GOLDEN_CERTIFICATES)
@@ -452,26 +453,6 @@ def test_certificate_bytes_are_pinned(capsys, poly, direction, digest):
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert "float_pencil" not in json.loads(out)
-
-
-# sha256 of the check JSON on stdout, pinned so that both sampled verdicts,
-# their witnesses and sample counts stay the same across rewrites of the
-# real-root routine.  Three inputs pass, one is not hyperbolic along a tilted
-# direction, and two are singular.
-GOLDEN_CHECKS = [
-    ("x0^2 - x1^2 - x2^2", "2,1,0", 0,
-     "52fb44c4e5d01ed02c8214d09c50fff2fd780fc1cc23a82f4d7c8592770e0915"),
-    (GOLDEN_CERTIFICATES[2][0], "1,0,0", 0,
-     "52fb44c4e5d01ed02c8214d09c50fff2fd780fc1cc23a82f4d7c8592770e0915"),
-    (GOLDEN_CERTIFICATES[3][0], "1,0,0", 0,
-     "52fb44c4e5d01ed02c8214d09c50fff2fd780fc1cc23a82f4d7c8592770e0915"),
-    ("x0^2 + x1^2 + x2^2", "2,1,0", 1,
-     "cbbbc1aab63122f43e9d6ba0ef1a39a1761fad22e944fed585959b72530de4b2"),
-    ("x0*x1*x2", "1,1,1", 1,
-     "8c8063fd571e2b4b601d410d992828d5d0319df115b4ecb9529e76e106f980f2"),
-    ("x0^2 - x1^2", "1,0,0", 1,
-     "88b0bd64635ed54e314748df1f36fb3c749a75e20566f3fb0b372d7d36110425"),
-]
 
 
 @pytest.mark.parametrize("poly,direction,exit_code,digest", GOLDEN_CHECKS)

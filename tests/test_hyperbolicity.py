@@ -6,7 +6,7 @@ from math import lcm
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyperdet import (
@@ -20,14 +20,14 @@ from hyperdet import (
 from hyperdet.hyperbolicity import (
     HYPERBOLIC_SAMPLED,
     NOT_HYPERBOLIC,
-    _distinct_real_roots,
     _restriction,
+    _sturm_walk,
     integer_forms,
     is_real_rooted,
     lineality_space,
     pd_witness_check,
+    root_counts,
     sample_directions,
-    sturm_chain,
 )
 from hyperdet.poly import Poly, apply_linear, normalize_direction
 from hyperdet.quotient import QuotientContext, bezoutian_of
@@ -38,8 +38,10 @@ from oracles import (
     bareiss_determinant,
     count_real_roots,
     evaluate_form,
+    fraction_root_counts,
     fraction_sturm_chain,
     is_positive_definite,
+    randint_sample_directions,
     substitute_line,
 )
 
@@ -177,6 +179,14 @@ def test_sample_stream_units_first_then_deterministic():
         (Fraction(0), Fraction(-1)),
     ]
     assert all(any(c != 0 for c in v) for v in first)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_sample_stream_is_the_randint_stream(dim):
+    # getrandbits with randint's rejection rule draws randint's values, so
+    # every random draw of the stream is pinned, not only its unit vectors.
+    for seed in range(10):
+        assert list(sample_directions(dim, 200, seed)) == list(randint_sample_directions(dim, 200, seed))
 
 
 # -- pd_witness_check -------------------------------------------------------------
@@ -329,12 +339,60 @@ def test_integer_chain_has_the_signs_of_the_rational_chain(roots, extra, scale):
         for _ in range(multiplicity):
             f = f * UniPoly([-root, 1])
     f = f * UniPoly(list(extra) + [1])
-    integer_chain = sturm_chain(f.coeffs)
+    integer_chain = list(_sturm_walk(f.coeffs))
     rational_chain = fraction_sturm_chain(f)
     assert len(integer_chain) == len(rational_chain)
     for entry, oracle in zip(integer_chain, rational_chain):
         assert all(isinstance(c, int) for c in entry)
         assert [_sign(c) for c in entry] == [_sign(c) for c in oracle.coeffs]
+
+
+_ROOT = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_ROOT, st.integers(min_value=1, max_value=3)), max_size=4),
+    st.lists(st.tuples(_ROOT, _ROOT.filter(lambda c: c > 0), st.integers(min_value=1, max_value=2)),
+             max_size=2),
+    st.fractions(min_value=-30, max_value=30, max_denominator=5).filter(lambda c: c != 0),
+)
+@example([], [], Fraction(-3))
+@example([], [], Fraction(7, 2))
+@example([(Fraction(2), 1)], [], Fraction(-1))
+@example([(Fraction(-1, 3), 1)], [], Fraction(5))
+@example([], [(Fraction(0), Fraction(1), 2)], Fraction(-2))
+def test_one_pass_counts_are_the_euclidean_chain_counts(real, complex_pairs, lead):
+    # f = lead * prod (t - r)^m * prod ((t - a)^2 + b^2)^m: real roots with
+    # multiplicities, conjugate pairs (repeated too), a leading coefficient
+    # of either sign, and degrees 0 and 1 among the examples.  The one-pass
+    # counter gives the (distinct real, distinct complex) counts of the
+    # rational Euclidean chain, which are those of the construction.
+    f = UniPoly([lead])
+    for root, multiplicity in real:
+        for _ in range(multiplicity):
+            f = f * UniPoly([-root, 1])
+    for a, b, multiplicity in complex_pairs:
+        for _ in range(multiplicity):
+            f = f * UniPoly([a * a + b * b, -2 * a, 1])
+    distinct_real = len({root for root, _ in real})
+    expected = (distinct_real, distinct_real + 2 * len({(a, b) for a, b, _ in complex_pairs}))
+    assert fraction_root_counts(f) == expected
+    assert root_counts(f.coeffs) == expected
+    assert is_real_rooted(f.coeffs) == (not complex_pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=-40, max_value=40), max_size=7),
+       st.integers(min_value=-40, max_value=40).filter(lambda c: c != 0))
+def test_one_pass_counts_of_arbitrary_integer_polynomials(lower, lead):
+    # Any int coefficients below a nonzero leading one, read as ints.
+    assert root_counts(lower + [lead]) == fraction_root_counts(UniPoly(lower + [lead]))
+
+
+def test_root_counts_reject_the_zero_polynomial():
+    with pytest.raises(ZeroPolynomial):
+        root_counts([])
 
 
 def _equivalence_corpus():
@@ -406,20 +464,6 @@ def test_pd_witness_matches_the_evaluated_bezoutian_at_every_sample():
     assert cylinders == [2, 11]
 
 
-def _rational_counts(f):
-    """(distinct real roots, distinct complex roots) from the Euclidean chain."""
-    chain = fraction_sturm_chain(f)
-    at_plus = [_sign(p.leading) for p in chain]
-    at_minus = [s if p.degree % 2 == 0 else -s for s, p in zip(at_plus, chain)]
-    variations = [sum(1 for a, b in zip(signs, signs[1:]) if a != b) for signs in (at_minus, at_plus)]
-    return variations[0] - variations[1], f.degree - chain[-1].degree
-
-
-def _integer_counts(coeffs):
-    chain = sturm_chain(coeffs)
-    return _distinct_real_roots(chain), len(chain[0]) - len(chain[-1])
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(["hv", "renegar", "cylinder"]),
@@ -465,7 +509,7 @@ def test_integer_restriction_counts_roots_as_the_rational_oracle(kind, seed, til
     for v, coeffs in zip(offsets, restrictions):
         assert all(isinstance(c, int) for c in coeffs)
         oracle = substitute_line(h, e, v)
-        assert _integer_counts(coeffs) == _rational_counts(oracle), (str(h), e, v)
+        assert root_counts(coeffs) == fraction_root_counts(oracle), (str(h), e, v)
         assert is_real_rooted(coeffs) == is_real_rooted(oracle.coeffs)
     assert restrictions[len(drawn)][:-1] == [0] * (len(restrictions[len(drawn)]) - 1)
 
@@ -477,7 +521,7 @@ def test_integer_restriction_counts_roots_as_the_rational_oracle(kind, seed, til
     for w in points:
         coeffs = hyperbolicity._restriction(forms, hyperbolicity._integer_point(w))
         oracle = substitute_line(ctx.h, (1,) + (0,) * ctx.n, (0,) + tuple(w))
-        assert _integer_counts(coeffs) == _rational_counts(oracle), (str(ctx.h), w)
+        assert root_counts(coeffs) == fraction_root_counts(oracle), (str(ctx.h), w)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -493,7 +537,7 @@ def test_integer_forms_evaluate_as_the_polynomial(seed):
               Poly(nvars, free_of_x0)]
     for p in shapes:
         forms, den = integer_forms(p)
-        assert den > 0 and all(isinstance(c, int) for form in forms for _, c in form)
+        assert den > 0 and all(isinstance(c, int) for c in forms.coeffs)
         for _ in range(8):
             a0, *u = (rng.randint(-5, 5) for _ in range(nvars))
             value = sum(c * a0**j for j, c in enumerate(_restriction(forms, u)))

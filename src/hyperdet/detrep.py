@@ -7,17 +7,19 @@ R), constrained to be symmetric under the weight matrix D.  Its unknowns
 are the symmetric S_s = R^T D G_s R in the monomial basis, where every
 equation has unit coefficients, and it returns G_s with the similar
 P_s = R^-1 G_s R.  The pencil x0*I - sum_i x_i G_i then has determinant
-cofactor * h_monic with the pencil at the normalized direction equal to the
-identity, which is the definiteness certificate.  Everything in the
-certificate replays in exact arithmetic.  certify takes the determinant of
-the P_s as one division-free Berkowitz characteristic polynomial over
-integer polynomials, and the cofactor as its x0-quotient by h_monic, the
-division that defines the quotient module (quotient.divide_by_h).  The
-replay divides nothing: it scales the symmetric pencil D, D*G_s to integers
-once, by one diagonal congruence, and with two pencil matrices (a ternary h)
-compares symmetric integer determinants of that pencil with
-cofactor * h_monic at the points of the principal lattice, and otherwise the
-Berkowitz determinant of its similar pencil with that.
+cofactor * h_monic, and it is the identity at the normalized direction
+(1,0,...,0), the image of e under normalize_direction's T: that is the
+definiteness certificate.  Everything in the certificate replays in exact
+arithmetic, and T is replayed as normalize_direction's T for e.  certify
+takes the determinant of the P_s as one division-free Berkowitz
+characteristic polynomial over integer polynomials, and the cofactor as its
+x0-quotient by h_monic, the division that defines the quotient module
+(quotient.divide_by_h).  The replay divides nothing: it scales the
+symmetric pencil D, D*G_s to integers once, by one diagonal congruence, and
+with two pencil matrices (a ternary h) compares symmetric integer
+determinants of that pencil with cofactor * h_monic at the points of the
+principal lattice, and otherwise the Berkowitz determinant of its similar
+pencil with that.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CertifyError, HyperdetError, InputError, NoSymmetricLift
+from .errors import CertifyError, InputError, NoSymmetricLift
 from .hyperbolicity import (
     DEFAULT_NUM_SAMPLES,
     _restriction,
@@ -36,13 +38,11 @@ from .hyperbolicity import (
     integer_forms,
     pd_witness_check,
 )
-from .linalg import (RatMatrix, bareiss_determinant, invert_matrix, is_symmetric, rat_matrix,
-                     solve_sparse_system)
+from .linalg import RatMatrix, bareiss_determinant, is_symmetric, rat_matrix, solve_sparse_system
 from .poly import (
     Monomial,
     Poly,
     RationalLike,
-    apply_linear,
     as_fraction,
     as_point,
     normalize_direction,
@@ -59,8 +59,6 @@ from .sos import (
 )
 
 SCHEMA = "hyperdet/1"
-
-_ZERO = Fraction(0)
 
 
 @dataclass
@@ -91,11 +89,11 @@ class DetRepCertificate:
     """Exact pencil data certifying det(x0*I - sum x_i G_i) = cofactor * h_monic.
 
     All identities are stated in the normalized coordinates y = T*x, where
-    h_monic is h after the coordinate change and monic rescaling.  D is the
-    positive diagonal weight matrix; D*G_i is symmetric for every i, so
-    D^{1/2} G_i D^{-1/2} is a genuine symmetric pencil with value I at the
-    normalized direction.  Every field is exact: the certificate carries no
-    floating-point data.
+    T must be normalize_direction's T for e and h_monic is h after that
+    coordinate change and monic rescaling.  D is the positive diagonal
+    weight matrix; D*G_i is symmetric for every i, so D^{1/2} G_i D^{-1/2}
+    is a genuine symmetric pencil with value I at T*e = (1,0,...,0).  Every
+    field is exact: the certificate carries no floating-point data.
     """
 
     h: Poly
@@ -491,18 +489,6 @@ def _lattice_check(ctx: QuotientContext, diag: Sequence[int], ints: Sequence[Seq
     return None
 
 
-def _pencil_value(pencil: Sequence[RatMatrix], point: Sequence[Fraction]) -> RatMatrix:
-    size = len(pencil[0])
-    out = [[point[0] if a == b else _ZERO for b in range(size)] for a in range(size)]
-    for s, g in enumerate(pencil):
-        c = point[s + 1]
-        if c:
-            for a in range(size):
-                for b in range(size):
-                    out[a][b] -= c * g[a][b]
-    return out
-
-
 def certify(h: Poly, e: Sequence[RationalLike], options: CertifyOptions | None = None) -> DetRepCertificate:
     """Full pipeline from a hyperbolic polynomial to an exact certificate.
 
@@ -519,8 +505,8 @@ def certify(h: Poly, e: Sequence[RationalLike], options: CertifyOptions | None =
     Checks (a), (b) and (d) of verify_certificate hold by construction and
     are not run here: the weights are the LDL pivots, which ldl_decompose
     has refused unless positive; the lift sets g[a][b] = delta_a delta_b
-    Z[a][b] / w_a with Z symmetric; and T*e =
-    (1,0,...,0) exactly, where the pencil is I for any G.  The cofactor
+    Z[a][b] / w_a with Z symmetric; and T is normalize_direction's own, with
+    T*e = (1,0,...,0) exactly, where the pencil is I for any G.  The cofactor
     needs no check of its own: a pencil with D > 0, every D*G_i symmetric
     and value I at the direction has a hyperbolic determinant, and every
     factor of a hyperbolic polynomial is hyperbolic (Gårding 1959).
@@ -561,17 +547,19 @@ def verify_certificate(cert: DetRepCertificate) -> tuple[bool, list[str]]:
 
     Checks: (a) the weight matrix is positive diagonal, (b) D*G_i is
     symmetric for every i, (c) the pencil determinant is exactly
-    cofactor * h_monic, with h_monic recomputed from h and T, and (d) the
-    pencil evaluated at the transformed direction is the identity.  Check
-    (c) builds the quotient context of h from h and T, which makes h monic
-    and refuses an h that vanishes at (1,0,...,0).  (b) compares each
-    Y_s = D*G_s with its transpose, and once (a) and (b) hold, (c) scales
-    D and the Y_s to the integer pencil (D', [Y'_s]) of _integer_pencil;
-    otherwise (c) is not replayed.  It takes one of two exact routes on that
-    pencil, chosen by the number n of pencil matrices: for n = 2,
-    _lattice_check, which requires the cofactor to be zero or a form of
-    degree N - d and compares values at the (N+1)(N+2)/2 points of the
-    principal lattice; otherwise _berkowitz_check, which compares the
+    cofactor * h_monic, and (d) T is the T of normalize_direction(h, e).
+    normalize_direction is the input gate certify uses: it returns h in the
+    normalized coordinates, from which (c) builds the quotient context
+    (h_monic), and its closed-form T, which maps e to (1,0,...,0) exactly,
+    so once (d) holds the pencil is I at the direction by format.  When the
+    gate refuses h or e, neither (c) nor (d) is replayed and each says why.
+    (b) compares each Y_s = D*G_s with its transpose, and once (a) and (b)
+    hold, (c) scales D and the Y_s to the integer pencil (D', [Y'_s]) of
+    _integer_pencil; otherwise (c) is not replayed.  It takes one of two
+    exact routes on that pencil, chosen by the number n of pencil matrices:
+    for n = 2, _lattice_check, which requires the cofactor to be zero or a
+    form of degree N - d and compares values at the (N+1)(N+2)/2 points of
+    the principal lattice; otherwise _berkowitz_check, which compares the
     Berkowitz determinant of D'^-1 Y'_s, a similarity of G_s, with the
     product cofactor * h_monic.  Neither divides by h_monic.  Failures are
     reported as diagnostics, never raised.  The SDP and the sampling stages
@@ -596,26 +584,26 @@ def verify_certificate(cert: DetRepCertificate) -> tuple[bool, list[str]]:
         diagnostics += [f"(b) D*G_{s} is not symmetric"
                         for s, y in enumerate(products, 1) if not is_symmetric(y)]
 
-    if shapes_ok:
-        try:
-            ctx = QuotientContext(apply_linear(cert.h, invert_matrix(cert.transform)))
-            failure = ("not replayed: it needs (a) and (b)" if diagnostics
-                       else (_lattice_check if n == 2 else _berkowitz_check)(
-                           ctx, *_integer_pencil(cert.weights, products), cert.cofactor))
-            if failure:
-                diagnostics.append(f"(c) {failure}")
-        except (HyperdetError, ValueError) as exc:
-            diagnostics.append(f"(c) determinant check could not be replayed: {exc}")
+    try:
+        h_norm, transform = normalize_direction(cert.h, cert.e)
+        gate = None
+    except InputError as exc:
+        gate = f"could not be replayed: {exc}"
 
-        try:
-            e_norm = [
-                sum((as_fraction(cert.transform[i][j]) * cert.e[j] for j in range(len(cert.e))), _ZERO)
-                for i in range(len(cert.e))
-            ]
-            identity = [[Fraction(a == b) for b in range(size)] for a in range(size)]
-            if _pencil_value(cert.pencil, e_norm) != identity:
-                diagnostics.append("(d) pencil at the transformed direction is not the identity")
-        except (HyperdetError, IndexError, ValueError) as exc:
-            diagnostics.append(f"(d) direction check could not be replayed: {exc}")
+    if shapes_ok:
+        if gate:
+            failure = f"determinant check {gate}"
+        elif diagnostics:
+            failure = "not replayed: it needs (a) and (b)"
+        else:
+            failure = (_lattice_check if n == 2 else _berkowitz_check)(
+                QuotientContext(h_norm), *_integer_pencil(cert.weights, products), cert.cofactor)
+        if failure:
+            diagnostics.append(f"(c) {failure}")
+
+    if gate:
+        diagnostics.append(f"(d) direction check {gate}")
+    elif cert.transform != transform:
+        diagnostics.append("(d) T is not the normalization of e")
 
     return (not diagnostics, diagnostics)

@@ -29,7 +29,11 @@ class DirectionVanishes(InputError):
 
 
 class SingularMatrix(HyperdetError):
-    """A matrix expected to be invertible is singular."""
+    """A matrix expected to be invertible is singular.
+
+    Kept in the public surface for callers that catch it; nothing in the
+    package raises it, and verify inverts no matrix (it derives T from e).
+    """
 
 
 class ZeroPolynomial(HyperdetError):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import NotPD, SingularMatrix
+from .errors import NotPD
 from .poly import RationalLike, as_fraction
 
 RatMatrix = list[list[Fraction]]
@@ -227,17 +227,3 @@ def _eliminate(
         val //= content
     return row, val
 
-
-def invert_matrix(matrix: Sequence[Sequence[RationalLike]]) -> RatMatrix:
-    """Exact inverse, solving A X = I for the n*n entries of X at once.
-
-    A singular A makes that system inconsistent, which raises SingularMatrix.
-    """
-    a = rat_matrix(matrix)
-    n = len(a)
-    rows = [{k * n + j: a[i][k] for k in range(n) if a[i][k]} for i in range(n) for j in range(n)]
-    rhs = [Fraction(i == j) for i in range(n) for j in range(n)]
-    values = solve_sparse_system(rows, rhs, n * n)
-    if values is None:
-        raise SingularMatrix("matrix is not invertible")
-    return [values[k * n:(k + 1) * n] for k in range(n)]

@@ -335,7 +335,8 @@ def normalize_direction(h: Poly, e: Sequence[RationalLike]) -> tuple[Poly, list[
 
     Returns (h', T) with T*e = (1,0,...,0) and h' = h after the substitution
     x = T^{-1} y, so that h'(1,0,...,0) = h(e).  This is the one input gate
-    of check, bezoutian and certify: it raises an InputError unless e is a
+    of check, bezoutian, certify and verify (whose check (d) compares a
+    certificate's T with this one): it raises an InputError unless e is a
     nonzero point of the right length, h has at least two variables and is
     homogeneous of positive degree, and h(e) != 0 (DirectionVanishes).
     """

@@ -1,19 +1,21 @@
 """Pinned sha256 digests of certify and check output.
 
 The tests read these lists; run as a script, this file needs no pytest and
-no numpy and replays two pins on the interpreter at hand:
+no numpy and replays three pins on the interpreter at hand:
 
     PYTHONPATH=src:tests python tests/golden.py
 
 It compares the sample stream with the Random.randint oracle (dimensions
 1-6, seeds 0-9, 200 samples each) and the stdout of each GOLDEN_CHECKS case
-of `python -m hyperdet.cli check` with its digest, and exits 1 on the first
-difference.
+of `python -m hyperdet.cli check` with its digest, runs
+`python -m hyperdet.cli verify --cert` on GOLDEN_CERTIFICATE_FILE, and exits
+1 on the first difference or on a verify that does not exit 0.
 """
 
 import hashlib
 import subprocess
 import sys
+from pathlib import Path
 
 from hyperdet.hyperbolicity import sample_directions
 from oracles import randint_sample_directions
@@ -32,6 +34,10 @@ GOLDEN_CERTIFICATES = [
      " - 5/4*x1^2*x2 + 21/4*x1*x2^2 - 8*x2^3", "1,0,0",
      "117278e70e0502c0978d969a2ee9a06ccf765f5f8065bb47bcd8c8893b37dd3d"),
 ]
+
+# The certify stdout of GOLDEN_CERTIFICATES[3], kept as a file: a certificate
+# written before a change to the replay must still verify after it.
+GOLDEN_CERTIFICATE_FILE = Path(__file__).parent / "data" / "hv3-3001.json"
 
 # sha256 of the check JSON on stdout, pinned so that both sampled verdicts,
 # their witnesses and sample counts stay the same across rewrites of the
@@ -68,6 +74,12 @@ def main() -> int:
             print(f"check --poly {poly!r} --e {direction}: exit {done.returncode}, sha256 {got}")
             return 1
         print(f"check --e {direction}: exit {exit_code}, sha256 {got[:8]}")
+    done = subprocess.run([sys.executable, "-m", "hyperdet.cli", "verify", "--cert", str(GOLDEN_CERTIFICATE_FILE)],
+                          capture_output=True)
+    if done.returncode != 0:
+        print(f"verify --cert {GOLDEN_CERTIFICATE_FILE.name}: exit {done.returncode}")
+        return 1
+    print(f"verify --cert {GOLDEN_CERTIFICATE_FILE.name}: exit 0")
     return 0
 
 

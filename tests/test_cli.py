@@ -25,7 +25,7 @@ from hyperdet import CertifyOptions, DetRepCertificate, Poly, parse_poly
 from hyperdet.cli import _build_parser, main
 
 from conftest import random_pencil_determinant, renegar_derivative
-from golden import GOLDEN_CERTIFICATES, GOLDEN_CHECKS
+from golden import GOLDEN_CERTIFICATE_FILE, GOLDEN_CERTIFICATES, GOLDEN_CHECKS
 
 
 def run(capsys, *argv):
@@ -308,6 +308,24 @@ def test_empty_pencil_certificate_is_refused(capsys, tmp_path):
         assert diagnostic.startswith("(c)"), diagnostic
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("e", ["0", "0", "0"], "direction must be nonzero"),
+    ("e", ["1", "1", "0"], "polynomial vanishes at the direction"),
+    ("h", "0", "polynomial must be homogeneous of positive degree"),
+    ("h", "x0^2 - x1", "polynomial must be homogeneous of positive degree"),
+], ids=["zero-e", "h-vanishes-at-e", "zero-h", "inhomogeneous-h"])
+def test_certificate_the_input_gate_refuses_is_refused(capsys, tmp_path, field, value, reason):
+    # verify normalizes h and e as certify does; where that gate refuses,
+    # checks (c) and (d) are not replayed, each says why, and verify exits 1.
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps({**_lorentz_certificate(capsys, tmp_path), field: value}))
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert (code, err) == (1, "")
+    assert json.loads(out)["diagnostics"] == [
+        f"(c) determinant check could not be replayed: {reason}",
+        f"(d) direction check could not be replayed: {reason}"]
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "--poly", "x0^2", "--e", "1"),
     ("certify", "--poly", "x0^2", "--e", "1"),
@@ -453,6 +471,16 @@ def test_certificate_bytes_are_pinned(capsys, poly, direction, digest):
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert "float_pencil" not in json.loads(out)
+
+
+def test_certificate_file_in_the_repository_still_verifies(capsys):
+    # The file is the pinned certify stdout of the N=6 pencil: a certificate
+    # already written must keep verifying when the replay changes.
+    data = GOLDEN_CERTIFICATE_FILE.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_CERTIFICATES[3][2]
+    code, out, err = run(capsys, "verify", "--cert", str(GOLDEN_CERTIFICATE_FILE))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["valid"] is True
 
 
 @pytest.mark.parametrize("poly,direction,exit_code,digest", GOLDEN_CHECKS)

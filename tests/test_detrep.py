@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperdet.detrep
-import hyperdet.linalg
 import hyperdet.quotient
 from hyperdet import (
     CertifyError,
@@ -33,8 +32,8 @@ from hyperdet.detrep import (
     pencil_determinant,
     solve_symmetric_lift,
 )
-from hyperdet.linalg import invert_matrix, solve_sparse_system
-from hyperdet.poly import apply_linear, normalize_direction
+from hyperdet.linalg import solve_sparse_system
+from hyperdet.poly import normalize_direction
 from hyperdet.quotient import QuotientContext, divide_by_h
 from hyperdet.sos import (
     SosDecomposition,
@@ -514,14 +513,41 @@ def test_certify_keeps_one_quotient_context_and_inverts_no_matrix(monkeypatch):
         contexts.append(h)
         init(self, h)
 
-    def refuse(*args):
-        raise AssertionError("certify inverted a matrix")
-
     monkeypatch.setattr(QuotientContext, "__init__", counting_init)
-    monkeypatch.setattr(hyperdet.linalg, "invert_matrix", refuse)
-    monkeypatch.setattr(hyperdet.detrep, "invert_matrix", refuse)
     certify(LORENTZ, (3, 1, -1))
     assert len(contexts) == 1
+
+
+def test_verify_normalizes_once_and_keeps_one_quotient_context(monkeypatch):
+    # verify takes h_monic and T from the one normalize_direction call that
+    # certify makes too, and builds check (c)'s context from that h.
+    cert = certify(LORENTZ, (3, 1, -1))
+    calls, contexts = [], []
+    init = QuotientContext.__init__
+
+    def counting_normalize(h, e):
+        calls.append((h, e))
+        return normalize_direction(h, e)
+
+    def counting_init(self, h):
+        contexts.append(h)
+        init(self, h)
+
+    monkeypatch.setattr(hyperdet.detrep, "normalize_direction", counting_normalize)
+    monkeypatch.setattr(QuotientContext, "__init__", counting_init)
+    assert verify_certificate(cert) == (True, [])
+    assert calls == [(cert.h, cert.e)]
+    assert contexts == [normalize_direction(cert.h, cert.e)[0]]
+
+
+def test_verify_refuses_a_transform_other_than_the_normalization_of_e():
+    # Swapping rows 1 and 2 of T keeps T*e = (1,0,0) and the Lorentz cone
+    # unchanged, so the pencil is still a valid one; T is not the one
+    # normalize_direction gives for e, and check (d) compares T with it.
+    data = certify(LORENTZ, (1, 0, 0)).to_json_dict()
+    data["T"] = [data["T"][0], data["T"][2], data["T"][1]]
+    assert verify_certificate(DetRepCertificate.from_json_dict(data)) == (
+        False, ["(d) T is not the normalization of e"])
 
 
 # -- check (c) on the principal lattice --------------------------------------------
@@ -666,7 +692,7 @@ def test_lattice_agreeing_wrong_cofactors_fail_check_c():
         data["cofactor"] = str(cofactor)
         assert verify_certificate(DetRepCertificate.from_json_dict(data)) == (
             False, [f"(c) cofactor is not a form of degree N - d = {degree} in x0..x2"])
-        ctx = QuotientContext(apply_linear(cert.h, invert_matrix(cert.transform)))
+        ctx = QuotientContext(normalize_direction(cert.h, cert.e)[0])
         products = [[[w * x for x in row] for w, row in zip(cert.weights, g)] for g in cert.pencil]
         assert _berkowitz_check(ctx, *_integer_pencil(cert.weights, products), cofactor) is not None
 

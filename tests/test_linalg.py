@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperdet import linalg
-from hyperdet.errors import NotPD, SingularMatrix
-from hyperdet.linalg import invert_matrix, ldl_decompose, nullspace, solve_sparse_system
+from hyperdet.errors import NotPD
+from hyperdet.linalg import ldl_decompose, nullspace, solve_sparse_system
 
 from conftest import rational_rank
 from oracles import (
@@ -18,7 +18,6 @@ from oracles import (
     fraction_solve_sparse_system,
     is_positive_definite,
     leading_principal_minors,
-    mat_mul,
 )
 
 
@@ -103,28 +102,6 @@ def test_integer_bareiss_requires_a_square_matrix():
 def test_leading_principal_minors():
     mat = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
     assert leading_principal_minors(mat) == [F(2), F(3), F(4)]
-
-
-def test_invert_matrix_random_roundtrip():
-    rng = random.Random(2)
-    done = 0
-    while done < 10:
-        n = rng.randint(1, 4)
-        mat = random_matrix(rng, n, n)
-        try:
-            inv = invert_matrix(mat)
-        except SingularMatrix:
-            continue
-        identity = [[Fraction(i == j) for j in range(n)] for i in range(n)]
-        assert mat_mul(mat, inv) == identity
-        done += 1
-
-
-def test_invert_matrix_rejects_singular():
-    with pytest.raises(SingularMatrix):
-        invert_matrix([[1, 2], [2, 4]])
-    with pytest.raises(SingularMatrix):
-        invert_matrix([[0, 0, 0], [1, 2, 3], [4, 5, 6]])
 
 
 def test_sparse_solver_matches_substitution_on_square_systems():

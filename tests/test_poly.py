@@ -14,7 +14,6 @@ from hyperdet import (
     PolyParseError,
     parse_poly,
 )
-from hyperdet.linalg import invert_matrix
 from hyperdet.poly import apply_linear, as_fraction, normalize_direction
 from hyperdet.quotient import QuotientContext, divide_by_h
 
@@ -220,12 +219,6 @@ def test_normalize_direction_roundtrip():
         transformed, t_mat = normalize_direction(h, e)
         assert apply_linear(transformed, t_mat) == h
         assert transformed.evaluate((1,) + (0,) * (nvars - 1)) == h.evaluate(e)
-
-
-def test_invert_matrix_roundtrip():
-    m = [[1, 2], [3, 5]]
-    inv = invert_matrix(m)
-    assert inv == [[-5, 2], [3, -1]]
 
 
 # -- evaluate ----------------------------------------------------------------

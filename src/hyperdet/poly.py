@@ -198,12 +198,7 @@ class Poly:
     def __mul__(self, other: Union["Poly", RationalLike]) -> "Poly":
         if isinstance(other, Poly):
             self._check_same_vars(other)
-            out: dict[Monomial, Fraction] = {}
-            for ma, ca in self._terms.items():
-                for mb, cb in other._terms.items():
-                    mono = tuple(a + b for a, b in zip(ma, mb))
-                    out[mono] = out.get(mono, _ZERO) + ca * cb
-            return Poly(self.nvars, out)
+            return Poly(self.nvars, _product(self._terms, other._terms))
         scalar = as_fraction(other)
         return Poly(self.nvars, {m: c * scalar for m, c in self._terms.items()})
 
@@ -277,6 +272,16 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
+def _product(a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+    """Terms of the product of two term dicts; cancelled terms stay as zeros."""
+    out: dict[Monomial, Fraction] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = tuple(x + y for x, y in zip(ma, mb))
+            out[mono] = out.get(mono, _ZERO) + ca * cb
+    return out
+
+
 def _linear_power(coeffs: Sequence[Fraction], k: int) -> dict[Monomial, Fraction]:
     """Terms of (c_0*y_0 + ... + c_m*y_m)^k, k >= 1, by the multinomial theorem.
 
@@ -316,18 +321,20 @@ def apply_linear(p: Poly, matrix: Sequence[Sequence[RationalLike]]) -> Poly:
         raise DimensionMismatch("substitution matrix must be square of size nvars")
 
     @functools.cache
-    def image_power(i: int, k: int) -> Poly:
+    def image_power(i: int, k: int) -> dict[Monomial, Fraction]:
         """(A*y)_i^k by the multinomial theorem, once per power p uses."""
-        return Poly(n, _linear_power(rows[i], k))
+        return _linear_power(rows[i], k)
 
-    total = Poly.zero(n)
+    # Products and the sum stay term dicts; one Poly drops the zeros at the end.
+    total: dict[Monomial, Fraction] = {}
     for mono, c in p._terms.items():
-        term = Poly.constant(n, c)
+        term = {(0,) * n: c}
         for i, exp in enumerate(mono):
             if exp:
-                term = term * image_power(i, exp)
-        total = total + term
-    return total
+                term = _product(term, image_power(i, exp))
+        for m, v in term.items():
+            total[m] = total.get(m, _ZERO) + v
+    return Poly(n, total)
 
 
 def normalize_direction(h: Poly, e: Sequence[RationalLike]) -> tuple[Poly, list[list[Fraction]]]:

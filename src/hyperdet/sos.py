@@ -7,11 +7,14 @@ Searches for an exponent ell and an exact rational identity
 where omega0 is the Bézoutian of dh/dx0, the weights d_i are positive
 rationals and the u_i, coordinates over the monomial basis of the quotient's
 degree k = d-1+ell piece, form a full-rank matrix (so they span that piece).
-Each candidate level states the Gram problem once as exact sparse rows,
-solves the SDP on float copies of them, rounds the float solution onto one
-rational grid, projects exactly back onto the same rows and factors the result
-once; that factorization is the positive-definiteness test, and the identity
-then holds by construction.
+Each candidate level states the Gram problem once as exact sparse rows.
+Where each row fixes one Gram position and the rows cover them all (quadrics
+and linear forms at ell = 0, binary forms at every level), those rows allow one
+matrix, which is built exactly, with no SDP and no numpy.  Otherwise the SDP
+runs on float copies of the rows, its solution is rounded onto one rational
+grid and projected exactly back onto the same rows.  Either way the level's
+matrix is factored once; that factorization is the positive-definiteness
+test, and the identity then holds by construction.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import DegreeTooSmall, Exhausted, NotPD, RoundingFailed
 from .linalg import RatMatrix, ldl_decompose
@@ -53,8 +56,9 @@ class SdpProblem:
     Each constraint is an exact sparse row ({(a, b): weight}, b_k) encoding
     <A_k, G> = b_k under the Frobenius pairing, where A_k holds the weights
     at their positions and zeros elsewhere.  These rows are the only
-    statement of the constraints: the solver (sdp.solve_maxeig) reads float
-    copies of them, and the rounding stage projects onto them exactly.
+    statement of the constraints: sole_gram reads the one matrix they allow
+    when they fix every entry; otherwise the solver (sdp.solve_maxeig) reads
+    float copies of them, and the rounding stage projects onto them exactly.
     """
 
     m: int
@@ -193,6 +197,34 @@ def gram_problem(
     return SdpProblem(len(basis), constraints), basis
 
 
+def sole_gram(problem: SdpProblem) -> RatMatrix | None:
+    """The one Gram matrix the rows allow, or None if they leave entries free.
+
+    When every row's support is one position (a, b) with its mirror and the
+    rows cover all m(m+1)/2 positions, the affine space is a point: entry
+    (a, b) is the row's right-hand side over its total weight.  round_gram's
+    projection returns that point from any iterate, so there is nothing for
+    the SDP to decide.  For a binary form this is the Bézoutian matrix
+    itself, positive definite iff the roots are real and distinct (Hermite).
+    """
+    m = problem.m
+    if len(problem.constraints) != m * (m + 1) // 2:
+        return None
+    # m(m+1)/2 rows that each fix a different position fix them all.
+    gram = [[_ZERO] * m for _ in range(m)]
+    fixed = set()
+    for row, rhs in problem.constraints:
+        if not row:
+            return None
+        a, b = min(row)
+        total = sum(row.values())
+        if row.keys() != {(a, b), (b, a)} or not total or (a, b) in fixed:
+            return None
+        fixed.add((a, b))
+        gram[a][b] = gram[b][a] = rhs / total
+    return gram
+
+
 def round_gram(
     problem: SdpProblem,
     g: np.ndarray,
@@ -272,7 +304,8 @@ def round_gram(
 def solve_maxeig(problem: SdpProblem) -> SdpSolution:
     """sdp.solve_maxeig, imported at the first solve: numpy, which the
     solver needs, loads only when an SDP runs, so check, verify and
-    bezoutian never import it."""
+    bezoutian never import it, nor does certify on levels with one Gram
+    matrix (sole_gram)."""
     from . import sdp
 
     return sdp.solve_maxeig(problem)
@@ -283,15 +316,17 @@ def find_sos_decomposition(
 ) -> SosDecomposition:
     """Escalate the multiplier exponent until an exact decomposition exists.
 
-    For each ell = 0..ell_max: assemble the Gram SDP for the Bézoutian of
-    dh/dx0 and solve it.  A level whose iterate has no positive eigenvalue
-    margin t is skipped with one recorded failure: rounding could only make
-    a PD matrix by luck, so this is a cost filter, not a soundness check.
-    Otherwise, for each bound of DENOMINATOR_BOUNDS, coarse first, round the
-    iterate (whatever its solver status) to rationals that satisfy every
-    constraint exactly and factor LDL^T once.  That factorization is the PD
-    test: a non-positive pivot (NotPD) is recorded as the bound's failure
-    and the next bound is tried.  Per-level failures escalate; Exhausted is raised
+    For each ell = 0..ell_max: assemble the Gram problem for the Bézoutian of
+    dh/dx0.  When its rows fix every entry (sole_gram), that one matrix is the
+    level's only candidate, with no SDP and no rounding.  Otherwise solve the
+    SDP.  A level whose iterate has no positive eigenvalue margin t is skipped
+    with one recorded failure: rounding could only make a PD matrix by luck,
+    so this is a cost filter, not a soundness check.  Else, for each bound of
+    DENOMINATOR_BOUNDS, coarse first, round the iterate (whatever its solver
+    status) to rationals that satisfy every constraint exactly.  Each
+    candidate is factored LDL^T once.  That factorization is the PD test: a
+    non-positive pivot (NotPD) is recorded as the candidate's failure and the
+    next candidate is tried.  Per-level failures escalate; Exhausted is raised
     only when every level fails.  A returned decomposition satisfies the
     identity exactly by construction (see SosDecomposition) and its rows
     always span (unit-triangular coefficient matrix).
@@ -305,16 +340,9 @@ def find_sos_decomposition(
         if ell:
             multiplier = multiplier * square_sum
         problem, basis = gram_problem(ctx, omega0, ell, multiplier)
-        sol = solve_maxeig(problem)
-        if not sol.t > 0:
-            failures.append(f"ell={ell}: no positive-definiteness margin to absorb rounding")
-            continue
-        for bound in DENOMINATOR_BOUNDS:
+        for gram in _candidates(problem, ell, failures):
             try:
-                gram = round_gram(problem, sol.G, bound)
                 weights, rows = ldl_decompose(gram)
-            except RoundingFailed as exc:
-                failures.append(f"ell={ell}: {exc}")
             except NotPD as exc:
                 failures.append(f"ell={ell}: projected rational matrix is not PD: {exc}")
             else:
@@ -329,3 +357,27 @@ def find_sos_decomposition(
                 )
     # Every level records at least one failure, so the list is never empty.
     raise Exhausted(ell_max, f"no exact decomposition up to ell={ell_max} ({'; '.join(failures)})")
+
+
+def _candidates(problem: SdpProblem, ell: int, failures: list[str]) -> Iterator[RatMatrix]:
+    """A level's rational Gram matrices, in the order the PD test tries them.
+
+    The one matrix of sole_gram, or else the SDP iterate rounded onto each
+    grid of DENOMINATOR_BOUNDS.  A level without margin and a rounding that
+    fails are recorded in failures and yield nothing.
+    """
+    gram = sole_gram(problem)
+    if gram is not None:
+        yield gram
+        return
+    sol = solve_maxeig(problem)
+    if not sol.t > 0:
+        failures.append(f"ell={ell}: no positive-definiteness margin to absorb rounding")
+        return
+    for bound in DENOMINATOR_BOUNDS:
+        try:
+            gram = round_gram(problem, sol.G, bound)
+        except RoundingFailed as exc:
+            failures.append(f"ell={ell}: {exc}")
+        else:
+            yield gram

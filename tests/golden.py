@@ -1,15 +1,18 @@
 """Pinned sha256 digests of certify and check output.
 
 The tests read these lists; run as a script, this file needs no pytest and
-no numpy and replays three pins on the interpreter at hand:
+no numpy and replays four pins on the interpreter at hand:
 
     PYTHONPATH=src:tests python tests/golden.py
 
 It compares the sample stream with the Random.randint oracle (dimensions
-1-6, seeds 0-9, 200 samples each) and the stdout of each GOLDEN_CHECKS case
-of `python -m hyperdet.cli check` with its digest, runs
-`python -m hyperdet.cli verify --cert` on GOLDEN_CERTIFICATE_FILE, and exits
-1 on the first difference or on a verify that does not exit 0.
+1-6, seeds 0-9, 200 samples each), the stdout of each GOLDEN_CHECKS case of
+`python -m hyperdet.cli check` with its digest, and the stdout of
+`python -m hyperdet.cli certify` with its digest for the Lorentz cases of
+GOLDEN_CERTIFICATES (their Gram rows fix the one Gram matrix, so certify
+runs no SDP and needs no numpy), runs `python -m hyperdet.cli verify --cert`
+on GOLDEN_CERTIFICATE_FILE, and exits 1 on the first difference or on a
+verify that does not exit 0.
 """
 
 import hashlib
@@ -22,6 +25,7 @@ from oracles import randint_sample_directions
 
 # sha256 of the certify JSON on stdout, pinned so that certificates stay
 # byte-identical across changes to the pipeline, not only from run to run.
+# The first two, the Lorentz cone, are also replayed by main() below.
 GOLDEN_CERTIFICATES = [
     ("x0^2 - x1^2 - x2^2", "1,0,0",
      "02653452adcc7a00a88aaee18de5f4dedcec7e8e14277817a68c82c30736eaf6"),
@@ -74,6 +78,14 @@ def main() -> int:
             print(f"check --poly {poly!r} --e {direction}: exit {done.returncode}, sha256 {got}")
             return 1
         print(f"check --e {direction}: exit {exit_code}, sha256 {got[:8]}")
+    for poly, direction, digest in GOLDEN_CERTIFICATES[:2]:
+        done = subprocess.run([sys.executable, "-m", "hyperdet.cli", "certify", "--poly", poly, "--e", direction],
+                              capture_output=True)
+        got = hashlib.sha256(done.stdout).hexdigest()
+        if (done.returncode, got) != (0, digest):
+            print(f"certify --poly {poly!r} --e {direction}: exit {done.returncode}, sha256 {got}")
+            return 1
+        print(f"certify --e {direction}: exit 0, sha256 {got[:8]}")
     done = subprocess.run([sys.executable, "-m", "hyperdet.cli", "verify", "--cert", str(GOLDEN_CERTIFICATE_FILE)],
                           capture_output=True)
     if done.returncode != 0:

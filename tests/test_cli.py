@@ -513,19 +513,25 @@ def test_certify_text_states_the_division_it_checked(capsys):
 
 
 _WITHOUT_NUMPY = """
-import sys
+import contextlib, hashlib, io, sys
 sys.modules["numpy"] = None  # every import of numpy now raises ImportError
 from hyperdet.cli import main
 lorentz = ["--poly", "x0^2 - x1^2 - x2^2", "--e", "1,0,0"]
+certified = io.StringIO()
+with contextlib.redirect_stdout(certified):
+    certify_code = main(["certify", *lorentz])
 codes = [main(["check", *lorentz]), main(["bezoutian", *lorentz]),
-         main(["verify", "--cert", sys.argv[1]])]
-sys.exit(0 if codes == [0, 0, 0] else f"exit codes {codes}")
+         main(["verify", "--cert", sys.argv[1]]), certify_code]
+print("certify sha256", hashlib.sha256(certified.getvalue().encode()).hexdigest())
+sys.exit(0 if codes == [0, 0, 0, 0] else f"exit codes {codes}")
 """
 
 
 def test_check_verify_and_bezoutian_run_without_numpy(capsys, tmp_path):
-    # numpy is imported at certify's first SDP solve, so importing the CLI
-    # and running the other three commands needs only the standard library.
+    # numpy is imported only where a Gram problem has free entries, so
+    # importing the CLI and running the other three commands, and certify of
+    # the ternary Lorentz cone, whose rows fix its one Gram matrix, needs only
+    # the standard library; that certificate keeps its golden digest.
     path = tmp_path / "cert.json"
     code, *_ = run(capsys, *LORENTZ_CERTIFY, "--output", str(path))
     assert code == 0
@@ -535,6 +541,9 @@ def test_check_verify_and_bezoutian_run_without_numpy(capsys, tmp_path):
         env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.count('"command": ') == 3
+    poly, direction, digest = GOLDEN_CERTIFICATES[0]
+    assert (poly, direction) == ("x0^2 - x1^2 - x2^2", "1,0,0")
+    assert result.stdout.splitlines()[-1] == f"certify sha256 {digest}"
 
 
 def test_legacy_float_pencil_key_is_ignored(capsys, tmp_path):

@@ -483,6 +483,21 @@ def test_degree_five_pencil_determinant_certifies_in_seconds():
     assert time.perf_counter() - start < 10
 
 
+def test_product_of_ten_real_lines_certifies_at_n_ten():
+    # Known answer: prod_{a=1..10} (x0 - a*x1) = det(x0*I - x1*diag(1..10)).
+    # Its Gram rows fix every entry at ell=0, so certify takes that one
+    # matrix, the Bezoutian itself, with no SDP; a float solve there saw no
+    # margin and the search used to end in Exhausted.
+    x0, x1 = Poly.variable(2, 0), Poly.variable(2, 1)
+    h = math.prod((x0 - x1 * a for a in range(1, 11)), start=Poly.one(2))
+    start = time.perf_counter()
+    cert = certify(h, (1, 0))
+    assert cert.multiplier == Poly.one(2)
+    assert cert.size == 10
+    assert verify_certificate(cert) == (True, [])
+    assert time.perf_counter() - start < 5
+
+
 # certify returns the certificate it built; verify_certificate alone replays it.
 _CERTIFY_CASES = [
     pytest.param(LORENTZ, (1, 0, 0), id="lorentz"),

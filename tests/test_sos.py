@@ -39,9 +39,10 @@ from hyperdet.sos import (
     monomial_basis_Mk,
     power_sum_multiplier,
     round_gram,
+    sole_gram,
 )
 
-from conftest import rational_rank, random_pencil_determinant
+from conftest import all_monomials, rational_rank, random_pencil_determinant
 from oracles import (
     fraction_round_gram,
     is_bezoutian,
@@ -55,6 +56,18 @@ def P(text, nvars=None):
 
 
 LORENTZ = P("x0^2 - x1^2 - x2^2")
+# The golden cubic: its rows leave Gram entries free at ell=0 and ell=1,
+# (m, p) = (6, 18) and (9, 30), so the search runs the SDP on both levels.
+CUBIC = P("x0^3 - x0*x1^2 - x0*x2^2")
+# Its Gram matrix at ell=0, the one in its golden certificate.
+CUBIC_GRAM = [
+    [1, 0, Fraction(53, 128), 0, 0, -1],
+    [0, Fraction(75, 64), 0, 0, 0, 0],
+    [Fraction(53, 128), 0, 1, 0, 0, -1],
+    [0, 0, 0, 2, 0, 0],
+    [0, 0, 0, 0, 2, 0],
+    [-1, 0, -1, 0, 0, 3],
+]
 
 
 # -- monomial basis -----------------------------------------------------------
@@ -346,26 +359,41 @@ def test_lorentz_decomposition_pinned():
 @pytest.mark.parametrize("status", [MAX_ITERATIONS, INFEASIBLE])
 def test_positive_margin_iterate_is_accepted_whatever_its_status(monkeypatch, status):
     # The solver status does not gate rounding: a positive-margin iterate is
-    # rounded, and the one exact LDL^T accepts its PD projection at ell=0.
+    # rounded, and the one exact LDL^T accepts its PD projection at ell=0,
+    # the Gram matrix of the golden cubic's certificate.
     def solve(problem):
         return dataclasses.replace(solve_maxeig(problem), status=status)
 
     monkeypatch.setattr(hyperdet.sos, "solve_maxeig", solve)
-    dec = find_sos_decomposition(QuotientContext(LORENTZ))
+    dec = find_sos_decomposition(QuotientContext(CUBIC))
     assert dec.ell == 0
-    assert dec.gram == [[Fraction(2 * (i == j)) for j in range(3)] for i in range(3)]
+    assert dec.gram == CUBIC_GRAM
 
 
 def test_positive_margin_iterate_with_non_pd_projection_is_refused(monkeypatch):
-    # The rows of x0^2 + x1^2 at ell=0 force a Gram matrix that is not PD;
-    # a positive margin claimed by the solver does not get it past the LDL.
+    # x0*(x0^2 + x1^2 + x2^2) is not hyperbolic, so no matrix its rows allow
+    # at ell=0 is PD; a positive margin claimed by the solver does not get
+    # the projection past the LDL on any of the four grids.
     def solve(problem):
         return SdpSolution(G=np.eye(problem.m), t=1.0, residual=0.0, status=MAX_ITERATIONS)
 
     monkeypatch.setattr(hyperdet.sos, "solve_maxeig", solve)
     with pytest.raises(Exhausted) as info:
-        find_sos_decomposition(QuotientContext(P("x0^2 + x1^2")), ell_max=0)
+        find_sos_decomposition(QuotientContext(P("x0^3 + x0*x1^2 + x0*x2^2")), ell_max=0)
     assert str(info.value).count("ell=0: projected rational matrix is not PD") == 4
+
+
+def test_sole_gram_that_is_not_pd_is_recorded_once(monkeypatch):
+    # The rows of x0^2 + x1^2 at ell=0 fix every entry of a Gram matrix that
+    # is not PD: one failure for the one matrix, and no solve.
+    def solve(problem):
+        raise AssertionError("the SDP ran on a level with one Gram matrix")
+
+    monkeypatch.setattr(hyperdet.sos, "solve_maxeig", solve)
+    with pytest.raises(Exhausted) as info:
+        find_sos_decomposition(QuotientContext(P("x0^2 + x1^2")), ell_max=0)
+    assert str(info.value).count("ell=0: projected rational matrix is not PD") == 1
+    assert str(info.value).startswith("no exact decomposition up to ell=0 (ell=0: projected")
 
 
 @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
@@ -382,7 +410,7 @@ def test_level_without_margin_is_recorded_once_and_not_rounded(monkeypatch, t):
     monkeypatch.setattr(hyperdet.sos, "solve_maxeig", solve)
     monkeypatch.setattr(hyperdet.sos, "round_gram", counted)
     with pytest.raises(Exhausted) as info:
-        find_sos_decomposition(QuotientContext(LORENTZ), ell_max=1)
+        find_sos_decomposition(QuotientContext(CUBIC), ell_max=1)
     failures = "; ".join(f"ell={ell}: no positive-definiteness margin to absorb rounding"
                          for ell in (0, 1))
     assert str(info.value) == f"no exact decomposition up to ell=1 ({failures})"
@@ -399,6 +427,77 @@ def test_rounded_gram_is_factored_once(monkeypatch):
     monkeypatch.setattr(hyperdet.sos, "ldl_decompose", counted)
     dec = find_sos_decomposition(QuotientContext(LORENTZ))
     assert calls == [dec.gram]
+
+
+def _lorentz(nvars):
+    return P(" - ".join(f"x{i}^2" for i in range(nvars)))
+
+
+# Inputs whose rows fix every Gram entry at ell=0, and which certify there.
+_ONE_POINT_INPUTS = (
+    [pytest.param(_lorentz(n + 1), id=f"lorentz-n{n}") for n in range(1, 6)]
+    + [pytest.param(random_pencil_determinant(random.Random(seed), nvars, 2), id=f"hv{nvars}d2-{seed}")
+       for nvars in (2, 3) for seed in (1, 2, 3, 4)]
+    + [pytest.param(random_pencil_determinant(random.Random(1), 2, 5), id="binary-d5")]
+)
+
+
+@pytest.mark.parametrize("h", _ONE_POINT_INPUTS)
+def test_level_with_one_gram_matrix_runs_no_sdp_and_no_rounding(monkeypatch, h):
+    calls = {"solve_maxeig": [], "round_gram": [], "ldl_decompose": []}
+
+    def spy(name, function):
+        def called(*args):
+            calls[name].append(args)
+            return function(*args)
+        return called
+
+    monkeypatch.setattr(hyperdet.sos, "solve_maxeig", spy("solve_maxeig", solve_maxeig))
+    monkeypatch.setattr(hyperdet.sos, "round_gram", spy("round_gram", round_gram))
+    monkeypatch.setattr(hyperdet.sos, "ldl_decompose", spy("ldl_decompose", ldl_decompose))
+    dec = find_sos_decomposition(QuotientContext(h))
+    assert dec.ell == 0
+    assert calls == {"solve_maxeig": [], "round_gram": [], "ldl_decompose": [(dec.gram,)]}
+
+
+@st.composite
+def one_point_problems(draw):
+    """A random quadric in 2-5 variables at ell=0, or a random binary form of
+    degree 1-5 at ell 0-2, monic in x0."""
+    if draw(st.booleans()):
+        nvars, degree, ell = draw(st.integers(2, 5)), 2, 0
+    else:
+        nvars, degree, ell = 2, draw(st.integers(1, 5)), draw(st.integers(0, 2))
+    coefficient = st.fractions(-4, 4, max_denominator=3)
+    terms = {mono: draw(coefficient) for mono in all_monomials(nvars, degree)}
+    terms[(degree,) + (0,) * (nvars - 1)] = Fraction(1)
+    ctx = QuotientContext(Poly(nvars, terms))
+    omega = bezoutian_of(ctx, ctx.h.derivative(0))
+    problem, _ = gram_problem(ctx, omega, ell, power_sum_multiplier(ctx, ell))
+    return problem
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_point_problems())
+def test_rows_of_quadrics_and_binary_forms_fix_every_gram_position(problem):
+    # Each row's support is one position with its mirror, and the rows cover
+    # every position once, so the rows allow one matrix: the one that
+    # round_gram's projection returns from any iterate.
+    m = problem.m
+    supports = [{tuple(sorted(pos)) for pos in row} for row, _ in problem.constraints]
+    assert all(len(support) == 1 for support in supports)
+    assert sorted(pos for (pos,) in supports) == [(a, b) for a in range(m) for b in range(a, m)]
+    assert sole_gram(problem) == round_gram(problem, np.eye(m), 2**8)
+
+
+def test_sole_gram_leaves_free_entries_to_the_sdp():
+    ctx = QuotientContext(CUBIC)
+    omega = bezoutian_of(ctx, CUBIC.derivative(0))
+    for ell in (0, 1):
+        problem, _ = gram_problem(ctx, omega, ell, power_sum_multiplier(ctx, ell))
+        assert sole_gram(problem) is None
+    # Two rows on one position leave another position free.
+    assert sole_gram(SdpProblem(2, [({(0, 0): Fraction(1)}, Fraction(1))] * 3)) is None
 
 
 def test_linear_decomposition():
@@ -521,7 +620,7 @@ def test_power_sum_multiplier():
 def test_multiplier_is_built_once_per_search(monkeypatch):
     # One sum of squares per search and one product per level: every Gram
     # problem and the returned decomposition carry that level's power.
-    ctx = QuotientContext(LORENTZ)
+    ctx = QuotientContext(CUBIC)
     powers, multipliers = [], []
 
     def counted_power(ctx_, ell):
@@ -533,9 +632,9 @@ def test_multiplier_is_built_once_per_search(monkeypatch):
         return gram_problem(ctx_, omega0, ell, multiplier)
 
     def solve(problem):
-        # No margin at ell=0 (m = 3), so the search goes on to ell=1.
+        # No margin at ell=0 (m = 6), so the search goes on to ell=1.
         sol = solve_maxeig(problem)
-        return sol if problem.m > 3 else dataclasses.replace(sol, t=-1.0)
+        return sol if problem.m > 6 else dataclasses.replace(sol, t=-1.0)
 
     monkeypatch.setattr(hyperdet.sos, "power_sum_multiplier", counted_power)
     monkeypatch.setattr(hyperdet.sos, "gram_problem", recorded_problem)

@@ -6,10 +6,12 @@ Commands:
   certify    run the full pipeline and build a certificate that verify replays
   verify     replay a certificate file
 
-Exit codes: 0 success, 1 mathematical refusal (not hyperbolic, suspected
-singularity, multiplier search exhausted, failed verification: any
-HyperdetError that is not an InputError), 2 input error (InputError, an
-unreadable, undecodable or malformed file, an out-of-range flag).
+Exit codes: 0 success, 1 refusal (not hyperbolic, suspected singularity,
+multiplier search exhausted, failed verification: any HyperdetError that is
+not an InputError; also a certify that must solve an SDP when numpy cannot
+be imported, with one stderr line that names numpy), 2 input error
+(InputError, an unreadable, undecodable or malformed file, an out-of-range
+flag).
 """
 
 from __future__ import annotations

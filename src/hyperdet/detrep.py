@@ -6,20 +6,23 @@ G_1..G_n of the multiplication-by-x0 action on the generators (the rows of
 R), constrained to be symmetric under the weight matrix D.  Its unknowns
 are the symmetric S_s = R^T D G_s R in the monomial basis, where every
 equation has unit coefficients, and it returns G_s with the similar
-P_s = R^-1 G_s R.  The pencil x0*I - sum_i x_i G_i then has determinant
+P_s = R^-1 G_s R as integers over row denominators.  The pencil
+x0*I - sum_i x_i G_i then has determinant
 cofactor * h_monic, and it is the identity at the normalized direction
 (1,0,...,0), the image of e under normalize_direction's T: that is the
 definiteness certificate.  Everything in the certificate replays in exact
 arithmetic, and T is replayed as normalize_direction's T for e.  certify
 takes the determinant of the P_s as one division-free Berkowitz
-characteristic polynomial over integer polynomials, and the cofactor as its
-x0-quotient by h_monic, the division that defines the quotient module
-(quotient.divide_by_h).  The replay divides nothing: it scales the
-symmetric pencil D, D*G_s to integers once, by one diagonal congruence, and
-with two pencil matrices (a ternary h) compares symmetric integer
-determinants of that pencil with cofactor * h_monic at the points of the
-principal lattice, and otherwise the Berkowitz determinant of its similar
-pencil with that.
+characteristic polynomial over integer polynomials, packed integer forms
+over one denominator, and the cofactor as its x0-quotient by h_monic, the
+division that defines the quotient module, on those integers
+(quotient.divide_packed); only the cofactor's coefficients become
+Fractions.  The replay divides nothing: it scales the symmetric pencil
+D, D*G_s to integers once, by one diagonal congruence, and with two pencil
+matrices (a ternary h) compares symmetric integer determinants of that
+pencil with cofactor * h_monic at the points of the principal lattice, and
+otherwise the Berkowitz determinant of its similar pencil with
+cofactor * h_monic as integer forms, with no Poly product.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .poly import (
     normalize_direction,
     parse_poly,
 )
-from .quotient import QuotientContext, divide_by_h
+from .quotient import QuotientContext, divide_packed, packed_dot, packed_forms, unpacked_poly
 from .sos import (
     DEFAULT_ELL_MAX,
     GramIndex,
@@ -216,14 +219,16 @@ def basis_maps(
 
 def solve_symmetric_lift(
     ctx: QuotientContext, dec: SosDecomposition
-) -> tuple[list[RatMatrix], list[RatMatrix]]:
+) -> tuple[list[RatMatrix], tuple[list[list[list[int]]], list[int]]]:
     """Solve for the weighted-symmetric matrices of the x0 action.
 
-    Returns (pencil, basis_pencil): the certificate's G_s, with
+    Returns (pencil, (basis_ints, basis_dens)): the certificate's G_s, with
     D * G_s = G_s^T * D for D = diag(dec.weights), and the similar
-    P_s = R^-1 G_s R in the monomial basis of the degree-k piece.  R is the
-    unit upper-triangular LDL factor whose rows are the generators
-    (dec.rows), so that W = dec.gram = R^T D R.
+    P_s = R^-1 G_s R in the monomial basis of the degree-k piece as
+    integers over row denominators, P_s[a][b] = basis_ints[s][a][b] /
+    basis_dens[a], the form _charpoly reads.  R is the unit upper-triangular
+    LDL factor whose rows are the generators (dec.rows), so that
+    W = dec.gram = R^T D R.
 
     The unknowns are the entries of the symmetric S_s = W P_s = R^T D G_s R,
     one per upper-triangle entry, and the system is X_0 W = sum_s X_s S_s,
@@ -241,7 +246,8 @@ def solve_symmetric_lift(
     column of V^-1 as integers over one denominator, and both pencils are
     then integer products: G_s = D^-1 R^-T S_s R^-1, which is
     G_s[a][b] = delta_a delta_b Z[a][b] / d_a with Z = V^-T S_s V^-1, and
-    P_s = W^-1 S_s with W^-1 = V^-1 diag(delta^2 / d) V^-T.
+    P_s = W^-1 S_s with W^-1 = V^-1 diag(delta^2 / d) V^-T, every P_s over
+    one common denominator and with no Fraction per entry.
 
     Raises NoSymmetricLift when the system is inconsistent, and when V has a
     zero diagonal entry, which means the decomposition's rows do not span
@@ -320,14 +326,17 @@ def solve_symmetric_lift(
     winv = [[x // content for x in row] for row in winv]
     winv_den //= content
 
-    pencil: list[RatMatrix] = []
-    basis_pencil: list[RatMatrix] = []
+    # S_s = sym_s / den_s: the solved values are gram_den * map_den * S_s.
+    syms, dens = [], []
     for s in range(n):
-        # S_s = sym / den: the solved values are gram_den * map_den * S_s.
         sym = [[values[unknown_id(s, a, b)] for b in range(m)] for a in range(m)]
         den = math.lcm(*(x.denominator for row in sym for x in row))
-        sym = [[x.numerator * (den // x.denominator) for x in row] for row in sym]
-        den *= gram_den * map_den
+        syms.append([[x.numerator * (den // x.denominator) for x in row] for row in sym])
+        dens.append(den * gram_den * map_den)
+    common = math.lcm(*dens)
+    pencil: list[RatMatrix] = []
+    basis_ints: list[list[list[int]]] = []
+    for sym, den in zip(syms, dens):
         # Z = V^-T S_s V^-1 = diag(1/inv_dens) K diag(1/inv_dens) / den,
         # K = C^T sym C for C the integer columns of V^-1; sym is symmetric.
         half = [[sum(x * y for x, y in zip(col, line)) for line in sym] for col in inv_cols]
@@ -335,9 +344,10 @@ def solve_symmetric_lift(
         pencil.append([[Fraction(deltas[a] * deltas[b] * k[a][b] * weights[a].denominator,
                                  inv_dens[a] * inv_dens[b] * den * weights[a].numerator)
                         for b in range(m)] for a in range(m)])
-        basis_pencil.append([[Fraction(sum(x * y for x, y in zip(row, line)), winv_den * den)
-                              for line in sym] for row in winv])
-    return pencil, basis_pencil
+        # P_s = winv sym / (winv_den * den), over winv_den * common.
+        basis_ints.append([[sum(x * y for x, y in zip(row, line)) * (common // den) for line in sym]
+                           for row in winv])
+    return pencil, (basis_ints, [winv_den * common] * m)
 
 
 def _integer_pencil(weights: Sequence[Fraction], products: Sequence[RatMatrix]
@@ -360,35 +370,29 @@ def _integer_pencil(weights: Sequence[Fraction], products: Sequence[RatMatrix]
     return [x // content for x in diag], [[[x // content for x in row] for row in m] for m in ints]
 
 
-def _charpoly(ints: Sequence[Sequence[Sequence[int]]], dens: Sequence[int]) -> Poly:
-    """det(x0*I - sum_s x_s A_s) for A_s[a][b] = ints[s][a][b] / dens[a], exactly.
+def _charpoly(ints: Sequence[Sequence[Sequence[int]]], dens: Sequence[int]
+              ) -> tuple[list[dict[int, int]], int]:
+    """(forms, den) with den * det(x0*I - sum_s x_s A_s) = sum_k forms[k] x0^k
+    for A_s[a][b] = ints[s][a][b] / dens[a], exactly.
 
     Row a is divided by the gcd of dens[a] and its integers in every A_s,
     and the pencil is scaled by the lcm L of the reduced denominators.  One
     division-free Berkowitz pass over the ring of integer polynomials in
-    x1..xn gives the characteristic polynomial of L*A, whose x0^(N-i)
-    coefficient is then divided by L^i.
+    x1..xn gives the characteristic polynomial sum_i c_i x0^(N-i) of L*A,
+    so den = L^N and forms[N-i] = c_i * L^(N-i).  The forms are packed as
+    in quotient.packed_forms with base N + 1, which no exponent of a form of
+    degree N reaches: the form quotient.divide_packed reads.
     """
-    size, n = len(dens), len(ints)
+    size = len(dens)
     common = [math.gcd(den, *(m[a][b] for m in ints for b in range(size))) for a, den in enumerate(dens)]
     dens = [den // g for den, g in zip(dens, common)]
     scale = math.lcm(*dens)
-    # A monomial x1^e1..xn^en is packed as the int sum e_s * base^(s-1), so
-    # multiplying monomials adds keys; no exponent reaches base = N+1.
     base = size + 1
     mat = [[{base**s: m[a][b] // g * (scale // den) for s, m in enumerate(ints) if m[a][b]}
             for b in range(size)] for a, (g, den) in enumerate(zip(common, dens))]
     coeffs = _berkowitz_charpoly(mat)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for i, coeff in enumerate(coeffs):
-        den = scale**i
-        for key, c in coeff.items():
-            exps = []
-            for _ in range(n):
-                key, e = divmod(key, base)
-                exps.append(e)
-            terms[(size - i,) + tuple(exps)] = Fraction(c, den)
-    return Poly(n + 1, terms)
+    forms = [{key: c * scale**k for key, c in coeffs[size - k].items()} for k in range(size + 1)]
+    return forms, scale**size
 
 
 def pencil_determinant(pencil: Sequence[RatMatrix]) -> Poly:
@@ -399,18 +403,9 @@ def pencil_determinant(pencil: Sequence[RatMatrix]) -> Poly:
     the pencil with entries (rho_a G_s[a][b]) / rho_a.
     """
     rho = [math.lcm(*(x.denominator for g in pencil for x in g[a])) for a in range(len(pencil[0]))]
-    return _charpoly([[[x.numerator * (r // x.denominator) for x in row] for row, r in zip(g, rho)]
-                      for g in pencil], rho)
-
-
-def _dot(fs: Sequence[dict[int, int]], gs: Sequence[dict[int, int]]) -> dict[int, int]:
-    """sum_i fs[i] * gs[i] for integer polynomials keyed by packed monomials."""
-    acc: dict[int, int] = {}
-    for f, g in zip(fs, gs):
-        for kf, cf in f.items():
-            for kg, cg in g.items():
-                acc[kf + kg] = acc.get(kf + kg, 0) + cf * cg
-    return {key: c for key, c in acc.items() if c}
+    forms, den = _charpoly([[[x.numerator * (r // x.denominator) for x in row] for row, r in zip(g, rho)]
+                            for g in pencil], rho)
+    return unpacked_poly(forms, den, len(rho) + 1, len(pencil) + 1)
 
 
 def _berkowitz_charpoly(mat: list[list[dict[int, int]]]) -> list[dict[int, int]]:
@@ -432,17 +427,40 @@ def _berkowitz_charpoly(mat: list[list[dict[int, int]]]) -> list[dict[int, int]]
         vec = [row[k] for row in mat[k + 1:]]
         for j in range(len(block)):
             if j:
-                vec = [_dot(row, vec) for row in block]
-            toeplitz.append(neg(_dot(mat[k][k + 1:], vec)))
-        coeffs = [_dot(toeplitz[i::-1], coeffs) for i in range(len(toeplitz))]
+                vec = [packed_dot(row, vec) for row in block]
+            toeplitz.append(neg(packed_dot(mat[k][k + 1:], vec)))
+        coeffs = [packed_dot(toeplitz[i::-1], coeffs) for i in range(len(toeplitz))]
     return coeffs
 
 
 def _berkowitz_check(ctx: QuotientContext, diag: Sequence[int], ints: Sequence[Sequence[Sequence[int]]],
                      cofactor: Poly) -> str | None:
-    """Check (c) as one product comparison: det(x0*I - sum_s x_s D'^-1 Y'_s) is cofactor * h_monic."""
-    if _charpoly(ints, diag) != cofactor * ctx.h:
-        return "pencil determinant differs from cofactor * h_monic"
+    """Check (c) as one comparison of integer forms: det(x0*I - sum_s x_s D'^-1 Y'_s)
+    is cofactor * h_monic.
+
+    The determinant is a nonzero form of degree N (its x0^N coefficient is
+    1), so a cofactor that is not a nonzero form of degree N - d fails at
+    once.  Otherwise no exponent exceeds N, and with den*det, c_den*cofactor
+    and h_den*h_monic as integer forms packed in base N + 1 (_charpoly,
+    quotient.packed_forms), the identity reads
+    c_den * h_den * (den*det) = den * (c_den*cofactor) * (h_den*h_monic),
+    compared coefficient by coefficient of x0.
+    """
+    size, d = len(diag), ctx.d
+    failure = "pencil determinant differs from cofactor * h_monic"
+    if cofactor.nvars != ctx.nvars or not cofactor or not (
+        cofactor.is_homogeneous and cofactor.degree == size - d
+    ):
+        return failure
+    forms, den = _charpoly(ints, diag)
+    c_forms, c_den = packed_forms(cofactor, size + 1)
+    h_forms, h_den = packed_forms(ctx.h, size + 1)
+    scale = c_den * h_den
+    for k, form in enumerate(forms):
+        pairs = range(max(0, k - d), min(k, len(c_forms) - 1) + 1)
+        product = packed_dot([c_forms[i] for i in pairs], [h_forms[k - i] for i in pairs])
+        if {key: c * scale for key, c in form.items()} != {key: c * den for key, c in product.items()}:
+            return failure
     return None
 
 
@@ -500,8 +518,11 @@ def certify(h: Poly, e: Sequence[RationalLike], options: CertifyOptions | None =
     built at normalization; a nonzero remainder is CertifyError
     "self_verify".  That determinant is taken on the similar pencil
     P_s = R^-1 G_s R that solve_symmetric_lift returns beside G_s (R from
-    the decomposition's LDL), whose denominators are far shorter than those
-    of the certificate's G_s; verify_certificate replays check (c) on G.
+    the decomposition's LDL), as integers over row denominators far shorter
+    than those of the certificate's G_s; _charpoly's packed integer forms
+    go straight to quotient.divide_packed, and only the cofactor's
+    coefficients become Fractions.  verify_certificate replays check (c)
+    on G.
     Checks (a), (b) and (d) of verify_certificate hold by construction and
     are not run here: the weights are the LDL pivots, which ldl_decompose
     has refused unless positive; the lift sets g[a][b] = delta_a delta_b
@@ -526,9 +547,11 @@ def certify(h: Poly, e: Sequence[RationalLike], options: CertifyOptions | None =
         )
 
     dec = find_sos_decomposition(ctx, opts.lmax)
-    pencil, basis_pencil = solve_symmetric_lift(ctx, dec)
-    cofactor, remainder = divide_by_h(ctx, pencil_determinant(basis_pencil))
-    if any(remainder):  # pragma: no cover - would be a soundness bug
+    pencil, (basis_ints, basis_dens) = solve_symmetric_lift(ctx, dec)
+    forms, den = _charpoly(basis_ints, basis_dens)
+    base = len(basis_dens) + 1
+    quotient, q_den, remainder, _ = divide_packed(ctx, forms, base)
+    if any(remainder):
         raise CertifyError("self_verify", "(c) pencil determinant is not a multiple of h_monic")
     return DetRepCertificate(
         h=h,
@@ -537,7 +560,7 @@ def certify(h: Poly, e: Sequence[RationalLike], options: CertifyOptions | None =
         size=len(dec.rows),
         weights=list(dec.weights),
         pencil=pencil,
-        cofactor=cofactor,
+        cofactor=unpacked_poly(quotient, q_den * den, base, ctx.nvars),
         multiplier=dec.multiplier,
     )
 
@@ -560,8 +583,8 @@ def verify_certificate(cert: DetRepCertificate) -> tuple[bool, list[str]]:
     for n = 2, _lattice_check, which requires the cofactor to be zero or a
     form of degree N - d and compares values at the (N+1)(N+2)/2 points of
     the principal lattice; otherwise _berkowitz_check, which compares the
-    Berkowitz determinant of D'^-1 Y'_s, a similarity of G_s, with the
-    product cofactor * h_monic.  Neither divides by h_monic.  Failures are
+    Berkowitz determinant of D'^-1 Y'_s, a similarity of G_s, with
+    cofactor * h_monic as integer forms.  Neither divides by h_monic.  Failures are
     reported as diagnostics, never raised.  The SDP and the sampling stages
     are deliberately not replayed.
     """

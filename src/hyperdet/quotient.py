@@ -5,13 +5,20 @@ of the full polynomial ring by (h) is free of rank d over the subring in
 x1..xn, with basis 1, x0bar, ..., x0bar^{d-1}.  This module provides the
 one division by h, whose remainder is the reduction to that basis and whose
 quotient is the cofactor of a certificate, and the d x d polynomial matrices
-("Bézoutian forms") obtained from difference quotients.
+("Bézoutian forms") obtained from difference quotients.  Both run on
+integers: a polynomial is held as integer x0-coefficient forms in x1..xn
+over one denominator, each monomial packed into one int (packed_forms), and
+divide_packed divides such forms by den*h_monic with every step exact.
+divide_by_h and bezoutian_of form one Fraction per coefficient of what they
+return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 from .errors import DimensionMismatch
 from .poly import Monomial, Poly
@@ -56,42 +63,114 @@ class QuotientContext:
         return f"QuotientContext(h={self.h!s}, d={self.d}, n={self.n})"
 
 
+def packed_forms(p: Poly, base: int) -> tuple[list[dict[int, int]], int]:
+    """(forms, den): den*p = sum_k forms[k] x0^k over the integers.
+
+    den > 0 is the lcm of p's denominators, and forms[k] is the integer form
+    in x1..xn of x0^k, with x1^e1..xn^en packed as the int sum
+    e_s * base^(s-1), so that multiplying monomials adds keys while no
+    exponent reaches base.
+    """
+    den = lcm(*(c.denominator for _, c in p.terms()))
+    forms: list[dict[int, int]] = [{} for _ in range(p.degree_in(0) + 1)]
+    for mono, c in p.terms():
+        key = sum(e * base**s for s, e in enumerate(mono[1:]))
+        forms[mono[0]][key] = c.numerator * (den // c.denominator)
+    return forms, den
+
+
+def unpacked_poly(forms: Sequence[dict[int, int]], den: int, base: int, nvars: int) -> Poly:
+    """sum_k forms[k] x0^k / den as a Poly in nvars variables, forms packed as in
+    packed_forms: one Fraction per coefficient."""
+    terms: dict[Monomial, Fraction] = {}
+    for k, form in enumerate(forms):
+        for key, c in form.items():
+            exps = [k]
+            for _ in range(nvars - 1):
+                key, e = divmod(key, base)
+                exps.append(e)
+            terms[tuple(exps)] = Fraction(c, den)
+    return Poly(nvars, terms)
+
+
+def packed_dot(fs: Sequence[dict[int, int]], gs: Sequence[dict[int, int]]) -> dict[int, int]:
+    """sum_i fs[i] * gs[i] for integer forms packed as in packed_forms."""
+    acc: dict[int, int] = {}
+    for f, g in zip(fs, gs):
+        for kf, cf in f.items():
+            for kg, cg in g.items():
+                acc[kf + kg] = acc.get(kf + kg, 0) + cf * cg
+    return {key: c for key, c in acc.items() if c}
+
+
+def divide_packed(
+    ctx: QuotientContext, forms: Sequence[dict[int, int]], base: int
+) -> tuple[list[dict[int, int]], int, list[dict[int, int]], int]:
+    """(quotient, q_den, remainder, r_den) with
+    sum_k forms[k] x0^k = (quotient / q_den) * h_monic + remainder / r_den.
+
+    The one division by h: forms are packed as in packed_forms, base above
+    every exponent of the dividend and of h, quotient lists the forms of
+    x0^0, x0^1, ... and remainder those of x0^0..x0^(d-1), all integer.
+    With den*h_monic = sum_j H_j x0^j (den the lcm of h_monic's
+    denominators, so H_d = den) and K the dividend's x0-degree, the dividend
+    is scaled by den^(K-d+1) once.  Then x0^k for k = K..d is rewritten top
+    down by x0^d = -sum_{j<d} (H_j / den) x0^j: the top form, divided by den,
+    is the quotient's form of x0^(k-d), and that division is exact because
+    the forms still to be rewritten keep a factor den^(k-d+1).
+    """
+    d = ctx.d
+    h_forms, den = packed_forms(ctx.h, base)
+    steps = max(len(forms) - d, 0)
+    scale = den**steps
+    parts = [{key: c * scale for key, c in form.items()} for form in forms]
+    parts += [{} for _ in range(d - len(parts))]
+    quotient: list[dict[int, int]] = [{} for _ in range(steps)]
+    for k in range(len(parts) - 1, d - 1, -1):
+        top = {key: c // den for key, c in parts.pop().items() if c}
+        quotient[k - d] = top
+        for j, h_form in enumerate(h_forms[:d]):
+            target = parts[k - d + j]
+            for kh, ch in h_form.items():
+                for kt, ct in top.items():
+                    target[kh + kt] = target.get(kh + kt, 0) - ch * ct
+    remainder = [{key: c for key, c in part.items() if c} for part in parts]
+    return quotient, den ** (steps - 1) if steps else 1, remainder, scale
+
+
 def divide_by_h(ctx: QuotientContext, p: Poly) -> tuple[Poly, tuple[Poly, ...]]:
     """(q, r) with p = q * h_monic + sum_j r_j x0^j, every r_j free of x0.
 
     r_0..r_(d-1) are the coordinates of p's class over 1, x0bar, ...,
     x0bar^(d-1), and q is the x0-quotient; p is a multiple of h_monic
-    exactly when every r_j is zero.
+    exactly when every r_j is zero.  p is scaled to integer forms and
+    divided by divide_packed.
     """
     if p.nvars != ctx.nvars:
         raise DimensionMismatch("polynomial and context variable counts differ")
-    d = ctx.d
-    parts = p.x0_coefficients()
-    quotient: dict[Monomial, Fraction] = {}
-    # Rewrite x0^k for k >= d via x0^d = -sum_{j<d} c_j x0^j, top down; the
-    # coefficient popped at x0^k is that of x0^(k-d) in q.
-    while len(parts) > d:
-        top = parts.pop()
-        k = len(parts)  # top was the coefficient of x0^k
-        if top.is_zero:
-            continue
-        quotient.update(((k - d,) + mono[1:], c) for mono, c in top.terms())
-        for j in range(d):
-            parts[k - d + j] = parts[k - d + j] - ctx.h_coeffs[j] * top
-    parts += [Poly.zero(ctx.nvars)] * (d - len(parts))
-    return Poly(ctx.nvars, quotient), tuple(parts)
+    base = max(p.degree, ctx.d) + 1
+    forms, den = packed_forms(p, base)
+    quotient, q_den, remainder, r_den = divide_packed(ctx, forms, base)
+    return (unpacked_poly(quotient, q_den * den, base, ctx.nvars),
+            tuple(unpacked_poly([form], r_den * den, base, ctx.nvars) for form in remainder))
 
 
-def _divide_by_s_minus_t(num: list[list], d: int) -> list[list]:
+def _divide_by_s_minus_t(num: list[list[dict[int, int]]], d: int) -> list[list[dict[int, int]]]:
     """Synthetic division of an antisymmetric (d+1) x (d+1) table by (s - t).
 
-    Entries are x0-free Polys; the d x d quotient is returned.
+    Entries are x0-free packed integer forms; the d x d quotient is returned.
     """
-    quot = [None] * d
+    def add(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
+        out = dict(f)
+        for key, c in g.items():
+            out[key] = out.get(key, 0) + c
+        return {key: c for key, c in out.items() if c}
+
+    quot: list = [None] * d
     carry = num[d]
     for i in range(d - 1, -1, -1):
         quot[i] = list(carry)
-        carry = [num[i][0]] + [num[i][j] + quot[i][j - 1] for j in range(1, d + 1)]
+        carry = [num[i][0]] + [add(num[i][j], quot[i][j - 1]) for j in range(1, d + 1)]
     assert not any(carry), "numerator was not divisible by s - t"
     assert not any(row[d] for row in quot), "quotient degree overflow in t"
     return [row[:d] for row in quot]
@@ -122,21 +201,30 @@ class BezoutianForm:
 def bezoutian_of(ctx: QuotientContext, p: Poly) -> BezoutianForm:
     """Bézoutian form generated by p: reduce (h(s)p(t) - h(t)p(s)) / (s - t).
 
-    p is reduced modulo h first (the remainder of divide_by_h); the division
-    then lands directly in the span of s^i t^j with i, j < d, so no bidegree
-    reduction is needed.
+    p is reduced modulo h first (the remainder of divide_packed); the
+    division then lands directly in the span of s^i t^j with i, j < d, so no
+    bidegree reduction is needed.  The table h_i p_j - h_j p_i and the
+    synthetic division by (s - t) run on packed integer forms over the one
+    denominator h_den * r_den * p_den.
     """
     if p.nvars != ctx.nvars:
         raise DimensionMismatch("polynomial and context variable counts differ")
     if not p.is_homogeneous:
         raise ValueError("generator must be homogeneous")
     d = ctx.d
-    _, reduced = divide_by_h(ctx, p)
-    pc = reduced + (Poly.zero(ctx.nvars),)
-    hc = ctx.h_coeffs
-    # Numerator table N[i][j] = h_i p_j - h_j p_i over the coefficient ring.
-    num = [[hc[i] * pc[j] - hc[j] * pc[i] for j in range(d + 1)] for i in range(d + 1)]
-    return BezoutianForm(tuple(tuple(row) for row in _divide_by_s_minus_t(num, d)))
+    base = p.degree + d + 1
+    forms, p_den = packed_forms(p, base)
+    _, _, reduced, r_den = divide_packed(ctx, forms, base)
+    h_forms, h_den = packed_forms(ctx.h, base)
+    pc = reduced + [{}]
+    neg = [{key: -c for key, c in form.items()} for form in pc]
+    # Numerator table N[i][j] = H_i R_j - H_j R_i over the one denominator
+    # h_den * r_den * p_den.
+    num = [[packed_dot((h_forms[i], h_forms[j]), (pc[j], neg[i])) for j in range(d + 1)]
+           for i in range(d + 1)]
+    den = h_den * r_den * p_den
+    return BezoutianForm(tuple(tuple(unpacked_poly([f], den, base, ctx.nvars) for f in row)
+                               for row in _divide_by_s_minus_t(num, d)))
 
 
 def delta_bezoutian(ctx: QuotientContext) -> BezoutianForm:

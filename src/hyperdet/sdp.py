@@ -13,7 +13,9 @@ X and S keep the Cholesky factors of the step that accepted them, and the
 inverses of those factors give the scaling and the step lengths; the Schur
 matrix is the symmetric product B B^T, row k of B holding the scaled
 constraint g^T A_k g, and its Cholesky factor is inverted once, so every
-Schur solve is two matrix-vector products.  The solver is deterministic:
+Schur solve is two matrix-vector products.  The adjoint sum_k y_k A_k is
+one product with the flat stack of the A_k, formed once per direction.
+The solver is deterministic:
 fixed initialization X = I, S = I, y = 0, t = 0 (so the matrix variable
 starts at G = I) and no randomized pivoting.
 """
@@ -143,7 +145,8 @@ def solve_maxeig(problem: SdpProblem) -> SdpSolution:
                            MAX_ITERATIONS, 0, "objective unbounded: all constraints are traceless")
 
     def adjoint(y: np.ndarray) -> np.ndarray:
-        return np.tensordot(y, a_stack, axes=1)
+        # The product tensordot(y, a_stack, axes=1) forms, without its reshapes.
+        return np.dot(y, a_flat).reshape(m, m)
 
     # Gram matrix of the constraint operator, used to polish primal
     # feasibility: the projection X += A*(lam), A A* lam = rp restores
@@ -167,19 +170,20 @@ def solve_maxeig(problem: SdpProblem) -> SdpSolution:
             rp_cur = b - a_flat @ x_mat.ravel() - tau * t_val
         return x_mat
 
-    x = np.eye(m)
-    s = np.eye(m)
-    lx = np.eye(m)  # Cholesky factors of x and s
-    ls = np.eye(m)
+    eye_m, eye_p = np.eye(m), np.eye(p)
+    x = eye_m
+    s = eye_m
+    lx = eye_m  # Cholesky factors of x and s
+    ls = eye_m
     y = np.zeros(p)
     t = 0.0
 
-    best = SdpSolution(beta * np.eye(m), 0.0, _max_violation(a_flat, b_raw, beta * np.eye(m)),
+    best = SdpSolution(beta * eye_m, 0.0, _max_violation(a_flat, b_raw, beta * eye_m),
                        MAX_ITERATIONS, 0)
     best_merit = math.inf
 
     for iteration in range(DEFAULT_MAX_ITER):
-        g_unscaled = beta * (x + t * np.eye(m))
+        g_unscaled = beta * (x + t * eye_m)
         t_unscaled = beta * t
         pinf = _max_violation(a_flat, b_raw, g_unscaled)
         dual_defect = s + adjoint(y)
@@ -200,7 +204,7 @@ def solve_maxeig(problem: SdpProblem) -> SdpSolution:
             # Gap and dual feasibility are converged; restore primal
             # feasibility by exact-projection polish and accept if the
             # eigenvalue bound survives.
-            g_pol = beta * (polish(x, t) + t * np.eye(m))
+            g_pol = beta * (polish(x, t) + t * eye_m)
             pinf_pol = _max_violation(a_flat, b_raw, g_pol)
             lam_min = float(np.linalg.eigvalsh(g_pol)[0])
             if pinf_pol <= DEFAULT_TOL and lam_min >= t_unscaled - DEFAULT_TOL:
@@ -232,7 +236,7 @@ def solve_maxeig(problem: SdpProblem) -> SdpSolution:
         wdw = w @ dual_defect @ w
 
         try:
-            schur_inv = _inverse_cholesky(schur + 1e-14 * np.trace(schur) / p * np.eye(p))
+            schur_inv = _inverse_cholesky(schur + 1e-14 * np.trace(schur) / p * eye_p)
 
             def schur_solve(rhs: np.ndarray) -> np.ndarray:
                 z = schur_inv.T @ (schur_inv @ rhs)
@@ -255,8 +259,9 @@ def solve_maxeig(problem: SdpProblem) -> SdpSolution:
             z = schur_solve(rhs)
             dt = (float(tau @ z) - rf) / tau_mz
             dy = z - dt * z_tau
-            ds = -dual_defect - adjoint(dy)
-            dx = core + wdw + w @ adjoint(dy) @ w
+            ady = adjoint(dy)
+            ds = -dual_defect - ady
+            dx = core + wdw + w @ ady @ w
             return 0.5 * (dx + dx.T), dy, 0.5 * (ds + ds.T), dt
 
         # Predictor (affine scaling): target complementarity zero.
@@ -270,7 +275,7 @@ def solve_maxeig(problem: SdpProblem) -> SdpSolution:
         dxh = g_inv @ dx_a @ g_inv.T
         dsh = g_sc.T @ ds_a @ g_sc
         cross = 0.5 * (dxh @ dsh + dsh @ dxh)
-        rc = center * mu * np.eye(m) - np.diag(sigma**2) - cross
+        rc = center * mu * eye_m - np.diag(sigma**2) - cross
         denom = sigma[:, None] + sigma[None, :]
         u_hat = 2.0 * rc / denom
 

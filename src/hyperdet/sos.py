@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import DegreeTooSmall, Exhausted, NotPD, RoundingFailed
+from .errors import DegreeTooSmall, Exhausted, HyperdetError, NotPD, RoundingFailed
 from .linalg import RatMatrix, ldl_decompose
 from .poly import Monomial, Poly, grlex_key
 from .quotient import BezoutianForm, QuotientContext, bezoutian_of
@@ -305,8 +305,13 @@ def solve_maxeig(problem: SdpProblem) -> SdpSolution:
     """sdp.solve_maxeig, imported at the first solve: numpy, which the
     solver needs, loads only when an SDP runs, so check, verify and
     bezoutian never import it, nor does certify on levels with one Gram
-    matrix (sole_gram)."""
-    from . import sdp
+    matrix (sole_gram).  Without numpy the solve is refused with a
+    HyperdetError that names it, not an ImportError."""
+    try:
+        from . import sdp
+    except ImportError as exc:
+        raise HyperdetError(
+            f"numpy is needed to solve this input's SDP and could not be imported ({exc})") from None
 
     return sdp.solve_maxeig(problem)
 

@@ -9,7 +9,7 @@ matrices by expanding the difference quotient monomial by monomial, the
 commutation test of a Bézoutian form with the multiplication-by-x0 matrix,
 restrictions to a line by expanding h(t*e + v) in t, the entrywise value of
 a Bézoutian form at a point, and the Sturm chain and its root counts by
-Euclidean division over the rationals.  Nine are former routes of rewrites
+Euclidean division over the rationals.  Eleven are former routes of rewrites
 that must agree with them exactly: the sample stream drawn by
 Random.randint, the polynomial text parser whose scanner tracks the line and
 column at every character, the symmetric lift with the Gram matrix's
@@ -18,8 +18,9 @@ over their rational coordinates, the lift solved in the scaled pencil
 entries over the LDL rows and conjugated back to the monomial basis,
 Gauss-Jordan elimination by rational pivots, the LDL^T by rational pivots,
 Gram rounding by Fraction arithmetic, the Gram problem built by testing
-every split of every monomial, and exact polynomial division by grlex
-leading terms.
+every split of every monomial, exact polynomial division by grlex
+leading terms, and the division by h_monic and the Bézoutian form by Poly
+products over Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -185,6 +186,45 @@ def exact_divide(f: Poly, g: Poly) -> Poly:
     return Poly(f.nvars, quotient)
 
 
+def fraction_divide_by_h(ctx: QuotientContext, p: Poly) -> tuple[Poly, tuple[Poly, ...]]:
+    """(q, r) with p = q * h_monic + sum_j r_j x0^j by Poly arithmetic.
+
+    The former route of quotient.divide_by_h: x0^k for k >= d is rewritten
+    top down by x0^d = -sum_j c_j x0^j on the x0-coefficient Polys, and the
+    coefficient popped at x0^k is that of x0^(k-d) in q.
+    """
+    d = ctx.d
+    parts = p.x0_coefficients()
+    quotient: dict = {}
+    while len(parts) > d:
+        top = parts.pop()
+        k = len(parts)
+        if top.is_zero:
+            continue
+        quotient.update(((k - d,) + mono[1:], c) for mono, c in top.terms())
+        for j in range(d):
+            parts[k - d + j] = parts[k - d + j] - ctx.h_coeffs[j] * top
+    parts += [Poly.zero(ctx.nvars)] * (d - len(parts))
+    return Poly(ctx.nvars, quotient), tuple(parts)
+
+
+def fraction_bezoutian_of(ctx: QuotientContext, p: Poly) -> BezoutianForm:
+    """The Bézoutian form of p by Poly arithmetic, the former route of
+    quotient.bezoutian_of: the table h_i p_j - h_j p_i of Poly products over
+    p reduced by fraction_divide_by_h, synthetically divided by (s - t)."""
+    d = ctx.d
+    pc = fraction_divide_by_h(ctx, p)[1] + (Poly.zero(ctx.nvars),)
+    hc = ctx.h_coeffs
+    num = [[hc[i] * pc[j] - hc[j] * pc[i] for j in range(d + 1)] for i in range(d + 1)]
+    quot = [None] * d
+    carry = num[d]
+    for i in range(d - 1, -1, -1):
+        quot[i] = list(carry)
+        carry = [num[i][0]] + [num[i][j] + quot[i][j - 1] for j in range(1, d + 1)]
+    assert not any(carry) and not any(row[d] for row in quot)
+    return BezoutianForm(tuple(tuple(row[:d]) for row in quot))
+
+
 def bareiss_determinant(matrix) -> Fraction:
     """Fraction-free determinant by Bareiss elimination with row swaps."""
     n = len(matrix)
@@ -320,6 +360,15 @@ def _fraction_inverse(matrix):
     if values is None:
         return None
     return [values[k * size:(k + 1) * size] for k in range(size)]
+
+
+def rational_lift(lift):
+    """detrep.solve_symmetric_lift's (pencil, (basis_ints, basis_dens)) as
+    (pencil, basis_pencil), the Gram-basis pencil P_s[a][b] =
+    basis_ints[s][a][b] / basis_dens[a] as Fractions: the form poly_lift and
+    z_system_lift return."""
+    pencil, (ints, dens) = lift
+    return pencil, [[[Fraction(x, den) for x in row] for row, den in zip(p, dens)] for p in ints]
 
 
 def poly_lift(ctx: QuotientContext, dec):

@@ -23,6 +23,8 @@ import hyperdet.hyperbolicity
 import hyperdet.sos
 from hyperdet import CertifyOptions, DetRepCertificate, Poly, parse_poly
 from hyperdet.cli import _build_parser, main
+from hyperdet.detrep import pencil_determinant
+from hyperdet.quotient import unpacked_poly
 
 from conftest import random_pencil_determinant, renegar_derivative
 from golden import GOLDEN_CERTIFICATE_FILE, GOLDEN_CERTIFICATES, GOLDEN_CHECKS
@@ -387,8 +389,9 @@ def test_deterministic_output(capsys, tmp_path):
 
 
 def test_certify_computes_the_determinant_once_and_samples_nothing(capsys, monkeypatch):
-    # certify's one exact replay computes the pencil determinant, and the
-    # cofactor is its quotient by h_monic, not sampled for real-rootedness.
+    # certify's one exact replay computes the pencil determinant (one
+    # _charpoly), and the cofactor is its quotient by h_monic, not sampled
+    # for real-rootedness.
     calls = {"det": 0, "real_rooted": 0}
 
     def counted(name, fn):
@@ -397,8 +400,7 @@ def test_certify_computes_the_determinant_once_and_samples_nothing(capsys, monke
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(hyperdet.detrep, "pencil_determinant",
-                        counted("det", hyperdet.detrep.pencil_determinant))
+    monkeypatch.setattr(hyperdet.detrep, "_charpoly", counted("det", hyperdet.detrep._charpoly))
     monkeypatch.setattr(hyperdet.hyperbolicity, "is_real_rooted",
                         counted("real_rooted", hyperdet.hyperbolicity.is_real_rooted))
     code, out, err = run(capsys, "certify", "--poly", "x0^2 - x1^2 - x2^2", "--e", "1,0,0")
@@ -546,6 +548,24 @@ def test_check_verify_and_bezoutian_run_without_numpy(capsys, tmp_path):
     assert result.stdout.splitlines()[-1] == f"certify sha256 {digest}"
 
 
+def test_certify_that_needs_the_sdp_refuses_without_numpy():
+    # The golden cubic's Gram rows leave entries free at ell 0, so its
+    # certify must solve an SDP.  With numpy blocked it is refused: exit 1,
+    # nothing on stdout and one stderr line that names numpy, no traceback.
+    src = os.path.dirname(os.path.dirname(hyperdet.cli.__file__))
+    script = ('import sys; sys.modules["numpy"] = None; from hyperdet.cli import main; '
+              'sys.exit(main(sys.argv[1:]))')
+    poly, direction, _ = GOLDEN_CERTIFICATES[2]
+    assert poly == "x0^3 - x0*x1^2 - x0*x2^2"
+    result = subprocess.run(
+        [sys.executable, "-c", script, "certify", "--poly", poly, "--e", direction],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert (result.returncode, result.stdout) == (1, "")
+    [line] = result.stderr.splitlines()
+    assert line.startswith("refused: numpy is needed to solve this input's SDP"), line
+    assert "Traceback" not in result.stderr
+
+
 def test_legacy_float_pencil_key_is_ignored(capsys, tmp_path):
     # Older certificates carried a float view of the pencil; they still load
     # under the same schema, and the exact replay ignores the floats.
@@ -575,33 +595,37 @@ def test_golden_pencil_entries_stay_short(capsys):
 
 def test_certify_takes_its_determinant_on_the_gram_basis_pencil(capsys, monkeypatch):
     # certify's one determinant runs on the similar pencil R^-1 G_s R that
-    # the lift returns beside G_s, not on the certificate's G_s: the same
-    # determinant over a far shorter common denominator (243 bits for the
-    # G_s of the N=6 certificate).
+    # the lift returns beside G_s, as integers over row denominators, not on
+    # the certificate's G_s: the same determinant over a far shorter common
+    # denominator (243 bits for the G_s of the N=6 certificate).
     seen, lifted = [], []
-    determinant = hyperdet.detrep.pencil_determinant
+    determinant = hyperdet.detrep._charpoly
     lift = hyperdet.detrep.solve_symmetric_lift
 
-    def recorded(pencil):
-        seen.append(pencil)
-        return determinant(pencil)
+    def recorded(ints, dens):
+        seen.append((ints, dens))
+        return determinant(ints, dens)
 
     def recorded_lift(ctx, dec):
         lifted.append(lift(ctx, dec))
         return lifted[-1]
 
-    monkeypatch.setattr(hyperdet.detrep, "pencil_determinant", recorded)
+    monkeypatch.setattr(hyperdet.detrep, "_charpoly", recorded)
     monkeypatch.setattr(hyperdet.detrep, "solve_symmetric_lift", recorded_lift)
     poly, direction, _ = GOLDEN_CERTIFICATES[3]
     code, out, err = run(capsys, "certify", "--poly", poly, "--e", direction)
     assert code == 0, err
-    [pencil] = seen
+    [(ints, dens)] = seen
     [(certified, basis_pencil)] = lifted
-    assert pencil is basis_pencil
+    assert (ints, dens) == basis_pencil and ints is basis_pencil[0]
     assert certified == DetRepCertificate.from_json(out).pencil
-    lcm = math.lcm(*(x.denominator for g in pencil for row in g for x in row))
+    # Row a is ints / dens[a]: its lcm of reduced denominators is dens[a]
+    # over the gcd of dens[a] and the row's integers.
+    lcm = math.lcm(*(den // math.gcd(den, *(p[a][b] for p in ints for b in range(len(dens))))
+                     for a, den in enumerate(dens)))
     assert lcm.bit_length() <= 64
-    assert determinant(pencil) == determinant(DetRepCertificate.from_json(out).pencil)
+    assert unpacked_poly(*determinant(ints, dens), len(dens) + 1, 3) == pencil_determinant(
+        DetRepCertificate.from_json(out).pencil)
 
 
 def _record_calls(monkeypatch, name, measure):

@@ -34,7 +34,7 @@ from hyperdet.detrep import (
 )
 from hyperdet.linalg import solve_sparse_system
 from hyperdet.poly import normalize_direction
-from hyperdet.quotient import QuotientContext, divide_by_h
+from hyperdet.quotient import QuotientContext, divide_by_h, unpacked_poly
 from hyperdet.sos import (
     SosDecomposition,
     find_sos_decomposition,
@@ -48,7 +48,14 @@ from conftest import (
     random_symmetric_rational,
     renegar_derivative,
 )
-from oracles import bareiss_determinant, mat_mul, poly_lift, row_to_element, z_system_lift
+from oracles import (
+    bareiss_determinant,
+    mat_mul,
+    poly_lift,
+    rational_lift,
+    row_to_element,
+    z_system_lift,
+)
 
 
 def P(text, nvars=None):
@@ -67,7 +74,7 @@ def F(x):
 def test_lift_lorentz_exact():
     ctx = QuotientContext(LORENTZ)
     dec = find_sos_decomposition(ctx)
-    pencil, basis_pencil = solve_symmetric_lift(ctx, dec)
+    pencil, basis_pencil = rational_lift(solve_symmetric_lift(ctx, dec))
     assert dec.weights == [F(2), F(2), F(2)]
     assert pencil[0] == [[F(0), F(0), F(1)], [F(0), F(0), F(0)], [F(1), F(0), F(0)]]
     assert pencil[1] == [[F(0), F(0), F(0)], [F(0), F(0), F(1)], [F(0), F(1), F(0)]]
@@ -78,7 +85,7 @@ def test_lift_lorentz_exact():
 def test_lift_linear():
     ctx = QuotientContext(P("x0 - x1"))
     dec = find_sos_decomposition(ctx)
-    pencil, basis_pencil = solve_symmetric_lift(ctx, dec)
+    pencil, basis_pencil = rational_lift(solve_symmetric_lift(ctx, dec))
     assert dec.weights == [F(1)]
     assert pencil == basis_pencil == [[[F(1)]]]
 
@@ -138,7 +145,7 @@ def test_lift_matches_the_poly_lift(h):
     # entry for entry, also where the system has free unknowns.
     ctx = QuotientContext(normalize_direction(h, [1] + [0] * (h.nvars - 1))[0])
     dec = find_sos_decomposition(ctx)
-    assert solve_symmetric_lift(ctx, dec) == poly_lift(ctx, dec)
+    assert rational_lift(solve_symmetric_lift(ctx, dec)) == poly_lift(ctx, dec)
 
 
 def test_lift_states_its_system_with_integer_coefficients(monkeypatch):
@@ -160,7 +167,7 @@ def test_lift_states_its_system_with_integer_coefficients(monkeypatch):
     assert len(systems) == 1 and systems[0]
     assert all(c == 1 for row in systems[0] for c in row.values())
     assert max(len(row) for row in systems[0]) <= ctx.n
-    assert lifted == poly_lift(ctx, dec)
+    assert rational_lift(lifted) == poly_lift(ctx, dec)
 
 
 @pytest.mark.parametrize("h", [
@@ -176,7 +183,7 @@ def test_lift_matches_the_z_system_where_both_are_unique(h):
     # bijection): the same pencil and basis pencil, entry for entry.
     ctx = QuotientContext(normalize_direction(h, [1] + [0] * (h.nvars - 1))[0])
     dec = find_sos_decomposition(ctx)
-    assert solve_symmetric_lift(ctx, dec) == z_system_lift(ctx, dec)
+    assert rational_lift(solve_symmetric_lift(ctx, dec)) == z_system_lift(ctx, dec)
 
 
 def _lift_bits(pencil):
@@ -193,7 +200,7 @@ def test_lift_with_free_unknowns_is_valid_and_no_wider():
     h = renegar_derivative(random.Random(1), 4, 5)
     ctx = QuotientContext(normalize_direction(h, [1, 0, 0, 0])[0])
     dec = find_sos_decomposition(ctx)
-    lifted = solve_symmetric_lift(ctx, dec)
+    lifted = rational_lift(solve_symmetric_lift(ctx, dec))
     former = z_system_lift(ctx, dec)
     assert lifted != former
     rows = dec.rows
@@ -353,6 +360,24 @@ def test_extract_cofactor_not_divisible():
 
 
 # -- certify ------------------------------------------------------------------------
+
+def test_certify_refuses_a_gram_basis_pencil_that_h_monic_does_not_divide(monkeypatch):
+    # certify divides the determinant of the integer Gram-basis pencil by
+    # h_monic and keeps the remainder check: a lift whose P has one entry
+    # off by 1/dens[a] leaves a nonzero remainder, refused as "self_verify".
+    lift = hyperdet.detrep.solve_symmetric_lift
+
+    def corrupted(ctx, dec):
+        pencil, (ints, dens) = lift(ctx, dec)
+        ints[0][0][0] += 1
+        return pencil, (ints, dens)
+
+    monkeypatch.setattr(hyperdet.detrep, "solve_symmetric_lift", corrupted)
+    for h in (LORENTZ, P("x0^2 - x1^2 - x2^2 - x3^2")):
+        with pytest.raises(CertifyError, match="not a multiple of h_monic") as info:
+            certify(h, (1,) + (0,) * (h.nvars - 1))
+        assert info.value.stage == "self_verify"
+
 
 def test_certify_lorentz_full():
     cert = certify(LORENTZ, (1, 0, 0))
@@ -631,6 +656,34 @@ def _check_c_case(seed):
     return ctx, weights, pencil, cofactor, kind
 
 
+@pytest.mark.parametrize("seed", range(36))
+def test_packed_berkowitz_check_gives_the_verdict_of_the_poly_product(seed):
+    # The n != 2 route of check (c) compares integer forms and forms no Poly
+    # product.  Its verdict is that of det(x0*I - sum_s x_s G_s) ==
+    # cofactor * h_monic by Leibniz and Poly products, for n = 1, 3 and 4,
+    # on the true cofactor and on cofactors tampered in value, in degree and
+    # in homogeneity.
+    rng = random.Random(seed)
+    n = (1, 3, 4)[seed % 3]
+    k, m = rng.randint(1, 3), rng.randint(0, 2)
+    w_h, h_block = _weighted_pencil(rng, k, n)
+    w_c, c_block = _weighted_pencil(rng, m, n)
+    ctx = QuotientContext(pencil_determinant(h_block))
+    true = pencil_determinant(c_block) if m else Poly.one(n + 1)
+    pencil = [[row + [F(0)] * m for row in a] + [[F(0)] * k + row for row in b]
+              for a, b in zip(h_block, c_block if m else [[]] * n)]
+    products = [[[w * x for x in row] for w, row in zip(w_h + w_c, g)] for g in pencil]
+    diag, ints = _integer_pencil(w_h + w_c, products)
+    det = leibniz_determinant(_pencil_matrix(pencil))
+    exps = rng.choice([e for e in itertools.product(range(m + 1), repeat=n + 1) if sum(e) == m])
+    x0 = Poly.variable(n + 1, 0)
+    cofactors = [true, true * 2, true + Poly.monomial(exps, Fraction(1, 7)), Poly.zero(n + 1),
+                 true * x0, true + Poly.one(n + 1) if m else true + x0, -true]
+    verdicts = [_berkowitz_check(ctx, diag, ints, cofactor) is None for cofactor in cofactors]
+    assert verdicts == [det == cofactor * ctx.h for cofactor in cofactors]
+    assert verdicts[0] and not any(verdicts[1:])
+
+
 @pytest.mark.parametrize("seed", range(48))
 def test_lattice_check_agrees_with_the_division(seed):
     # The two routes of check (c) read the one integer pencil (D', Y'_s) of
@@ -679,7 +732,8 @@ def test_integer_pencil_keeps_the_determinant_with_wide_weights(drawn):
     n = len(pencil)
     products = [[[w * x for x in row] for w, row in zip(weights, g)] for g in pencil]
     diag, ints = _integer_pencil(weights, products)
-    assert _charpoly(ints, diag) == leibniz_determinant(_pencil_matrix(pencil))
+    assert unpacked_poly(*_charpoly(ints, diag), len(diag) + 1, n + 1) == leibniz_determinant(
+        _pencil_matrix(pencil))
 
     def block_determinant(block):
         return leibniz_determinant(_pencil_matrix([[row[block] for row in g[block]] for g in pencil]))
@@ -734,7 +788,8 @@ def test_verify_divides_by_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("verify divided by h_monic")
 
-    monkeypatch.setattr(hyperdet.detrep, "divide_by_h", refuse)
+    monkeypatch.setattr(hyperdet.detrep, "divide_packed", refuse)
+    monkeypatch.setattr(hyperdet.quotient, "divide_packed", refuse)
     monkeypatch.setattr(hyperdet.quotient, "divide_by_h", refuse)
     for cert in certs:
         assert verify_certificate(cert) == (True, [])

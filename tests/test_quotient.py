@@ -24,6 +24,8 @@ from oracles import (
     element_to_poly,
     evaluate_form,
     exact_divide,
+    fraction_bezoutian_of,
+    fraction_divide_by_h,
     is_bezoutian,
     is_homogeneous_of_degree,
     leading_principal_minors,
@@ -160,6 +162,48 @@ def test_divide_by_h_returns_quotient_and_remainder(case):
     assert divide_by_h(ctx, p) == (q, r)
     if not any(r):
         assert q == exact_divide(p, ctx.h)
+
+
+@st.composite
+def oracle_case(draw):
+    """(h, p): h of degree 1-4 with a nonzero, generally non-unit x0^d
+    coefficient and wide fractions, and p homogeneous of degree 0-6 or, one
+    time in three, the sum of two forms of different degrees."""
+    nvars = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 4))
+    wide = st.builds(Fraction, st.integers(-2**20, 2**20), st.integers(1, 2**20))
+    top = (d,) + (0,) * (nvars - 1)
+    h = draw(form(nvars, d))
+    h = h + Poly.monomial(top, draw(wide.filter(bool)) - h.coeff(top))
+    p = draw(form(nvars, draw(st.integers(0, 6))))
+    if draw(st.integers(0, 2)) == 0:
+        p = p + draw(form(nvars, draw(st.integers(0, 6))))
+    return h, p * draw(wide.filter(bool))
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_case())
+def test_integer_division_equals_the_fraction_division(case):
+    # divide_by_h runs the one integer kernel, divide_packed, on p scaled
+    # to integer forms: its quotient and remainder are those of the
+    # Fraction route it replaced, nonzero remainders included.
+    h, p = case
+    ctx = QuotientContext(h)
+    assert divide_by_h(ctx, p) == fraction_divide_by_h(ctx, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_case())
+def test_integer_bezoutian_equals_the_fraction_bezoutian(case):
+    # bezoutian_of forms its table and the division by (s - t) on integer
+    # forms over one denominator: the same entries as the Poly route.
+    h, p = case
+    ctx = QuotientContext(h)
+    if p.is_homogeneous:
+        assert bezoutian_of(ctx, p) == fraction_bezoutian_of(ctx, p)
+    else:
+        with pytest.raises(ValueError):
+            bezoutian_of(ctx, p)
 
 
 def test_context_rescales_to_monic():

@@ -170,11 +170,11 @@ def solve_maxeig(problem: SdpProblem) -> SdpSolution:
             rp_cur = b - a_flat @ x_mat.ravel() - tau * t_val
         return x_mat
 
+    x = np.eye(m)
+    s = np.eye(m)
+    lx = np.eye(m)  # Cholesky factors of x and s
+    ls = np.eye(m)
     eye_m, eye_p = np.eye(m), np.eye(p)
-    x = eye_m
-    s = eye_m
-    lx = eye_m  # Cholesky factors of x and s
-    ls = eye_m
     y = np.zeros(p)
     t = 0.0
 

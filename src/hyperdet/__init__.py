@@ -23,7 +23,6 @@ from .errors import (
     NotPD,
     PolyParseError,
     RoundingFailed,
-    SingularMatrix,
     ZeroPolynomial,
 )
 from .poly import Poly, parse_poly
@@ -49,7 +48,6 @@ __all__ = [
     "Poly",
     "PolyParseError",
     "RoundingFailed",
-    "SingularMatrix",
     "ZeroPolynomial",
     "certify",
     "check_hyperbolic_sampled",

@@ -1,28 +1,12 @@
 """Build and verify definite determinantal representations of q'*h.
 
-From a weighted sum-of-squares decomposition W = R^T D R of the derivative
-Bézoutian the lift stage solves, exactly over the rationals, for matrices
-G_1..G_n of the multiplication-by-x0 action on the generators (the rows of
-R), constrained to be symmetric under the weight matrix D.  Its unknowns
-are the symmetric S_s = R^T D G_s R in the monomial basis, where every
-equation has unit coefficients, and it returns G_s with the similar
-P_s = R^-1 G_s R as integers over row denominators.  The pencil
-x0*I - sum_i x_i G_i then has determinant
-cofactor * h_monic, and it is the identity at the normalized direction
-(1,0,...,0), the image of e under normalize_direction's T: that is the
-definiteness certificate.  Everything in the certificate replays in exact
-arithmetic, and T is replayed as normalize_direction's T for e.  certify
-takes the determinant of the P_s as one division-free Berkowitz
-characteristic polynomial over integer polynomials, packed integer forms
-over one denominator, and the cofactor as its x0-quotient by h_monic, the
-division that defines the quotient module, on those integers
-(quotient.divide_packed); only the cofactor's coefficients become
-Fractions.  The replay divides nothing: it scales the symmetric pencil
-D, D*G_s to integers once, by one diagonal congruence, and with two pencil
-matrices (a ternary h) compares symmetric integer determinants of that
-pencil with cofactor * h_monic at the points of the principal lattice, and
-otherwise the Berkowitz determinant of its similar pencil with
-cofactor * h_monic as integer forms, with no Poly product.
+certify lifts a weighted sum-of-squares decomposition W = R^T D R of the
+derivative Bézoutian to matrices G_1..G_n with every D*G_s symmetric and
+det(x0*I - sum_s x_s G_s) = cofactor * h_monic in the coordinates of
+normalize_direction, where the pencil is I at (1,0,...,0): the
+definiteness certificate.  verify_certificate replays these identities in
+exact arithmetic; README steps 5 and 6 give the construction and the
+replay.
 """
 
 from __future__ import annotations
@@ -246,8 +230,9 @@ def solve_symmetric_lift(
     column of V^-1 as integers over one denominator, and both pencils are
     then integer products: G_s = D^-1 R^-T S_s R^-1, which is
     G_s[a][b] = delta_a delta_b Z[a][b] / d_a with Z = V^-T S_s V^-1, and
-    P_s = W^-1 S_s with W^-1 = V^-1 diag(delta^2 / d) V^-T, every P_s over
-    one common denominator and with no Fraction per entry.
+    P_s = W^-1 S_s = V^-1 diag(delta^2 / d) V^-T S_s.  With C the integer
+    columns of V^-1, both read the half product C^T S_s, and every P_s is
+    over one common denominator with no Fraction per entry.
 
     Raises NoSymmetricLift when the system is inconsistent, and when V has a
     zero diagonal entry, which means the decomposition's rows do not span
@@ -315,16 +300,11 @@ def solve_symmetric_lift(
         content = math.gcd(den, *col)
         inv_cols.append([x // content for x in col])
         inv_dens.append(den // content)
-    inv_rows = list(zip(*inv_cols))
-    # W^-1 = V^-1 diag(delta^2 / d) V^-T as integers winv over winv_den.
+    # W^-1 = C diag(factors) C^T / factor_den, C the integer columns of V^-1.
     scales = [Fraction(delta**2, den**2) / w for delta, den, w in zip(deltas, inv_dens, weights)]
-    winv_den = math.lcm(*(r.denominator for r in scales))
-    factors = [r.numerator * (winv_den // r.denominator) for r in scales]
-    winv = [[sum(f * x * y for f, x, y in zip(factors, row_a, row_b)) for row_b in inv_rows]
-            for row_a in inv_rows]
-    content = math.gcd(winv_den, *(x for row in winv for x in row))
-    winv = [[x // content for x in row] for row in winv]
-    winv_den //= content
+    factor_den = math.lcm(*(r.denominator for r in scales))
+    factors = [r.numerator * (factor_den // r.denominator) for r in scales]
+    weighted = [[f * x for f, x in zip(factors, row)] for row in zip(*inv_cols)]
 
     # S_s = sym_s / den_s: the solved values are gram_den * map_den * S_s.
     syms, dens = [], []
@@ -344,10 +324,11 @@ def solve_symmetric_lift(
         pencil.append([[Fraction(deltas[a] * deltas[b] * k[a][b] * weights[a].denominator,
                                  inv_dens[a] * inv_dens[b] * den * weights[a].numerator)
                         for b in range(m)] for a in range(m)])
-        # P_s = winv sym / (winv_den * den), over winv_den * common.
-        basis_ints.append([[sum(x * y for x, y in zip(row, line)) * (common // den) for line in sym]
-                           for row in winv])
-    return pencil, (basis_ints, [winv_den * common] * m)
+        # P_s = C diag(factors) half / (factor_den * den), over factor_den * common.
+        half_cols = list(zip(*half))
+        basis_ints.append([[sum(x * y for x, y in zip(row, col)) * (common // den) for col in half_cols]
+                           for row in weighted])
+    return pencil, (basis_ints, [factor_den * common] * m)
 
 
 def _integer_pencil(weights: Sequence[Fraction], products: Sequence[RatMatrix]
@@ -393,19 +374,6 @@ def _charpoly(ints: Sequence[Sequence[Sequence[int]]], dens: Sequence[int]
     coeffs = _berkowitz_charpoly(mat)
     forms = [{key: c * scale**k for key, c in coeffs[size - k].items()} for k in range(size + 1)]
     return forms, scale**size
-
-
-def pencil_determinant(pencil: Sequence[RatMatrix]) -> Poly:
-    """det(x0*I - sum_s x_s G_s) as an exact homogeneous polynomial.
-
-    Row a of every G_s is scaled to integers by rho_a, the lcm of its
-    denominators over every G_s, and _charpoly takes the determinant of
-    the pencil with entries (rho_a G_s[a][b]) / rho_a.
-    """
-    rho = [math.lcm(*(x.denominator for g in pencil for x in g[a])) for a in range(len(pencil[0]))]
-    forms, den = _charpoly([[[x.numerator * (r // x.denominator) for x in row] for row, r in zip(g, rho)]
-                            for g in pencil], rho)
-    return unpacked_poly(forms, den, len(rho) + 1, len(pencil) + 1)
 
 
 def _berkowitz_charpoly(mat: list[list[dict[int, int]]]) -> list[dict[int, int]]:

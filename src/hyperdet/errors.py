@@ -28,14 +28,6 @@ class DirectionVanishes(InputError):
     """The polynomial vanishes at the proposed hyperbolicity direction."""
 
 
-class SingularMatrix(HyperdetError):
-    """A matrix expected to be invertible is singular.
-
-    Kept in the public surface for callers that catch it; nothing in the
-    package raises it, and verify inverts no matrix (it derives T from e).
-    """
-
-
 class ZeroPolynomial(HyperdetError):
     """The zero polynomial was passed where a nonzero one is required."""
 

@@ -9,8 +9,7 @@ quotient is the cofactor of a certificate, and the d x d polynomial matrices
 integers: a polynomial is held as integer x0-coefficient forms in x1..xn
 over one denominator, each monomial packed into one int (packed_forms), and
 divide_packed divides such forms by den*h_monic with every step exact.
-divide_by_h and bezoutian_of form one Fraction per coefficient of what they
-return.
+bezoutian_of forms one Fraction per coefficient of the entries it returns.
 """
 
 from __future__ import annotations
@@ -136,23 +135,6 @@ def divide_packed(
                     target[kh + kt] = target.get(kh + kt, 0) - ch * ct
     remainder = [{key: c for key, c in part.items() if c} for part in parts]
     return quotient, den ** (steps - 1) if steps else 1, remainder, scale
-
-
-def divide_by_h(ctx: QuotientContext, p: Poly) -> tuple[Poly, tuple[Poly, ...]]:
-    """(q, r) with p = q * h_monic + sum_j r_j x0^j, every r_j free of x0.
-
-    r_0..r_(d-1) are the coordinates of p's class over 1, x0bar, ...,
-    x0bar^(d-1), and q is the x0-quotient; p is a multiple of h_monic
-    exactly when every r_j is zero.  p is scaled to integer forms and
-    divided by divide_packed.
-    """
-    if p.nvars != ctx.nvars:
-        raise DimensionMismatch("polynomial and context variable counts differ")
-    base = max(p.degree, ctx.d) + 1
-    forms, den = packed_forms(p, base)
-    quotient, q_den, remainder, r_den = divide_packed(ctx, forms, base)
-    return (unpacked_poly(quotient, q_den * den, base, ctx.nvars),
-            tuple(unpacked_poly([form], r_den * den, base, ctx.nvars) for form in remainder))
 
 
 def _divide_by_s_minus_t(num: list[list[dict[int, int]]], d: int) -> list[list[dict[int, int]]]:

@@ -20,7 +20,9 @@ Gauss-Jordan elimination by rational pivots, the LDL^T by rational pivots,
 Gram rounding by Fraction arithmetic, the Gram problem built by testing
 every split of every monomial, exact polynomial division by grlex
 leading terms, and the division by h_monic and the Bézoutian form by Poly
-products over Fraction coefficients.
+products over Fraction coefficients.  Two are Poly views of package kernels
+that no package path takes: divide_by_h over quotient.divide_packed, and
+pencil_determinant over detrep._charpoly.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import functools
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from hyperdet.errors import (
     DimensionMismatch,
@@ -38,8 +40,8 @@ from hyperdet.errors import (
     RoundingFailed,
     ZeroPolynomial,
 )
-from hyperdet.detrep import basis_maps
-from hyperdet.linalg import is_symmetric, rat_matrix, solve_sparse_system
+from hyperdet.detrep import _charpoly, basis_maps
+from hyperdet.linalg import RatMatrix, is_symmetric, rat_matrix, solve_sparse_system
 from hyperdet.poly import (
     _ONE,
     _ZERO,
@@ -50,7 +52,13 @@ from hyperdet.poly import (
     as_fraction,
     as_point,
 )
-from hyperdet.quotient import BezoutianForm, QuotientContext
+from hyperdet.quotient import (
+    BezoutianForm,
+    QuotientContext,
+    divide_packed,
+    packed_forms,
+    unpacked_poly,
+)
 from hyperdet.sos import SdpProblem, monomial_basis_Mk, power_sum_multiplier, r_monomials_of_degree
 
 
@@ -186,10 +194,40 @@ def exact_divide(f: Poly, g: Poly) -> Poly:
     return Poly(f.nvars, quotient)
 
 
+def divide_by_h(ctx: QuotientContext, p: Poly) -> tuple[Poly, tuple[Poly, ...]]:
+    """(q, r) with p = q * h_monic + sum_j r_j x0^j, every r_j free of x0.
+
+    r_0..r_(d-1) are the coordinates of p's class over 1, x0bar, ...,
+    x0bar^(d-1), and q is the x0-quotient; p is a multiple of h_monic
+    exactly when every r_j is zero.  p is scaled to integer forms and
+    divided by divide_packed.
+    """
+    if p.nvars != ctx.nvars:
+        raise DimensionMismatch("polynomial and context variable counts differ")
+    base = max(p.degree, ctx.d) + 1
+    forms, den = packed_forms(p, base)
+    quotient, q_den, remainder, r_den = divide_packed(ctx, forms, base)
+    return (unpacked_poly(quotient, q_den * den, base, ctx.nvars),
+            tuple(unpacked_poly([form], r_den * den, base, ctx.nvars) for form in remainder))
+
+
+def pencil_determinant(pencil: Sequence[RatMatrix]) -> Poly:
+    """det(x0*I - sum_s x_s G_s) as an exact homogeneous polynomial.
+
+    Row a of every G_s is scaled to integers by rho_a, the lcm of its
+    denominators over every G_s, and _charpoly takes the determinant of
+    the pencil with entries (rho_a G_s[a][b]) / rho_a.
+    """
+    rho = [math.lcm(*(x.denominator for g in pencil for x in g[a])) for a in range(len(pencil[0]))]
+    forms, den = _charpoly([[[x.numerator * (r // x.denominator) for x in row] for row, r in zip(g, rho)]
+                            for g in pencil], rho)
+    return unpacked_poly(forms, den, len(rho) + 1, len(pencil) + 1)
+
+
 def fraction_divide_by_h(ctx: QuotientContext, p: Poly) -> tuple[Poly, tuple[Poly, ...]]:
     """(q, r) with p = q * h_monic + sum_j r_j x0^j by Poly arithmetic.
 
-    The former route of quotient.divide_by_h: x0^k for k >= d is rewritten
+    The former route of divide_by_h: x0^k for k >= d is rewritten
     top down by x0^d = -sum_j c_j x0^j on the x0-coefficient Polys, and the
     coefficient popped at x0^k is that of x0^(k-d) in q.
     """

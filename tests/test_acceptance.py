@@ -21,7 +21,6 @@ from hyperdet import (
     parse_poly,
     verify_certificate,
 )
-from hyperdet.detrep import pencil_determinant
 from hyperdet.hyperbolicity import NOT_HYPERBOLIC, is_real_rooted, pd_witness_check
 from hyperdet.quotient import QuotientContext, bezoutian_of
 from hyperdet.sdp import SdpProblem, solve_maxeig
@@ -39,6 +38,7 @@ from oracles import (
     evaluate_form,
     is_bezoutian,
     leading_principal_minors,
+    pencil_determinant,
     row_to_element,
     substitute_line,
 )

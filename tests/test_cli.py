@@ -23,11 +23,11 @@ import hyperdet.hyperbolicity
 import hyperdet.sos
 from hyperdet import CertifyOptions, DetRepCertificate, Poly, parse_poly
 from hyperdet.cli import _build_parser, main
-from hyperdet.detrep import pencil_determinant
 from hyperdet.quotient import unpacked_poly
 
 from conftest import random_pencil_determinant, renegar_derivative
 from golden import GOLDEN_CERTIFICATE_FILE, GOLDEN_CERTIFICATES, GOLDEN_CHECKS
+from oracles import pencil_determinant
 
 
 def run(capsys, *argv):

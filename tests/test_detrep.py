@@ -29,12 +29,11 @@ from hyperdet.detrep import (
     _charpoly,
     _integer_pencil,
     _lattice_check,
-    pencil_determinant,
     solve_symmetric_lift,
 )
 from hyperdet.linalg import solve_sparse_system
 from hyperdet.poly import normalize_direction
-from hyperdet.quotient import QuotientContext, divide_by_h, unpacked_poly
+from hyperdet.quotient import QuotientContext, unpacked_poly
 from hyperdet.sos import (
     SosDecomposition,
     find_sos_decomposition,
@@ -50,7 +49,9 @@ from conftest import (
 )
 from oracles import (
     bareiss_determinant,
+    divide_by_h,
     mat_mul,
+    pencil_determinant,
     poly_lift,
     rational_lift,
     row_to_element,
@@ -790,7 +791,6 @@ def test_verify_divides_by_nothing(monkeypatch):
 
     monkeypatch.setattr(hyperdet.detrep, "divide_packed", refuse)
     monkeypatch.setattr(hyperdet.quotient, "divide_packed", refuse)
-    monkeypatch.setattr(hyperdet.quotient, "divide_by_h", refuse)
     for cert in certs:
         assert verify_certificate(cert) == (True, [])
     data = certs[1].to_json_dict()

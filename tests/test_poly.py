@@ -15,11 +15,12 @@ from hyperdet import (
     parse_poly,
 )
 from hyperdet.poly import apply_linear, as_fraction, normalize_direction
-from hyperdet.quotient import QuotientContext, divide_by_h
+from hyperdet.quotient import QuotientContext
 
 from conftest import all_monomials, random_homogeneous
 from oracles import (
     UniPoly,
+    divide_by_h,
     is_homogeneous_of_degree,
     scanner_parse_poly,
     substitute_line,

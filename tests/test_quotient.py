@@ -13,7 +13,6 @@ from hyperdet.quotient import (
     QuotientContext,
     bezoutian_of,
     delta_bezoutian,
-    divide_by_h,
 )
 from hyperdet.sos import monomial_basis_Mk
 
@@ -21,6 +20,7 @@ from conftest import random_homogeneous, all_monomials
 from oracles import (
     UniPoly,
     bezout_matrix_univariate,
+    divide_by_h,
     element_to_poly,
     evaluate_form,
     exact_divide,

@@ -38,7 +38,7 @@ from .hyperbolicity import (
     pd_witness_check,
 )
 from .poly import Poly, as_point, normalize_direction, parse_poly
-from .quotient import QuotientContext, bezoutian_of, delta_bezoutian
+from .quotient import QuotientContext, bezoutian_of
 from .sos import DEFAULT_ELL_MAX
 
 EXIT_OK = 0
@@ -134,7 +134,7 @@ def _run_check(args: argparse.Namespace) -> int:
         payload["pd_witness"] = None
         exit_code = EXIT_REFUSED
     else:
-        report = pd_witness_check(verdict.context, args.samples, args.seed, verdict.forms)
+        report = pd_witness_check(verdict.context, args.samples, args.seed)
         payload["pd_witness"] = report.to_json_dict()
         lines.append(f"pd_witness: {'ok' if report.ok else SINGULAR_SUSPECTED}")
         if report.witness is not None:
@@ -150,19 +150,19 @@ def _run_bezoutian(args: argparse.Namespace) -> int:
     h, e = _read_poly(args)
     h_norm, _ = normalize_direction(h, e)
     ctx = QuotientContext(h_norm)
-    delta = delta_bezoutian(ctx)
-    omega0 = bezoutian_of(ctx, ctx.h.derivative(0))
+    delta, omega0 = ([[str(e) for e in row] for row in bezoutian_of(ctx, p)]
+                     for p in (Poly.one(ctx.nvars), ctx.h.derivative(0)))
     payload = {
         "schema": SCHEMA,
         "command": "bezoutian",
         "h_monic": str(ctx.h),
-        "delta": delta.to_json_rows(),
-        "dh_dx0": omega0.to_json_rows(),
+        "delta": delta,
+        "dh_dx0": omega0,
     }
     lines = [f"h_monic: {ctx.h}", "delta:"]
-    lines += ["  [" + ", ".join(row) + "]" for row in delta.to_json_rows()]
+    lines += ["  [" + ", ".join(row) + "]" for row in delta]
     lines.append("bezoutian of dh/dx0:")
-    lines += ["  [" + ", ".join(row) + "]" for row in omega0.to_json_rows()]
+    lines += ["  [" + ", ".join(row) + "]" for row in omega0]
     _emit(args, payload, lines)
     return EXIT_OK
 

@@ -18,13 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CertifyError, InputError, NoSymmetricLift
-from .hyperbolicity import (
-    DEFAULT_NUM_SAMPLES,
-    _restriction,
-    check_num_samples,
-    integer_forms,
-    pd_witness_check,
-)
+from .hyperbolicity import DEFAULT_NUM_SAMPLES, check_num_samples, pd_witness_check
 from .linalg import RatMatrix, bareiss_determinant, is_symmetric, rat_matrix, solve_sparse_system
 from .poly import (
     Monomial,
@@ -35,7 +29,15 @@ from .poly import (
     normalize_direction,
     parse_poly,
 )
-from .quotient import QuotientContext, divide_packed, packed_dot, packed_forms, unpacked_poly
+from .quotient import (
+    QuotientContext,
+    divide_packed,
+    integer_forms,
+    packed_dot,
+    packed_forms,
+    restriction,
+    unpacked_poly,
+)
 from .sos import (
     DEFAULT_ELL_MAX,
     GramIndex,
@@ -448,7 +450,8 @@ def _lattice_check(ctx: QuotientContext, diag: Sequence[int], ints: Sequence[Seq
     of _integer_pencil, so det(a0*D' - sum_s a_s Y'_s) =
     prod(D') * det(a0*I - sum_s a_s G_s) is one symmetric bareiss_determinant
     on its lower triangle.  den*cofactor and den*h_monic at a are
-    sum_j c_j(a1..an)*a0^j over their integer_forms.
+    sum_j c_j(a1..an)*a0^j over their integer_forms, h_monic's the
+    context's line_forms.
     """
     size = len(diag)
     degree = size - ctx.d
@@ -457,7 +460,7 @@ def _lattice_check(ctx: QuotientContext, diag: Sequence[int], ints: Sequence[Seq
     ):
         return f"cofactor is not a form of degree N - d = {degree} in x0..x{ctx.n}"
     cofactor_forms, cofactor_den = integer_forms(cofactor)
-    h_forms, h_den = integer_forms(ctx.h)
+    h_forms, h_den = ctx.line_forms
     diag_product = math.prod(diag)
     for mono in r_monomials_of_degree(ctx.nvars + 1, size):
         point = mono[1:]
@@ -468,7 +471,7 @@ def _lattice_check(ctx: QuotientContext, diag: Sequence[int], ints: Sequence[Seq
                 # zip stops at row a's a + 1 entries: the lower triangle.
                 mat = [[x - c * y for x, y in zip(row, line)] for row, line in zip(mat, m)]
         lhs = bareiss_determinant(mat) * cofactor_den * h_den
-        cofactor_value, h_value = (sum(c * a0**j for j, c in enumerate(_restriction(forms, rest)))
+        cofactor_value, h_value = (sum(c * a0**j for j, c in enumerate(restriction(forms, rest)))
                                    for forms in (cofactor_forms, h_forms))
         if lhs != diag_product * cofactor_value * h_value:
             return f"pencil determinant differs from cofactor * h_monic at {point}"
@@ -476,29 +479,21 @@ def _lattice_check(ctx: QuotientContext, diag: Sequence[int], ints: Sequence[Seq
 
 
 def certify(h: Poly, e: Sequence[RationalLike], options: CertifyOptions | None = None) -> DetRepCertificate:
-    """Full pipeline from a hyperbolic polynomial to an exact certificate.
+    """A certificate for h along e that verify_certificate replays: G_1..G_n
+    with D*G_i symmetric and det(x0*I - sum_i x_i G_i) = cofactor * h_monic.
 
-    Normalize the direction (normalize_direction is the input gate and
-    raises InputError), check the PD witness (CertifyError "pd_witness",
-    which may indicate a real singularity), find the sum-of-squares
-    decomposition and solve the symmetric lift.  The cofactor is the
-    quotient of the pencil determinant by h_monic in the quotient context
-    built at normalization; a nonzero remainder is CertifyError
-    "self_verify".  That determinant is taken on the similar pencil
-    P_s = R^-1 G_s R that solve_symmetric_lift returns beside G_s (R from
-    the decomposition's LDL), as integers over row denominators far shorter
-    than those of the certificate's G_s; _charpoly's packed integer forms
-    go straight to quotient.divide_packed, and only the cofactor's
-    coefficients become Fractions.  verify_certificate replays check (c)
-    on G.
-    Checks (a), (b) and (d) of verify_certificate hold by construction and
-    are not run here: the weights are the LDL pivots, which ldl_decompose
-    has refused unless positive; the lift sets g[a][b] = delta_a delta_b
-    Z[a][b] / w_a with Z symmetric; and T is normalize_direction's own, with
-    T*e = (1,0,...,0) exactly, where the pencil is I for any G.  The cofactor
-    needs no check of its own: a pencil with D > 0, every D*G_i symmetric
-    and value I at the direction has a hyperbolic determinant, and every
-    factor of a hyperbolic polynomial is hyperbolic (Gårding 1959).
+    h must be hyperbolic with respect to e and real-smooth; options
+    (CertifyOptions) caps the multiplier exponent and steers the PD-witness
+    sampling.  Raises InputError when normalize_direction refuses h or e,
+    CertifyError "pd_witness" when a sampled line of h_monic has a repeated
+    or complex root (h is not hyperbolic or has a real singularity),
+    Exhausted when no multiplier up to options.lmax yields an exact
+    decomposition, HyperdetError when a level needs the SDP and numpy
+    cannot be imported, NoSymmetricLift when the lift has no solution, and
+    CertifyError "self_verify" when the pencil determinant is not a
+    multiple of h_monic.  The certificate is not replayed here; README
+    steps 5 and 6 give the construction and why (a), (b) and (d) of the
+    replay hold by construction.
     """
     opts = options or CertifyOptions()
     ev = as_point(e)
@@ -534,27 +529,17 @@ def certify(h: Poly, e: Sequence[RationalLike], options: CertifyOptions | None =
 
 
 def verify_certificate(cert: DetRepCertificate) -> tuple[bool, list[str]]:
-    """Replay the certified identities in exact arithmetic.
+    """Replay the certified identities in exact arithmetic: (ok, diagnostics).
 
-    Checks: (a) the weight matrix is positive diagonal, (b) D*G_i is
-    symmetric for every i, (c) the pencil determinant is exactly
-    cofactor * h_monic, and (d) T is the T of normalize_direction(h, e).
-    normalize_direction is the input gate certify uses: it returns h in the
-    normalized coordinates, from which (c) builds the quotient context
-    (h_monic), and its closed-form T, which maps e to (1,0,...,0) exactly,
-    so once (d) holds the pencil is I at the direction by format.  When the
-    gate refuses h or e, neither (c) nor (d) is replayed and each says why.
-    (b) compares each Y_s = D*G_s with its transpose, and once (a) and (b)
-    hold, (c) scales D and the Y_s to the integer pencil (D', [Y'_s]) of
-    _integer_pencil; otherwise (c) is not replayed.  It takes one of two
-    exact routes on that pencil, chosen by the number n of pencil matrices:
-    for n = 2, _lattice_check, which requires the cofactor to be zero or a
-    form of degree N - d and compares values at the (N+1)(N+2)/2 points of
-    the principal lattice; otherwise _berkowitz_check, which compares the
-    Berkowitz determinant of D'^-1 Y'_s, a similarity of G_s, with
-    cofactor * h_monic as integer forms.  Neither divides by h_monic.  Failures are
-    reported as diagnostics, never raised.  The SDP and the sampling stages
-    are deliberately not replayed.
+    Checks (a) D is a positive diagonal of the pencil size, (b) D*G_i is
+    symmetric for every i, (c) det(x0*I - sum_i x_i G_i) is exactly
+    cofactor * h_monic, h_monic rebuilt from h and e, and (d) T is the T of
+    normalize_direction(h, e).  (c) runs only once (a) and (b) hold, and
+    neither (c) nor (d) when normalize_direction refuses h or e.  Each
+    failure is one diagnostic line, never an exception, and ok is whether
+    there is none.  The SDP and the sampled checks are not replayed.  README
+    step 6 gives the two exact routes of (c), neither of which divides by
+    h_monic.
     """
     diagnostics: list[str] = []
     size = cert.size

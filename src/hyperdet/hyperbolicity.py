@@ -1,21 +1,21 @@
 """Exact real-root counting and sampled hyperbolicity verdicts.
 
 Both sampled checks run one integer kernel per line, with no Fraction and
-no Poly in it.  Once per call, the x0 coefficients c_0..c_d of den*h_monic,
-the normalized h made monic in x0 and scaled by the lcm den of its
-denominators, are compiled into flat lists (integer_forms, shared with
-verify's lattice check): every term's integer coefficient, and for each
-term the power slots u_i^e it multiplies.  check compiles them once for
-both of its sampled tests.  A line point w of x1..xn is read as the integer
-vector u = q*w, q > 0 a common denominator (sample_directions draws it in
-that form).  The line computes only the powers that some term uses, and
-each c_j(u) is one sum over C-level maps; the restriction is the list
-[c_j(u)], lowest first.  Because h is homogeneous, c_j(q*w) =
-q^(d-j)*c_j(w), so that list is den*q^d*h_monic(s/q, w): a positive
-multiple of h_monic(t, w) in a positively scaled variable, with the same
-signs, real roots and distinct roots.  root_counts reads it in one walk
-over the primitive pseudo-remainder sequence, counting the sign changes at
--oo and +oo as each entry arrives; no chain or sign list is built.
+no Poly in it.  They read the x0 coefficients c_0..c_d of den*h_monic, the
+normalized h made monic in x0 and scaled by the lcm den of its
+denominators, as the quotient context compiles them once
+(QuotientContext.line_forms): every term's integer coefficient, and for
+each term the power slots u_i^e it multiplies.  A line point w of x1..xn is
+read as the integer vector u = q*w, q > 0 a common denominator
+(sample_directions draws it in that form).  The line computes only the
+powers that some term uses, and each c_j(u) is one sum over C-level maps;
+the restriction is the list [c_j(u)], lowest first (quotient.restriction).
+Because h is homogeneous, c_j(q*w) = q^(d-j)*c_j(w), so that list is
+den*q^d*h_monic(s/q, w): a positive multiple of h_monic(t, w) in a
+positively scaled variable, with the same signs, real roots and distinct
+roots.  root_counts reads it in one walk over the primitive
+pseudo-remainder sequence, counting the sign changes at -oo and +oo as
+each entry arrives; no chain or sign list is built.
 Hyperbolicity asks that every root be real; the PD witness asks for d
 distinct real roots, which by Hermite's theorem is exactly positive
 definiteness of the derivative Bézoutian at w (Basu, Pollack & Roy,
@@ -36,7 +36,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm
 from operator import attrgetter, mul, sub
 from typing import Iterator, Sequence
@@ -44,7 +43,7 @@ from typing import Iterator, Sequence
 from .errors import InputError, ZeroPolynomial
 from .linalg import nullspace
 from .poly import Monomial, Poly, RationalLike, normalize_direction
-from .quotient import QuotientContext
+from .quotient import QuotientContext, restriction
 
 HYPERBOLIC_SAMPLED = "HyperbolicSampled"
 NOT_HYPERBOLIC = "NotHyperbolic"
@@ -58,14 +57,13 @@ _denominator = attrgetter("denominator")
 @dataclass(frozen=True)
 class HyperbolicityVerdict:
     """The sampled verdict; context is the normalized h its lines were read
-    from and forms its integer_forms, so a caller can run pd_witness_check
-    without normalizing or compiling again."""
+    from, so a caller can run pd_witness_check without normalizing or
+    compiling again."""
 
     status: str
     witness: tuple[Fraction, ...] | None
     samples_used: int
     context: QuotientContext = field(compare=False, repr=False)
-    forms: LineForms = field(compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         out: dict = {"status": self.status}
@@ -223,66 +221,10 @@ def check_num_samples(num_samples: int) -> None:
         raise InputError(f"num_samples must be positive, got {num_samples}")
 
 
-@dataclass(frozen=True)
-class LineForms:
-    """The x0 coefficients c_0, c_1, ... of den*p, integer forms in x1..xn,
-    compiled for evaluation at integer points u.
-
-    coeffs holds every term's integer coefficient, c_0's terms first, then
-    c_1's, and lengths the number of terms of each c_j.  Each (variable,
-    exponent) pair some term uses is one power slot: slot k >= 1 holds
-    u[variables[k-1]] ** exponents[k-1], and slot 0 holds 1.  Term t is
-    coeffs[t] * slot[factors[0][t]] * slot[factors[1][t]] * ..., a term with
-    fewer variables than len(factors) padded with slot 0.
-    """
-
-    coeffs: tuple[int, ...]
-    lengths: tuple[int, ...]
-    variables: tuple[int, ...]
-    exponents: tuple[int, ...]
-    factors: tuple[tuple[int, ...], ...]
-
-
-def integer_forms(p: Poly) -> tuple[LineForms, int]:
-    """(forms, den): the x0 coefficients c_0, c_1, ... of den*p, lowest power
-    first, as LineForms in x1..xn; den > 0 is the lcm of p's denominators."""
-    den = lcm(*(c.denominator for _, c in p.terms()))
-    slots: dict[tuple[int, int], int] = {}
-    coeffs: list[int] = []
-    lengths: list[int] = []
-    rows: list[list[int]] = []
-    for form in p.x0_coefficients():
-        terms = list(form.terms())
-        lengths.append(len(terms))
-        for mono, c in terms:
-            coeffs.append(c.numerator * (den // c.denominator))
-            rows.append([slots.setdefault((i, e), len(slots) + 1)
-                         for i, e in enumerate(mono[1:]) if e])
-    width = max(map(len, rows), default=0)
-    factors = tuple(zip(*(row + [0] * (width - len(row)) for row in rows)))
-    return LineForms(tuple(coeffs), tuple(lengths), tuple(i for i, _ in slots),
-                     tuple(e for _, e in slots), factors), den
-
-
 def _integer_point(w: Sequence[Fraction]) -> list[int]:
     """u = q*w, with q > 0 the lcm of the denominators of w."""
     q = lcm(*(c.denominator for c in w))
     return [c.numerator * (q // c.denominator) for c in w]
-
-
-def _restriction(forms: LineForms, u: Sequence[int]) -> list[int]:
-    """[c_j(u)] lowest first, for the forms of integer_forms(p): the
-    coefficients of den*q^d*p(s/q, w) when u = q*w and p has degree d.
-
-    Only the powers u_i^e that some term uses are computed, each once per
-    line; each c_j(u) is one sum over a chain of C-level maps.
-    """
-    slot = [1]
-    slot += map(pow, map(u.__getitem__, forms.variables), forms.exponents)
-    values = iter(forms.coeffs)
-    for column in forms.factors:
-        values = map(mul, values, map(slot.__getitem__, column))
-    return [sum(islice(values, length)) for length in forms.lengths]
 
 
 def check_hyperbolic_sampled(
@@ -306,17 +248,17 @@ def check_hyperbolic_sampled(
     check_num_samples(num_samples)
     h_norm, t_mat = normalize_direction(h, e)
     ctx = QuotientContext(h_norm)
-    forms, _ = integer_forms(ctx.h)
+    forms, _ = ctx.line_forms
     r = lcm(*(c.denominator for row in t_mat[1:] for c in row))
     t_int = [[c.numerator * (r // c.denominator) for c in row] for row in t_mat[1:]]
     used = 0
     for v_int, q in sample_directions(h.nvars, num_samples, seed):
         used += 1
         u = [sum(map(mul, row, v_int)) for row in t_int]
-        if not is_real_rooted(_restriction(forms, u)):
+        if not is_real_rooted(restriction(forms, u)):
             witness = tuple(Fraction(c, q) for c in v_int)
-            return HyperbolicityVerdict(NOT_HYPERBOLIC, witness, used, ctx, forms)
-    return HyperbolicityVerdict(HYPERBOLIC_SAMPLED, None, used, ctx, forms)
+            return HyperbolicityVerdict(NOT_HYPERBOLIC, witness, used, ctx)
+    return HyperbolicityVerdict(HYPERBOLIC_SAMPLED, None, used, ctx)
 
 
 def lineality_space(h: Poly) -> list[tuple[Fraction, ...]]:
@@ -341,7 +283,6 @@ def pd_witness_check(
     ctx: QuotientContext,
     num_samples: int = DEFAULT_NUM_SAMPLES,
     seed: int = 0,
-    forms: LineForms | None = None,
 ) -> PdWitnessReport:
     """Check that the Bézoutian of dh/dx0 is positive definite at sampled v.
 
@@ -350,8 +291,7 @@ def pd_witness_check(
     so the check counts them with the Sturm chain.  Positive definiteness at
     every nonzero v is the working proxy for "hyperbolic and real-smooth"; a
     failure pinpoints a line whose restriction has a repeated or complex
-    root.  num_samples must be a positive int (InputError).  forms, when
-    given, is integer_forms(ctx.h)[0], as a HyperbolicityVerdict carries it.
+    root.  num_samples must be a positive int (InputError).
 
     When h is a cylinder, one exact line is tested before any sampled line:
     w = v[1:] for the first vector v of lineality_space(h), counted in
@@ -365,18 +305,17 @@ def pd_witness_check(
     num_samples + 1).
     """
     check_num_samples(num_samples)
-    if forms is None:
-        forms, _ = integer_forms(ctx.h)
+    forms, _ = ctx.line_forms
     d = ctx.d
     used = 0
     lineality = lineality_space(ctx.h)
     if lineality:
         used = 1
         w = lineality[0][1:]
-        if root_counts(_restriction(forms, _integer_point(w)))[0] != d:
+        if root_counts(restriction(forms, _integer_point(w)))[0] != d:
             return PdWitnessReport(False, w, used)
     for u, q in sample_directions(ctx.n, num_samples, seed):
         used += 1
-        if root_counts(_restriction(forms, u))[0] != d:
+        if root_counts(restriction(forms, u))[0] != d:
             return PdWitnessReport(False, tuple(Fraction(c, q) for c in u), used)
     return PdWitnessReport(True, None, used)

@@ -4,19 +4,24 @@ For a homogeneous h of degree d with nonzero x0^d coefficient, the quotient
 of the full polynomial ring by (h) is free of rank d over the subring in
 x1..xn, with basis 1, x0bar, ..., x0bar^{d-1}.  This module provides the
 one division by h, whose remainder is the reduction to that basis and whose
-quotient is the cofactor of a certificate, and the d x d polynomial matrices
-("Bézoutian forms") obtained from difference quotients.  Both run on
-integers: a polynomial is held as integer x0-coefficient forms in x1..xn
-over one denominator, each monomial packed into one int (packed_forms), and
-divide_packed divides such forms by den*h_monic with every step exact.
-bezoutian_of forms one Fraction per coefficient of the entries it returns.
+quotient is the cofactor of a certificate, the d x d polynomial matrices
+("Bézoutian forms") obtained from difference quotients, and h_monic's x0
+coefficients compiled for evaluation at integer points (line_forms).  All
+run on integers: a polynomial is held as integer x0-coefficient forms in
+x1..xn over one denominator, each monomial packed into one int
+(packed_forms), and divide_packed divides such forms by den*h_monic with
+every step exact.  bezoutian_of forms one Fraction per coefficient of the
+entries it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import islice
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatch
@@ -29,8 +34,6 @@ class QuotientContext:
     The stored h is rescaled to be monic in x0, so division by h is
     companion style and exact.
     """
-
-    __slots__ = ("h", "d", "n", "h_coeffs")
 
     def __init__(self, h: Poly):
         if not h.is_homogeneous:
@@ -58,8 +61,70 @@ class QuotientContext:
     def nvars(self) -> int:
         return self.n + 1
 
+    @cached_property
+    def line_forms(self) -> tuple[LineForms, int]:
+        """integer_forms(h), compiled on first use: the sampled checks and
+        verify's lattice check evaluate h_monic through it."""
+        return integer_forms(self.h)
+
     def __repr__(self) -> str:
         return f"QuotientContext(h={self.h!s}, d={self.d}, n={self.n})"
+
+
+@dataclass(frozen=True)
+class LineForms:
+    """The x0 coefficients c_0, c_1, ... of den*p, integer forms in x1..xn,
+    compiled for evaluation at integer points u.
+
+    coeffs holds every term's integer coefficient, c_0's terms first, then
+    c_1's, and lengths the number of terms of each c_j.  Each (variable,
+    exponent) pair some term uses is one power slot: slot k >= 1 holds
+    u[variables[k-1]] ** exponents[k-1], and slot 0 holds 1.  Term t is
+    coeffs[t] * slot[factors[0][t]] * slot[factors[1][t]] * ..., a term with
+    fewer variables than len(factors) padded with slot 0.
+    """
+
+    coeffs: tuple[int, ...]
+    lengths: tuple[int, ...]
+    variables: tuple[int, ...]
+    exponents: tuple[int, ...]
+    factors: tuple[tuple[int, ...], ...]
+
+
+def integer_forms(p: Poly) -> tuple[LineForms, int]:
+    """(forms, den): the x0 coefficients c_0, c_1, ... of den*p, lowest power
+    first, as LineForms in x1..xn; den > 0 is the lcm of p's denominators."""
+    den = lcm(*(c.denominator for _, c in p.terms()))
+    slots: dict[tuple[int, int], int] = {}
+    coeffs: list[int] = []
+    lengths: list[int] = []
+    rows: list[list[int]] = []
+    for form in p.x0_coefficients():
+        terms = list(form.terms())
+        lengths.append(len(terms))
+        for mono, c in terms:
+            coeffs.append(c.numerator * (den // c.denominator))
+            rows.append([slots.setdefault((i, e), len(slots) + 1)
+                         for i, e in enumerate(mono[1:]) if e])
+    width = max(map(len, rows), default=0)
+    factors = tuple(zip(*(row + [0] * (width - len(row)) for row in rows)))
+    return LineForms(tuple(coeffs), tuple(lengths), tuple(i for i, _ in slots),
+                     tuple(e for _, e in slots), factors), den
+
+
+def restriction(forms: LineForms, u: Sequence[int]) -> list[int]:
+    """[c_j(u)] lowest first, for the forms of integer_forms(p): the
+    coefficients of den*q^d*p(s/q, w) when u = q*w and p has degree d.
+
+    Only the powers u_i^e that some term uses are computed, each once per
+    line; each c_j(u) is one sum over a chain of C-level maps.
+    """
+    slot = [1]
+    slot += map(pow, map(u.__getitem__, forms.variables), forms.exponents)
+    values = iter(forms.coeffs)
+    for column in forms.factors:
+        values = map(mul, values, map(slot.__getitem__, column))
+    return [sum(islice(values, length)) for length in forms.lengths]
 
 
 def packed_forms(p: Poly, base: int) -> tuple[list[dict[int, int]], int]:
@@ -158,36 +223,18 @@ def _divide_by_s_minus_t(num: list[list[dict[int, int]]], d: int) -> list[list[d
     return [row[:d] for row in quot]
 
 
-@dataclass(frozen=True)
-class BezoutianForm:
-    """Symmetric d x d matrix of x0-free polynomials.
-
-    For a form of total degree D the (i, j) entry is homogeneous of degree
-    D - i - j (or zero).  Forms produced here commute with the
-    multiplication-by-x0 matrix: F B = B F^T.
-    """
-
-    entries: tuple[tuple[Poly, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def entry(self, i: int, j: int) -> Poly:
-        return self.entries[i][j]
-
-    def to_json_rows(self) -> list[list[str]]:
-        return [[str(e) for e in row] for row in self.entries]
-
-
-def bezoutian_of(ctx: QuotientContext, p: Poly) -> BezoutianForm:
+def bezoutian_of(ctx: QuotientContext, p: Poly) -> tuple[tuple[Poly, ...], ...]:
     """Bézoutian form generated by p: reduce (h(s)p(t) - h(t)p(s)) / (s - t).
 
-    p is reduced modulo h first (the remainder of divide_packed); the
-    division then lands directly in the span of s^i t^j with i, j < d, so no
-    bidegree reduction is needed.  The table h_i p_j - h_j p_i and the
-    synthetic division by (s - t) run on packed integer forms over the one
-    denominator h_den * r_den * p_den.
+    The form is a symmetric d x d matrix of x0-free polynomials, returned as
+    its rows, that commutes with multiplication by x0 (F B = B F^T); for p
+    of degree D the (i, j) entry is zero or homogeneous of degree
+    D + d - 1 - i - j, and p = 1 gives the distinguished Bézoutian
+    (h(s) - h(t)) / (s - t).  p is reduced modulo h first (the remainder of
+    divide_packed); the division then lands directly in the span of s^i t^j
+    with i, j < d, so no bidegree reduction is needed.  The table
+    h_i p_j - h_j p_i and the synthetic division by (s - t) run on packed
+    integer forms over the one denominator h_den * r_den * p_den.
     """
     if p.nvars != ctx.nvars:
         raise DimensionMismatch("polynomial and context variable counts differ")
@@ -205,10 +252,5 @@ def bezoutian_of(ctx: QuotientContext, p: Poly) -> BezoutianForm:
     num = [[packed_dot((h_forms[i], h_forms[j]), (pc[j], neg[i])) for j in range(d + 1)]
            for i in range(d + 1)]
     den = h_den * r_den * p_den
-    return BezoutianForm(tuple(tuple(unpacked_poly([f], den, base, ctx.nvars) for f in row)
-                               for row in _divide_by_s_minus_t(num, d)))
-
-
-def delta_bezoutian(ctx: QuotientContext) -> BezoutianForm:
-    """The distinguished Bézoutian from (h(s) - h(t)) / (s - t)."""
-    return bezoutian_of(ctx, Poly.one(ctx.nvars))
+    return tuple(tuple(unpacked_poly([f], den, base, ctx.nvars) for f in row)
+                 for row in _divide_by_s_minus_t(num, d))

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-# The problem data is numpy-free and lives with its one builder, so that
-# numpy loads only where an SDP is solved; both names stay importable here.
-from .sos import ExactConstraint, SdpProblem
+if TYPE_CHECKING:
+    from .sos import SdpProblem
 
 DIVERGENCE_THRESHOLD = 1.0e8
 DEFAULT_TOL = 1.0e-8
@@ -145,7 +145,6 @@ def solve_maxeig(problem: SdpProblem) -> SdpSolution:
                            MAX_ITERATIONS, 0, "objective unbounded: all constraints are traceless")
 
     def adjoint(y: np.ndarray) -> np.ndarray:
-        # The product tensordot(y, a_stack, axes=1) forms, without its reshapes.
         return np.dot(y, a_flat).reshape(m, m)
 
     # Gram matrix of the constraint operator, used to polish primal

@@ -23,12 +23,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import DegreeTooSmall, Exhausted, HyperdetError, NotPD, RoundingFailed
 from .linalg import RatMatrix, ldl_decompose
 from .poly import Monomial, Poly, grlex_key
-from .quotient import BezoutianForm, QuotientContext, bezoutian_of
+from .quotient import QuotientContext, bezoutian_of
 
 if TYPE_CHECKING:
     import numpy as np
@@ -156,14 +156,15 @@ def power_sum_multiplier(ctx: QuotientContext, ell: int) -> Poly:
 
 
 def gram_problem(
-    ctx: QuotientContext, omega0: BezoutianForm, ell: int, multiplier: Poly
+    ctx: QuotientContext, omega0: Sequence[Sequence[Poly]], ell: int, multiplier: Poly
 ) -> tuple[SdpProblem, list[GramIndex]]:
     """Assemble the Gram-matrix SDP for multiplier exponent ell.
 
     The Gram variable is indexed by monomial_basis_Mk(ctx, d-1+ell); there is
     one affine constraint per (form entry (i,j), monomial mu of its degree):
     the gram entries over all splits gamma + delta = mu must sum to the
-    coefficient of x^mu in (multiplier * omega0)_{ij}.  Each constraint is
+    coefficient of x^mu in (multiplier * omega0)_{ij}, omega0 the rows of
+    bezoutian_of(ctx, dh/dx0).  Each constraint is
     one exact sparse row; the solver and the rounding stage both read these
     rows, and no two rows share a Gram position.  multiplier is
     power_sum_multiplier(ctx, ell), which the caller builds level by level.
@@ -188,7 +189,7 @@ def gram_problem(
             # In a diagonal block (a, b) and (b, a) are both splits of mu, so
             # each position weighs 1; off it, one split puts 1/2 on both.
             weight = Fraction(1) if i == j else Fraction(1, 2)
-            entry = multiplier * omega0.entry(i, j)
+            entry = multiplier * omega0[i][j]
             for mu in r_monomials_of_degree(ctx.nvars, 2 * k - i - j):
                 row: dict[tuple[int, int], Fraction] = {}
                 for a, b in splits.get(mu, ()):

@@ -1,13 +1,14 @@
-"""Pinned sha256 digests of certify and check output.
+"""Pinned sha256 digests of certify, check and bezoutian output.
 
 The tests read these lists; run as a script, this file needs no pytest and
-no numpy and replays four pins on the interpreter at hand:
+no numpy and replays five pins on the interpreter at hand:
 
     PYTHONPATH=src:tests python tests/golden.py
 
 It compares the sample stream with the Random.randint oracle (dimensions
 1-6, seeds 0-9, 200 samples each), the stdout of each GOLDEN_CHECKS case of
-`python -m hyperdet.cli check` with its digest, and the stdout of
+`python -m hyperdet.cli check` and of each GOLDEN_BEZOUTIANS case of
+`python -m hyperdet.cli bezoutian` with its digest, and the stdout of
 `python -m hyperdet.cli certify` with its digest for the Lorentz cases of
 GOLDEN_CERTIFICATES (their Gram rows fix the one Gram matrix, so certify
 runs no SDP and needs no numpy), runs `python -m hyperdet.cli verify --cert`
@@ -63,6 +64,29 @@ GOLDEN_CHECKS = [
 ]
 
 
+# sha256 of the bezoutian stdout, json and text, for the inputs of
+# GOLDEN_CERTIFICATES: the rows of delta and of the Bézoutian of dh/dx0 as
+# the command prints them.
+GOLDEN_BEZOUTIANS = [
+    (GOLDEN_CERTIFICATES[0][0], "1,0,0", "json",
+     "99ac1cbe8b947973c8f24fb1332b4a17ad5294df7de5656118154f2fe4a4a471"),
+    (GOLDEN_CERTIFICATES[0][0], "1,0,0", "text",
+     "7fb5ed4ea9cb6ea824c4df417d68cdc47630d70111106f65e1f9d076164b52bb"),
+    (GOLDEN_CERTIFICATES[1][0], "2,1,0", "json",
+     "917fbef106083c013dc289ca9b40346c74edd64d0c30834dc759a212fb13a4f5"),
+    (GOLDEN_CERTIFICATES[1][0], "2,1,0", "text",
+     "5e251b5850f6fb62b17a060734ef6f89501f18e409dc54b3e9650d5f5e8da7aa"),
+    (GOLDEN_CERTIFICATES[2][0], "1,0,0", "json",
+     "3d94d92b4ac95ef4f227126958750e37dcfff43e38ecaa42ddd660ebf45b10ea"),
+    (GOLDEN_CERTIFICATES[2][0], "1,0,0", "text",
+     "4fba539b604a5d9cdb70f490323322d2b1d880650ef40e94791e2bcca6d89a7f"),
+    (GOLDEN_CERTIFICATES[3][0], "1,0,0", "json",
+     "7a5e2a0ce4c0eff707bbae1859f5798e1beaa78e63eb6435f21d6761d551755a"),
+    (GOLDEN_CERTIFICATES[3][0], "1,0,0", "text",
+     "2800f3b01c137375025d1d31cdb632dca74397e47909eec4b6e5607e01395fd8"),
+]
+
+
 def main() -> int:
     for dim in range(1, 7):
         for seed in range(10):
@@ -78,6 +102,15 @@ def main() -> int:
             print(f"check --poly {poly!r} --e {direction}: exit {done.returncode}, sha256 {got}")
             return 1
         print(f"check --e {direction}: exit {exit_code}, sha256 {got[:8]}")
+    for poly, direction, fmt, digest in GOLDEN_BEZOUTIANS:
+        done = subprocess.run([sys.executable, "-m", "hyperdet.cli", "bezoutian", "--poly", poly,
+                               "--e", direction, "--format", fmt], capture_output=True)
+        got = hashlib.sha256(done.stdout).hexdigest()
+        if (done.returncode, got) != (0, digest):
+            print(f"bezoutian --poly {poly!r} --e {direction} --format {fmt}: "
+                  f"exit {done.returncode}, sha256 {got}")
+            return 1
+        print(f"bezoutian --e {direction} --format {fmt}: exit 0, sha256 {got[:8]}")
     for poly, direction, digest in GOLDEN_CERTIFICATES[:2]:
         done = subprocess.run([sys.executable, "-m", "hyperdet.cli", "certify", "--poly", poly, "--e", direction],
                               capture_output=True)

@@ -53,7 +53,6 @@ from hyperdet.poly import (
     as_point,
 )
 from hyperdet.quotient import (
-    BezoutianForm,
     QuotientContext,
     divide_packed,
     packed_forms,
@@ -246,7 +245,7 @@ def fraction_divide_by_h(ctx: QuotientContext, p: Poly) -> tuple[Poly, tuple[Pol
     return Poly(ctx.nvars, quotient), tuple(parts)
 
 
-def fraction_bezoutian_of(ctx: QuotientContext, p: Poly) -> BezoutianForm:
+def fraction_bezoutian_of(ctx: QuotientContext, p: Poly) -> tuple[tuple[Poly, ...], ...]:
     """The Bézoutian form of p by Poly arithmetic, the former route of
     quotient.bezoutian_of: the table h_i p_j - h_j p_i of Poly products over
     p reduced by fraction_divide_by_h, synthetically divided by (s - t)."""
@@ -260,7 +259,7 @@ def fraction_bezoutian_of(ctx: QuotientContext, p: Poly) -> BezoutianForm:
         quot[i] = list(carry)
         carry = [num[i][0]] + [num[i][j] + quot[i][j - 1] for j in range(1, d + 1)]
     assert not any(carry) and not any(row[d] for row in quot)
-    return BezoutianForm(tuple(tuple(row[:d]) for row in quot))
+    return tuple(tuple(row[:d]) for row in quot)
 
 
 def bareiss_determinant(matrix) -> Fraction:
@@ -635,13 +634,14 @@ def substitute_line(h: Poly, e, v) -> UniPoly:
     return total
 
 
-def evaluate_form(form: BezoutianForm, v) -> list[list[Fraction]]:
-    """Entrywise evaluation at a point of the coefficient ring (length n)."""
+def evaluate_form(form: Sequence[Sequence[Poly]], v) -> list[list[Fraction]]:
+    """Entrywise evaluation of a Bézoutian form's rows at a point of the
+    coefficient ring (length n)."""
     point = as_point(v)
-    if len(point) != form.entries[0][0].nvars - 1:
+    if len(point) != form[0][0].nvars - 1:
         raise DimensionMismatch("evaluation point must have one entry per x1..xn")
     full = (Fraction(0),) + point
-    return [[e.evaluate(full) for e in row] for row in form.entries]
+    return [[e.evaluate(full) for e in row] for row in form]
 
 
 def uni_divmod(f: UniPoly, divisor: UniPoly) -> tuple[UniPoly, UniPoly]:
@@ -760,7 +760,7 @@ def fraction_round_gram(problem: SdpProblem, g, denominator_bound: int):
     return approx
 
 
-def pair_scan_gram_problem(ctx: QuotientContext, omega0: BezoutianForm, ell: int):
+def pair_scan_gram_problem(ctx: QuotientContext, omega0: Sequence[Sequence[Poly]], ell: int):
     """The Gram SDP rows, found by testing every (mu, gamma) pair."""
     d = ctx.d
     k = d - 1 + ell
@@ -772,7 +772,7 @@ def pair_scan_gram_problem(ctx: QuotientContext, omega0: BezoutianForm, ell: int
     half = Fraction(1, 2)
     for i in range(d):
         for j in range(i, d):
-            entry = multiplier * omega0.entry(i, j)
+            entry = multiplier * omega0[i][j]
             for mu in monos_by_degree[2 * k - i - j]:
                 row: dict[tuple[int, int], Fraction] = {}
                 for gamma in monos_by_degree[k - i]:

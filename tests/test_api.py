@@ -1,5 +1,8 @@
 """The package root exports the documented library surface and nothing else."""
 
+import ast
+from pathlib import Path
+
 import hyperdet
 
 PUBLIC = [
@@ -32,3 +35,21 @@ def test_all_is_the_documented_surface():
     errors = {name for name, value in vars(hyperdet.errors).items()
               if isinstance(value, type) and issubclass(value, hyperdet.HyperdetError)}
     assert len(errors) == 12 and errors <= set(PUBLIC)
+
+
+def private_imports(package: Path) -> list[str]:
+    """file:line name for each _-prefixed name a module of the package
+    imports from another of its modules."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("hyperdet")):
+                found += [f"{path.name}:{node.lineno} {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # A leading underscore keeps a name inside its module; what a sibling
+    # needs has a public name.
+    assert private_imports(Path(hyperdet.__file__).parent) == []

@@ -20,13 +20,15 @@ from hypothesis import strategies as st
 import hyperdet.cli
 import hyperdet.detrep
 import hyperdet.hyperbolicity
+import hyperdet.quotient
 import hyperdet.sos
 from hyperdet import CertifyOptions, DetRepCertificate, Poly, parse_poly
 from hyperdet.cli import _build_parser, main
-from hyperdet.quotient import unpacked_poly
+from hyperdet.poly import as_point, normalize_direction
+from hyperdet.quotient import QuotientContext, unpacked_poly
 
 from conftest import random_pencil_determinant, renegar_derivative
-from golden import GOLDEN_CERTIFICATE_FILE, GOLDEN_CERTIFICATES, GOLDEN_CHECKS
+from golden import GOLDEN_BEZOUTIANS, GOLDEN_CERTIFICATE_FILE, GOLDEN_CERTIFICATES, GOLDEN_CHECKS
 from oracles import pencil_determinant
 
 
@@ -454,17 +456,43 @@ def test_check_normalizes_the_direction_once(capsys, monkeypatch):
 def test_check_compiles_the_line_forms_once(capsys, monkeypatch):
     # Both sampled tests read one compilation of h_monic's x0 coefficients.
     calls = []
-    compile_forms = hyperdet.hyperbolicity.integer_forms
+    compile_forms = hyperdet.quotient.integer_forms
 
     def counted(p):
         calls.append(p)
         return compile_forms(p)
 
-    monkeypatch.setattr(hyperdet.hyperbolicity, "integer_forms", counted)
+    monkeypatch.setattr(hyperdet.quotient, "integer_forms", counted)
     code, out, err = run(capsys, "check", "--poly", "x0^2 - x1^2 - x2^2", "--e", "2,1,0")
     assert code == 0, err
     assert json.loads(out)["pd_witness"]["ok"] is True
     assert len(calls) == 1
+
+
+def test_each_command_compiles_h_monics_line_forms_at_most_once(capsys, monkeypatch, tmp_path):
+    # QuotientContext.line_forms compiles h_monic on first use: once for
+    # check, certify and a ternary verify (the principal lattice evaluates
+    # h_monic), never for bezoutian or a verify in four variables.
+    calls = []
+    compile_forms = hyperdet.quotient.integer_forms
+
+    def counted(p):
+        calls.append(p)
+        return compile_forms(p)
+
+    monkeypatch.setattr(hyperdet.quotient, "integer_forms", counted)
+    for poly, direction in (("x0^2 - x1^2 - x2^2", "2,1,0"), ("x0^2 - x1^2 - x2^2 - x3^2", "1,0,0,0")):
+        e = as_point(direction.split(","))
+        h_monic = QuotientContext(normalize_direction(parse_poly(poly, len(e)), e)[0]).h
+        cert = tmp_path / f"cert{len(e)}.json"
+        source = ["--poly", poly, "--e", direction]
+        for argv, compiles in ((["check", *source], 1), (["bezoutian", *source], 0),
+                               (["certify", *source, "--output", str(cert)], 1),
+                               (["verify", "--cert", str(cert)], int(len(e) == 3))):
+            calls.clear()
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+            assert sum(p == h_monic for p in calls) == compiles, argv
 
 
 @pytest.mark.parametrize("poly,direction,digest", GOLDEN_CERTIFICATES)
@@ -489,6 +517,13 @@ def test_certificate_file_in_the_repository_still_verifies(capsys):
 def test_check_bytes_are_pinned(capsys, poly, direction, exit_code, digest):
     code, out, err = run(capsys, "check", "--poly", poly, "--e", direction)
     assert code == exit_code, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("poly,direction,fmt,digest", GOLDEN_BEZOUTIANS)
+def test_bezoutian_bytes_are_pinned(capsys, poly, direction, fmt, digest):
+    code, out, err = run(capsys, "bezoutian", "--poly", poly, "--e", direction, "--format", fmt)
+    assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -20,9 +20,7 @@ from hyperdet import (
 from hyperdet.hyperbolicity import (
     HYPERBOLIC_SAMPLED,
     NOT_HYPERBOLIC,
-    _restriction,
     _sturm_walk,
-    integer_forms,
     is_real_rooted,
     lineality_space,
     pd_witness_check,
@@ -30,7 +28,7 @@ from hyperdet.hyperbolicity import (
     sample_directions,
 )
 from hyperdet.poly import Poly, apply_linear, normalize_direction
-from hyperdet.quotient import QuotientContext, bezoutian_of
+from hyperdet.quotient import QuotientContext, bezoutian_of, integer_forms, restriction
 
 from conftest import random_fraction, random_homogeneous, random_pencil_determinant, renegar_derivative
 from oracles import (
@@ -223,12 +221,12 @@ def test_cylinder_is_refused_at_its_lineality_line_before_any_sample():
 
     def spy(forms, u):
         lines.append(tuple(u))
-        return _restriction(forms, u)
+        return restriction(forms, u)
 
     def no_samples(*args):
         raise AssertionError("sample_directions was called")
 
-    with patch.object(hyperbolicity, "_restriction", spy), \
+    with patch.object(hyperbolicity, "restriction", spy), \
             patch.object(hyperbolicity, "sample_directions", no_samples):
         report = pd_witness_check(ctx)
     assert lines == [(4, -2, 11)]
@@ -515,11 +513,11 @@ def test_integer_restriction_counts_roots_as_the_rational_oracle(kind, seed, til
 
     # The PD witness reads points w of x1..xn directly.
     ctx = QuotientContext(normalize_direction(h, e)[0])
-    forms, _ = hyperbolicity.integer_forms(ctx.h)
+    forms, _ = ctx.line_forms
     points = [tuple(v[1:h.nvars]) for v in drawn] + [(Fraction(0),) * ctx.n]
     points += [v[1:] for v in lineality_space(ctx.h)]
     for w in points:
-        coeffs = hyperbolicity._restriction(forms, hyperbolicity._integer_point(w))
+        coeffs = restriction(forms, hyperbolicity._integer_point(w))
         oracle = substitute_line(ctx.h, (1,) + (0,) * ctx.n, (0,) + tuple(w))
         assert root_counts(coeffs) == fraction_root_counts(oracle), (str(ctx.h), w)
 
@@ -540,5 +538,5 @@ def test_integer_forms_evaluate_as_the_polynomial(seed):
         assert den > 0 and all(isinstance(c, int) for c in forms.coeffs)
         for _ in range(8):
             a0, *u = (rng.randint(-5, 5) for _ in range(nvars))
-            value = sum(c * a0**j for j, c in enumerate(_restriction(forms, u)))
+            value = sum(c * a0**j for j, c in enumerate(restriction(forms, u)))
             assert value == den * p.evaluate((a0, *u)), (str(p), a0, u)

@@ -1,5 +1,6 @@
 """Quotient-module reduction, Bézout matrices and Bézoutian forms."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -9,11 +10,9 @@ from hypothesis import strategies as st
 
 from hyperdet import Poly, parse_poly
 from hyperdet.detrep import basis_maps
-from hyperdet.quotient import (
-    QuotientContext,
-    bezoutian_of,
-    delta_bezoutian,
-)
+from hyperdet.cli import main
+from hyperdet.poly import normalize_direction
+from hyperdet.quotient import QuotientContext, bezoutian_of
 from hyperdet.sos import monomial_basis_Mk
 
 from conftest import random_homogeneous, all_monomials
@@ -298,54 +297,59 @@ def test_bezout_matrix_against_bivariate_expansion():
 
 def test_delta_lorentz():
     ctx = QuotientContext(LORENTZ)
-    delta = delta_bezoutian(ctx)
+    delta = bezoutian_of(ctx, Poly.one(ctx.nvars))
     one = Poly.one(3)
-    assert delta.entries[0][0].is_zero and delta.entries[1][1].is_zero
-    assert delta.entries[0][1] == one and delta.entries[1][0] == one
+    assert delta[0][0].is_zero and delta[1][1].is_zero
+    assert delta[0][1] == one and delta[1][0] == one
 
 
 def test_delta_pure_power_antidiagonal():
     ctx = QuotientContext(P("x0^3", 2))
-    delta = delta_bezoutian(ctx)
+    delta = bezoutian_of(ctx, Poly.one(ctx.nvars))
     one = Poly.one(2)
     for i in range(3):
         for j in range(3):
             expected = one if i + j == 2 else Poly.zero(2)
-            assert delta.entries[i][j] == expected
+            assert delta[i][j] == expected
 
 
 def test_delta_linear():
     ctx = QuotientContext(P("x0 - x1"))
-    delta = delta_bezoutian(ctx)
-    assert delta.entries == ((Poly.one(2),),)
+    delta = bezoutian_of(ctx, Poly.one(ctx.nvars))
+    assert delta == ((Poly.one(2),),)
 
 
-def test_bezoutian_of_unit_is_delta():
-    ctx = QuotientContext(LORENTZ)
-    assert bezoutian_of(ctx, Poly.one(3)).entries == delta_bezoutian(ctx).entries
+def test_bezoutian_of_unit_is_delta(capsys):
+    # The bezoutian command prints as delta the rows of the Bézoutian of 1.
+    for direction in ((1, 0, 0), (2, 1, 0)):
+        ctx = QuotientContext(normalize_direction(LORENTZ, direction)[0])
+        code = main(["bezoutian", "--poly", str(LORENTZ), "--e", ",".join(map(str, direction))])
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out)["delta"]
+        assert rows == [[str(e) for e in row] for row in bezoutian_of(ctx, Poly.one(3))]
 
 
 def test_bezoutian_of_derivative():
     ctx = QuotientContext(LORENTZ)
     omega = bezoutian_of(ctx, LORENTZ.derivative(0))
-    assert omega.entries[0][0] == P("2*x1^2 + 2*x2^2", 3)
-    assert omega.entries[0][1].is_zero and omega.entries[1][0].is_zero
-    assert omega.entries[1][1] == Poly.constant(3, 2)
+    assert omega[0][0] == P("2*x1^2 + 2*x2^2", 3)
+    assert omega[0][1].is_zero and omega[1][0].is_zero
+    assert omega[1][1] == Poly.constant(3, 2)
 
 
 def test_bezoutian_of_x1_is_scaled_delta():
     ctx = QuotientContext(LORENTZ)
     omega = bezoutian_of(ctx, P("x1", 3))
     x1 = P("x1", 3)
-    assert omega.entries[0][1] == x1 and omega.entries[1][0] == x1
-    assert omega.entries[0][0].is_zero and omega.entries[1][1].is_zero
+    assert omega[0][1] == x1 and omega[1][0] == x1
+    assert omega[0][0].is_zero and omega[1][1].is_zero
 
 
 # -- is_bezoutian ------------------------------------------------------------
 
 def test_is_bezoutian_accepts_delta():
     ctx = QuotientContext(LORENTZ)
-    assert is_bezoutian(ctx, delta_bezoutian(ctx).entries)
+    assert is_bezoutian(ctx, bezoutian_of(ctx, Poly.one(ctx.nvars)))
 
 
 def test_is_bezoutian_rejects_corner_matrix():
@@ -371,7 +375,7 @@ def test_evaluate_form_derivative_bezoutian():
 
 def test_evaluate_form_constant_delta():
     ctx = QuotientContext(LORENTZ)
-    delta = delta_bezoutian(ctx)
+    delta = bezoutian_of(ctx, Poly.one(ctx.nvars))
     for v in [(0, 0), (3, -2), (Fraction(1, 7), 5)]:
         assert evaluate_form(delta, v) == [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
 
@@ -419,7 +423,7 @@ def test_principal_ideal_property():
         degree = rng.randint(1, 4)
         h, p = _random_h_and_p(rng, nvars, degree)
         ctx = QuotientContext(h)
-        assert is_bezoutian(ctx, bezoutian_of(ctx, p).entries)
+        assert is_bezoutian(ctx, bezoutian_of(ctx, p))
 
 
 def test_degree_pattern():
@@ -432,7 +436,7 @@ def test_degree_pattern():
         omega = bezoutian_of(ctx, ctx.h.derivative(0))
         for i in range(degree):
             for j in range(degree):
-                assert is_homogeneous_of_degree(omega.entries[i][j], 2 * (degree - 1) - i - j)
+                assert is_homogeneous_of_degree(omega[i][j], 2 * (degree - 1) - i - j)
 
 
 def test_bezout_criterion_real_simple_vs_complex():
@@ -462,7 +466,7 @@ def test_commutation_identity():
         degree = rng.randint(1, 4)
         h = random_homogeneous(rng, nvars, degree, monic_in_x0=True)
         ctx = QuotientContext(h)
-        delta = delta_bezoutian(ctx)
+        delta = bezoutian_of(ctx, Poly.one(ctx.nvars))
         f = mult_x0_matrix(ctx)
         d = ctx.d
         for i in range(d):
@@ -470,6 +474,6 @@ def test_commutation_identity():
                 lhs = Poly.zero(nvars)
                 rhs = Poly.zero(nvars)
                 for k in range(d):
-                    lhs = lhs + f[i][k] * delta.entries[k][j]
-                    rhs = rhs + delta.entries[i][k] * f[j][k]
+                    lhs = lhs + f[i][k] * delta[k][j]
+                    rhs = rhs + delta[i][k] * f[j][k]
                 assert lhs == rhs

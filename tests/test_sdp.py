@@ -12,12 +12,11 @@ from hyperdet.sdp import (
     INFEASIBLE,
     MAX_ITERATIONS,
     OPTIMAL,
-    SdpProblem,
     _max_step,
     _schur_matrix,
     solve_maxeig,
 )
-from hyperdet.sos import gram_problem, power_sum_multiplier
+from hyperdet.sos import SdpProblem, gram_problem, power_sum_multiplier
 
 from conftest import exact_row, random_pencil_determinant
 

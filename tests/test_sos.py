@@ -29,11 +29,11 @@ from hyperdet.sdp import (
     MAX_ITERATIONS,
     OPTIMAL,
     STALL_WINDOW,
-    SdpProblem,
     SdpSolution,
     solve_maxeig,
 )
 from hyperdet.sos import (
+    SdpProblem,
     find_sos_decomposition,
     gram_problem,
     monomial_basis_Mk,
@@ -564,11 +564,11 @@ def test_exactness_gate_and_rank():
                 acc = Poly.zero(ctx.nvars)
                 for w, u in zip(dec.weights, vectors):
                     acc = acc + u[a] * u[b] * w
-                assert acc == dec.multiplier * omega.entry(a, b)
+                assert acc == dec.multiplier * omega[a][b]
         basis = monomial_basis_Mk(ctx, dec.k)
         assert dec.basis == basis
         assert rational_rank(dec.rows) == len(basis)
-        assert is_bezoutian(ctx, tuple(tuple(dec.multiplier * e for e in row) for row in omega.entries))
+        assert is_bezoutian(ctx, tuple(tuple(dec.multiplier * e for e in row) for row in omega))
 
 
 def test_generation_of_next_graded_piece():

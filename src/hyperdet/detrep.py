@@ -214,31 +214,14 @@ def solve_symmetric_lift(
     integers over row denominators, P_s[a][b] = basis_ints[s][a][b] /
     basis_dens[a], the form _charpoly reads.  R is the unit upper-triangular
     LDL factor whose rows are the generators (dec.rows), so that
-    W = dec.gram = R^T D R.
+    W = dec.gram = R^T D R.  README step 5 states the linear system, whose
+    unknowns are the entries of the symmetric S_s = R^T D G_s R, and the
+    integer products that give both pencils from it; free unknowns are set
+    to zero.
 
-    The unknowns are the entries of the symmetric S_s = W P_s = R^T D G_s R,
-    one per upper-triangle entry, and the system is X_0 W = sum_s X_s S_s,
-    X_s and X_0 the basis_maps images over the degree-(k+1) basis.  Each
-    X_s sends a basis element to one basis element with coefficient 1, so
-    equation (pos, c) reads sum S_s[a][c] = (X_0 W)[pos][c] over the (s, a)
-    with x_s * b_a = b_pos: every coefficient is 1, no equation has more
-    than n unknowns, and only the right-hand side is rational.  It is
-    scaled to integers by the common denominator of W and X_0, which
-    scales every unknown alike.  Free unknowns are set to zero by the
-    deterministic elimination.
-
-    With delta_i the lcm of the denominators of row i of R, V = diag(delta) R
-    is an integer upper-triangular matrix.  Back substitution gives each
-    column of V^-1 as integers over one denominator, and both pencils are
-    then integer products: G_s = D^-1 R^-T S_s R^-1, which is
-    G_s[a][b] = delta_a delta_b Z[a][b] / d_a with Z = V^-T S_s V^-1, and
-    P_s = W^-1 S_s = V^-1 diag(delta^2 / d) V^-T S_s.  With C the integer
-    columns of V^-1, both read the half product C^T S_s, and every P_s is
-    over one common denominator with no Fraction per entry.
-
-    Raises NoSymmetricLift when the system is inconsistent, and when V has a
-    zero diagonal entry, which means the decomposition's rows do not span
-    the graded piece.
+    Raises NoSymmetricLift when the system is inconsistent, and when the
+    integer V = diag(delta) R of README step 5 has a zero diagonal entry,
+    which means the decomposition's rows do not span the graded piece.
     """
     m = len(dec.rows)
     n = ctx.n

@@ -1,25 +1,14 @@
 """Exact real-root counting and sampled hyperbolicity verdicts.
 
 Both sampled checks run one integer kernel per line, with no Fraction and
-no Poly in it.  They read the x0 coefficients c_0..c_d of den*h_monic, the
-normalized h made monic in x0 and scaled by the lcm den of its
-denominators, as the quotient context compiles them once
-(QuotientContext.line_forms): every term's integer coefficient, and for
-each term the power slots u_i^e it multiplies.  A line point w of x1..xn is
-read as the integer vector u = q*w, q > 0 a common denominator
-(sample_directions draws it in that form).  The line computes only the
-powers that some term uses, and each c_j(u) is one sum over C-level maps;
-the restriction is the list [c_j(u)], lowest first (quotient.restriction).
-Because h is homogeneous, c_j(q*w) = q^(d-j)*c_j(w), so that list is
-den*q^d*h_monic(s/q, w): a positive multiple of h_monic(t, w) in a
-positively scaled variable, with the same signs, real roots and distinct
-roots.  root_counts reads it in one walk over the primitive
-pseudo-remainder sequence, counting the sign changes at -oo and +oo as
-each entry arrives; no chain or sign list is built.
+no Poly in it: the restriction h_monic(t, w) to the line at a point w of
+x1..xn, read from QuotientContext.line_forms by quotient.restriction, and
+root_counts' one walk over its primitive pseudo-remainder sequence.
+README step 3 states that kernel and why its signs and root counts are
+those of h_monic(t, w).
 Hyperbolicity asks that every root be real; the PD witness asks for d
 distinct real roots, which by Hermite's theorem is exactly positive
-definiteness of the derivative Bézoutian at w (Basu, Pollack & Roy,
-*Algorithms in Real Algebraic Geometry*, ch. 4).
+definiteness of the derivative Bézoutian at w.
 
 The sample stream is defined by random.Random(seed).getrandbits and the
 rejection rule of Random.randint: a numerator is the first 5-bit draw below

@@ -40,11 +40,12 @@ def as_fraction(value: RationalLike) -> Fraction:
 
     A string must be an optional sign and an integer or 'a/b'; anything
     else is a ValueError.  Fraction alone would also read decimals and
-    exponent notation, and '1e1000000' would cost it a 10**1000000.
+    exponent notation, and '1e1000000' would cost it a 10**1000000.  A bool
+    is a TypeError: JSON's true is not the number 1.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         if not _RATIONAL_TEXT.fullmatch(value):

@@ -5,7 +5,7 @@ of the full polynomial ring by (h) is free of rank d over the subring in
 x1..xn, with basis 1, x0bar, ..., x0bar^{d-1}.  This module provides the
 one division by h, whose remainder is the reduction to that basis and whose
 quotient is the cofactor of a certificate, the d x d polynomial matrices
-("Bézoutian forms") obtained from difference quotients, and h_monic's x0
+("Bézoutian forms") of difference quotients (README step 2), and h_monic's x0
 coefficients compiled for evaluation at integer points (line_forms).  All
 run on integers: a polynomial is held as integer x0-coefficient forms in
 x1..xn over one denominator, each monomial packed into one int
@@ -202,39 +202,17 @@ def divide_packed(
     return quotient, den ** (steps - 1) if steps else 1, remainder, scale
 
 
-def _divide_by_s_minus_t(num: list[list[dict[int, int]]], d: int) -> list[list[dict[int, int]]]:
-    """Synthetic division of an antisymmetric (d+1) x (d+1) table by (s - t).
-
-    Entries are x0-free packed integer forms; the d x d quotient is returned.
-    """
-    def add(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
-        out = dict(f)
-        for key, c in g.items():
-            out[key] = out.get(key, 0) + c
-        return {key: c for key, c in out.items() if c}
-
-    quot: list = [None] * d
-    carry = num[d]
-    for i in range(d - 1, -1, -1):
-        quot[i] = list(carry)
-        carry = [num[i][0]] + [add(num[i][j], quot[i][j - 1]) for j in range(1, d + 1)]
-    assert not any(carry), "numerator was not divisible by s - t"
-    assert not any(row[d] for row in quot), "quotient degree overflow in t"
-    return [row[:d] for row in quot]
-
-
 def bezoutian_of(ctx: QuotientContext, p: Poly) -> tuple[tuple[Poly, ...], ...]:
-    """Bézoutian form generated by p: reduce (h(s)p(t) - h(t)p(s)) / (s - t).
+    """Bézoutian form generated by p: (h(s)p(t) - h(t)p(s)) / (s - t) with p
+    reduced modulo h, as its d x d rows of x0-free polynomials.
 
-    The form is a symmetric d x d matrix of x0-free polynomials, returned as
-    its rows, that commutes with multiplication by x0 (F B = B F^T); for p
-    of degree D the (i, j) entry is zero or homogeneous of degree
-    D + d - 1 - i - j, and p = 1 gives the distinguished Bézoutian
-    (h(s) - h(t)) / (s - t).  p is reduced modulo h first (the remainder of
-    divide_packed); the division then lands directly in the span of s^i t^j
-    with i, j < d, so no bidegree reduction is needed.  The table
-    h_i p_j - h_j p_i and the synthetic division by (s - t) run on packed
-    integer forms over the one denominator h_den * r_den * p_den.
+    The form is symmetric and commutes with multiplication by x0
+    (F B = B F^T); for p of degree D the (i, j) entry is zero or homogeneous
+    of degree D + d - 1 - i - j, and p = 1 gives the distinguished Bézoutian
+    (h(s) - h(t)) / (s - t).  Entry (i, j), i <= j, is README step 2's
+    closed-form sum over the x0 forms H of den*h_monic and R of p's
+    remainder under divide_packed: one packed_dot over the denominator
+    h_den * r_den * p_den.
     """
     if p.nvars != ctx.nvars:
         raise DimensionMismatch("polynomial and context variable counts differ")
@@ -245,12 +223,14 @@ def bezoutian_of(ctx: QuotientContext, p: Poly) -> tuple[tuple[Poly, ...], ...]:
     forms, p_den = packed_forms(p, base)
     _, _, reduced, r_den = divide_packed(ctx, forms, base)
     h_forms, h_den = packed_forms(ctx.h, base)
-    pc = reduced + [{}]
-    neg = [{key: -c for key, c in form.items()} for form in pc]
-    # Numerator table N[i][j] = H_i R_j - H_j R_i over the one denominator
-    # h_den * r_den * p_den.
-    num = [[packed_dot((h_forms[i], h_forms[j]), (pc[j], neg[i])) for j in range(d + 1)]
-           for i in range(d + 1)]
+    r = reduced + [{}]
+    neg = [{key: -c for key, c in form.items()} for form in r]
     den = h_den * r_den * p_den
-    return tuple(tuple(unpacked_poly([f], den, base, ctx.nvars) for f in row)
-                 for row in _divide_by_s_minus_t(num, d))
+    rows = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            ks = range(min(j, d - 1 - i) + 1)
+            entry = packed_dot([h_forms[i + 1 + k] for k in ks] + [h_forms[j - k] for k in ks],
+                               [r[j - k] for k in ks] + [neg[i + 1 + k] for k in ks])
+            rows[i][j] = rows[j][i] = unpacked_poly([entry], den, base, ctx.nvars)
+    return tuple(map(tuple, rows))

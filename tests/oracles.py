@@ -246,9 +246,10 @@ def fraction_divide_by_h(ctx: QuotientContext, p: Poly) -> tuple[Poly, tuple[Pol
 
 
 def fraction_bezoutian_of(ctx: QuotientContext, p: Poly) -> tuple[tuple[Poly, ...], ...]:
-    """The Bézoutian form of p by Poly arithmetic, the former route of
-    quotient.bezoutian_of: the table h_i p_j - h_j p_i of Poly products over
-    p reduced by fraction_divide_by_h, synthetically divided by (s - t)."""
+    """The Bézoutian form of p by Poly arithmetic, the independent reference
+    for quotient.bezoutian_of's closed-form sum: the table h_i p_j - h_j p_i
+    of Poly products over p reduced by fraction_divide_by_h, synthetically
+    divided by (s - t)."""
     d = ctx.d
     pc = fraction_divide_by_h(ctx, p)[1] + (Poly.zero(ctx.nvars),)
     hc = ctx.h_coeffs

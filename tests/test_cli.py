@@ -190,8 +190,8 @@ def test_direction_outside_the_rational_forms_is_an_input_error_at_once(capsys, 
     assert out == ""
 
 
-def _exponent_in(data, name):
-    value = "1e1000000"
+def _first_entry(data, name, value):
+    """data with the first number of field name (e, T, D or G) set to value."""
     if name == "e":
         return {**data, "e": [value] + data["e"][1:]}
     if name == "T":
@@ -205,13 +205,26 @@ def _exponent_in(data, name):
 def test_certificate_field_in_exponent_notation_is_an_input_error_at_once(capsys, tmp_path, name):
     # It used to be computed, 10**1000000, and then fail the replay (exit 1).
     path = tmp_path / "exponent.json"
-    path.write_text(json.dumps(_exponent_in(_lorentz_certificate(capsys, tmp_path), name)))
+    path.write_text(json.dumps(_first_entry(_lorentz_certificate(capsys, tmp_path), name, "1e1000000")))
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", "--cert", str(path))
     assert time.perf_counter() - start < 1
     assert code == 2
     assert err.startswith("input error: ") and f"field {name!r}" in err
     assert "'1e1000000' is not an integer or an a/b fraction" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("name", ["e", "T", "D", "G"])
+def test_boolean_certificate_entry_is_an_input_error(capsys, tmp_path, name):
+    # JSON's true is a Python bool, and so an int: it used to load as 1 and
+    # fail the replay (exit 1) or, where 1 was the number, pass it.
+    path = tmp_path / "boolean.json"
+    path.write_text(json.dumps(_first_entry(_lorentz_certificate(capsys, tmp_path), name, True)))
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert code == 2
+    assert err.startswith("input error: ") and f"certificate field {name!r}" in err
+    assert "cannot interpret True as an exact rational" in err
     assert out == ""
 
 

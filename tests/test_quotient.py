@@ -15,7 +15,7 @@ from hyperdet.poly import normalize_direction
 from hyperdet.quotient import QuotientContext, bezoutian_of
 from hyperdet.sos import monomial_basis_Mk
 
-from conftest import random_homogeneous, all_monomials
+from conftest import all_monomials, random_homogeneous, random_pencil_determinant, renegar_derivative
 from oracles import (
     UniPoly,
     bezout_matrix_univariate,
@@ -194,8 +194,8 @@ def test_integer_division_equals_the_fraction_division(case):
 @settings(max_examples=150, deadline=None)
 @given(oracle_case())
 def test_integer_bezoutian_equals_the_fraction_bezoutian(case):
-    # bezoutian_of forms its table and the division by (s - t) on integer
-    # forms over one denominator: the same entries as the Poly route.
+    # bezoutian_of evaluates the closed-form sum on integer forms over one
+    # denominator: the same entries as the Poly table divided by (s - t).
     h, p = case
     ctx = QuotientContext(h)
     if p.is_homogeneous:
@@ -203,6 +203,23 @@ def test_integer_bezoutian_equals_the_fraction_bezoutian(case):
     else:
         with pytest.raises(ValueError):
             bezoutian_of(ctx, p)
+
+
+@pytest.mark.parametrize("make_h", [
+    lambda: random_pencil_determinant(random.Random(5001), 3, 5),
+    lambda: random_pencil_determinant(random.Random(6001), 3, 6),
+    lambda: random_pencil_determinant(random.Random(7001), 3, 7),
+    lambda: renegar_derivative(random.Random(1), 5, 6),
+], ids=["hv-d5", "hv-d6", "hv-d7", "renegar-5var-cubic"])
+def test_closed_form_bezoutian_past_the_oracle_range(make_h):
+    # oracle_case draws h of degree 1-4; the closed-form sum's index bounds
+    # min(j, d-1-i) are exercised here up to d = 7 and in five variables,
+    # with x0^(d+1)*x1 reduced by divide_packed before the sum.
+    h = make_h()
+    ctx = QuotientContext(h)
+    x0, x1 = Poly.variable(h.nvars, 0), Poly.variable(h.nvars, 1)
+    for p in (Poly.one(h.nvars), h.derivative(0), x0 ** (ctx.d + 1) * x1):
+        assert bezoutian_of(ctx, p) == fraction_bezoutian_of(ctx, p), p
 
 
 def test_context_rescales_to_monic():

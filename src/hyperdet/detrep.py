@@ -143,6 +143,8 @@ class DetRepCertificate:
             return parse_poly(text, len(e))
 
         def matrix(rows):
+            if not isinstance(rows, list):
+                raise TypeError(f"matrix must be a JSON list, not {type(rows).__name__}")
             if not all(isinstance(row, list) for row in rows):
                 raise TypeError("matrix rows must be JSON lists")
             return rat_matrix(rows)

@@ -14,6 +14,7 @@ canonical text form.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence, Union
@@ -30,6 +31,9 @@ RationalLike = Union[int, str, Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# The most terms h may have once normalize_direction makes it dense.
+_MAX_DENSE_TERMS = 2048
 
 
 _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
@@ -345,21 +349,29 @@ def normalize_direction(h: Poly, e: Sequence[RationalLike]) -> tuple[Poly, list[
     x = T^{-1} y, so that h'(1,0,...,0) = h(e).  This is the one input gate
     of check, bezoutian, certify and verify (whose check (d) compares a
     certificate's T with this one): it raises an InputError unless e is a
-    nonzero point of the right length, h has at least two variables and is
-    homogeneous of positive degree, and h(e) != 0 (DirectionVanishes).
+    nonzero point of the right length, h has at least two variables, is
+    homogeneous of positive degree and has at most 2048 terms once dense,
+    and h(e) != 0 (DirectionVanishes).
     """
     ev = as_point(e)
     if len(ev) != h.nvars:
         raise DimensionMismatch("direction length must match the variable count")
     if all(c == 0 for c in ev):
         raise DimensionMismatch("direction must be nonzero")
-    if h.nvars < 2:
+    d, n = h.degree, h.nvars
+    if n < 2:
         raise InputError("polynomial needs at least two variables, x0 and x1")
-    if not h.is_homogeneous or h.degree == 0:
+    if not h.is_homogeneous or d == 0:
         raise InputError("polynomial must be homogeneous of positive degree")
+    # The substitution makes h dense, C(d+n-1, d) terms in n variables, and
+    # every command then works on all of them: x0^99999999 - x1^99999999
+    # alone would exhaust memory.  That count is at least d+1 and at least
+    # n, so a large d or n is refused before math.comb sees it.
+    if max(d, n) > _MAX_DENSE_TERMS or math.comb(d + n - 1, d) > _MAX_DENSE_TERMS:
+        raise InputError(f"polynomial too large: degree {d} in {n} variables has more "
+                         f"than {_MAX_DENSE_TERMS} terms once dense")
     if h.evaluate(ev) == 0:
         raise DirectionVanishes("polynomial vanishes at the direction")
-    n = h.nvars
     pivot = next(i for i in range(n) if ev[i] != 0)
     # Columns of T^{-1}: the direction itself, then unit vectors skipping the
     # pivot slot so the matrix stays invertible.
@@ -413,78 +425,67 @@ def _fail(text: str, pos: int, message: str) -> NoReturn:
     raise PolyParseError(message, line, pos - start + 1) from None
 
 
-def parse_poly(text: str, nvars: int | None = None) -> Poly:
-    """Parse the textual grammar: terms joined by +/-, factors joined by *.
+# One factor of a term, as README "Command line" states the grammar: a
+# coefficient `a` or `a/b` (whitespace may follow the `/`), or `xI` with an
+# optional `^E`.  A digit group left empty is a missing digit.
+_FACTOR = re.compile(r"([0-9]+)(?:/\s*([0-9]*))?|x([0-9]*)(?:\^([0-9]*))?")
+_SPACE = re.compile(r"\s*")  # \s is exactly what str.isspace accepts
 
-    A term is `coeff`, `coeff*mono`, or `mono`; `mono` is one or more
-    `xI^E` factors (E omitted means 1); coefficients are integers or `a/b`
-    fractions, and digits are ASCII 0-9.  Whitespace may stand between
-    tokens and after `/`, but not inside `xI^E` or before `/`.  When nvars
-    is omitted it is inferred from the largest variable index.
+
+def _integer(match: re.Match, group: int) -> int:
+    """The integer a digit group of _FACTOR read; a parse error at its start if none."""
+    digits, pos = match[group], match.start(group)
+    if not digits:
+        _fail(match.string, pos, "expected a digit")
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter's int-string limit
+        _fail(match.string, pos, f"integer literal of {len(digits)} digits is too long")
+
+
+def parse_poly(text: str, nvars: int | None = None) -> Poly:
+    """Parse a polynomial in the grammar README "Command line" states.
+
+    Terms are joined by +/-, factors by *; a parse error carries the line
+    and column where the text stops fitting the grammar.  When nvars is
+    omitted it is inferred from the largest variable index.
     """
     end = len(text)
-
-    def skip_ws(pos: int) -> int:
-        while pos < end and text[pos].isspace():
-            pos += 1
-        return pos
-
-    def read_int(pos: int) -> tuple[int, int]:
-        stop = pos
-        while stop < end and "0" <= text[stop] <= "9":
-            stop += 1
-        if stop == pos:
-            _fail(text, pos, "expected a digit")
-        try:
-            return int(text[pos:stop]), stop
-        except ValueError:  # longer than the interpreter's int-string limit
-            _fail(text, pos, f"integer literal of {stop - pos} digits is too long")
-
     terms: list[tuple[dict[int, int], Fraction]] = []
     max_index = -1
 
-    pos = skip_ws(0)
+    pos = _SPACE.match(text).end()
     if pos == end:
         _fail(text, pos, "empty polynomial")
-    sign = _ONE
+    sign = -_ONE if text[pos] == "-" else _ONE
     if text[pos] in "+-":
-        if text[pos] == "-":
-            sign = -_ONE
-        pos = skip_ws(pos + 1)
+        pos = _SPACE.match(text, pos + 1).end()
 
     while True:
         exps: dict[int, int] = {}
         coeff = sign
-        first_factor = True
+        term_start = pos
         while True:
-            pos = skip_ws(pos)
-            ch = text[pos:pos + 1]
-            if "0" <= ch <= "9":
-                if not first_factor:
-                    _fail(text, pos, "numeric coefficient must come first in a term")
-                num, pos = read_int(pos)
-                den = 1
-                if text.startswith("/", pos):
-                    den, pos = read_int(skip_ws(pos + 1))
-                    if den == 0:
-                        _fail(text, pos, "zero denominator")
-                coeff = coeff * Fraction(num, den)
-            elif ch == "x":
-                start = pos
-                index, pos = read_int(pos + 1)
-                exp = 1
-                if text.startswith("^", pos):
-                    exp, pos = read_int(pos + 1)
-                exps[index] = exps.get(index, 0) + exp
-                if index > max_index:
-                    max_index, max_pos = index, start
-            else:
+            match = _FACTOR.match(text, pos)
+            if match is None:
                 _fail(text, pos, "expected a coefficient or a variable")
-            first_factor = False
-            pos = skip_ws(pos)
+            if match[1] is not None:
+                if pos != term_start:
+                    _fail(text, pos, "numeric coefficient must come first in a term")
+                num = _integer(match, 1)
+                den = 1 if match[2] is None else _integer(match, 2)
+                if den == 0:
+                    _fail(text, match.end(), "zero denominator")
+                coeff *= Fraction(num, den)
+            else:
+                index = _integer(match, 3)
+                exps[index] = exps.get(index, 0) + (1 if match[4] is None else _integer(match, 4))
+                if index > max_index:
+                    max_index, max_pos = index, pos
+            pos = _SPACE.match(text, match.end()).end()
             if not text.startswith("*", pos):
                 break
-            pos += 1
+            pos = _SPACE.match(text, pos + 1).end()
         terms.append((exps, coeff))
 
         if pos == end:
@@ -492,13 +493,11 @@ def parse_poly(text: str, nvars: int | None = None) -> Poly:
         if text[pos] not in "+-":
             _fail(text, pos, f"unexpected character {text[pos]!r}")
         sign = _ONE if text[pos] == "+" else -_ONE
-        pos = skip_ws(pos + 1)
+        pos = _SPACE.match(text, pos + 1).end()
         if pos == end:
             _fail(text, pos, "dangling sign at end of input")
 
-    width = max_index + 1 if nvars is None else nvars
-    if width < 1:
-        width = 1
+    width = max(1, max_index + 1 if nvars is None else nvars)
     if max_index >= width:
         _fail(text, max_pos, f"variable x{max_index} exceeds the declared {width} variables")
     acc: dict[Monomial, Fraction] = {}

@@ -280,6 +280,7 @@ def _without(data, key):
     (lambda data: {**data, "e": "100"}, "field 'e'"),
     (lambda data: {**data, "T": ["100", "010", "001"]}, "field 'T'"),
     (lambda data: {**data, "T": [["1", "0"], ["0", "1"], ["0", "0"]]}, "field 'T': must be a 3x3"),
+    (lambda data: {**data, "G": [5, data["G"][1]]}, "field 'G': matrix must be a JSON list, not int"),
     (lambda data: [data], "JSON object"),
     (lambda data: {**data, "schema": "hyperdet/0"}, "schema"),
 ])
@@ -330,7 +331,9 @@ def test_empty_pencil_certificate_is_refused(capsys, tmp_path):
     ("e", ["1", "1", "0"], "polynomial vanishes at the direction"),
     ("h", "0", "polynomial must be homogeneous of positive degree"),
     ("h", "x0^2 - x1", "polynomial must be homogeneous of positive degree"),
-], ids=["zero-e", "h-vanishes-at-e", "zero-h", "inhomogeneous-h"])
+    ("h", "x0^63 - x1^63 - x2^63",
+     "polynomial too large: degree 63 in 3 variables has more than 2048 terms once dense"),
+], ids=["zero-e", "h-vanishes-at-e", "zero-h", "inhomogeneous-h", "oversized-h"])
 def test_certificate_the_input_gate_refuses_is_refused(capsys, tmp_path, field, value, reason):
     # verify normalizes h and e as certify does; where that gate refuses,
     # checks (c) and (d) are not replayed, each says why, and verify exits 1.
@@ -351,10 +354,17 @@ def test_certificate_the_input_gate_refuses_is_refused(capsys, tmp_path, field, 
     ("bezoutian", "--poly", "3", "--e", "1,0"),
     ("check", "--poly", "x0^2 - x1", "--e", "1,0"),
     ("bezoutian", "--poly", "x0^2 - x1", "--e", "1,0"),
+    ("check", "--poly", "x0^99999999 - x1^99999999", "--e", "1,0"),
+    ("bezoutian", "--poly", "x0^99999999 - x1^99999999", "--e", "1,0"),
+    ("certify", "--poly", "x0^99999999 - x1^99999999", "--e", "1,0"),
+    ("check", "--poly", "x0^250*x1^250*x2^250*x3^250", "--e", "1,1,1,1"),
+    ("bezoutian", "--poly", "x0^250*x1^250*x2^250*x3^250", "--e", "1,1,1,1"),
+    ("certify", "--poly", "x0^250*x1^250*x2^250*x3^250", "--e", "1,1,1,1"),
 ])
 def test_polynomial_outside_the_domain_is_an_input_error(capsys, argv):
-    # Univariate, constant and inhomogeneous polynomials are refused by the
-    # one input gate with exit 2, by every command.
+    # Univariate, constant and inhomogeneous polynomials, and those with more
+    # than 2048 terms once dense, are refused by the one input gate with
+    # exit 2, by every command.
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("input error: ") and err.count("\n") == 1

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hyperdet import (
     DirectionVanishes,
+    InputError,
     Poly,
     PolyParseError,
     parse_poly,
@@ -209,6 +210,26 @@ def test_normalize_direction_vanishing_rejected():
         normalize_direction(P("x0^2", 2), (0, 1))
 
 
+@pytest.mark.parametrize("text, direction, admitted", [
+    ("x0^2047 - x1^2047", (1, 0), True),  # C(2048, 1) = 2048 terms
+    ("x0^2048 - x1^2048", (1, 0), False),
+    ("x0^62 - x1^62 - x2^62", (1, 0, 0), True),  # C(64, 2) = 2016
+    ("x0^63 - x1^63 - x2^63", (1, 0, 0), False),  # C(65, 2) = 2080
+    ("x0^21 - x1^21 - x2^21 - x3^21", (1, 0, 0, 0), True),  # C(24, 3) = 2024
+    ("x0^22 - x1^22 - x2^22 - x3^22", (1, 0, 0, 0), False),  # C(25, 3) = 2300
+    ("x0 - x2999", (1,) + (0,) * 2999, False),  # C(3000, 1) = 3000
+])
+def test_normalize_direction_bounds_the_dense_term_count(text, direction, admitted):
+    # h of degree d in n+1 variables becomes dense, C(d+n, n) terms, so the
+    # gate refuses it past 2048 of them, before any substitution.
+    h = P(text)
+    if admitted:
+        assert normalize_direction(h, direction)[0] == h
+    else:
+        with pytest.raises(InputError, match="polynomial too large"):
+            normalize_direction(h, direction)
+
+
 def test_normalize_direction_roundtrip():
     rng = random.Random(3)
     for _ in range(10):
@@ -298,12 +319,12 @@ _GAPS = ["", "", "", "", "", " ", "\n", "\t", "\r\n", "@", "*", "-"]
 
 
 @st.composite
-def _spaced_polynomials(draw):
+def _spaced_polynomials(draw, gap_choices=_GAPS):
     """Polynomial text with whitespace and stray characters between any two characters."""
     terms = draw(st.lists(st.tuples(st.sampled_from(["", "+", "-"]), st.sampled_from(_TERMS)),
                           min_size=1, max_size=4))
     text = "".join(sign + term for sign, term in terms)
-    gaps = draw(st.lists(st.sampled_from(_GAPS), min_size=len(text) + 1, max_size=len(text) + 1))
+    gaps = draw(st.lists(st.sampled_from(gap_choices), min_size=len(text) + 1, max_size=len(text) + 1))
     return gaps[0] + "".join(ch + gap for ch, gap in zip(text, gaps[1:]))
 
 
@@ -317,6 +338,19 @@ ascii_texts = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(ascii_texts, st.sampled_from([None, 1, 2, 3]))
 def test_parse_agrees_with_the_scanner_parser_on_ascii_text(text, nvars):
+    assert _parse_outcome(parse_poly, text, nvars) == _parse_outcome(scanner_parse_poly, text, nvars)
+
+
+# \x1c and every character str.isspace accepts outside ASCII: \x85, \xa0,
+# \u2028 and \u3000 among them.
+_UNICODE_GAPS = _GAPS + ["\x1c"] + [ch for ch in map(chr, range(128, 0x110000)) if ch.isspace()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spaced_polynomials(_UNICODE_GAPS), st.sampled_from([None, 1, 2, 3]))
+def test_parse_agrees_with_the_scanner_parser_on_unicode_whitespace(text, nvars):
+    # The scanner skips what str.isspace accepts, and the parser's \s must
+    # skip exactly those characters.
     assert _parse_outcome(parse_poly, text, nvars) == _parse_outcome(scanner_parse_poly, text, nvars)
 
 

@@ -40,6 +40,7 @@ SINGULAR_SUSPECTED = "SingularSuspected"
 
 DEFAULT_NUM_SAMPLES = 64
 _SAMPLE_RANGE = 10  # coordinates drawn from {-10..10}/{1..10}
+_MAX_SAMPLES = 10_000  # bounds the time of a sampled check (README "Exit codes")
 _denominator = attrgetter("denominator")
 
 
@@ -203,11 +204,13 @@ def sample_directions(dim: int, num_samples: int, seed: int) -> Iterator[tuple[t
 
 
 def check_num_samples(num_samples: int) -> None:
-    """InputError for a sample count that is not a positive int."""
+    """InputError for a sample count that is not an int from 1 to _MAX_SAMPLES."""
     if not isinstance(num_samples, int) or isinstance(num_samples, bool):
         raise InputError(f"num_samples must be an int, got {num_samples!r}")
     if num_samples < 1:
         raise InputError(f"num_samples must be positive, got {num_samples}")
+    if num_samples > _MAX_SAMPLES:
+        raise InputError(f"num_samples must be at most {_MAX_SAMPLES}, got {num_samples}")
 
 
 def _integer_point(w: Sequence[Fraction]) -> list[int]:
@@ -232,7 +235,7 @@ def check_hyperbolic_sampled(
     root's realness.  The product is taken in integers: T[1:] scaled by the
     lcm r of its denominators, times the integer sample q*v, gives
     u = r*q*w, a positive multiple of w; the witness v is formed only when
-    its line fails.  num_samples must be a positive int (InputError).
+    its line fails.  num_samples must be an int from 1 to 10000 (InputError).
     """
     check_num_samples(num_samples)
     h_norm, t_mat = normalize_direction(h, e)
@@ -280,7 +283,7 @@ def pd_witness_check(
     so the check counts them with the Sturm chain.  Positive definiteness at
     every nonzero v is the working proxy for "hyperbolic and real-smooth"; a
     failure pinpoints a line whose restriction has a repeated or complex
-    root.  num_samples must be a positive int (InputError).
+    root.  num_samples must be an int from 1 to 10000 (InputError).
 
     When h is a cylinder, one exact line is tested before any sampled line:
     w = v[1:] for the first vector v of lineality_space(h), counted in

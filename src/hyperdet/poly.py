@@ -8,7 +8,8 @@ freely between threads.
 
 Terms iterate in descending graded-lexicographic order (higher total degree
 first, ties broken lexicographically with x0 largest), which fixes a
-canonical text form.
+canonical text form.  The substitution x := A*y of the input gate runs
+fraction-free, with one Fraction per output coefficient (README step 1).
 """
 
 from __future__ import annotations
@@ -36,25 +37,25 @@ _ONE = Fraction(1)
 _MAX_DENSE_TERMS = 2048
 
 
-_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce ints, Fractions and strings to an exact Fraction.
 
-    A string must be an optional sign and an integer or 'a/b'; anything
-    else is a ValueError.  Fraction alone would also read decimals and
-    exponent notation, and '1e1000000' would cost it a 10**1000000.  A bool
-    is a TypeError: JSON's true is not the number 1.
+    A string must be an optional sign and an integer or 'a/b', read with one
+    match; anything else, a decimal or '1e1000000' too, is a ValueError.  A
+    bool is a TypeError: JSON's true is not the number 1.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        if not _RATIONAL_TEXT.fullmatch(value):
+        match = _RATIONAL_TEXT.fullmatch(value)
+        if match is None:
             raise ValueError(f"{value!r} is not an integer or an a/b fraction")
-        return Fraction(value)
+        return Fraction(int(match[1]), int(match[2] or 1))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -277,44 +278,42 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
-def _product(a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+def _product(a: Mapping[Monomial, int | Fraction], b: Mapping[Monomial, int | Fraction]) -> dict:
     """Terms of the product of two term dicts; cancelled terms stay as zeros."""
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int | Fraction] = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
             mono = tuple(x + y for x, y in zip(ma, mb))
-            out[mono] = out.get(mono, _ZERO) + ca * cb
+            out[mono] = out.get(mono, 0) + ca * cb
     return out
 
 
-def _linear_power(coeffs: Sequence[Fraction], k: int) -> dict[Monomial, Fraction]:
-    """Terms of (c_0*y_0 + ... + c_m*y_m)^k, k >= 1, by the multinomial theorem.
+def _linear_power(coeffs: Sequence[int], k: int) -> dict[Monomial, int]:
+    """Terms of (c_0*y_0 + ... + c_m*y_m)^k for integers c_j, k >= 1.
 
-    Each term is k!/(k_0!..k_m!) * prod c_j^k_j, built from powers of the
-    coefficients' numerators and denominators and reduced once; no lower
-    power of the form is expanded.  A variable whose coefficient is zero
-    keeps exponent 0, so a form in r variables gives C(k+r-1, r-1) terms.
+    Each term is k!/(k_0!..k_m!) * prod c_j^k_j by the multinomial theorem;
+    no lower power of the form is expanded.  A variable whose coefficient is
+    zero keeps exponent 0, so a form in r variables gives C(k+r-1, r-1) terms.
     """
-    support = [(j, c.numerator, c.denominator) for j, c in enumerate(coeffs) if c]
+    support = [(j, c) for j, c in enumerate(coeffs) if c]
     exps = [0] * len(coeffs)
-    out: dict[Monomial, Fraction] = {}
-    if not support:
-        return out
+    out: dict[Monomial, int] = {}
 
-    def expand(pos: int, rest: int, num: int, den: int) -> None:
-        j, a, b = support[pos]
+    def expand(pos: int, rest: int, acc: int) -> None:
+        j, a = support[pos]
         if pos == len(support) - 1:
             exps[j] = rest
-            out[tuple(exps)] = Fraction(num * a**rest, den * b**rest)
+            out[tuple(exps)] = acc * a**rest
         else:
-            binom = 1  # C(rest, e)
+            part = 1  # C(rest, e) * a^e, exact at every step
             for e in range(rest + 1):
                 exps[j] = e
-                expand(pos + 1, rest - e, num * binom * a**e, den * b**e)
-                binom = binom * (rest - e) // (e + 1)
+                expand(pos + 1, rest - e, acc * part)
+                part = part * (rest - e) * a // (e + 1)
         exps[j] = 0
 
-    expand(0, k, 1, 1)
+    if support:  # else the form is zero, and so is its power
+        expand(0, k, 1)
     return out
 
 
@@ -324,22 +323,24 @@ def apply_linear(p: Poly, matrix: Sequence[Sequence[RationalLike]]) -> Poly:
     rows = [as_point(row) for row in matrix]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise DimensionMismatch("substitution matrix must be square of size nvars")
+    q = math.lcm(*(c.denominator for row in rows for c in row))
+    scale = math.lcm(*(c.denominator for c in p._terms.values())) * q**p.degree
 
     @functools.cache
-    def image_power(i: int, k: int) -> dict[Monomial, Fraction]:
-        """(A*y)_i^k by the multinomial theorem, once per power p uses."""
-        return _linear_power(rows[i], k)
+    def image_power(i: int, k: int) -> dict[Monomial, int]:
+        """(q*A*y)_i^k, once per power p uses."""
+        return _linear_power([c.numerator * (q // c.denominator) for c in rows[i]], k)
 
-    # Products and the sum stay term dicts; one Poly drops the zeros at the end.
-    total: dict[Monomial, Fraction] = {}
+    # In ints: a term c*x^mono of degree k gives c*scale/q^k times (q*A*y)^mono.
+    total: dict[Monomial, int] = {}
     for mono, c in p._terms.items():
-        term = {(0,) * n: c}
+        term = {(0,) * n: c.numerator * scale // (c.denominator * q ** sum(mono))}
         for i, exp in enumerate(mono):
             if exp:
                 term = _product(term, image_power(i, exp))
         for m, v in term.items():
-            total[m] = total.get(m, _ZERO) + v
-    return Poly(n, total)
+            total[m] = total.get(m, 0) + v
+    return Poly(n, {m: Fraction(v, scale) for m, v in total.items()})
 
 
 def normalize_direction(h: Poly, e: Sequence[RationalLike]) -> tuple[Poly, list[list[Fraction]]]:
@@ -351,7 +352,7 @@ def normalize_direction(h: Poly, e: Sequence[RationalLike]) -> tuple[Poly, list[
     certificate's T with this one): it raises an InputError unless e is a
     nonzero point of the right length, h has at least two variables, is
     homogeneous of positive degree and has at most 2048 terms once dense,
-    and h(e) != 0 (DirectionVanishes).
+    and h(e) != 0 (DirectionVanishes), tested in ints as README step 1 states.
     """
     ev = as_point(e)
     if len(ev) != h.nvars:
@@ -370,20 +371,19 @@ def normalize_direction(h: Poly, e: Sequence[RationalLike]) -> tuple[Poly, list[
     if max(d, n) > _MAX_DENSE_TERMS or math.comb(d + n - 1, d) > _MAX_DENSE_TERMS:
         raise InputError(f"polynomial too large: degree {d} in {n} variables has more "
                          f"than {_MAX_DENSE_TERMS} terms once dense")
-    if h.evaluate(ev) == 0:
-        raise DirectionVanishes("polynomial vanishes at the direction")
     pivot = next(i for i in range(n) if ev[i] != 0)
     # Columns of T^{-1}: the direction itself, then unit vectors skipping the
     # pivot slot so the matrix stays invertible.
     others = [j for j in range(n) if j != pivot]
-    inv_t = [[ev[i]] + [Fraction(i == j) for j in others] for i in range(n)]
+    inv_t = [[ev[i]] + [_ONE if i == j else _ZERO for j in others] for i in range(n)]
     # Its inverse in closed form: row 0 is unit_p / e_p, row c is
     # unit_j - (e_j / e_p) * unit_p for the c-th non-pivot index j.
-    t_mat = [[_ONE / ev[pivot] if i == pivot else _ZERO for i in range(n)]]
-    for j in others:
-        t_mat.append([Fraction(i == j) - (ev[j] / ev[pivot] if i == pivot else _ZERO)
-                      for i in range(n)])
+    t_mat = [[_ONE / ev[pivot] if i == pivot else _ZERO for i in range(n)]] + [
+        [_ONE if i == j else -ev[j] / ev[pivot] if i == pivot else _ZERO for i in range(n)]
+        for j in others]
     transformed = apply_linear(h, inv_t)
+    if not transformed.coeff((d,) + (0,) * (n - 1)):
+        raise DirectionVanishes("polynomial vanishes at the direction")
     return transformed, t_mat
 
 

@@ -9,8 +9,8 @@ It compares the sample stream with the Random.randint oracle (dimensions
 1-6, seeds 0-9, 200 samples each), the stdout of each GOLDEN_CHECKS case of
 `python -m hyperdet.cli check` and of each GOLDEN_BEZOUTIANS case of
 `python -m hyperdet.cli bezoutian` with its digest, and the stdout of
-`python -m hyperdet.cli certify` with its digest for the Lorentz cases of
-GOLDEN_CERTIFICATES (their Gram rows fix the one Gram matrix, so certify
+`python -m hyperdet.cli certify` with its digest for the three Lorentz cases
+of GOLDEN_CERTIFICATES (their Gram rows fix the one Gram matrix, so certify
 runs no SDP and needs no numpy), runs `python -m hyperdet.cli verify --cert`
 on GOLDEN_CERTIFICATE_FILE, and exits 1 on the first difference or on a
 verify that does not exit 0.
@@ -26,7 +26,8 @@ from oracles import randint_sample_directions
 
 # sha256 of the certify JSON on stdout, pinned so that certificates stay
 # byte-identical across changes to the pipeline, not only from run to run.
-# The first two, the Lorentz cone, are also replayed by main() below.
+# The Lorentz cones, the first two and the last, are also replayed by main()
+# below.
 GOLDEN_CERTIFICATES = [
     ("x0^2 - x1^2 - x2^2", "1,0,0",
      "02653452adcc7a00a88aaee18de5f4dedcec7e8e14277817a68c82c30736eaf6"),
@@ -38,6 +39,10 @@ GOLDEN_CERTIFICATES = [
     ("x0^3 + 1/2*x0^2*x1 - 3/4*x0*x1^2 + 17/4*x0*x1*x2 - 9*x0*x2^2 + 1/8*x1^3"
      " - 5/4*x1^2*x2 + 21/4*x1*x2^2 - 8*x2^3", "1,0,0",
      "117278e70e0502c0978d969a2ee9a06ccf765f5f8065bb47bcd8c8893b37dd3d"),
+    # A direction with denominators 8 and 16 makes h dense: it pins the
+    # substitution x = T^-1 y on non-unit denominators in four variables.
+    ("x0^2 - x1^2 - x2^2 - x3^2", "1,1/8,-1/16,1/8",
+     "3186a9286d1c6681a1b4369d9553d1a4e0dac8fb667ea35cef53851cd84468c7"),
 ]
 
 # The certify stdout of GOLDEN_CERTIFICATES[3], kept as a file: a certificate
@@ -46,7 +51,7 @@ GOLDEN_CERTIFICATE_FILE = Path(__file__).parent / "data" / "hv3-3001.json"
 
 # sha256 of the check JSON on stdout, pinned so that both sampled verdicts,
 # their witnesses and sample counts stay the same across rewrites of the
-# real-root routine.  Three inputs pass, one is not hyperbolic along a tilted
+# real-root routine.  Four inputs pass, one is not hyperbolic along a tilted
 # direction, and two are singular.
 GOLDEN_CHECKS = [
     ("x0^2 - x1^2 - x2^2", "2,1,0", 0,
@@ -61,6 +66,8 @@ GOLDEN_CHECKS = [
      "8c8063fd571e2b4b601d410d992828d5d0319df115b4ecb9529e76e106f980f2"),
     ("x0^2 - x1^2", "1,0,0", 1,
      "88b0bd64635ed54e314748df1f36fb3c749a75e20566f3fb0b372d7d36110425"),
+    (GOLDEN_CERTIFICATES[4][0], GOLDEN_CERTIFICATES[4][1], 0,
+     "52fb44c4e5d01ed02c8214d09c50fff2fd780fc1cc23a82f4d7c8592770e0915"),
 ]
 
 
@@ -84,6 +91,10 @@ GOLDEN_BEZOUTIANS = [
      "7a5e2a0ce4c0eff707bbae1859f5798e1beaa78e63eb6435f21d6761d551755a"),
     (GOLDEN_CERTIFICATES[3][0], "1,0,0", "text",
      "2800f3b01c137375025d1d31cdb632dca74397e47909eec4b6e5607e01395fd8"),
+    (GOLDEN_CERTIFICATES[4][0], GOLDEN_CERTIFICATES[4][1], "json",
+     "fc6f36d8ee8480e1e78ba4ff35baa853506c3df0b6dde2d46a78a406c0368c1e"),
+    (GOLDEN_CERTIFICATES[4][0], GOLDEN_CERTIFICATES[4][1], "text",
+     "99ee2747a9e48a33824d6289b8c1f195fb9a3e255077435407eb5dd5e061b647"),
 ]
 
 
@@ -111,7 +122,7 @@ def main() -> int:
                   f"exit {done.returncode}, sha256 {got}")
             return 1
         print(f"bezoutian --e {direction} --format {fmt}: exit 0, sha256 {got[:8]}")
-    for poly, direction, digest in GOLDEN_CERTIFICATES[:2]:
+    for poly, direction, digest in GOLDEN_CERTIFICATES[:2] + GOLDEN_CERTIFICATES[4:]:
         done = subprocess.run([sys.executable, "-m", "hyperdet.cli", "certify", "--poly", poly, "--e", direction],
                               capture_output=True)
         got = hashlib.sha256(done.stdout).hexdigest()

@@ -9,7 +9,7 @@ matrices by expanding the difference quotient monomial by monomial, the
 commutation test of a Bézoutian form with the multiplication-by-x0 matrix,
 restrictions to a line by expanding h(t*e + v) in t, the entrywise value of
 a Bézoutian form at a point, and the Sturm chain and its root counts by
-Euclidean division over the rationals.  Eleven are former routes of rewrites
+Euclidean division over the rationals.  Twelve are former routes of rewrites
 that must agree with them exactly: the sample stream drawn by
 Random.randint, the polynomial text parser whose scanner tracks the line and
 column at every character, the symmetric lift with the Gram matrix's
@@ -19,8 +19,10 @@ entries over the LDL rows and conjugated back to the monomial basis,
 Gauss-Jordan elimination by rational pivots, the LDL^T by rational pivots,
 Gram rounding by Fraction arithmetic, the Gram problem built by testing
 every split of every monomial, exact polynomial division by grlex
-leading terms, and the division by h_monic and the Bézoutian form by Poly
-products over Fraction coefficients.  Two are Poly views of package kernels
+leading terms, the division by h_monic and the Bézoutian form by Poly
+products over Fraction coefficients, and the substitution x := A*y by the
+multinomial theorem over Fraction coefficients, whose binomial case also
+expands h(t*e + v).  Two are Poly views of package kernels
 that no package path takes: divide_by_h over quotient.divide_packed, and
 pencil_determinant over detrep._charpoly.
 """
@@ -48,7 +50,7 @@ from hyperdet.poly import (
     Monomial,
     Poly,
     RationalLike,
-    _linear_power,
+    _product,
     as_fraction,
     as_point,
 )
@@ -608,6 +610,61 @@ def is_bezoutian(ctx: QuotientContext, entries) -> bool:
             if lhs != rhs:
                 return False
     return True
+
+
+def _linear_power(coeffs: Sequence[Fraction], k: int) -> dict[Monomial, Fraction]:
+    """Terms of (c_0*y_0 + ... + c_m*y_m)^k, k >= 1, by the multinomial theorem.
+
+    Each term is k!/(k_0!..k_m!) * prod c_j^k_j, built from powers of the
+    coefficients' numerators and denominators and reduced once; no lower
+    power of the form is expanded.  A variable whose coefficient is zero
+    keeps exponent 0, so a form in r variables gives C(k+r-1, r-1) terms.
+    """
+    support = [(j, c.numerator, c.denominator) for j, c in enumerate(coeffs) if c]
+    exps = [0] * len(coeffs)
+    out: dict[Monomial, Fraction] = {}
+    if not support:
+        return out
+
+    def expand(pos: int, rest: int, num: int, den: int) -> None:
+        j, a, b = support[pos]
+        if pos == len(support) - 1:
+            exps[j] = rest
+            out[tuple(exps)] = Fraction(num * a**rest, den * b**rest)
+        else:
+            binom = 1  # C(rest, e)
+            for e in range(rest + 1):
+                exps[j] = e
+                expand(pos + 1, rest - e, num * binom * a**e, den * b**e)
+                binom = binom * (rest - e) // (e + 1)
+        exps[j] = 0
+
+    expand(0, k, 1, 1)
+    return out
+
+
+def fraction_apply_linear(p: Poly, matrix: Sequence[Sequence[RationalLike]]) -> Poly:
+    """Substitute x := A*y, i.e. return p(A*y) in the new coordinates y."""
+    n = p.nvars
+    rows = [as_point(row) for row in matrix]
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise DimensionMismatch("substitution matrix must be square of size nvars")
+
+    @functools.cache
+    def image_power(i: int, k: int) -> dict[Monomial, Fraction]:
+        """(A*y)_i^k by the multinomial theorem, once per power p uses."""
+        return _linear_power(rows[i], k)
+
+    # Products and the sum stay term dicts; one Poly drops the zeros at the end.
+    total: dict[Monomial, Fraction] = {}
+    for mono, c in p._terms.items():
+        term = {(0,) * n: c}
+        for i, exp in enumerate(mono):
+            if exp:
+                term = _product(term, image_power(i, exp))
+        for m, v in term.items():
+            total[m] = total.get(m, _ZERO) + v
+    return Poly(n, total)
 
 
 def substitute_line(h: Poly, e, v) -> UniPoly:

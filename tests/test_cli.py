@@ -168,6 +168,8 @@ def test_malformed_direction_is_an_input_error(capsys, argv):
     LORENTZ_CERTIFY + ("--lmax", "-1"),
     LORENTZ_CERTIFY + ("--samples", "0"),
     LORENTZ_CHECK + ("--samples", "-3"),
+    LORENTZ_CHECK + ("--samples", "99999999999999999999999"),
+    LORENTZ_CERTIFY + ("--samples", "10001"),
 ])
 def test_out_of_range_numeric_flag_is_a_usage_error(capsys, argv):
     # The setting's own check rejects it (lmax, num_samples), once.
@@ -443,8 +445,8 @@ def test_certify_computes_the_determinant_once_and_samples_nothing(capsys, monke
 ])
 def test_sampled_lines_evaluate_no_poly(capsys, monkeypatch, argv):
     # Every sampled line, the lineality line of a cylinder too, is an
-    # integer computation: the one Poly.evaluate left is the input gate's
-    # h(e) != 0, at the direction itself.
+    # integer computation, and so is the input gate's h(e) != 0: the
+    # substitution's coefficient of y0^d.  The last call shows the spy is live.
     points = []
     evaluate = Poly.evaluate
 
@@ -455,8 +457,9 @@ def test_sampled_lines_evaluate_no_poly(capsys, monkeypatch, argv):
     monkeypatch.setattr(Poly, "evaluate", spy)
     code, out, err = run(capsys, *argv)
     assert code in (0, 1), err
-    direction = tuple(Fraction(c) for c in argv[-1].split(","))
-    assert points and set(points) == {direction}
+    assert points == []
+    Poly.one(2).evaluate((0, 0))
+    assert points == [(0, 0)]
 
 
 def test_check_normalizes_the_direction_once(capsys, monkeypatch):

@@ -166,6 +166,22 @@ def test_sampled_checks_reject_a_sample_count_that_is_not_a_positive_int(num_sam
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("num_samples", [10_001, 10**23])
+def test_sampled_checks_refuse_a_sample_count_past_the_bound(num_samples):
+    # Each sample costs one line's root count, so an unbounded count is an
+    # unbounded run.  The bound itself is admitted: the definite form still
+    # fails at sample 3, and the singular quadric at its lineality line.
+    message = f"num_samples must be at most 10000, got {num_samples}"
+    with pytest.raises(InputError, match=message):
+        check_hyperbolic_sampled(P("x0^2 + x1^2"), (1, 0), num_samples=num_samples)
+    with pytest.raises(InputError, match=message):
+        pd_witness_check(QuotientContext(P("x0^2 - x1^2", 3)), num_samples)
+    verdict = check_hyperbolic_sampled(P("x0^2 + x1^2"), (1, 0), num_samples=10_000)
+    assert (verdict.status, verdict.samples_used) == (NOT_HYPERBOLIC, 3)
+    report = pd_witness_check(QuotientContext(P("x0^2 - x1^2", 3)), 10_000)
+    assert (report.ok, report.samples_used) == (False, 1)
+
+
 def test_sample_stream_units_first_then_deterministic():
     first = rational_samples(2, 6, seed=9)
     again = rational_samples(2, 6, seed=9)

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperdet import (
@@ -22,6 +22,7 @@ from conftest import all_monomials, random_homogeneous
 from oracles import (
     UniPoly,
     divide_by_h,
+    fraction_apply_linear,
     is_homogeneous_of_degree,
     scanner_parse_poly,
     substitute_line,
@@ -197,6 +198,42 @@ def test_apply_linear_at_a_high_exponent():
     assert apply_linear(P("x0^2*x1^1500 - x2^1500"), substitution) == expected
 
 
+wide_fractions = st.builds(Fraction, st.integers(-2**64, 2**64), st.integers(1, 2**64))
+
+
+@st.composite
+def substitutions(draw, max_exponent=3, entries=wide_fractions):
+    """(p, A): p with up to five terms of any degrees, so often not
+    homogeneous, and A with some rows and columns set to zero."""
+    n = draw(st.integers(1, 3))
+    monos = st.tuples(*[st.integers(0, max_exponent)] * n)
+    p = Poly(n, draw(st.dictionaries(monos, entries, max_size=5)))
+    zero_rows = draw(st.sets(st.integers(0, n - 1)))
+    zero_cols = draw(st.sets(st.integers(0, n - 1)))
+    matrix = [[0 if i in zero_rows or j in zero_cols else draw(entries) for j in range(n)]
+              for i in range(n)]
+    return p, matrix
+
+
+@settings(max_examples=300, deadline=None)
+@given(substitutions())
+def test_apply_linear_agrees_with_the_fraction_substitution(case):
+    p, matrix = case
+    assert list(apply_linear(p, matrix).terms()) == list(fraction_apply_linear(p, matrix).terms())
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 1500), st.lists(small_fractions, min_size=2, max_size=2), small_fractions)
+@example(1500, [Fraction(-5, 3), Fraction(7, 4)], Fraction(2, 9))
+@example(200, [Fraction(2**64 - 1, 2**64), Fraction(-1, 2**63 + 1)], Fraction(1, 2**64))
+def test_apply_linear_agrees_with_the_fraction_substitution_at_high_exponents(k, row, c):
+    # x0 := a*y0 + b*y1 and x1 := y1 - y0: k+1 terms from x0^k, plus a
+    # term of a lower degree.
+    p = Poly(2, {(k, 0): c, (0, 1): Fraction(-3, 7)})
+    matrix = [row, [-1, 1]]
+    assert list(apply_linear(p, matrix).terms()) == list(fraction_apply_linear(p, matrix).terms())
+
+
 def test_substitute_line_at_a_high_exponent():
     # The line powers come from the binomial theorem: with e = (1, 0) and
     # v = (1, 2), x0^2*x1^1500 - x1^1502 restricts to 2^1500*((t+1)^2 - 4).
@@ -264,6 +301,58 @@ def test_rational_text_forms(text, value):
 def test_other_rational_text_is_a_value_error(text):
     with pytest.raises(ValueError, match="is not an integer or an a/b fraction"):
         as_fraction(text)
+
+
+def _int_text_error(text):
+    """int's own message for text past the int-string limit; its wording
+    differs between interpreters ("(4300)" on 3.10, "(4300 digits)" on 3.11)."""
+    try:
+        int(text)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"int read {len(text)} digits; the interpreter sets no limit")
+
+
+_DIGIT_LIMIT = _int_text_error("1" * 4301)
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("-007", Fraction(-7)),
+    ("+0003/0004", Fraction(3, 4)),
+    ("-0/5", Fraction(0)),
+    ("0/5", Fraction(0)),
+    ("000", Fraction(0)),
+    ("9" * 4300, Fraction(10**4300 - 1)),
+    ("1/0", (ZeroDivisionError, "Fraction(1, 0)")),
+    ("-01/00", (ZeroDivisionError, "Fraction(-1, 0)")),
+    (" 3", (ValueError, "' 3' is not an integer or an a/b fraction")),
+    ("3\n", (ValueError, "'3\\n' is not an integer or an a/b fraction")),
+    ("\t-1/2", (ValueError, "'\\t-1/2' is not an integer or an a/b fraction")),
+    ("1.5", (ValueError, "'1.5' is not an integer or an a/b fraction")),
+    ("1e3", (ValueError, "'1e3' is not an integer or an a/b fraction")),
+    ("1_000", (ValueError, "'1_000' is not an integer or an a/b fraction")),
+    ("\u0663", (ValueError, "'\u0663' is not an integer or an a/b fraction")),
+    ("1/\uff11", (ValueError, "'1/\uff11' is not an integer or an a/b fraction")),
+    ("1" * 4301, (ValueError, _DIGIT_LIMIT)),
+    ("-" + "1" * 4301, (ValueError, _DIGIT_LIMIT)),
+    ("1/" + "1" * 4301, (ValueError, _DIGIT_LIMIT)),
+    (True, (TypeError, "cannot interpret True as an exact rational")),
+    (1.5, (TypeError, "cannot interpret 1.5 as an exact rational")),
+], ids=lambda v: repr(v)[:12])
+def test_as_fraction_table(value, expected):
+    # Each value or exception type and message as Fraction(str) behind the
+    # grammar check gave them, before a/b was read with one match: signs and
+    # leading zeros, a zero denominator, whitespace, decimal, exponent and
+    # underscore forms, non-ASCII digits, the 4300-digit int-string limit
+    # and JSON's true.
+    if isinstance(expected, Fraction):
+        result = as_fraction(value)
+        assert type(result) is Fraction and result == expected
+    else:
+        kind, message = expected
+        with pytest.raises(kind) as info:
+            as_fraction(value)
+        assert type(info.value) is kind and str(info.value) == message
 
 
 # -- text grammar ------------------------------------------------------------

@@ -22,7 +22,6 @@ from .errors import (
     NoSymmetricLift,
     NotPD,
     PolyParseError,
-    RoundingFailed,
     ZeroPolynomial,
 )
 from .poly import Poly, parse_poly
@@ -47,7 +46,6 @@ __all__ = [
     "NotPD",
     "Poly",
     "PolyParseError",
-    "RoundingFailed",
     "ZeroPolynomial",
     "certify",
     "check_hyperbolic_sampled",

@@ -109,6 +109,16 @@ def _read_poly(args: argparse.Namespace) -> tuple[Poly, tuple]:
     return poly, direction
 
 
+def _rendered(render):
+    """render(), refusing an integer past the interpreter's int-string limit
+    (4300 digits by default) as an InputError: str() raises ValueError on it."""
+    try:
+        return render()
+    except ValueError:
+        raise InputError(f"the output has an integer of more than {sys.get_int_max_str_digits()} "
+                         "digits, the interpreter's int-string limit") from None
+
+
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
         rendered = json.dumps(payload, indent=2) + "\n"
@@ -150,16 +160,17 @@ def _run_bezoutian(args: argparse.Namespace) -> int:
     h, e = _read_poly(args)
     h_norm, _ = normalize_direction(h, e)
     ctx = QuotientContext(h_norm)
-    delta, omega0 = ([[str(e) for e in row] for row in bezoutian_of(ctx, p)]
-                     for p in (Poly.one(ctx.nvars), ctx.h.derivative(0)))
+    forms = [bezoutian_of(ctx, p) for p in (Poly.one(ctx.nvars), ctx.h.derivative(0))]
+    h_monic, delta, omega0 = _rendered(
+        lambda: [str(ctx.h)] + [[[str(e) for e in row] for row in form] for form in forms])
     payload = {
         "schema": SCHEMA,
         "command": "bezoutian",
-        "h_monic": str(ctx.h),
+        "h_monic": h_monic,
         "delta": delta,
         "dh_dx0": omega0,
     }
-    lines = [f"h_monic: {ctx.h}", "delta:"]
+    lines = [f"h_monic: {h_monic}", "delta:"]
     lines += ["  [" + ", ".join(row) + "]" for row in delta]
     lines.append("bezoutian of dh/dx0:")
     lines += ["  [" + ", ".join(row) + "]" for row in omega0]
@@ -171,14 +182,13 @@ def _run_certify(args: argparse.Namespace) -> int:
     h, e = _read_poly(args)
     options = CertifyOptions(lmax=args.lmax, num_samples=args.samples, seed=args.seed)
     cert = certify(h, e, options)
-    payload = cert.to_json_dict()
-    lines = [
+    payload, lines = _rendered(lambda: (cert.to_json_dict(), [
         f"certificate: N={cert.size}",
         f"cofactor: {cert.cofactor}",
         f"multiplier: {cert.multiplier}",
         f"weights: ({', '.join(str(w) for w in cert.weights)})",
         "checked: h_monic divides the pencil determinant",
-    ]
+    ]))
     _emit(args, payload, lines)
     return EXIT_OK
 

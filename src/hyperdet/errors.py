@@ -36,10 +36,6 @@ class DegreeTooSmall(HyperdetError):
     """Generator degree k below d-1; the graded piece cannot generate."""
 
 
-class RoundingFailed(HyperdetError):
-    """A float Gram solution could not be rounded onto its constraints exactly."""
-
-
 class NotPD(HyperdetError):
     """An exact LDL^T factorization hit a non-positive pivot."""
 

@@ -15,21 +15,18 @@ matrix is the symmetric product B B^T, row k of B holding the scaled
 constraint g^T A_k g, and its Cholesky factor is inverted once, so every
 Schur solve is two matrix-vector products.  The adjoint sum_k y_k A_k is
 one product with the flat stack of the A_k, formed once per direction.
-The solver is deterministic:
-fixed initialization X = I, S = I, y = 0, t = 0 (so the matrix variable
-starts at G = I) and no randomized pivoting.
+The constraints arrive as that float stack and a float right-hand side,
+built by the caller (sos.solve_maxeig).  The solver is deterministic: fixed
+initialization X = I, S = I, y = 0, t = 0 (so the matrix variable starts at
+G = I) and no randomized pivoting.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .sos import SdpProblem
 
 DIVERGENCE_THRESHOLD = 1.0e8
 DEFAULT_TOL = 1.0e-8
@@ -110,11 +107,11 @@ def _inverse_cholesky(mat: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.linalg.cholesky(mat))
 
 
-def solve_maxeig(problem: SdpProblem) -> SdpSolution:
+def solve_maxeig(a_stack: np.ndarray, b: np.ndarray) -> SdpSolution:
     """Maximize the minimum eigenvalue of G subject to <A_k, G> = b_k.
 
-    The exact rows of problem.constraints are read once, into a dense float
-    stack of the A_k (float() of each weight) and a float right-hand side.
+    a_stack is the (p, m, m) float stack of the symmetric A_k, p >= 1, and b
+    the float right-hand side; both are read as given, with no check.
     Returns the best iterate found; the solve stops early, with a detail
     naming the stall, once STALL_WINDOW iterations pass without a better
     merit, and after DEFAULT_MAX_ITER iterations at most.  Status Optimal
@@ -123,14 +120,9 @@ def solve_maxeig(problem: SdpProblem) -> SdpSolution:
     Infeasibility is reported heuristically on dual objective divergence;
     callers should treat it as "escalate", not as a certificate.
     """
-    m = problem.m
-    p = len(problem.constraints)
-    a_stack = np.zeros((p, m, m))
-    for k, (row, _) in enumerate(problem.constraints):
-        for (a, b), weight in row.items():
-            a_stack[k, a, b] = float(weight)
+    p, m, _ = a_stack.shape
     a_flat = a_stack.reshape(p, m * m)
-    b_raw = np.array([float(bk) for _, bk in problem.constraints])
+    b_raw = np.asarray(b, dtype=float)
     # Power-of-two scaling of the right-hand side keeps the iteration well
     # conditioned for large-coefficient problems and is exactly undone on
     # the returned solution (convergence is always measured unscaled).

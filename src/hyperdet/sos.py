@@ -7,14 +7,15 @@ Searches for an exponent ell and an exact rational identity
 where omega0 is the Bézoutian of dh/dx0, the weights d_i are positive
 rationals and the u_i, coordinates over the monomial basis of the quotient's
 degree k = d-1+ell piece, form a full-rank matrix (so they span that piece).
-Each candidate level states the Gram problem once as exact sparse rows.
-Where each row fixes one Gram position and the rows cover them all (quadrics
-and linear forms at ell = 0, binary forms at every level), those rows allow one
-matrix, which is built exactly, with no SDP and no numpy.  Otherwise the SDP
-runs on float copies of the rows, its solution is rounded onto one rational
-grid and projected exactly back onto the same rows.  Either way the level's
-matrix is factored once; that factorization is the positive-definiteness
-test, and the identity then holds by construction.
+Each candidate level states the Gram problem once as sparse rows of integer
+split counts over the upper triangle.  Where each row fixes one Gram position
+and the rows cover them all (quadrics and linear forms at ell = 0, binary
+forms at every level), those rows allow one matrix, which is built exactly,
+with no SDP and no numpy.  Otherwise the SDP runs on a float stack built from
+the rows, its solution is rounded onto one rational grid and projected
+exactly back onto the same rows.  Either way the level's matrix is factored
+once; that factorization is the positive-definiteness test, and the identity
+then holds by construction.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .errors import DegreeTooSmall, Exhausted, HyperdetError, NotPD, RoundingFailed
+from .errors import DegreeTooSmall, Exhausted, HyperdetError, NotPD
 from .linalg import RatMatrix, ldl_decompose
 from .poly import Monomial, Poly, grlex_key
 from .quotient import QuotientContext, bezoutian_of
@@ -44,37 +45,42 @@ DENOMINATOR_BOUNDS = (2**8, 2**16, 2**32, 2**64)
 
 _ZERO = Fraction(0)
 
-# Exact constraint row: Frobenius-pairing weights by matrix position, and
-# the right-hand side.
-ExactConstraint = tuple[dict[tuple[int, int], Fraction], Fraction]
+# Constraint row: split counts by upper-triangle Gram position, and the
+# right-hand side.
+CountRow = tuple[dict[tuple[int, int], int], Fraction]
 
 
 @dataclass
 class SdpProblem:
     """Affine-constrained symmetric matrix feasibility data.
 
-    Each constraint is an exact sparse row ({(a, b): weight}, b_k) encoding
-    <A_k, G> = b_k under the Frobenius pairing, where A_k holds the weights
-    at their positions and zeros elsewhere.  These rows are the only
+    Each constraint is a sparse row ({(a, b): c}, rhs) over upper-triangle
+    positions a <= b, stating sum c * G[a][b] = rhs; c counts the splits
+    gamma + delta = mu that land on G[a][b].  As a Frobenius pairing
+    <A_k, G> = rhs, A_k holds c at (a, a) and c/2 at (a, b) and (b, a).
+    The rows are checked once, here: nonempty, positive int counts inside
+    the upper triangle, and no position in two rows.  They are the only
     statement of the constraints: sole_gram reads the one matrix they allow
-    when they fix every entry; otherwise the solver (sdp.solve_maxeig) reads
-    float copies of them, and the rounding stage projects onto them exactly.
+    when they fix every entry; otherwise the solver reads the float stack
+    that solve_maxeig builds from them, and round_gram projects onto them.
     """
 
     m: int
-    constraints: list[ExactConstraint]
+    constraints: list[CountRow]
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("matrix size must be at least 1")
         if not self.constraints:
             raise ValueError("constraint list must be nonempty")
+        seen: set[tuple[int, int]] = set()
         for row, _ in self.constraints:
-            for (a, b), weight in row.items():
-                if not (0 <= a < self.m and 0 <= b < self.m):
-                    raise ValueError(f"constraint position {(a, b)} is outside {self.m}x{self.m}")
-                if row.get((b, a)) != weight:
-                    raise ValueError("constraint rows must be exactly symmetric")
+            if not row or not seen.isdisjoint(row):
+                raise ValueError("constraint rows must be nonempty and share no position")
+            if not all(0 <= a <= b < self.m and type(c) is int and c > 0 for (a, b), c in row.items()):
+                raise ValueError(f"constraint rows must hold positive int counts in the "
+                                 f"upper triangle of {self.m}x{self.m}")
+            seen.update(row)
 
 
 @dataclass(frozen=True)
@@ -164,9 +170,9 @@ def gram_problem(
     one affine constraint per (form entry (i,j), monomial mu of its degree):
     the gram entries over all splits gamma + delta = mu must sum to the
     coefficient of x^mu in (multiplier * omega0)_{ij}, omega0 the rows of
-    bezoutian_of(ctx, dh/dx0).  Each constraint is
-    one exact sparse row; the solver and the rounding stage both read these
-    rows, and no two rows share a Gram position.  multiplier is
+    bezoutian_of(ctx, dh/dx0).  Each constraint is one row of split counts
+    (see SdpProblem); the solver and the rounding stage both read these rows,
+    and no two rows share a Gram position.  multiplier is
     power_sum_multiplier(ctx, ell), which the caller builds level by level.
     """
     d = ctx.d
@@ -176,53 +182,43 @@ def gram_problem(
     for a, g in enumerate(basis):
         by_power[g.basis_power].append((a, g.r_monomial))
 
-    constraints: list[ExactConstraint] = []
+    constraints: list[CountRow] = []
     for i in range(d):
         for j in range(i, d):
-            # Each pair of indices lands in the bucket of gamma + delta, in
-            # basis order of gamma: one pass over the (i, j) block.
-            splits: dict[Monomial, list[tuple[int, int]]] = {}
+            # Each pair of indices is counted in the row of gamma + delta, at
+            # its upper-triangle position, in basis order of gamma: one pass
+            # over the (i, j) block.  In a diagonal block (a, b) and (b, a)
+            # are both splits of mu, so an off-diagonal position counts 2.
+            rows: dict[Monomial, dict[tuple[int, int], int]] = {}
             for a, gamma in by_power[i]:
                 for b, delta in by_power[j]:
-                    mu = tuple(x + y for x, y in zip(gamma, delta))
-                    splits.setdefault(mu, []).append((a, b))
-            # In a diagonal block (a, b) and (b, a) are both splits of mu, so
-            # each position weighs 1; off it, one split puts 1/2 on both.
-            weight = Fraction(1) if i == j else Fraction(1, 2)
+                    row = rows.setdefault(tuple(x + y for x, y in zip(gamma, delta)), {})
+                    pos = (a, b) if a <= b else (b, a)
+                    row[pos] = row.get(pos, 0) + 1
             entry = multiplier * omega0[i][j]
             for mu in r_monomials_of_degree(ctx.nvars, 2 * k - i - j):
-                row: dict[tuple[int, int], Fraction] = {}
-                for a, b in splits.get(mu, ()):
-                    row[(a, b)] = row[(b, a)] = weight
-                constraints.append((row, entry.coeff(mu)))
+                constraints.append((rows[mu], entry.coeff(mu)))
     return SdpProblem(len(basis), constraints), basis
 
 
 def sole_gram(problem: SdpProblem) -> RatMatrix | None:
     """The one Gram matrix the rows allow, or None if they leave entries free.
 
-    When every row's support is one position (a, b) with its mirror and the
-    rows cover all m(m+1)/2 positions, the affine space is a point: entry
-    (a, b) is the row's right-hand side over its total weight.  round_gram's
-    projection returns that point from any iterate, so there is nothing for
-    the SDP to decide.  For a binary form this is the Bézoutian matrix
-    itself, positive definite iff the roots are real and distinct (Hermite).
+    SdpProblem admits only nonempty rows on disjoint positions, so
+    m(m+1)/2 rows hold one position each and cover every position: the
+    affine space is a point, and entry (a, b) is rhs / c of its row.
+    round_gram's projection returns that point from any iterate, so there is
+    nothing for the SDP to decide.  For a binary form this is the Bézoutian
+    matrix itself, positive definite iff the roots are real and distinct
+    (Hermite).
     """
     m = problem.m
     if len(problem.constraints) != m * (m + 1) // 2:
         return None
-    # m(m+1)/2 rows that each fix a different position fix them all.
     gram = [[_ZERO] * m for _ in range(m)]
-    fixed = set()
     for row, rhs in problem.constraints:
-        if not row:
-            return None
-        a, b = min(row)
-        total = sum(row.values())
-        if row.keys() != {(a, b), (b, a)} or not total or (a, b) in fixed:
-            return None
-        fixed.add((a, b))
-        gram[a][b] = gram[b][a] = rhs / total
+        [((a, b), c)] = row.items()
+        gram[a][b] = gram[b][a] = Fraction(rhs, c)
     return gram
 
 
@@ -235,22 +231,20 @@ def round_gram(
 
     Every entry is rounded to the nearest point of one grid, k / bound with
     bound = denominator_bound (Peyrl & Parrilo, TCS 2008), then projected
-    exactly and orthogonally onto the affine constraint subspace of
-    problem.constraints; entries whose constraints hold on the grid keep a
-    denominator dividing bound.  One common denominator keeps the LDL
+    exactly and orthogonally (Frobenius) onto the affine constraint subspace
+    of problem.constraints; entries whose constraints hold on the grid keep
+    a denominator dividing bound.  One common denominator keeps the LDL
     pivots, the lift and the pencil determinant downstream far narrower than
-    one denominator per entry.  The projection assumes constraint supports
-    are disjoint (true for every gram_problem), so it is one division per
-    constraint; an exact re-check of every constraint afterwards raises
-    RoundingFailed for a problem whose supports overlap.  The result is
-    symmetric and meets every constraint exactly but need not be positive
-    definite: the caller's one LDL^T factorization decides that, whatever
-    the solver status of the iterate g was.
+    one denominator per entry.  No two rows share a position (SdpProblem
+    checks it), so the projection is one division per constraint and meets
+    every constraint exactly by algebra.  The result is symmetric but need
+    not be positive definite: the caller's one LDL^T factorization decides
+    that, whatever the solver status of the iterate g was.
     """
     m = problem.m
     bound = denominator_bound
-    # Grid numerators: q[i][j] / bound is float entry (i, j) rounded to the
-    # nearest grid point, ties to even as round(Fraction) does.
+    # Grid numerators, upper triangle: q[i][j] / bound is float entry (i, j)
+    # rounded to the nearest grid point, ties to even as round(Fraction) does.
     g_rows = (0.5 * (g + g.T)).tolist()
     q = [[0] * m for _ in range(m)]
     for i in range(m):
@@ -259,42 +253,25 @@ def round_gram(
             near, rem = divmod(top * bound, bottom)
             if 2 * rem > bottom or (2 * rem == bottom and near & 1):
                 near += 1
-            q[i][j] = q[j][i] = near
+            q[i][j] = near
 
-    # Each row, as integers: weights w = wnum / wden, and
-    # <A_k, q / bound> = dot / (wden * bound).  Its defect is
-    # dnum / (rhs.denominator * wden * bound).
-    rows = []
+    # Row k's defect is dnum / (rhs.denominator * bound), and 2*A_k holds
+    # t = c*(1 + [a == b]) at (a, b): the normal equations are diagonal, and
+    # lam_k = defect_k / |A_k|^2 moves G[a][b] by dnum * t / (rhs.denominator
+    # * bound * sum(c*t)).  One common denominator takes every such step.
+    steps = []
     for row, rhs in problem.constraints:
-        wden = lcm(*(w.denominator for w in row.values()))
-        wnum = {pos: w.numerator * (wden // w.denominator) for pos, w in row.items()}
-        dot = sum(c * q[a][b] for (a, b), c in wnum.items())
-        dnum = rhs.numerator * wden * bound - rhs.denominator * dot
-        rows.append((wnum, wden, rhs, dnum))
-
-    num, scale = q, 1  # entry (a, b) is num[a][b] / (bound * scale)
-    if any(dnum for *_, dnum in rows):
-        # Orthogonal projection: the normal equations have N_kl = <A_k, A_l>,
-        # which is diagonal when no two constraints share a Gram position, as
-        # in every gram_problem; then lam_k = defect_k / |A_k|^2, and adding
-        # lam_k * w to an entry adds dnum * wnum / (bound * rhs.denominator
-        # * |wnum|^2).  One common denominator takes every such step.
-        steps = []
-        for wnum, wden, rhs, dnum in rows:
-            norm = sum(c * c for c in wnum.values())
-            if dnum and norm:
-                steps.append((wnum, dnum, rhs.denominator * norm))
-        scale = lcm(*(step_den for *_, step_den in steps))
-        num = [[x * scale for x in row] for row in q]
-        for wnum, dnum, step_den in steps:
-            factor = dnum * (scale // step_den)
-            for (a, b), c in wnum.items():
-                num[a][b] += factor * c
-        # Overlapping supports make the diagonal step wrong; refuse them here.
-        for wnum, wden, rhs, _ in rows:
-            dot = sum(c * num[a][b] for (a, b), c in wnum.items())
-            if rhs.denominator * dot != rhs.numerator * wden * bound * scale:
-                raise RoundingFailed("projection failed to satisfy a constraint exactly")
+        dot = sum(c * q[a][b] for (a, b), c in row.items())
+        dnum = rhs.numerator * bound - rhs.denominator * dot
+        if dnum:
+            norm = sum(c * c * (1 + (a == b)) for (a, b), c in row.items())
+            steps.append((row, dnum, rhs.denominator * norm))
+    scale = lcm(*(step_den for *_, step_den in steps))
+    num = [[x * scale for x in line] for line in q]  # entry (a, b) is num[a][b] / (bound * scale)
+    for row, dnum, step_den in steps:
+        factor = dnum * (scale // step_den)
+        for (a, b), c in row.items():
+            num[a][b] += factor * c * (1 + (a == b))
     approx = [[_ZERO] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
@@ -303,7 +280,9 @@ def round_gram(
 
 
 def solve_maxeig(problem: SdpProblem) -> SdpSolution:
-    """sdp.solve_maxeig, imported at the first solve: numpy, which the
+    """sdp.solve_maxeig on the problem's float stack: A_k holds c at (a, a)
+    and c/2 at (a, b) and (b, a) for each count c of row k, and b_k is
+    float(rhs).  sdp is imported at the first solve: numpy, which the
     solver needs, loads only when an SDP runs, so check, verify and
     bezoutian never import it, nor does certify on levels with one Gram
     matrix (sole_gram).  Without numpy the solve is refused with a
@@ -313,8 +292,16 @@ def solve_maxeig(problem: SdpProblem) -> SdpSolution:
     except ImportError as exc:
         raise HyperdetError(
             f"numpy is needed to solve this input's SDP and could not be imported ({exc})") from None
+    # numpy is loaded by now, by sdp: importing it here first left the first
+    # solve's peak RSS 0.7 MB higher, on small-mix's first HV cubic.
+    import numpy as np
 
-    return sdp.solve_maxeig(problem)
+    m, rows = problem.m, problem.constraints
+    a_stack = np.zeros((len(rows), m, m))
+    for k, (row, _) in enumerate(rows):
+        for (a, b), c in row.items():
+            a_stack[k, a, b] = a_stack[k, b, a] = c if a == b else c / 2
+    return sdp.solve_maxeig(a_stack, np.array([float(rhs) for _, rhs in rows]))
 
 
 def find_sos_decomposition(
@@ -369,8 +356,8 @@ def _candidates(problem: SdpProblem, ell: int, failures: list[str]) -> Iterator[
     """A level's rational Gram matrices, in the order the PD test tries them.
 
     The one matrix of sole_gram, or else the SDP iterate rounded onto each
-    grid of DENOMINATOR_BOUNDS.  A level without margin and a rounding that
-    fails are recorded in failures and yield nothing.
+    grid of DENOMINATOR_BOUNDS.  A level without margin is recorded in
+    failures and yields nothing.
     """
     gram = sole_gram(problem)
     if gram is not None:
@@ -381,9 +368,4 @@ def _candidates(problem: SdpProblem, ell: int, failures: list[str]) -> Iterator[
         failures.append(f"ell={ell}: no positive-definiteness margin to absorb rounding")
         return
     for bound in DENOMINATOR_BOUNDS:
-        try:
-            gram = round_gram(problem, sol.G, bound)
-        except RoundingFailed as exc:
-            failures.append(f"ell={ell}: {exc}")
-        else:
-            yield gram
+        yield round_gram(problem, sol.G, bound)

@@ -19,17 +19,6 @@ def all_monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def exact_row(matrix, rhs) -> tuple[dict[tuple[int, int], Fraction], Fraction]:
-    """A dense float constraint <A, G> = b as an exact sparse SdpProblem row.
-
-    Fraction(float) is exact, so the solver's float() of each entry gives
-    back the float it was built from.
-    """
-    row = {(i, j): Fraction(float(x)) for i, line in enumerate(matrix)
-           for j, x in enumerate(line) if x}
-    return row, Fraction(float(rhs))
-
-
 def random_fraction(rng: random.Random, num: int = 6, den: int = 3) -> Fraction:
     return Fraction(rng.randint(-num, num), rng.randint(1, den))
 

@@ -39,7 +39,6 @@ from hyperdet.errors import (
     DimensionMismatch,
     NotPD,
     PolyParseError,
-    RoundingFailed,
     ZeroPolynomial,
 )
 from hyperdet.detrep import _charpoly, basis_maps
@@ -790,8 +789,21 @@ def fraction_ldl_decompose(matrix):
     return d, [list(col) for col in zip(*lower)]
 
 
+def frobenius_representer(row) -> dict[tuple[int, int], Fraction]:
+    """A_k of a row of split counts over both triangles: c at (a, a), c/2 at
+    (a, b) and (b, a), so that <A_k, G> = sum c * G[a][b] for symmetric G."""
+    rep: dict[tuple[int, int], Fraction] = {}
+    for (a, b), c in row.items():
+        rep[(a, b)] = rep[(b, a)] = Fraction(c) if a == b else Fraction(c, 2)
+    return rep
+
+
 def fraction_round_gram(problem: SdpProblem, g, denominator_bound: int):
-    """Round to the grid 1/bound by round(Fraction), then project exactly."""
+    """Round to the grid 1/bound by round(Fraction), then project exactly.
+
+    The projection adds defect_k / <A_k, A_k> times the Frobenius
+    representer A_k of each row, expanded over both triangles in Fractions.
+    """
     m = problem.m
     g_sym = 0.5 * (g + g.T)
     approx = [
@@ -802,24 +814,20 @@ def fraction_round_gram(problem: SdpProblem, g, denominator_bound: int):
     for i in range(m):
         for j in range(i + 1, m):
             approx[j][i] = approx[i][j]
-    rows = problem.constraints
-    defects = [rhs - sum((w * approx[a][b] for (a, b), w in row.items()), Fraction(0))
-               for row, rhs in rows]
-    if any(defects):
-        for (row, _), defect in zip(rows, defects):
-            norm = sum((w * w for w in row.values()), Fraction(0))
-            if defect and norm:
-                lam = defect / norm
-                for (a, b), w in row.items():
-                    approx[a][b] += lam * w
-        for row, rhs in rows:
-            if sum((w * approx[a][b] for (a, b), w in row.items()), Fraction(0)) != rhs:
-                raise RoundingFailed("projection failed to satisfy a constraint exactly")
+    reps = [(frobenius_representer(row), rhs) for row, rhs in problem.constraints]
+    defects = [rhs - sum((w * approx[a][b] for (a, b), w in rep.items()), Fraction(0))
+               for rep, rhs in reps]
+    for (rep, _), defect in zip(reps, defects):
+        if defect:
+            lam = defect / sum((w * w for w in rep.values()), Fraction(0))
+            for (a, b), w in rep.items():
+                approx[a][b] += lam * w
     return approx
 
 
 def pair_scan_gram_problem(ctx: QuotientContext, omega0: Sequence[Sequence[Poly]], ell: int):
-    """The Gram SDP rows, found by testing every (mu, gamma) pair."""
+    """The Gram SDP rows, found by testing every (mu, gamma) pair and
+    counting each split at its upper-triangle position."""
     d = ctx.d
     k = d - 1 + ell
     basis = monomial_basis_Mk(ctx, k)
@@ -827,12 +835,11 @@ def pair_scan_gram_problem(ctx: QuotientContext, omega0: Sequence[Sequence[Poly]
     multiplier = power_sum_multiplier(ctx, ell)
     monos_by_degree = {deg: r_monomials_of_degree(ctx.nvars, deg) for deg in range(2 * k + 1)}
     constraints = []
-    half = Fraction(1, 2)
     for i in range(d):
         for j in range(i, d):
             entry = multiplier * omega0[i][j]
             for mu in monos_by_degree[2 * k - i - j]:
-                row: dict[tuple[int, int], Fraction] = {}
+                row: dict[tuple[int, int], int] = {}
                 for gamma in monos_by_degree[k - i]:
                     delta = tuple(a - b for a, b in zip(mu, gamma))
                     if any(e < 0 for e in delta):
@@ -841,11 +848,8 @@ def pair_scan_gram_problem(ctx: QuotientContext, omega0: Sequence[Sequence[Poly]
                     b = index_of.get((j, delta))
                     if b is None:
                         continue
-                    if a == b:
-                        row[(a, a)] = row.get((a, a), Fraction(0)) + 1
-                    else:
-                        row[(a, b)] = row.get((a, b), Fraction(0)) + half
-                        row[(b, a)] = row.get((b, a), Fraction(0)) + half
+                    pos = (min(a, b), max(a, b))
+                    row[pos] = row.get(pos, 0) + 1
                 constraints.append((row, entry.coeff(mu)))
     return SdpProblem(len(basis), constraints), basis
 

@@ -24,11 +24,10 @@ from hyperdet import (
 from hyperdet.hyperbolicity import NOT_HYPERBOLIC, is_real_rooted, pd_witness_check
 from hyperdet.quotient import QuotientContext, bezoutian_of
 from hyperdet.sdp import solve_maxeig
-from hyperdet.sos import SdpProblem, find_sos_decomposition, monomial_basis_Mk, power_sum_multiplier
+from hyperdet.sos import find_sos_decomposition, monomial_basis_Mk, power_sum_multiplier
 
 from conftest import (
     all_monomials,
-    exact_row,
     random_pencil_determinant,
     rational_rank,
 )
@@ -215,12 +214,13 @@ def test_criterion_6_sdp_feasible_instances():
         m = int(rng.integers(2, 51))
         r_mat = rng.standard_normal((m, m))
         gstar = r_mat.T @ r_mat + np.eye(m)
-        cons = [exact_row(np.eye(m), np.trace(gstar))]
+        mats, rhs = [np.eye(m)], [np.trace(gstar)]
         for _ in range(int(rng.integers(1, max(2, m // 2)))):
             a = rng.standard_normal((m, m))
             a = 0.5 * (a + a.T)
-            cons.append(exact_row(a, np.sum(a * gstar)))
-        sol = solve_maxeig(SdpProblem(m, cons))
+            mats.append(a)
+            rhs.append(np.sum(a * gstar))
+        sol = solve_maxeig(np.array(mats), np.array(rhs))
         assert sol.status == "Optimal", f"trial {trial}: {sol.status} ({sol.detail})"
         assert sol.residual <= 1e-8, f"trial {trial}: residual {sol.residual:.2e}"
         assert sol.t >= 1 - 1e-6, f"trial {trial}: t {sol.t}"

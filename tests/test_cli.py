@@ -348,6 +348,13 @@ def test_certificate_the_input_gate_refuses_is_refused(capsys, tmp_path, field, 
         f"(d) direction check could not be replayed: {reason}"]
 
 
+_INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_NEEDS_INT_LIMIT = pytest.mark.skipif(not _INT_LIMIT, reason="the interpreter has no int-string limit")
+# A direction entry of half the int-string limit, and 50 digits more, is
+# admitted; h_monic's coefficients, about its square, are past the limit.
+_HALF_LIMIT_E = f"1{'0' * (_INT_LIMIT // 2 + 50)},1"
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "--poly", "x0^2", "--e", "1"),
     ("certify", "--poly", "x0^2", "--e", "1"),
@@ -362,11 +369,14 @@ def test_certificate_the_input_gate_refuses_is_refused(capsys, tmp_path, field, 
     ("check", "--poly", "x0^250*x1^250*x2^250*x3^250", "--e", "1,1,1,1"),
     ("bezoutian", "--poly", "x0^250*x1^250*x2^250*x3^250", "--e", "1,1,1,1"),
     ("certify", "--poly", "x0^250*x1^250*x2^250*x3^250", "--e", "1,1,1,1"),
+    pytest.param(("bezoutian", "--poly", "x0^2 - x1^2", "--e", _HALF_LIMIT_E), marks=_NEEDS_INT_LIMIT),
+    pytest.param(("certify", "--poly", "x0^2 - x1^2", "--e", _HALF_LIMIT_E), marks=_NEEDS_INT_LIMIT),
 ])
 def test_polynomial_outside_the_domain_is_an_input_error(capsys, argv):
     # Univariate, constant and inhomogeneous polynomials, and those with more
     # than 2048 terms once dense, are refused by the one input gate with
-    # exit 2, by every command.
+    # exit 2, by every command.  So is output that would hold an integer
+    # past the interpreter's int-string limit.
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("input error: ") and err.count("\n") == 1
@@ -808,7 +818,6 @@ def test_dense_high_degree_check_is_quick(capsys):
     assert json.loads(out)["hyperbolicity"]["status"] == "NotHyperbolic"
 
 
-_INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 _TOO_LONG = "7" * (_INT_LIMIT + 1)
 
 
@@ -824,6 +833,20 @@ def test_integer_literal_past_the_int_string_limit_exits_two(capsys, command, po
     code, out, err = run(capsys, command, "--poly", poly, "--e", "1,0")
     assert code == 2
     assert err.startswith("input error: integer literal of") and "line 1" in err
+
+
+@_NEEDS_INT_LIMIT
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_output_past_the_int_string_limit_exits_two(capsys, fmt):
+    # check prints nothing of h_monic's size and passes; bezoutian and
+    # certify would print its coefficients, past the limit, and refuse with
+    # one line that names the limit, where they ended in a traceback.
+    argv = ("--poly", "x0^2 - x1^2", "--e", _HALF_LIMIT_E, "--format", fmt)
+    assert run(capsys, "check", *argv)[0::2] == (0, "")
+    for command in ("bezoutian", "certify"):
+        assert run(capsys, command, *argv) == (
+            2, "", f"input error: the output has an integer of more than {_INT_LIMIT} digits, "
+                   "the interpreter's int-string limit\n")
 
 
 def test_text_format(capsys):

@@ -18,34 +18,36 @@ from hyperdet.sdp import (
 )
 from hyperdet.sos import SdpProblem, gram_problem, power_sum_multiplier
 
-from conftest import exact_row, random_pencil_determinant
+from conftest import random_pencil_determinant
+from oracles import frobenius_representer
 
 
-def pin(i, j, value):
-    """The constraint G_ij = G_ji = value as an exact row."""
-    if i == j:
-        return {(i, i): Fraction(1)}, Fraction(value)
-    return {(i, j): Fraction(1, 2), (j, i): Fraction(1, 2)}, Fraction(value)
+def pinned(m, *pins):
+    """The constraints G_ij = G_ji = value of pins (i, j, value), as the
+    solver's float stack and right-hand side: 1/2 at (i, j) and at (j, i)."""
+    a_stack = np.zeros((len(pins), m, m))
+    for k, (i, j, _) in enumerate(pins):
+        a_stack[k, i, j] += 0.5
+        a_stack[k, j, i] += 0.5
+    return a_stack, np.array([float(value) for *_, value in pins])
 
 
 def test_single_entry_forced():
-    sol = solve_maxeig(SdpProblem(1, [({(0, 0): Fraction(1)}, Fraction(5))]))
+    sol = solve_maxeig(np.ones((1, 1, 1)), np.array([5.0]))
     assert sol.status == OPTIMAL
     assert abs(sol.G[0, 0] - 5.0) <= 1e-7
     assert abs(sol.t - 5.0) <= 1e-6
 
 
 def test_fully_determined_identity():
-    cons = [pin(0, 0, 1), pin(1, 1, 1), pin(0, 1, 0)]
-    sol = solve_maxeig(SdpProblem(2, cons))
+    sol = solve_maxeig(*pinned(2, (0, 0, 1), (1, 1, 1), (0, 1, 0)))
     assert sol.status == OPTIMAL
     assert np.max(np.abs(sol.G - np.eye(2))) <= 1e-7
     assert abs(sol.t - 1.0) <= 1e-6
 
 
 def test_free_offdiagonal_maximized_at_zero():
-    cons = [pin(0, 0, 1), pin(1, 1, 1)]
-    sol = solve_maxeig(SdpProblem(2, cons))
+    sol = solve_maxeig(*pinned(2, (0, 0, 1), (1, 1, 1)))
     assert sol.status == OPTIMAL
     assert abs(sol.t - 1.0) <= 1e-6
     assert abs(sol.G[0, 1]) <= 1e-6
@@ -57,12 +59,13 @@ def test_optimal_solutions_satisfy_invariants():
         m = int(rng.integers(2, 16))
         r_mat = rng.standard_normal((m, m))
         gstar = r_mat.T @ r_mat + np.eye(m)
-        cons = [exact_row(np.eye(m), np.trace(gstar))]
+        mats, rhs = [np.eye(m)], [np.trace(gstar)]
         for _ in range(int(rng.integers(1, m + 1))):
             a = rng.standard_normal((m, m))
             a = 0.5 * (a + a.T)
-            cons.append(exact_row(a, np.sum(a * gstar)))
-        sol = solve_maxeig(SdpProblem(m, cons))
+            mats.append(a)
+            rhs.append(np.sum(a * gstar))
+        sol = solve_maxeig(np.array(mats), np.array(rhs))
         assert sol.status == OPTIMAL
         assert sol.residual <= 1e-8
         assert sol.t >= 1 - 1e-6
@@ -70,9 +73,9 @@ def test_optimal_solutions_satisfy_invariants():
 
 
 def test_deterministic_iterates():
-    cons = [pin(0, 0, 2), pin(1, 1, 3), pin(2, 2, 4), pin(0, 1, 1)]
-    a = solve_maxeig(SdpProblem(3, cons))
-    b = solve_maxeig(SdpProblem(3, cons))
+    pins = [(0, 0, 2), (1, 1, 3), (2, 2, 4), (0, 1, 1)]
+    a = solve_maxeig(*pinned(3, *pins))
+    b = solve_maxeig(*pinned(3, *pins))
     assert a.status == b.status == OPTIMAL
     assert np.array_equal(a.G, b.G)
     assert a.t == b.t
@@ -81,25 +84,43 @@ def test_deterministic_iterates():
 
 def test_infeasible_diverges():
     # G_00 = 1 and G_00 = 2 cannot both hold.
-    cons = [pin(0, 0, 1), pin(0, 0, 2)]
-    sol = solve_maxeig(SdpProblem(2, cons))
+    sol = solve_maxeig(*pinned(2, (0, 0, 1), (0, 0, 2)))
     assert sol.status in (INFEASIBLE, MAX_ITERATIONS)
     assert sol.status != OPTIMAL
 
 
 def test_traceless_constraints_reported_unbounded():
-    sol = solve_maxeig(SdpProblem(2, [({(0, 1): Fraction(1), (1, 0): Fraction(1)}, Fraction(0))]))
+    sol = solve_maxeig(np.array([[[0.0, 1.0], [1.0, 0.0]]]), np.array([0.0]))
     assert sol.status == MAX_ITERATIONS
     assert "unbounded" in sol.detail
 
 
+_BAD_PROBLEMS = [
+    (2, []),
+    (0, [({(0, 0): 1}, Fraction(1))]),
+    # A position below the diagonal, or outside the matrix.
+    (2, [({(1, 0): 1}, Fraction(1))]),
+    (2, [({(0, 2): 1}, Fraction(1))]),
+    (2, [({(-1, 0): 1}, Fraction(1))]),
+    # Counts that are not positive ints.
+    (2, [({(0, 1): 0}, Fraction(1))]),
+    (2, [({(0, 1): -1}, Fraction(1))]),
+    (2, [({(0, 1): Fraction(1, 2)}, Fraction(1))]),
+    (2, [({(0, 1): Fraction(1)}, Fraction(1))]),
+    (2, [({(0, 1): 1.0}, Fraction(1))]),
+    (2, [({(0, 1): True}, Fraction(1))]),
+    # An empty row, and two rows on one position.
+    (2, [({}, Fraction(0))]),
+    (2, [({(0, 0): 1}, Fraction(1)), ({}, Fraction(0))]),
+    (2, [({(0, 0): 1, (1, 1): 1}, Fraction(2)), ({(0, 0): 1}, Fraction(1))]),
+    (2, [({(0, 1): 1}, Fraction(0)), ({(0, 1): 2}, Fraction(0))]),
+]
+
+
 def test_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        SdpProblem(2, [])
-    with pytest.raises(ValueError):
-        SdpProblem(2, [({(0, 1): Fraction(1)}, Fraction(1))])
-    with pytest.raises(ValueError):
-        SdpProblem(2, [({(0, 2): Fraction(1), (2, 0): Fraction(1)}, Fraction(1))])
+    for m, constraints in _BAD_PROBLEMS:
+        with pytest.raises(ValueError):
+            SdpProblem(m, constraints)
 
 
 # -- per-iteration linear algebra ---------------------------------------------
@@ -111,16 +132,17 @@ def test_schur_matrix_is_the_scaled_constraint_pairing():
     omega = bezoutian_of(ctx, h.derivative(0))
     problem, _ = gram_problem(ctx, omega, 1, power_sum_multiplier(ctx, 1))
     m, p = problem.m, len(problem.constraints)
+    reps = [frobenius_representer(row) for row, _ in problem.constraints]
     a_stack = np.zeros((p, m, m))
-    for k, (row, _) in enumerate(problem.constraints):
-        for (a, b), weight in row.items():
+    for k, rep in enumerate(reps):
+        for (a, b), weight in rep.items():
             a_stack[k, a, b] = float(weight)
     g = np.random.default_rng(5).standard_normal((m, m)) + m * np.eye(m)
     w = g @ g.T
     expected = np.array([[sum(float(wk) * float(wl) * w[a, c] * w[d, b]
-                              for (a, b), wk in row_k.items() for (c, d), wl in row_l.items())
-                          for row_l, _ in problem.constraints]
-                         for row_k, _ in problem.constraints])
+                              for (a, b), wk in rep_k.items() for (c, d), wl in rep_l.items())
+                          for rep_l in reps]
+                         for rep_k in reps])
     schur = _schur_matrix(a_stack, g)
     assert np.array_equal(schur, schur.T)
     assert np.max(np.abs(schur - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -147,12 +169,13 @@ def test_each_matrix_is_factored_once_per_iteration(monkeypatch):
     m = 5
     r_mat = rng.standard_normal((m, m))
     gstar = r_mat.T @ r_mat + np.eye(m)
-    cons = [exact_row(np.eye(m), np.trace(gstar))]
+    mats, rhs = [np.eye(m)], [np.trace(gstar)]
     for _ in range(7):
         a = rng.standard_normal((m, m))
         a = 0.5 * (a + a.T)
-        cons.append(exact_row(a, np.sum(a * gstar)))
-    p = len(cons)
+        mats.append(a)
+        rhs.append(np.sum(a * gstar))
+    p = len(mats)
     calls = {"cholesky": [], "inv": [], "solve": []}
     for name, record in calls.items():
         original = getattr(np.linalg, name)
@@ -161,7 +184,7 @@ def test_each_matrix_is_factored_once_per_iteration(monkeypatch):
             record.append(np.shape(mat))
             return original(mat, *rest)
         monkeypatch.setattr(np.linalg, name, spy)
-    sol = solve_maxeig(SdpProblem(m, cons))
+    sol = solve_maxeig(np.array(mats), np.array(rhs))
     assert sol.status == OPTIMAL and sol.iterations > 5
     assert (p, p) not in calls["solve"]
     # One Cholesky factor and its inverse per iteration, plus one of each

@@ -18,7 +18,6 @@ from hyperdet import (
     Exhausted,
     NotPD,
     Poly,
-    RoundingFailed,
     certify,
     parse_poly,
 )
@@ -30,7 +29,6 @@ from hyperdet.sdp import (
     OPTIMAL,
     STALL_WINDOW,
     SdpSolution,
-    solve_maxeig,
 )
 from hyperdet.sos import (
     SdpProblem,
@@ -40,11 +38,13 @@ from hyperdet.sos import (
     power_sum_multiplier,
     round_gram,
     sole_gram,
+    solve_maxeig,
 )
 
 from conftest import all_monomials, rational_rank, random_pencil_determinant
 from oracles import (
     fraction_round_gram,
+    frobenius_representer,
     is_bezoutian,
     pair_scan_gram_problem,
     row_to_element,
@@ -173,10 +173,10 @@ def _diag_problem():
     m = 3
     cons = []
     for i in range(m):
-        cons.append(({(i, i): Fraction(1)}, Fraction(2)))
+        cons.append(({(i, i): 1}, Fraction(2)))
     for i in range(m):
         for j in range(i + 1, m):
-            cons.append(({(i, j): Fraction(1, 2), (j, i): Fraction(1, 2)}, Fraction(0)))
+            cons.append(({(i, j): 1}, Fraction(0)))
     return SdpProblem(m, cons)
 
 
@@ -197,7 +197,7 @@ def test_round_gram_fixed_point_on_exact_input():
 def test_round_gram_rounds_onto_one_grid(bound):
     # 0.7 and 1.3 land on grid points that sum to 2, so the trace constraint
     # has zero defect and the projection leaves every entry on the grid.
-    problem = SdpProblem(2, [({(0, 0): Fraction(1), (1, 1): Fraction(1)}, Fraction(2))])
+    problem = SdpProblem(2, [({(0, 0): 1, (1, 1): 1}, Fraction(2))])
     g = np.array([[0.7, 0.3], [0.3, 1.3]])
     gram = round_gram(problem, g, bound)
     assert gram[0][0] + gram[1][1] == 2
@@ -207,16 +207,19 @@ def test_round_gram_rounds_onto_one_grid(bound):
 
 def test_round_gram_refuses_overlapping_supports():
     # G00 + G11 = 2 and G00 = 1 share the position (0, 0).  The one-division
-    # projection is only orthogonal for disjoint supports; here it misses the
-    # trace constraint, and the exact re-check must refuse, not return it.
-    cons = [
-        ({(0, 0): Fraction(1), (1, 1): Fraction(1)}, Fraction(2)),
-        ({(0, 0): Fraction(1)}, Fraction(1)),
-        ({(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}, Fraction(0)),
-    ]
-    problem = SdpProblem(2, cons)
-    with pytest.raises(RoundingFailed):
-        round_gram(problem, np.diag([1.25, 0.875]), 2**32)
+    # projection is only orthogonal for disjoint supports; here it would miss
+    # the trace constraint, so the problem is refused when it is stated,
+    # before any rounding.  So is a row with no position, which no
+    # projection can satisfy unless its right-hand side is zero.
+    for cons in (
+        [({(0, 0): 1, (1, 1): 1}, Fraction(2)), ({(0, 0): 1}, Fraction(1)),
+         ({(0, 1): 1}, Fraction(0))],
+        [({(0, 1): 1}, Fraction(0)), ({(0, 0): 1, (0, 1): 2}, Fraction(1))],
+        [({(0, 0): 1}, Fraction(1)), ({}, Fraction(1))],
+        [({}, Fraction(0))],
+    ):
+        with pytest.raises(ValueError):
+            SdpProblem(2, cons)
 
 
 _BOUNDS = (2**8, 2**64, 1000)
@@ -224,8 +227,9 @@ _BOUNDS = (2**8, 2**64, 1000)
 
 @st.composite
 def rounding_cases(draw):
-    """A float matrix and a problem whose rows split the Gram positions into
-    random groups (one row may overlap another), under one grid bound.
+    """A float matrix and a problem whose rows split the upper-triangle Gram
+    positions into random groups, with positive int split counts, under one
+    grid bound.
 
     Some entries lie exactly halfway between two grid points: odd multiples
     of 1 / (2 * 2^a) for a bound 2^a * c with c odd, which times the bound
@@ -247,37 +251,28 @@ def rounding_cases(draw):
         g[0, -1] = draw(value)
     groups = draw(st.lists(st.integers(0, len(upper) - 1), min_size=len(upper),
                            max_size=len(upper)))
-    if draw(st.booleans()):
-        groups[0] = groups[-1] = -1  # positions 0 and -1 share a row ...
-        groups.append(0)  # ... and position 0 is in a second one too
-    weight = st.fractions(-3, 3, max_denominator=4).filter(bool)
     constraints = []
     for label in sorted(set(groups)):
-        row = {}
-        for index, group in enumerate(groups):
-            if group == label:
-                a, b = upper[index % len(upper)]
-                row[(a, b)] = row[(b, a)] = draw(weight)
+        row = {upper[index]: draw(st.integers(1, 4))
+               for index, group in enumerate(groups) if group == label}
         constraints.append((row, draw(st.fractions(-20, 20, max_denominator=9))))
     return SdpProblem(m, constraints), g, bound
-
-
-def _rounding_outcome(rounder, problem, g, bound):
-    try:
-        return rounder(problem, g, bound)
-    except RoundingFailed as exc:
-        return f"RoundingFailed: {exc}"
 
 
 @settings(max_examples=300, deadline=None)
 @given(rounding_cases())
 def test_round_gram_matches_the_fraction_rounding(case):
-    # Integer rounding with ties to even, the projection over one common
-    # denominator and the exact re-check give the Fraction route's matrix,
-    # or the same refusal.
+    # Integer rounding with ties to even and the projection over one common
+    # denominator give the Fraction route's matrix, which projects with the
+    # Frobenius representers of the rows; it is symmetric and meets every
+    # row exactly.
     problem, g, bound = case
-    assert _rounding_outcome(round_gram, problem, g, bound) == \
-        _rounding_outcome(fraction_round_gram, problem, g, bound)
+    gram = round_gram(problem, g, bound)
+    assert gram == fraction_round_gram(problem, g, bound)
+    assert all(gram[a][b] == gram[b][a] for a in range(problem.m) for b in range(a))
+    for row, rhs in problem.constraints:
+        assert sum(w * gram[a][b] for (a, b), w in frobenius_representer(row).items()) == rhs
+        assert sum(c * gram[a][b] for (a, b), c in row.items()) == rhs
 
 
 @pytest.mark.parametrize("bound", _BOUNDS)
@@ -286,8 +281,7 @@ def test_round_gram_rounds_ties_to_even(bound):
     # points go to the even neighbour, as round(Fraction) does.
     step = 1 / (2 * (bound & -bound))
     values = [step, 3 * step, -step, -3 * step]
-    problem = SdpProblem(4, [({(i, j): Fraction(1), (j, i): Fraction(1)}, Fraction(0))
-                             for i in range(4) for j in range(i + 1, 4)])
+    problem = SdpProblem(4, [({(i, j): 2}, Fraction(0)) for i in range(4) for j in range(i + 1, 4)])
     gram = round_gram(problem, np.diag(values), bound)
     halves = [Fraction(v) * bound for v in values]
     assert all(h.denominator == 2 for h in halves)
@@ -298,7 +292,7 @@ def test_round_gram_rounds_ties_to_even(bound):
 def test_round_gram_returns_projection_without_pd_test():
     # Positive definiteness is decided by the one LDL^T in
     # find_sos_decomposition, not by round_gram.
-    problem = SdpProblem(1, [({(0, 0): Fraction(1)}, Fraction(-1))])
+    problem = SdpProblem(1, [({(0, 0): 1}, Fraction(-1))])
     gram = round_gram(problem, np.array([[1.0]]), 2**32)
     assert gram == [[Fraction(-1)]]
     with pytest.raises(NotPD):
@@ -480,11 +474,11 @@ def one_point_problems(draw):
 @settings(max_examples=80, deadline=None)
 @given(one_point_problems())
 def test_rows_of_quadrics_and_binary_forms_fix_every_gram_position(problem):
-    # Each row's support is one position with its mirror, and the rows cover
+    # Each row's support is one upper-triangle position, and the rows cover
     # every position once, so the rows allow one matrix: the one that
     # round_gram's projection returns from any iterate.
     m = problem.m
-    supports = [{tuple(sorted(pos)) for pos in row} for row, _ in problem.constraints]
+    supports = [set(row) for row, _ in problem.constraints]
     assert all(len(support) == 1 for support in supports)
     assert sorted(pos for (pos,) in supports) == [(a, b) for a in range(m) for b in range(a, m)]
     assert sole_gram(problem) == round_gram(problem, np.eye(m), 2**8)
@@ -496,8 +490,12 @@ def test_sole_gram_leaves_free_entries_to_the_sdp():
     for ell in (0, 1):
         problem, _ = gram_problem(ctx, omega, ell, power_sum_multiplier(ctx, ell))
         assert sole_gram(problem) is None
-    # Two rows on one position leave another position free.
-    assert sole_gram(SdpProblem(2, [({(0, 0): Fraction(1)}, Fraction(1))] * 3)) is None
+    # A row on two positions leaves the matrix free; two rows on one position,
+    # which would leave another position free, are refused when stated.
+    assert sole_gram(SdpProblem(2, [({(0, 0): 1, (1, 1): 1}, Fraction(2)),
+                                    ({(0, 1): 1}, Fraction(0))])) is None
+    with pytest.raises(ValueError):
+        SdpProblem(2, [({(0, 0): 1}, Fraction(1))] * 3)
 
 
 def test_linear_decomposition():

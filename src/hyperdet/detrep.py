@@ -48,6 +48,9 @@ from .sos import (
 )
 
 SCHEMA = "hyperdet/1"
+# Bounds the multiplier search (README "Exit codes"): at ell = 8 the seed-7
+# 4-variable HV cubic's Gram float stack alone is 252 MB.
+_MAX_ELL = 6
 
 
 @dataclass
@@ -69,8 +72,8 @@ class CertifyOptions:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InputError(f"{name} must be an int, got {value!r}")
         check_num_samples(self.num_samples)
-        if self.lmax < 0:
-            raise InputError(f"lmax must be non-negative, got {self.lmax}")
+        if not 0 <= self.lmax <= _MAX_ELL:
+            raise InputError(f"lmax must be from 0 to {_MAX_ELL}, got {self.lmax}")
 
 
 @dataclass

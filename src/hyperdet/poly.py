@@ -8,8 +8,9 @@ freely between threads.
 
 Terms iterate in descending graded-lexicographic order (higher total degree
 first, ties broken lexicographically with x0 largest), which fixes a
-canonical text form.  The substitution x := A*y of the input gate runs
-fraction-free, with one Fraction per output coefficient (README step 1).
+canonical text form.  The input gate's substitution x = T^{-1} y expands
+each power of x_j = e_j*y0 + y_c by the binomial theorem in ints, with one
+Fraction per output coefficient (README step 1).
 """
 
 from __future__ import annotations
@@ -288,61 +289,6 @@ def _product(a: Mapping[Monomial, int | Fraction], b: Mapping[Monomial, int | Fr
     return out
 
 
-def _linear_power(coeffs: Sequence[int], k: int) -> dict[Monomial, int]:
-    """Terms of (c_0*y_0 + ... + c_m*y_m)^k for integers c_j, k >= 1.
-
-    Each term is k!/(k_0!..k_m!) * prod c_j^k_j by the multinomial theorem;
-    no lower power of the form is expanded.  A variable whose coefficient is
-    zero keeps exponent 0, so a form in r variables gives C(k+r-1, r-1) terms.
-    """
-    support = [(j, c) for j, c in enumerate(coeffs) if c]
-    exps = [0] * len(coeffs)
-    out: dict[Monomial, int] = {}
-
-    def expand(pos: int, rest: int, acc: int) -> None:
-        j, a = support[pos]
-        if pos == len(support) - 1:
-            exps[j] = rest
-            out[tuple(exps)] = acc * a**rest
-        else:
-            part = 1  # C(rest, e) * a^e, exact at every step
-            for e in range(rest + 1):
-                exps[j] = e
-                expand(pos + 1, rest - e, acc * part)
-                part = part * (rest - e) * a // (e + 1)
-        exps[j] = 0
-
-    if support:  # else the form is zero, and so is its power
-        expand(0, k, 1)
-    return out
-
-
-def apply_linear(p: Poly, matrix: Sequence[Sequence[RationalLike]]) -> Poly:
-    """Substitute x := A*y, i.e. return p(A*y) in the new coordinates y."""
-    n = p.nvars
-    rows = [as_point(row) for row in matrix]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise DimensionMismatch("substitution matrix must be square of size nvars")
-    q = math.lcm(*(c.denominator for row in rows for c in row))
-    scale = math.lcm(*(c.denominator for c in p._terms.values())) * q**p.degree
-
-    @functools.cache
-    def image_power(i: int, k: int) -> dict[Monomial, int]:
-        """(q*A*y)_i^k, once per power p uses."""
-        return _linear_power([c.numerator * (q // c.denominator) for c in rows[i]], k)
-
-    # In ints: a term c*x^mono of degree k gives c*scale/q^k times (q*A*y)^mono.
-    total: dict[Monomial, int] = {}
-    for mono, c in p._terms.items():
-        term = {(0,) * n: c.numerator * scale // (c.denominator * q ** sum(mono))}
-        for i, exp in enumerate(mono):
-            if exp:
-                term = _product(term, image_power(i, exp))
-        for m, v in term.items():
-            total[m] = total.get(m, 0) + v
-    return Poly(n, {m: Fraction(v, scale) for m, v in total.items()})
-
-
 def normalize_direction(h: Poly, e: Sequence[RationalLike]) -> tuple[Poly, list[list[Fraction]]]:
     """Rotate coordinates so the direction e becomes (1,0,...,0).
 
@@ -372,16 +318,46 @@ def normalize_direction(h: Poly, e: Sequence[RationalLike]) -> tuple[Poly, list[
         raise InputError(f"polynomial too large: degree {d} in {n} variables has more "
                          f"than {_MAX_DENSE_TERMS} terms once dense")
     pivot = next(i for i in range(n) if ev[i] != 0)
-    # Columns of T^{-1}: the direction itself, then unit vectors skipping the
-    # pivot slot so the matrix stays invertible.
     others = [j for j in range(n) if j != pivot]
-    inv_t = [[ev[i]] + [_ONE if i == j else _ZERO for j in others] for i in range(n)]
-    # Its inverse in closed form: row 0 is unit_p / e_p, row c is
+    # The columns of T^{-1} are e, then unit vectors skipping the pivot slot:
+    # x_pivot = e_pivot*y0, and the c-th non-pivot x_j = e_j*y0 + y_c.  In
+    # ints, with q the lcm of e's denominators and E = q*e, q*x_j is
+    # E_j*y0 + q*y_c, whose powers the binomial theorem expands.
+    q = math.lcm(*(c.denominator for c in ev))
+    big_e = [c.numerator * (q // c.denominator) for c in ev]
+    den = math.lcm(*(c.denominator for c in h._terms.values()))
+
+    @functools.cache
+    def image_power(i: int, k: int) -> dict[Monomial, int]:
+        """(q*x_i)^k in y, once per power h uses."""
+        if i == pivot:
+            return {(k,) + (0,) * (n - 1): big_e[i] ** k}
+        c = others.index(i) + 1
+        out: dict[Monomial, int] = {}
+        part = q**k  # C(k, t) * E_i^t * q^(k-t), exact at every step
+        for t in range(k + 1):
+            if part:
+                mono = [0] * n
+                mono[0], mono[c] = t, k - t
+                out[tuple(mono)] = part
+            part = part * (k - t) * big_e[i] // ((t + 1) * q)
+        return out
+
+    # In ints: a term c*x^mono gives c*den times (q*x)^mono, over den*q^d.
+    total: dict[Monomial, int] = {}
+    for mono, c in h._terms.items():
+        term = {(0,) * n: c.numerator * (den // c.denominator)}
+        for i, exp in enumerate(mono):
+            if exp:
+                term = _product(term, image_power(i, exp))
+        for m, v in term.items():
+            total[m] = total.get(m, 0) + v
+    transformed = Poly(n, {m: Fraction(v, den * q**d) for m, v in total.items()})
+    # The inverse of T^{-1} in closed form: row 0 is unit_p / e_p, row c is
     # unit_j - (e_j / e_p) * unit_p for the c-th non-pivot index j.
     t_mat = [[_ONE / ev[pivot] if i == pivot else _ZERO for i in range(n)]] + [
         [_ONE if i == j else -ev[j] / ev[pivot] if i == pivot else _ZERO for i in range(n)]
         for j in others]
-    transformed = apply_linear(h, inv_t)
     if not transformed.coeff((d,) + (0,) * (n - 1)):
         raise DirectionVanishes("polynomial vanishes at the direction")
     return transformed, t_mat

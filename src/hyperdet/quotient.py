@@ -48,7 +48,6 @@ class QuotientContext:
             raise ValueError("polynomial must not vanish at (1,0,...,0)")
         monic = h * (1 / lead)
         coeffs = monic.x0_coefficients()
-        coeffs += [Poly.zero(h.nvars)] * (d + 1 - len(coeffs))
         object.__setattr__(self, "h", monic)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n", h.nvars - 1)

@@ -8,12 +8,13 @@ where omega0 is the Bézoutian of dh/dx0, the weights d_i are positive
 rationals and the u_i, coordinates over the monomial basis of the quotient's
 degree k = d-1+ell piece, form a full-rank matrix (so they span that piece).
 Each candidate level states the Gram problem once as sparse rows of integer
-split counts over the upper triangle.  Where each row fixes one Gram position
-and the rows cover them all (quadrics and linear forms at ell = 0, binary
-forms at every level), those rows allow one matrix, which is built exactly,
-with no SDP and no numpy.  Otherwise the SDP runs on a float stack built from
-the rows, its solution is rounded onto one rational grid and projected
-exactly back onto the same rows.  Either way the level's matrix is factored
+split counts over the upper triangle, and every candidate Gram matrix is the
+exact projection of a grid point onto those rows (round_gram).  Where each
+row fixes one Gram position and the rows cover them all (quadrics and linear
+forms at ell = 0, binary forms at every level), the rows allow one matrix:
+the projection of the zero matrix, with no SDP and no numpy.  Otherwise the
+SDP runs on a float stack built from the rows, and its solution is rounded
+onto each rational grid before the projection.  Each candidate is factored
 once; that factorization is the positive-definiteness test, and the identity
 then holds by construction.
 """
@@ -60,9 +61,11 @@ class SdpProblem:
     <A_k, G> = rhs, A_k holds c at (a, a) and c/2 at (a, b) and (b, a).
     The rows are checked once, here: nonempty, positive int counts inside
     the upper triangle, and no position in two rows.  They are the only
-    statement of the constraints: sole_gram reads the one matrix they allow
-    when they fix every entry; otherwise the solver reads the float stack
-    that solve_maxeig builds from them, and round_gram projects onto them.
+    statement of the constraints: the solver reads the float stack that
+    solve_maxeig builds from them, and round_gram projects onto them.  As
+    rows share no position, m(m+1)/2 rows hold one position each and cover
+    every position: the affine space is a point, which round_gram returns
+    from any iterate.
     """
 
     m: int
@@ -146,8 +149,6 @@ def monomial_basis_Mk(ctx: QuotientContext, k: int) -> list[GramIndex]:
         raise DegreeTooSmall(f"need k >= d-1 = {ctx.d - 1}, got {k}")
     basis: list[GramIndex] = []
     for power in range(ctx.d):
-        if k - power < 0:
-            continue
         for mono in r_monomials_of_degree(ctx.nvars, k - power):
             basis.append(GramIndex(power, mono))
     return basis
@@ -201,30 +202,9 @@ def gram_problem(
     return SdpProblem(len(basis), constraints), basis
 
 
-def sole_gram(problem: SdpProblem) -> RatMatrix | None:
-    """The one Gram matrix the rows allow, or None if they leave entries free.
-
-    SdpProblem admits only nonempty rows on disjoint positions, so
-    m(m+1)/2 rows hold one position each and cover every position: the
-    affine space is a point, and entry (a, b) is rhs / c of its row.
-    round_gram's projection returns that point from any iterate, so there is
-    nothing for the SDP to decide.  For a binary form this is the Bézoutian
-    matrix itself, positive definite iff the roots are real and distinct
-    (Hermite).
-    """
-    m = problem.m
-    if len(problem.constraints) != m * (m + 1) // 2:
-        return None
-    gram = [[_ZERO] * m for _ in range(m)]
-    for row, rhs in problem.constraints:
-        [((a, b), c)] = row.items()
-        gram[a][b] = gram[b][a] = Fraction(rhs, c)
-    return gram
-
-
 def round_gram(
     problem: SdpProblem,
-    g: np.ndarray,
+    g: np.ndarray | Sequence[Sequence[float]],
     denominator_bound: int,
 ) -> RatMatrix:
     """Round the float Gram matrix to rationals satisfying every constraint.
@@ -243,13 +223,13 @@ def round_gram(
     """
     m = problem.m
     bound = denominator_bound
-    # Grid numerators, upper triangle: q[i][j] / bound is float entry (i, j)
-    # rounded to the nearest grid point, ties to even as round(Fraction) does.
-    g_rows = (0.5 * (g + g.T)).tolist()
+    # Grid numerators, upper triangle: q[i][j] / bound is the symmetric part
+    # of g at (i, j) rounded to the nearest grid point, ties to even as
+    # round(Fraction) does.
     q = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            top, bottom = g_rows[i][j].as_integer_ratio()
+            top, bottom = ((g[i][j] + g[j][i]) / 2).as_integer_ratio()
             near, rem = divmod(top * bound, bottom)
             if 2 * rem > bottom or (2 * rem == bottom and near & 1):
                 near += 1
@@ -284,8 +264,8 @@ def solve_maxeig(problem: SdpProblem) -> SdpSolution:
     and c/2 at (a, b) and (b, a) for each count c of row k, and b_k is
     float(rhs).  sdp is imported at the first solve: numpy, which the
     solver needs, loads only when an SDP runs, so check, verify and
-    bezoutian never import it, nor does certify on levels with one Gram
-    matrix (sole_gram).  Without numpy the solve is refused with a
+    bezoutian never import it, nor does certify on levels whose rows fix
+    every Gram position.  Without numpy the solve is refused with a
     HyperdetError that names it, not an ImportError."""
     try:
         from . import sdp
@@ -310,9 +290,9 @@ def find_sos_decomposition(
     """Escalate the multiplier exponent until an exact decomposition exists.
 
     For each ell = 0..ell_max: assemble the Gram problem for the Bézoutian of
-    dh/dx0.  When its rows fix every entry (sole_gram), that one matrix is the
-    level's only candidate, with no SDP and no rounding.  Otherwise solve the
-    SDP.  A level whose iterate has no positive eigenvalue margin t is skipped
+    dh/dx0.  When its rows fix every entry, the level's only candidate is
+    round_gram's projection of the zero matrix, with no SDP.  Otherwise solve
+    the SDP.  A level whose iterate has no positive eigenvalue margin t is skipped
     with one recorded failure: rounding could only make a PD matrix by luck,
     so this is a cost filter, not a soundness check.  Else, for each bound of
     DENOMINATOR_BOUNDS, coarse first, round the iterate (whatever its solver
@@ -355,17 +335,20 @@ def find_sos_decomposition(
 def _candidates(problem: SdpProblem, ell: int, failures: list[str]) -> Iterator[RatMatrix]:
     """A level's rational Gram matrices, in the order the PD test tries them.
 
-    The one matrix of sole_gram, or else the SDP iterate rounded onto each
-    grid of DENOMINATOR_BOUNDS.  A level without margin is recorded in
-    failures and yields nothing.
+    Each is round_gram's projection onto the rows.  Rows that fix every
+    position project the zero matrix on grid 1: each is one position with
+    count c, and the projection lands on rhs / c from any start.  Else the
+    SDP iterate is rounded onto each grid of DENOMINATOR_BOUNDS.  A level
+    without margin is recorded in failures and yields nothing.
     """
-    gram = sole_gram(problem)
-    if gram is not None:
-        yield gram
+    m = problem.m
+    if len(problem.constraints) == m * (m + 1) // 2:
+        yield round_gram(problem, [[0.0] * m] * m, 1)
         return
     sol = solve_maxeig(problem)
     if not sol.t > 0:
         failures.append(f"ell={ell}: no positive-definiteness margin to absorb rounding")
         return
+    iterate = sol.G.tolist()
     for bound in DENOMINATOR_BOUNDS:
-        yield round_gram(problem, sol.G, bound)
+        yield round_gram(problem, iterate, bound)

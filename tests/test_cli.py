@@ -170,6 +170,7 @@ def test_malformed_direction_is_an_input_error(capsys, argv):
     LORENTZ_CHECK + ("--samples", "-3"),
     LORENTZ_CHECK + ("--samples", "99999999999999999999999"),
     LORENTZ_CERTIFY + ("--samples", "10001"),
+    LORENTZ_CERTIFY + ("--lmax", "99999999999999999999"),
 ])
 def test_out_of_range_numeric_flag_is_a_usage_error(capsys, argv):
     # The setting's own check rejects it (lmax, num_samples), once.

@@ -429,6 +429,7 @@ def test_certify_rejects_polynomials_outside_the_domain(h, e):
     ("num_samples", 2.5),
     ("seed", 0.5),
     ("num_samples", 10_001),
+    ("lmax", 7),
 ])
 def test_certify_options_reject_out_of_range_values(field, value):
     with pytest.raises(InputError, match=field):

@@ -27,7 +27,7 @@ from hyperdet.hyperbolicity import (
     root_counts,
     sample_directions,
 )
-from hyperdet.poly import Poly, apply_linear, normalize_direction
+from hyperdet.poly import Poly, normalize_direction
 from hyperdet.quotient import QuotientContext, bezoutian_of, integer_forms, restriction
 
 from conftest import random_fraction, random_homogeneous, random_pencil_determinant, renegar_derivative
@@ -36,6 +36,7 @@ from oracles import (
     bareiss_determinant,
     count_real_roots,
     evaluate_form,
+    fraction_apply_linear,
     fraction_root_counts,
     fraction_sturm_chain,
     is_positive_definite,
@@ -305,7 +306,7 @@ def test_lineality_follows_a_change_of_coordinates(text, kept):
     h0 = P(text, 4)
     for _ in range(3):
         a = _random_invertible(rng, 4)
-        h = apply_linear(h0, a)
+        h = fraction_apply_linear(h0, a)
         basis = lineality_space(h)
         assert len(basis) == 4 - kept
         _assert_lineality(h, basis, rng)

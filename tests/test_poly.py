@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyperdet import (
@@ -15,7 +15,7 @@ from hyperdet import (
     PolyParseError,
     parse_poly,
 )
-from hyperdet.poly import apply_linear, as_fraction, normalize_direction
+from hyperdet.poly import as_fraction, normalize_direction
 from hyperdet.quotient import QuotientContext
 
 from conftest import all_monomials, random_homogeneous
@@ -179,59 +179,82 @@ def test_normalize_direction_spec_substitution():
     # a difference of squares; normalize_direction may pick a different T but
     # must satisfy the same contract.
     h = P("x0*x1")
-    assert apply_linear(h, [[1, 1], [1, -1]]) == P("x0^2 - x1^2")
+    assert fraction_apply_linear(h, [[1, 1], [1, -1]]) == P("x0^2 - x1^2")
     transformed, t_mat = normalize_direction(h, (1, 1))
     e0_image = [sum(Fraction(t_mat[i][j]) * Fraction((1, 1)[j]) for j in range(2)) for i in range(2)]
     assert e0_image == [Fraction(1), Fraction(0)]
     assert transformed.evaluate((1, 0)) == h.evaluate((1, 1))
 
 
+def inverse_transform(e):
+    """T^{-1} as README step 1 states it: e as column 0, then the unit
+    vectors of the coordinates other than the first nonzero one of e."""
+    pivot = next(i for i, c in enumerate(e) if c)
+    others = [j for j in range(len(e)) if j != pivot]
+    return [[Fraction(c)] + [Fraction(i == j) for j in others] for i, c in enumerate(e)]
+
+
+def assert_matches_the_fraction_substitution(h, e):
+    """normalize_direction(h, e) is h(T^{-1} y), its T inverts T^{-1}, and
+    a direction where h vanishes is refused."""
+    if h.evaluate(e) == 0:
+        with pytest.raises(DirectionVanishes):
+            normalize_direction(h, e)
+        return
+    transformed, t_mat = normalize_direction(h, e)
+    inv_t = inverse_transform(e)
+    n = len(e)
+    assert [[sum(t_mat[i][k] * inv_t[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == [[i == j for j in range(n)] for i in range(n)]
+    assert list(transformed.terms()) == list(fraction_apply_linear(h, inv_t).terms())
+
+
 def test_apply_linear_at_a_high_exponent():
-    # Powers come from the multinomial theorem, whose recursion runs over
-    # the variables, not the exponent: exponent 1500 is past the
-    # interpreter's recursion limit.  x0 = y0 + y1, x1 = 2*y1, x2 = y2
-    # turn x0^2*x1^1500 - x2^1500 into 2^1500*(y0 + y1)^2*y1^1500 - y2^1500.
+    # The powers come from the binomial theorem, a loop over the exponent:
+    # exponent 1500 is past the interpreter's recursion limit.  With
+    # e = (2, 1), x0 = 2*y0 and x1 = y0 + y1 turn x0^1500*x1^2 - x0^1502
+    # into 2^1500*(-3*y0^1502 + 2*y0^1501*y1 + y0^1500*y1^2).
     scale = Fraction(2**1500)
-    expected = Poly(3, {(2, 1500, 0): scale, (1, 1501, 0): 2 * scale,
-                        (0, 1502, 0): scale, (0, 0, 1500): Fraction(-1)})
-    substitution = [[1, 1, 0], [0, 2, 0], [0, 0, 1]]
-    assert apply_linear(P("x0^2*x1^1500 - x2^1500"), substitution) == expected
+    expected = Poly(2, {(1502, 0): -3 * scale, (1501, 1): 2 * scale, (1500, 2): scale})
+    assert normalize_direction(P("x0^1500*x1^2 - x0^1502"), (2, 1))[0] == expected
+    # x1 = 3*y0 + y1 makes 1501 terms of x1^1500, and with the pivot at
+    # x1, x0 = y1 and x1 = 3*y0.
+    h = P("x0^2*x1^1498 - x1^1500")
+    assert_matches_the_fraction_substitution(h, (1, 3))
+    assert_matches_the_fraction_substitution(h, (0, 3))
 
 
 wide_fractions = st.builds(Fraction, st.integers(-2**64, 2**64), st.integers(1, 2**64))
 
 
 @st.composite
-def substitutions(draw, max_exponent=3, entries=wide_fractions):
-    """(p, A): p with up to five terms of any degrees, so often not
-    homogeneous, and A with some rows and columns set to zero."""
-    n = draw(st.integers(1, 3))
-    monos = st.tuples(*[st.integers(0, max_exponent)] * n)
-    p = Poly(n, draw(st.dictionaries(monos, entries, max_size=5)))
-    zero_rows = draw(st.sets(st.integers(0, n - 1)))
-    zero_cols = draw(st.sets(st.integers(0, n - 1)))
-    matrix = [[0 if i in zero_rows or j in zero_cols else draw(entries) for j in range(n)]
-              for i in range(n)]
-    return p, matrix
+def directions(draw, max_degree=3, entries=wide_fractions.filter(bool)):
+    """(h, e): h homogeneous with up to five terms in 2-4 variables, and e
+    with some entries set to zero, the first of them too at times, so the
+    pivot is not always x0."""
+    n = draw(st.integers(2, 4))
+    monos = st.sampled_from(all_monomials(n, draw(st.integers(1, max_degree))))
+    h = Poly(n, draw(st.dictionaries(monos, entries, min_size=1, max_size=5)))
+    zeros = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    return h, tuple(0 if i in zeros else draw(entries) for i in range(n))
 
 
 @settings(max_examples=300, deadline=None)
-@given(substitutions())
+@given(directions())
 def test_apply_linear_agrees_with_the_fraction_substitution(case):
-    p, matrix = case
-    assert list(apply_linear(p, matrix).terms()) == list(fraction_apply_linear(p, matrix).terms())
+    assert_matches_the_fraction_substitution(*case)
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(1, 1500), st.lists(small_fractions, min_size=2, max_size=2), small_fractions)
 @example(1500, [Fraction(-5, 3), Fraction(7, 4)], Fraction(2, 9))
 @example(200, [Fraction(2**64 - 1, 2**64), Fraction(-1, 2**63 + 1)], Fraction(1, 2**64))
-def test_apply_linear_agrees_with_the_fraction_substitution_at_high_exponents(k, row, c):
-    # x0 := a*y0 + b*y1 and x1 := y1 - y0: k+1 terms from x0^k, plus a
-    # term of a lower degree.
-    p = Poly(2, {(k, 0): c, (0, 1): Fraction(-3, 7)})
-    matrix = [row, [-1, 1]]
-    assert list(apply_linear(p, matrix).terms()) == list(fraction_apply_linear(p, matrix).terms())
+@example(1500, [Fraction(0), Fraction(7, 4)], Fraction(2, 9))
+def test_apply_linear_agrees_with_the_fraction_substitution_at_high_exponents(k, e, c):
+    # With e = (a, b), a != 0: x0 := a*y0 and x1 := b*y0 + y1, so x1^k
+    # gives k+1 terms; with a = 0 the pivot is x1.
+    assume(any(e))
+    assert_matches_the_fraction_substitution(Poly(2, {(k, 0): Fraction(-3, 7), (0, k): c}), e)
 
 
 def test_substitute_line_at_a_high_exponent():
@@ -276,7 +299,7 @@ def test_normalize_direction_roundtrip():
         if all(c == 0 for c in e) or h.evaluate(e) == 0:
             continue
         transformed, t_mat = normalize_direction(h, e)
-        assert apply_linear(transformed, t_mat) == h
+        assert fraction_apply_linear(transformed, t_mat) == h
         assert transformed.evaluate((1,) + (0,) * (nvars - 1)) == h.evaluate(e)
 
 

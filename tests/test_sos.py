@@ -32,12 +32,12 @@ from hyperdet.sdp import (
 )
 from hyperdet.sos import (
     SdpProblem,
+    _candidates,
     find_sos_decomposition,
     gram_problem,
     monomial_basis_Mk,
     power_sum_multiplier,
     round_gram,
-    sole_gram,
     solve_maxeig,
 )
 
@@ -451,7 +451,12 @@ def test_level_with_one_gram_matrix_runs_no_sdp_and_no_rounding(monkeypatch, h):
     monkeypatch.setattr(hyperdet.sos, "ldl_decompose", spy("ldl_decompose", ldl_decompose))
     dec = find_sos_decomposition(QuotientContext(h))
     assert dec.ell == 0
-    assert calls == {"solve_maxeig": [], "round_gram": [], "ldl_decompose": [(dec.gram,)]}
+    # The one matrix is the projection of the zero matrix on grid 1, whose
+    # grid point is the zero matrix itself: nothing is rounded.
+    [(problem, zero, bound)] = calls["round_gram"]
+    assert zero == [[0] * problem.m] * problem.m and bound == 1
+    assert calls == {"solve_maxeig": [], "round_gram": [(problem, zero, bound)],
+                     "ldl_decompose": [(dec.gram,)]}
 
 
 @st.composite
@@ -475,25 +480,40 @@ def one_point_problems(draw):
 @given(one_point_problems())
 def test_rows_of_quadrics_and_binary_forms_fix_every_gram_position(problem):
     # Each row's support is one upper-triangle position, and the rows cover
-    # every position once, so the rows allow one matrix: the one that
-    # round_gram's projection returns from any iterate.
+    # every position once, so the rows allow one matrix, rhs / c at each
+    # position: the level's one candidate, which round_gram's projection
+    # returns from any iterate.
     m = problem.m
     supports = [set(row) for row, _ in problem.constraints]
     assert all(len(support) == 1 for support in supports)
     assert sorted(pos for (pos,) in supports) == [(a, b) for a in range(m) for b in range(a, m)]
-    assert sole_gram(problem) == round_gram(problem, np.eye(m), 2**8)
+    point = [[None] * m for _ in range(m)]
+    for row, rhs in problem.constraints:
+        [((a, b), c)] = row.items()
+        point[a][b] = point[b][a] = rhs / c
+    [candidate] = _candidates(problem, 0, [])
+    assert candidate == point
+    assert candidate == round_gram(problem, np.eye(m), 2**8)
 
 
-def test_sole_gram_leaves_free_entries_to_the_sdp():
+def test_sole_gram_leaves_free_entries_to_the_sdp(monkeypatch):
+    solved = []
+
+    def spy(problem):
+        solved.append(problem)
+        return solve_maxeig(problem)
+
+    monkeypatch.setattr(hyperdet.sos, "solve_maxeig", spy)
     ctx = QuotientContext(CUBIC)
     omega = bezoutian_of(ctx, CUBIC.derivative(0))
-    for ell in (0, 1):
-        problem, _ = gram_problem(ctx, omega, ell, power_sum_multiplier(ctx, ell))
-        assert sole_gram(problem) is None
+    problems = [gram_problem(ctx, omega, ell, power_sum_multiplier(ctx, ell))[0] for ell in (0, 1)]
     # A row on two positions leaves the matrix free; two rows on one position,
     # which would leave another position free, are refused when stated.
-    assert sole_gram(SdpProblem(2, [({(0, 0): 1, (1, 1): 1}, Fraction(2)),
-                                    ({(0, 1): 1}, Fraction(0))])) is None
+    problems.append(SdpProblem(2, [({(0, 0): 1, (1, 1): 1}, Fraction(2)),
+                                   ({(0, 1): 1}, Fraction(0))]))
+    for ell, problem in enumerate(problems):
+        list(_candidates(problem, ell, []))
+    assert solved == problems
     with pytest.raises(ValueError):
         SdpProblem(2, [({(0, 0): 1}, Fraction(1))] * 3)
 
